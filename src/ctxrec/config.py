@@ -55,7 +55,6 @@ class PipelineConfig:
     # experiment protocol
     repetitions: int = 5
     seed: int = 0
-    threads: int = 1
 
     def validate(self) -> None:
         for f in dataclasses.fields(self):

@@ -26,7 +26,7 @@ from .corpus import SplitCorpus, TEST
 from .nn import engine
 from .nn.engine import Parameter
 from .nn.layers import DenseLayer
-from .nn.optim import Adam, clip_global_norm
+from .nn.optim import adam_stepper
 
 
 @dataclass
@@ -339,7 +339,7 @@ def train_encoder(graph: BipartiteMultigraph, base_dim: int = 64,
     hold_negs = rng.choice(graph.num_items, size=(len(hold_edges), num_negatives),
                            p=weights)
 
-    opt = Adam(encoder.params(), lr=lr)
+    step = adam_stepper(encoder.params(), lr, clip_norm, "graph")
     history = {"holdout_loss": [_edge_loss_det(encoder, graph, hold_edges, hold_negs)],
                "train_loss": []}
     for _ in range(epochs):
@@ -353,7 +353,6 @@ def train_encoder(graph: BipartiteMultigraph, base_dim: int = 64,
             all_items = np.concatenate([batch[:, 1], negs.reshape(-1)])
             uniq_i, inv_i = np.unique(all_items, return_inverse=True)
 
-            opt.zero_grad()
             z_s = encoder._session_z(graph, uniq_s, rng)
             z_i = encoder._item_z(graph, uniq_i, rng)
             b = len(batch)
@@ -365,11 +364,7 @@ def train_encoder(graph: BipartiteMultigraph, base_dim: int = 64,
             neg_score = engine.scale(engine.dot_last(z_s_rep, z_neg), -1.0)
             neg_term = engine.vsum(engine.logsigmoid(neg_score))
             loss = engine.scale(engine.add(pos_term, neg_term), -1.0 / b)
-            if not np.isfinite(loss.value):
-                raise FloatingPointError("non-finite graph training loss")
-            engine.backward(loss)
-            clip_global_norm(encoder.params(), clip_norm)
-            opt.step()
+            step(loss)
             epoch_loss += float(loss.value) * b
         history["train_loss"].append(epoch_loss / max(len(train_idx), 1))
         history["holdout_loss"].append(_edge_loss_det(encoder, graph, hold_edges, hold_negs))

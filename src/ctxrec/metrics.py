@@ -7,7 +7,7 @@ ascending, so tied scores place lower ids first.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import stdtr
@@ -80,7 +80,6 @@ class EvalReport:
     recall_k: int = 10
     num_examples: int = 0
     config_hash: str = ""
-    extras: dict = field(default_factory=dict)
 
     @property
     def mean_mrr(self) -> float:
@@ -91,7 +90,7 @@ class EvalReport:
         return float(np.mean(self.recall_values))
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "mode": self.mode,
             "config_hash": self.config_hash,
             "seeds": self.seeds,
@@ -103,8 +102,6 @@ class EvalReport:
                      f"recall_at_{self.recall_k}": self.mean_recall},
             "num_eval_examples": self.num_examples,
         }
-        out.update(self.extras)
-        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

@@ -19,8 +19,8 @@ from .corpus import SplitCorpus, TRAIN, VAL, TEST
 from .metrics import mrr, rank_of_truth
 from .nn import engine
 from .nn.engine import Parameter, Var
-from .nn.layers import BiLstm, DenseLayer, EmbeddingTable
-from .nn.optim import Adam, clip_global_norm, restore, snapshot
+from .nn.layers import BiLstm, DenseLayer, EmbeddingTable, prefix_input
+from .nn.optim import fit
 
 WITH_CONTEXT = "with_context"
 ABLATION = "ablation"
@@ -70,15 +70,10 @@ class NextItemModel:
             raise ValueError(f"context id out of range [0, {self.num_contexts})")
         return engine.flatten(self.context_emb.lookup(ids))
 
-    def _item_input(self, prefix_items) -> Var:
-        prefix = list(prefix_items)[-self.max_seq_len:]
-        if not prefix:
-            return engine.as_row_matrix(self.aux)
-        return self.item_emb.lookup(np.asarray(prefix, dtype=np.intp))
-
     def logits_var(self, user_id: int, prefix_items, context_ids) -> Var:
         e_user = self.user_emb.row(user_id)
-        z_item = self.item_lstm.forward(self._item_input(prefix_items))
+        z_item = self.item_lstm.forward(prefix_input(
+            self.item_emb, self.aux, prefix_items, self.max_seq_len))
         if self.mode == ABLATION:
             return self.fc2(engine.concat([z_item, e_user]))
         return self.fc2(engine.concat([self.context_block(context_ids),
@@ -109,23 +104,31 @@ def build_rank_examples(corpus: SplitCorpus, split_tag: str) -> list[RankExample
             if corpus.splits[k] == split_tag]
 
 
-def _contexts_for(model: NextItemModel, ctx_topk: np.ndarray | None, idx: int):
+def _example_inputs(model: NextItemModel, corpus: SplitCorpus,
+                    ctx_topk: np.ndarray | None, ex: RankExample) -> tuple:
+    """(user id, observed prefix, top-K context ids) for one example."""
     if model.mode == ABLATION:
-        return None
-    if ctx_topk is None:
+        contexts = None
+    elif ctx_topk is None:
         raise ValueError("with-context mode needs per-prefix context predictions")
-    return ctx_topk[idx]
+    else:
+        contexts = ctx_topk[ex.interaction_idx]
+    return (ex.user_id, corpus.sessions[ex.session_id].items[:ex.position],
+            contexts)
+
+
+def _scored(model: NextItemModel, corpus: SplitCorpus,
+            examples: list[RankExample], ctx_topk: np.ndarray | None):
+    """(example, next-item probabilities) for every example, in order."""
+    for ex in examples:
+        yield ex, model.predict_probs(*_example_inputs(model, corpus, ctx_topk, ex))
 
 
 def compute_ranks(model: NextItemModel, corpus: SplitCorpus,
                   examples: list[RankExample],
                   ctx_topk: np.ndarray | None) -> np.ndarray:
     ranks = np.empty(len(examples), dtype=np.int64)
-    prefixes = {s.session_id: s.items for s in corpus.sessions}
-    for j, ex in enumerate(examples):
-        probs = model.predict_probs(ex.user_id,
-                                    prefixes[ex.session_id][:ex.position],
-                                    _contexts_for(model, ctx_topk, ex.interaction_idx))
+    for j, (ex, probs) in enumerate(_scored(model, corpus, examples, ctx_topk)):
         ranks[j] = rank_of_truth(probs, ex.target_item)
     return ranks
 
@@ -139,54 +142,22 @@ def train_next(model: NextItemModel, corpus: SplitCorpus,
     stopping on validation MRR (higher is better)."""
     train_examples = build_rank_examples(corpus, TRAIN)
     val_examples = build_rank_examples(corpus, VAL)
-    if not train_examples:
-        raise ValueError("no training examples")
-    prefixes = {s.session_id: s.items for s in corpus.sessions}
 
-    opt = Adam(model.params(), lr=lr)
-    history = {"train_loss": [], "val_mrr": [], "best_epoch": -1}
-    best_mrr = -np.inf
-    best_params = snapshot(model.params())
-    bad_epochs = 0
+    def example_loss(unit: list[RankExample]) -> list[Var]:
+        (ex,) = unit
+        logits = model.logits_var(*_example_inputs(model, corpus, ctx_topk, ex))
+        return [engine.softmax_cross_entropy(logits, ex.target_item)[0]]
 
-    for epoch in range(max_epochs):
-        order = rng.permutation(len(train_examples))
-        epoch_loss = 0.0
-        for start in range(0, len(order), batch_size):
-            batch = [train_examples[j] for j in order[start:start + batch_size]]
-            losses = []
-            for ex in batch:
-                logits = model.logits_var(
-                    ex.user_id, prefixes[ex.session_id][:ex.position],
-                    _contexts_for(model, ctx_topk, ex.interaction_idx))
-                loss, _ = engine.softmax_cross_entropy(logits, ex.target_item)
-                losses.append(loss)
-            total = engine.add_n(losses, [1.0 / len(batch)] * len(batch))
-            if not np.isfinite(total.value):
-                raise FloatingPointError("non-finite next-item training loss")
-            opt.zero_grad()
-            engine.backward(total)
-            clip_global_norm(model.params(), clip_norm)
-            opt.step()
-            epoch_loss += float(total.value) * len(batch)
-        history["train_loss"].append(epoch_loss / len(train_examples))
-
-        if val_examples:
-            val_mrr = mrr(compute_ranks(model, corpus, val_examples, ctx_topk))
-        else:
-            val_mrr = -history["train_loss"][-1]
-        history["val_mrr"].append(val_mrr)
-        if val_mrr > best_mrr + 1e-12:
-            best_mrr = val_mrr
-            best_params = snapshot(model.params())
-            history["best_epoch"] = epoch
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= patience:
-                break
-    restore(model.params(), best_params)
-    return history
+    # no validation data: early-stop on train loss, recorded as -loss
+    history = fit(model.params(), [[ex] for ex in train_examples], example_loss,
+                  rng, lr=lr, batch_size=batch_size, max_epochs=max_epochs,
+                  patience=patience, clip_norm=clip_norm, what="next-item",
+                  val_score=(lambda: -mrr(compute_ranks(
+                      model, corpus, val_examples, ctx_topk)))
+                  if val_examples else None)
+    return {"train_loss": history["train_loss"],
+            "val_mrr": [-v for v in history["val_score"]],
+            "best_epoch": history["best_epoch"]}
 
 
 def export_ranked_lists(path, model: NextItemModel, corpus: SplitCorpus,
@@ -195,12 +166,8 @@ def export_ranked_lists(path, model: NextItemModel, corpus: SplitCorpus,
     import json
 
     examples = build_rank_examples(corpus, TEST)
-    prefixes = {s.session_id: s.items for s in corpus.sessions}
     with open(path, "w") as fh:
-        for ex in examples:
-            probs = model.predict_probs(
-                ex.user_id, prefixes[ex.session_id][:ex.position],
-                _contexts_for(model, ctx_topk, ex.interaction_idx))
+        for ex, probs in _scored(model, corpus, examples, ctx_topk):
             order = np.lexsort((np.arange(len(probs)), -probs))[:top_n]
             fh.write(json.dumps({
                 "interaction_idx": ex.interaction_idx,

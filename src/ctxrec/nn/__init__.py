@@ -5,7 +5,6 @@ from .engine import (
     Var,
     backward,
     constant,
-    cross_entropy,
     softmax,
     softmax_cross_entropy,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "backward",
     "clip_global_norm",
     "constant",
-    "cross_entropy",
     "finite_diff_check",
     "load_checkpoint",
     "save_checkpoint",

@@ -8,10 +8,11 @@ Layout (all integers little-endian):
     ...           header: UTF-8 JSON with sorted keys
     ...           payload: tensor data, concatenated in header order
 
-The header holds the config snapshot, the optimizer step counter, and one
-entry per tensor: {"name", "shape", "dtype", "offset", "nbytes"}. Tensors are
-stored C-order as little-endian float64 ("<f8"). Optimizer moment tensors are
-stored alongside parameters under the reserved prefixes "adam.m." / "adam.v.".
+The header holds the config snapshot and one entry per tensor:
+{"name", "shape", "dtype", "offset", "nbytes"}. Tensors are stored C-order
+as little-endian float64 ("<f8"). Format version 2 holds model parameters
+only: no optimizer moments and no optimizer step counter (version 1 had
+both); a file of any other version is rejected on load.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .engine import Parameter
+
 MAGIC = b"NNCK"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _DTYPE = "<f8"
 
 
@@ -32,36 +35,16 @@ _DTYPE = "<f8"
 class Checkpoint:
     tensors: dict[str, np.ndarray]
     config: dict
-    optimizer_step: int
     version: int = FORMAT_VERSION
-
-    def optimizer_state(self, param_names: list[str]) -> dict | None:
-        if all(f"adam.m.{n}" in self.tensors for n in param_names):
-            return {
-                "step": self.optimizer_step,
-                "m": {n: self.tensors[f"adam.m.{n}"] for n in param_names},
-                "v": {n: self.tensors[f"adam.v.{n}"] for n in param_names},
-            }
-        return None
 
 
 def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray],
-                    config: dict | None = None,
-                    optimizer: dict | None = None) -> None:
-    all_tensors = dict(tensors)
-    step = 0
-    if optimizer is not None:
-        step = int(optimizer["step"])
-        for name, arr in optimizer["m"].items():
-            all_tensors[f"adam.m.{name}"] = arr
-        for name, arr in optimizer["v"].items():
-            all_tensors[f"adam.v.{name}"] = arr
-
+                    config: dict | None = None) -> None:
     entries = []
     offset = 0
     blobs = []
-    for name in sorted(all_tensors):
-        arr = np.ascontiguousarray(all_tensors[name], dtype=np.float64)
+    for name in sorted(tensors):
+        arr = np.ascontiguousarray(tensors[name], dtype=np.float64)
         blob = arr.astype(_DTYPE).tobytes()
         entries.append({
             "name": name,
@@ -75,7 +58,6 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray],
 
     header = json.dumps({
         "config": config or {},
-        "optimizer_step": step,
         "tensors": entries,
     }, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
@@ -104,5 +86,17 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
         arr = np.frombuffer(raw, dtype=entry["dtype"]).astype(np.float64)
         tensors[entry["name"]] = arr.reshape(entry["shape"]).copy()
-    return Checkpoint(tensors=tensors, config=header["config"],
-                      optimizer_step=header["optimizer_step"], version=version)
+    return Checkpoint(tensors=tensors, config=header["config"], version=version)
+
+
+def load_params(params: list[Parameter], ck: Checkpoint) -> None:
+    """Copy each parameter's tensor from ``ck`` into it in place. A tensor
+    that is missing or has another shape is a ValueError naming it."""
+    for p in params:
+        if p.name not in ck.tensors:
+            raise ValueError(f"checkpoint has no tensor {p.name!r}")
+        value = ck.tensors[p.name]
+        if value.shape != p.value.shape:
+            raise ValueError(f"checkpoint tensor {p.name!r} has shape "
+                             f"{value.shape}, expected {p.value.shape}")
+        p.value[...] = value

@@ -108,15 +108,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 PROB_FLOOR = 1e-12
 
 
-def cross_entropy(probabilities: np.ndarray, true_index: int) -> float:
-    """Negative log-likelihood of the true class, clamped at 1e-12."""
-    probabilities = np.asarray(probabilities, dtype=np.float64)
-    if not 0 <= true_index < probabilities.shape[-1]:
-        raise IndexError(f"true_index {true_index} out of range "
-                         f"for {probabilities.shape[-1]} classes")
-    return float(-np.log(max(float(probabilities[true_index]), PROB_FLOOR)))
-
-
 # ---------------------------------------------------------------------------
 # graph-building operators
 
@@ -211,24 +202,6 @@ def relu(x: Var) -> Var:
         _accum(x, g * mask)
 
     return Var(np.where(mask, x.value, 0.0), (x,), bwd)
-
-
-def sigmoid(x: Var) -> Var:
-    y = stable_sigmoid(x.value)
-
-    def bwd(g):
-        _accum(x, g * y * (1.0 - y))
-
-    return Var(y, (x,), bwd)
-
-
-def tanh(x: Var) -> Var:
-    y = np.tanh(x.value)
-
-    def bwd(g):
-        _accum(x, g * (1.0 - y * y))
-
-    return Var(y, (x,), bwd)
 
 
 def logsigmoid(x: Var) -> Var:

@@ -36,6 +36,18 @@ class EmbeddingTable:
         return [self.weights]
 
 
+def prefix_input(table: EmbeddingTable, aux: Parameter, prefix_items,
+                 max_len: int) -> Var:
+    """The (T, dim) sequence a prefix encoder reads: the embedding rows of
+    the last ``max_len`` items, or the learnable ``aux`` vector as a sequence
+    of length one when the prefix is empty."""
+    from . import engine
+    prefix = list(prefix_items)[-max_len:]
+    if not prefix:
+        return engine.as_row_matrix(aux)
+    return table.lookup(np.asarray(prefix, dtype=np.intp))
+
+
 class DenseLayer:
     """Affine layer y = W x + b with uniform(+-1/sqrt(in_dim)) init."""
 

@@ -1,10 +1,13 @@
-"""Adam optimizer with bias correction and global-norm gradient clipping."""
+"""Adam, global-norm gradient clipping, and the early-stopping training loop."""
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from .engine import Parameter
+from . import engine
+from .engine import Parameter, Var
 
 
 class Adam:
@@ -47,18 +50,6 @@ class Adam:
             v_hat = self.v[k] / bc2
             p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def state_dict(self) -> dict:
-        return {
-            "step": self.step_count,
-            "m": {p.name: m.copy() for p, m in zip(self.params, self.m)},
-            "v": {p.name: v.copy() for p, v in zip(self.params, self.v)},
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.step_count = int(state["step"])
-        self.m = [np.array(state["m"][p.name]) for p in self.params]
-        self.v = [np.array(state["v"][p.name]) for p in self.params]
-
 
 def clip_global_norm(params: list[Parameter], max_norm: float) -> float:
     """Scale all gradients in place so their global L2 norm is <= max_norm."""
@@ -73,10 +64,84 @@ def clip_global_norm(params: list[Parameter], max_norm: float) -> float:
     return norm
 
 
-def snapshot(params: list[Parameter]) -> list[np.ndarray]:
-    return [p.value.copy() for p in params]
+def adam_stepper(params: list[Parameter], lr: float, clip_norm: float,
+                 what: str) -> Callable[[Var], None]:
+    """A function applying one Adam update from a scalar loss node: it
+    rejects a non-finite loss, backpropagates, then clips the gradients'
+    global norm (summed in ``params`` order) to ``clip_norm``."""
+    opt = Adam(params, lr=lr)
+
+    def step(loss: Var) -> None:
+        if not np.isfinite(loss.value):
+            raise FloatingPointError(f"non-finite {what} training loss")
+        opt.zero_grad()
+        engine.backward(loss)
+        clip_global_norm(params, clip_norm)
+        opt.step()
+
+    return step
 
 
-def restore(params: list[Parameter], values: list[np.ndarray]) -> None:
-    for p, v in zip(params, values):
+def _batches(units: list[list], order: np.ndarray, batch_size: int):
+    """Whole units in ``order``, packed until a batch holds >= batch_size
+    examples; the last batch may be smaller."""
+    batch: list = []
+    count = 0
+    for k in order:
+        batch.append(units[k])
+        count += len(units[k])
+        if count >= batch_size:
+            yield batch
+            batch, count = [], 0
+    if batch:
+        yield batch
+
+
+def fit(params: list[Parameter], units: list[list],
+        unit_losses: Callable[[list], list[Var]], rng: np.random.Generator,
+        *, lr: float, batch_size: int, max_epochs: int, patience: int,
+        clip_norm: float, what: str,
+        val_score: Callable[[], float] | None = None) -> dict:
+    """Mini-batch Adam training with early stopping and best-epoch restore.
+
+    ``units`` are the shuffle units, each a list of examples that always
+    share a batch; ``unit_losses(unit)`` returns one loss node per example,
+    and a batch's loss is their mean. After each epoch ``val_score()``
+    (lower is better; the epoch's mean train loss when None) must beat the
+    best so far by more than 1e-12, or the epoch counts toward ``patience``.
+    The best epoch's parameters are restored before returning the history:
+    per-epoch ``train_loss`` and ``val_score``, and ``best_epoch``.
+    """
+    if not units:
+        raise ValueError("no training examples")
+    step = adam_stepper(params, lr, clip_norm, what)
+    history = {"train_loss": [], "val_score": [], "best_epoch": -1}
+    best = np.inf
+    best_values = [p.value.copy() for p in params]
+    bad_epochs = 0
+    for epoch in range(max_epochs):
+        epoch_loss = 0.0
+        n_seen = 0
+        for batch in _batches(units, rng.permutation(len(units)), batch_size):
+            losses = [loss for unit in batch for loss in unit_losses(unit)]
+            n = len(losses)
+            total = engine.add_n(losses, [1.0 / n] * n)
+            step(total)
+            epoch_loss += float(total.value) * n
+            n_seen += n
+        history["train_loss"].append(epoch_loss / n_seen)
+
+        score = val_score() if val_score is not None else history["train_loss"][-1]
+        history["val_score"].append(score)
+        if score < best - 1e-12:
+            best = score
+            best_values = [p.value.copy() for p in params]
+            history["best_epoch"] = epoch
+            bad_epochs = 0
+        else:
+            bad_epochs += 1
+            if bad_epochs >= patience:
+                break
+    for p, v in zip(params, best_values):
         p.value[...] = v
+    return history

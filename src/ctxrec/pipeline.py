@@ -23,7 +23,7 @@ from . import predictor as pred_mod
 from .config import PipelineConfig
 from .corpus import SplitCorpus, build_corpus, load_corpus, parse_log, save_corpus, ColumnSchema, TEST
 from .metrics import EvalReport, mrr, recall_at_k, t_test_one_tailed
-from .nn.checkpoint import load_checkpoint, save_checkpoint
+from .nn.checkpoint import load_checkpoint, load_params, save_checkpoint
 
 
 class PipelineError(RuntimeError):
@@ -39,9 +39,6 @@ class MissingArtifactError(PipelineError):
 class Workspace:
     def __init__(self, cfg: PipelineConfig, workdir: str | Path):
         cfg.validate()
-        if cfg.threads != 1:
-            import warnings
-            warnings.warn("only threads=1 is implemented; running single-threaded")
         self.cfg = cfg
         self.workdir = Path(workdir)
         self.workdir.mkdir(parents=True, exist_ok=True)
@@ -188,8 +185,7 @@ def load_encoder(ws: Workspace):
     encoder = graph_mod.SageEncoder(
         ck.config["num_items"], ck.config["base_dim"], ck.config["out_dim"],
         tuple(ck.config["fanout"]))
-    for p in encoder.params():
-        p.value[...] = ck.tensors[p.name]
+    load_params(encoder.params(), ck)
     data = np.load(path / "embeddings.npz")
     return corpus, graph, encoder, data["embeddings"], data["embeddable"]
 
@@ -260,9 +256,9 @@ def run_train_context(ws: Workspace) -> Path:
     history = pred_mod.train_context(
         model, corpus, features, labels, rng, lr=cfg.lr, batch_size=cfg.batch,
         max_epochs=cfg.max_epochs, patience=cfg.patience,
-        clip_norm=cfg.clip_norm, max_seq_len=cfg.max_seq_len)
+        clip_norm=cfg.clip_norm)
     topk_ids, topk_probs = pred_mod.predict_all_prefixes(
-        model, corpus, features, cfg.top_k_contexts, cfg.max_seq_len)
+        model, corpus, features, cfg.top_k_contexts)
 
     save_checkpoint(path / "predictor.ckpt",
                     {p.name: p.value for p in model.params()},
@@ -285,8 +281,7 @@ def load_context_predictor(ws: Workspace):
     model = pred_mod.ContextPredictor(
         c["num_users"], c["num_items"], c["num_contexts"], c["feat_dim"],
         c["user_dim"], c["item_dim"], c["hidden"], c["max_seq_len"])
-    for p in model.params():
-        p.value[...] = ck.tensors[p.name]
+    load_params(model.params(), ck)
     preds = np.load(path / "predictions.npz")
     return model, preds["topk_ids"], preds["topk_probs"]
 
@@ -347,8 +342,7 @@ def load_next_model(ws: Workspace, ablation: bool = False) -> next_mod.NextItemM
     ck = load_checkpoint(path / "nextitem.ckpt")
     corpus = load_ingested(ws)
     model = _build_next_model(ws, corpus, mode, np.random.default_rng(ws.cfg.seed))
-    for p in model.params():
-        p.value[...] = ck.tensors[p.name]
+    load_params(model.params(), ck)
     return model
 
 
@@ -391,6 +385,11 @@ def run_evaluate(ws: Workspace, ablation: bool = False) -> Path:
     return path
 
 
+def _ratio(num: float, den: float) -> float | None:
+    """num / den, or None (JSON null) when the ablation arm scored 0."""
+    return num / den if den != 0 else None
+
+
 def run_ablate(ws: Workspace) -> Path:
     """Paired with/without-context repetitions plus one-tailed Welch tests."""
     corpus = load_ingested(ws)
@@ -411,8 +410,8 @@ def run_ablate(ws: Workspace) -> Path:
         "ablation": abl_report.to_dict(),
         "t_test": {"mrr": {"t": t_mrr, "p": p_mrr},
                    "recall_at_10": {"t": t_rec, "p": p_rec}},
-        "mrr_ratio": with_report.mean_mrr / abl_report.mean_mrr,
-        "recall_ratio": with_report.mean_recall / abl_report.mean_recall,
+        "mrr_ratio": _ratio(with_report.mean_mrr, abl_report.mean_mrr),
+        "recall_ratio": _ratio(with_report.mean_recall, abl_report.mean_recall),
     }
     (path / "ablation.json").write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n")

@@ -23,8 +23,8 @@ from .corpus import SplitCorpus, TRAIN, VAL
 from .cluster import UNLABELED
 from .nn import engine
 from .nn.engine import Parameter, Var
-from .nn.layers import BiLstm, DenseLayer, EmbeddingTable
-from .nn.optim import Adam, clip_global_norm, restore, snapshot
+from .nn.layers import BiLstm, DenseLayer, EmbeddingTable, prefix_input
+from .nn.optim import fit
 
 FEATURE_EXTRAS = 3  # duration, idle gap, item count
 
@@ -134,15 +134,10 @@ class ContextPredictor:
     def encode_history(self, history: np.ndarray) -> Var:
         return self.long_lstm.forward(engine.constant(history))
 
-    def _short_input(self, prefix_items) -> Var:
-        prefix = list(prefix_items)[-self.max_seq_len:]
-        if not prefix:
-            return engine.as_row_matrix(self.aux)
-        return self.item_emb.lookup(np.asarray(prefix, dtype=np.intp))
-
     def logits_var(self, user_id: int, prefix_items, z_long: Var) -> Var:
         e_user = self.user_emb.row(user_id)
-        z_short = self.short_lstm.forward(self._short_input(prefix_items))
+        z_short = self.short_lstm.forward(prefix_input(
+            self.item_emb, self.aux, prefix_items, self.max_seq_len))
         return self.fc1(engine.concat([e_user, z_short, z_long]))
 
     def predict_probs(self, user_id: int, prefix_items,
@@ -184,122 +179,76 @@ def _group_by_session(examples: list[ContextExample]) -> list[list[ContextExampl
     return [groups[sid] for sid in sorted(groups)]
 
 
+def _prefix_logits(model: ContextPredictor, corpus: SplitCorpus,
+                   features: SessionFeatureStore, session_id: int,
+                   positions: list[int]) -> list[Var]:
+    """Context logits for each prefix length in ``positions`` of one
+    session; the session's history is encoded once for all of them."""
+    s = corpus.sessions[session_id]
+    z_long = model.encode_history(long_term_input(
+        corpus, features, s.user_id, session_id, model.max_seq_len))
+    return [model.logits_var(s.user_id, s.items[:pos], z_long) for pos in positions]
+
+
+def _group_losses(model: ContextPredictor, corpus: SplitCorpus,
+                  features: SessionFeatureStore,
+                  group: list[ContextExample]) -> list[Var]:
+    """One cross-entropy node per example of a single-session group."""
+    logits = _prefix_logits(model, corpus, features, group[0].session_id,
+                            [ex.position for ex in group])
+    return [engine.softmax_cross_entropy(lg, ex.label)[0]
+            for lg, ex in zip(logits, group)]
+
+
 def train_context(model: ContextPredictor, corpus: SplitCorpus,
                   features: SessionFeatureStore, labels: np.ndarray,
                   rng: np.random.Generator, lr: float = 0.001,
                   batch_size: int = 1024, max_epochs: int = 200,
-                  patience: int = 10, clip_norm: float = 5.0,
-                  max_seq_len: int = 50) -> dict:
+                  patience: int = 10, clip_norm: float = 5.0) -> dict:
     """Cross-entropy training over per-prefix examples, Adam, early stopping
-    on validation loss. Examples sharing a session share one history encoding
-    per batch, so its BPTT runs once for the whole prefix family."""
+    on validation loss. A session's prefix family is one shuffle unit and
+    shares one history encoding, so its BPTT runs once per batch."""
     train_groups = _group_by_session(build_context_examples(corpus, labels, TRAIN))
     val_examples = build_context_examples(corpus, labels, VAL)
-    if not train_groups:
-        raise ValueError("no training examples")
 
-    histories = {g[0].session_id: long_term_input(
-        corpus, features, g[0].user_id, g[0].session_id, max_seq_len)
-        for g in train_groups}
-    prefixes = {s.session_id: s.items for s in corpus.sessions}
-
-    opt = Adam(model.params(), lr=lr)
-    history = {"train_loss": [], "val_loss": [], "best_epoch": -1}
-    best_loss = np.inf
-    best_params = snapshot(model.params())
-    bad_epochs = 0
-
-    def batch_iter(order):
-        batch: list[list[ContextExample]] = []
-        count = 0
-        for gi in order:
-            batch.append(train_groups[gi])
-            count += len(train_groups[gi])
-            if count >= batch_size:
-                yield batch
-                batch, count = [], 0
-        if batch:
-            yield batch
-
-    for epoch in range(max_epochs):
-        order = rng.permutation(len(train_groups))
-        epoch_loss = 0.0
-        n_seen = 0
-        for batch in batch_iter(order):
-            n = sum(len(g) for g in batch)
-            losses = []
-            for group in batch:
-                sid = group[0].session_id
-                z_long = model.encode_history(histories[sid])
-                for ex in group:
-                    logits = model.logits_var(ex.user_id,
-                                              prefixes[sid][:ex.position], z_long)
-                    loss, _ = engine.softmax_cross_entropy(logits, ex.label)
-                    losses.append(loss)
-            total = engine.add_n(losses, [1.0 / n] * len(losses))
-            if not np.isfinite(total.value):
-                raise FloatingPointError("non-finite context training loss")
-            opt.zero_grad()
-            engine.backward(total)
-            clip_global_norm(model.params(), clip_norm)
-            opt.step()
-            epoch_loss += float(total.value) * n
-            n_seen += n
-        history["train_loss"].append(epoch_loss / n_seen)
-
-        # no validation data (degenerate corpora): early-stop on train loss
-        val_loss = (evaluate_context_loss(model, corpus, features, val_examples,
-                                          max_seq_len)
-                    if val_examples else history["train_loss"][-1])
-        history["val_loss"].append(val_loss)
-        if val_loss < best_loss - 1e-12:
-            best_loss = val_loss
-            best_params = snapshot(model.params())
-            history["best_epoch"] = epoch
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= patience:
-                break
-    restore(model.params(), best_params)
-    return history
+    # no validation data (degenerate corpora): early-stop on train loss
+    history = fit(model.params(), train_groups,
+                  lambda group: _group_losses(model, corpus, features, group),
+                  rng, lr=lr, batch_size=batch_size, max_epochs=max_epochs,
+                  patience=patience, clip_norm=clip_norm, what="context",
+                  val_score=(lambda: evaluate_context_loss(
+                      model, corpus, features, val_examples))
+                  if val_examples else None)
+    return {"train_loss": history["train_loss"], "val_loss": history["val_score"],
+            "best_epoch": history["best_epoch"]}
 
 
 def evaluate_context_loss(model: ContextPredictor, corpus: SplitCorpus,
                           features: SessionFeatureStore,
-                          examples: list[ContextExample],
-                          max_seq_len: int = 50) -> float:
+                          examples: list[ContextExample]) -> float:
     if not examples:
         return float("nan")
     total = 0.0
     for group in _group_by_session(examples):
-        sid = group[0].session_id
-        hist = long_term_input(corpus, features, group[0].user_id, sid, max_seq_len)
-        z_long = model.encode_history(hist)
-        items = corpus.sessions[sid].items
-        for ex in group:
-            logits = model.logits_var(ex.user_id, items[:ex.position], z_long)
-            probs = engine.softmax(logits.value)
-            total += engine.cross_entropy(probs, ex.label)
+        for loss in _group_losses(model, corpus, features, group):
+            total += float(loss.value)
     return total / len(examples)
 
 
 def predict_all_prefixes(model: ContextPredictor, corpus: SplitCorpus,
-                         features: SessionFeatureStore, k: int,
-                         max_seq_len: int = 50) -> tuple[np.ndarray, np.ndarray]:
+                         features: SessionFeatureStore,
+                         k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k context ids (ascending) and their probabilities for the prefix
     preceding every interaction in the corpus."""
     n = len(corpus.interactions)
     topk_ids = np.zeros((n, k), dtype=np.intp)
     topk_probs = np.zeros((n, k))
     for s in corpus.sessions:
-        hist = long_term_input(corpus, features, s.user_id, s.session_id,
-                               max_seq_len)
-        z_long = model.encode_history(hist)
-        for idx in corpus.interaction_range(s.session_id):
-            pos = corpus.position_of[idx]
-            logits = model.logits_var(s.user_id, s.items[:pos], z_long)
-            probs = engine.softmax(logits.value)
+        idxs = corpus.interaction_range(s.session_id)
+        logits = _prefix_logits(model, corpus, features, s.session_id,
+                                [corpus.position_of[idx] for idx in idxs])
+        for idx, lg in zip(idxs, logits):
+            probs = engine.softmax(lg.value)
             ids = top_k_contexts(probs, k)
             topk_ids[idx] = ids
             topk_probs[idx] = probs[ids]

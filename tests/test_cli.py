@@ -1,7 +1,10 @@
 import json
+import shutil
 
+import numpy as np
 import pytest
 
+from ctxrec import nextitem as next_mod
 from ctxrec import pipeline
 from ctxrec.cli import main
 from ctxrec.config import (
@@ -11,6 +14,7 @@ from ctxrec.config import (
     resolve_config,
 )
 from ctxrec.corpus import build_corpus, parse_log
+from ctxrec.nn.checkpoint import load_checkpoint, save_checkpoint
 from ctxrec.synth import SynthSpec, generate, planted_labels
 
 TINY = dict(num_users=10, num_contexts=3, items_per_context=8,
@@ -114,6 +118,15 @@ def tiny_pipeline(tmp_path_factory):
     return tmp, cfg, ws
 
 
+def _partial_workspace(ws_full, cfg, workdir):
+    """A workspace holding copies of ``ws_full``'s stages up to train-context."""
+    workdir.mkdir()
+    for stage in ["ingest", "embed", "contextualize", "train-context"]:
+        src = ws_full.stage_dir(stage)
+        shutil.copytree(src, workdir / src.name)
+    return pipeline.Workspace(cfg, workdir)
+
+
 class TestPipelineMechanics:
     def test_all_stage_artifacts_exist(self, tiny_pipeline):
         _, _, ws = tiny_pipeline
@@ -151,7 +164,6 @@ class TestPipelineMechanics:
 
     def test_tampered_hash_chain_refused(self, tiny_pipeline, tmp_path):
         tmp, cfg, _ = tiny_pipeline
-        import shutil
         workdir = tmp_path / "tampered"
         shutil.copytree(tmp / "work", workdir)
         ws = pipeline.Workspace(cfg, workdir)
@@ -169,20 +181,10 @@ class TestPipelineMechanics:
             pipeline.run_embed(ws)
 
     def test_evaluate_before_train_next_names_it(self, tiny_pipeline, tmp_path):
-        tmp, cfg, ws_full = tiny_pipeline
-        import shutil
-        workdir = tmp_path / "partial"
-        workdir.mkdir()
-        for stage in ["ingest", "embed", "contextualize", "train-context"]:
-            src = ws_full.stage_dir(stage)
-            shutil.copytree(src, workdir / src.name)
-        ws = pipeline.Workspace(cfg, workdir)
+        _, cfg, ws_full = tiny_pipeline
+        ws = _partial_workspace(ws_full, cfg, tmp_path / "partial")
         with pytest.raises(pipeline.MissingArtifactError, match="train-next"):
             pipeline.run_evaluate(ws)
-
-    def test_threads_flag_warns(self, tmp_path):
-        with pytest.warns(UserWarning, match="threads"):
-            pipeline.Workspace(PipelineConfig(threads=2), tmp_path)
 
     def test_ablate_artifact(self, tiny_pipeline):
         _, cfg, ws = tiny_pipeline
@@ -192,6 +194,39 @@ class TestPipelineMechanics:
                                 "mrr_ratio", "seeds"}
         assert len(payload["with_context"]["repetitions"]) == cfg.repetitions
         assert 0.0 <= payload["t_test"]["mrr"]["p"] <= 1.0
+
+    def test_ablate_zero_recall_arm_writes_null_ratio(self, tiny_pipeline,
+                                                      tmp_path, monkeypatch):
+        _, cfg, ws_full = tiny_pipeline
+        ws = _partial_workspace(ws_full, cfg, tmp_path / "zero-recall")
+        real = next_mod.compute_ranks
+
+        def ranks(model, corpus, examples, ctx_topk):
+            out = real(model, corpus, examples, ctx_topk)
+            # the ablation arm ranks every true item just outside the top 10
+            return out if model.mode == next_mod.WITH_CONTEXT else np.full_like(out, 11)
+
+        monkeypatch.setattr(next_mod, "compute_ranks", ranks)
+        path = pipeline.run_ablate(ws)
+        payload = json.loads((path / "ablation.json").read_text())
+        assert payload["ablation"]["mean"]["recall_at_10"] == 0.0
+        assert payload["recall_ratio"] is None
+        assert payload["mrr_ratio"] == (payload["with_context"]["mean"]["mrr"]
+                                        / payload["ablation"]["mean"]["mrr"])
+
+    def test_wrong_shaped_checkpoint_tensor_named(self, tiny_pipeline, tmp_path):
+        tmp, cfg, _ = tiny_pipeline
+        workdir = tmp_path / "reshaped"
+        shutil.copytree(tmp / "work", workdir)
+        ws = pipeline.Workspace(cfg, workdir)
+        path = ws.stage_dir("train-next") / "nextitem.ckpt"
+        ck = load_checkpoint(path)
+        # one row where the model expects (num_items, in_dim): assigning it
+        # in place would broadcast without an error
+        ck.tensors["next.fc2.weight"] = ck.tensors["next.fc2.weight"][0]
+        save_checkpoint(path, ck.tensors, ck.config)
+        with pytest.raises(ValueError, match="next.fc2.weight"):
+            pipeline.load_next_model(ws)
 
     def test_ablation_train_and_evaluate_stages(self, tiny_pipeline):
         _, _, ws = tiny_pipeline
