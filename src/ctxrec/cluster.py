@@ -2,7 +2,9 @@
 
 k-means++ seeding with a fixed generator, Lloyd iterations to an assignment
 fixed point, empty clusters repaired by seizing the point farthest from its
-own center. Distance ties always resolve to the lowest context id.
+own center. Distance ties always resolve to the lowest context id. Sessions
+outside the fit are labeled from the embeddings the embed stage stored, never
+re-embedded here.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import SplitCorpus
-from .graph import BipartiteMultigraph, SageEncoder
 
 UNLABELED = -1
 
@@ -32,12 +33,6 @@ class ContextModel:
     @property
     def dim(self) -> int:
         return self.centers.shape[1]
-
-    def label_of(self, session_id: int) -> int:
-        idx = np.searchsorted(self.session_ids, session_id)
-        if idx >= len(self.session_ids) or self.session_ids[idx] != session_id:
-            raise KeyError(f"session {session_id} was not clustered")
-        return int(self.labels[idx])
 
 
 def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -153,32 +148,22 @@ def assign_many(model: ContextModel, embeddings: np.ndarray) -> np.ndarray:
                               model.centers).argmin(axis=1)
 
 
-def label_all(model: ContextModel, encoder: SageEncoder,
-              graph: BipartiteMultigraph, corpus: SplitCorpus,
-              strict: bool = True) -> np.ndarray:
-    """Context id for every session in the corpus.
+def label_all(model: ContextModel, embeddings: np.ndarray,
+              embeddable: np.ndarray) -> np.ndarray:
+    """Context id for every session, from its stored embedding row.
 
-    Sessions clustered at fit time keep their stored assignment; sessions
-    outside the graph (test-only) are embedded inductively and assigned to
-    the nearest center without refitting. With ``strict=False`` a session
-    whose items are all outside the training vocabulary gets label -1 and a
-    warning instead of an error.
+    Sessions clustered at fit time keep their stored assignment; every other
+    embeddable session (test-only, embedded inductively by the embed stage)
+    goes to the nearest center without refitting. A session the encoder could
+    not embed (no in-vocabulary item) gets ``UNLABELED`` and a warning.
     """
-    labels = np.full(corpus.num_sessions, UNLABELED, dtype=np.intp)
-    clustered = set(int(s) for s in model.session_ids)
-    for s in corpus.sessions:
-        sid = s.session_id
-        if sid in clustered:
-            labels[sid] = model.label_of(sid)
-            continue
-        try:
-            emb = encoder.embed_new_session(graph, list(s.items))
-        except ValueError:
-            if strict:
-                raise
+    labels = np.full(len(embeddings), UNLABELED, dtype=np.intp)
+    labels[model.session_ids] = model.labels
+    for sid in np.flatnonzero(labels == UNLABELED):  # not clustered
+        if embeddable[sid]:
+            labels[sid] = assign(model, embeddings[sid])
+        else:
             warnings.warn(f"session {sid}: no in-vocabulary items; left unlabeled")
-            continue
-        labels[sid] = assign(model, emb)
     return labels
 
 

@@ -44,15 +44,14 @@ class BipartiteMultigraph:
     def __post_init__(self):
         s = self.num_session_nodes
         self.node_of_session = {int(sid): k for k, sid in enumerate(self.session_ids)}
-        s_counts = np.bincount(self.edges[:, 0], minlength=s) if len(self.edges) else np.zeros(s, dtype=int)
-        i_counts = (np.bincount(self.edges[:, 1], minlength=self.num_items)
-                    if len(self.edges) else np.zeros(self.num_items, dtype=int))
+        s_counts = np.bincount(self.edges[:, 0], minlength=s)
+        i_counts = np.bincount(self.edges[:, 1], minlength=self.num_items)
         self.session_off = np.concatenate([[0], np.cumsum(s_counts)]).astype(np.intp)
         self.item_off = np.concatenate([[0], np.cumsum(i_counts)]).astype(np.intp)
-        order_s = np.argsort(self.edges[:, 0], kind="stable") if len(self.edges) else np.array([], dtype=np.intp)
-        order_i = np.argsort(self.edges[:, 1], kind="stable") if len(self.edges) else np.array([], dtype=np.intp)
-        self.session_adj = self.edges[order_s, 1].astype(np.intp) if len(self.edges) else np.array([], dtype=np.intp)
-        self.item_adj = self.edges[order_i, 0].astype(np.intp) if len(self.edges) else np.array([], dtype=np.intp)
+        order_s = np.argsort(self.edges[:, 0], kind="stable")
+        order_i = np.argsort(self.edges[:, 1], kind="stable")
+        self.session_adj = self.edges[order_s, 1].astype(np.intp)
+        self.item_adj = self.edges[order_i, 0].astype(np.intp)
 
     @property
     def num_session_nodes(self) -> int:
@@ -69,9 +68,6 @@ class BipartiteMultigraph:
     def session_items(self, node: int) -> np.ndarray:
         """Item neighbor multiset of a session node."""
         return self.session_adj[self.session_off[node]:self.session_off[node + 1]]
-
-    def item_sessions(self, item: int) -> np.ndarray:
-        return self.item_adj[self.item_off[item]:self.item_off[item + 1]]
 
     def item_degree(self, item: int) -> int:
         return int(self.item_off[item + 1] - self.item_off[item])
@@ -224,6 +220,26 @@ class SageEncoder:
         for node in range(graph.num_session_nodes):
             out[node] = self._embed_from_items(graph.session_items(node), item_h1)
         return out
+
+    def embed_corpus(self, graph: BipartiteMultigraph,
+                     corpus: SplitCorpus) -> tuple[np.ndarray, np.ndarray]:
+        """Every corpus session's embedding row and whether it could be embedded.
+
+        Graph sessions embed in full, the rest (test-only) inductively from all
+        their items. A session with no in-vocabulary item keeps a zero row."""
+        embeddings = np.zeros((corpus.num_sessions, self.out_dim))
+        embeddable = np.zeros(corpus.num_sessions, dtype=bool)
+        embeddings[graph.session_ids] = self.embed_all_sessions(graph)
+        embeddable[graph.session_ids] = True
+        for s in corpus.sessions:
+            if embeddable[s.session_id]:
+                continue
+            try:
+                embeddings[s.session_id] = self.embed_new_session(graph, list(s.items))
+                embeddable[s.session_id] = True
+            except ValueError:
+                pass
+        return embeddings, embeddable
 
     # -- sampled forward for training (autodiff graph) -----------------------
 

@@ -1,16 +1,19 @@
 """Stage orchestration over immutable, content-addressed artifacts.
 
-Every stage writes into ``<workdir>/<stage>-<config_hash[:12]>/`` together
-with a ``meta.json`` recording the full config snapshot and its hash. A stage
-re-run with the same config reuses the existing artifact; it never overwrites
-one. Downstream stages refuse artifacts whose recorded hash does not match
-the active config.
+Every stage builds ``<workdir>/<stage>-<config_hash[:12]>/`` in a
+``.tmp-<pid>`` sibling, writes its ``meta.json`` (the full config snapshot and
+its hash) last and publishes it by a rename, so only a complete artifact is
+ever read or reused. A stage re-run with the same config reuses the existing
+artifact; it never overwrites one. Downstream stages refuse artifacts whose
+recorded hash does not match the active config.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -51,31 +54,37 @@ class Workspace:
         return self.workdir / f"{stage}-{self.config_hash[:12]}"
 
     def begin(self, stage: str) -> tuple[Path, bool]:
-        """(stage dir, reuse?). Reuse only when a verified meta already exists."""
+        """(published dir, True) to reuse, else (fresh build dir, False)."""
         path = self.stage_dir(stage)
-        if (path / "meta.json").exists():
+        if path.exists():
             self._verify_meta(stage, path)
             return path, True
-        path.mkdir(parents=True, exist_ok=True)
-        return path, False
+        tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
+        shutil.rmtree(tmp, ignore_errors=True)  # left by a failed attempt
+        tmp.mkdir()
+        return tmp, False
 
-    def finish(self, stage: str, path: Path, extra: dict | None = None) -> None:
+    def finish(self, stage: str, tmp: Path, extra: dict | None = None) -> Path:
+        """Write ``meta.json`` last, then publish the build dir; returns its path."""
         meta = {"stage": stage, "config_hash": self.config_hash,
-                "config": json.loads(json.dumps(_cfg_dict(self.cfg)))}
+                "config": json.loads(json.dumps(dataclasses.asdict(self.cfg)))}
         if extra:
             meta.update(extra)
-        (path / "meta.json").write_text(
+        (tmp / "meta.json").write_text(
             json.dumps(meta, sort_keys=True, indent=2) + "\n")
+        path = self.stage_dir(stage)
+        os.replace(tmp, path)
+        return path
 
     def require(self, stage: str) -> Path:
         path = self.stage_dir(stage)
-        if not (path / "meta.json").exists():
+        if not path.exists():
             raise MissingArtifactError(stage)
         self._verify_meta(stage, path)
         return path
 
     def _verify_meta(self, stage: str, path: Path) -> None:
-        meta = json.loads((path / "meta.json").read_text())
+        meta = _read_meta(path)
         if meta.get("config_hash") != self.config_hash:
             raise PipelineError(
                 f"artifact {path} was built with config hash "
@@ -83,9 +92,12 @@ class Workspace:
                 "refusing a mismatched artifact chain")
 
 
-def _cfg_dict(cfg: PipelineConfig) -> dict:
-    import dataclasses
-    return dataclasses.asdict(cfg)
+def _read_meta(path: Path) -> dict:
+    """``meta.json`` of a published stage dir, or a PipelineError naming it."""
+    try:
+        return json.loads((path / "meta.json").read_text())
+    except (OSError, ValueError) as exc:
+        raise PipelineError(f"unreadable {path / 'meta.json'}: {exc}") from exc
 
 
 def _sha256_file(path: str | Path) -> str:
@@ -104,8 +116,7 @@ def run_ingest(ws: Workspace, input_path: str | Path, delimiter: str = ",",
     input_sha = _sha256_file(input_path)
     path, reuse = ws.begin("ingest")
     if reuse:
-        meta = json.loads((path / "meta.json").read_text())
-        if meta.get("input_sha256") != input_sha:
+        if _read_meta(path).get("input_sha256") != input_sha:
             raise PipelineError(
                 f"{path} holds a corpus built from different input data; "
                 "artifacts are immutable - use a fresh workdir")
@@ -117,7 +128,7 @@ def run_ingest(ws: Workspace, input_path: str | Path, delimiter: str = ",",
     save_corpus(corpus, path / "corpus.jsonl")
     n_sessions = corpus.num_sessions
     avg_len = (len(corpus.interactions) / n_sessions) if n_sessions else 0.0
-    ws.finish("ingest", path, {
+    return ws.finish("ingest", path, {
         "input_sha256": input_sha,
         "num_users": corpus.num_users,
         "num_items": corpus.num_items,
@@ -125,7 +136,6 @@ def run_ingest(ws: Workspace, input_path: str | Path, delimiter: str = ",",
         "num_sessions": n_sessions,
         "avg_session_length": avg_len,
     })
-    return path
 
 
 def load_ingested(ws: Workspace) -> SplitCorpus:
@@ -148,22 +158,7 @@ def run_embed(ws: Workspace) -> Path:
         fanout=(cfg.graph_fanout1, cfg.graph_fanout2),
         num_negatives=cfg.graph_negatives, lr=cfg.graph_lr,
         clip_norm=cfg.clip_norm, seed=cfg.seed)
-
-    embeddings = np.zeros((corpus.num_sessions, cfg.session_emb_dim))
-    embeddable = np.zeros(corpus.num_sessions, dtype=bool)
-    in_graph = encoder.embed_all_sessions(graph)
-    for node, sid in enumerate(graph.session_ids):
-        embeddings[sid] = in_graph[node]
-        embeddable[sid] = True
-    for s in corpus.sessions:
-        if embeddable[s.session_id]:
-            continue
-        try:
-            embeddings[s.session_id] = encoder.embed_new_session(graph, list(s.items))
-            embeddable[s.session_id] = True
-        except ValueError:
-            pass  # stays a zero vector; contextualize leaves it unlabeled
-
+    embeddings, embeddable = encoder.embed_corpus(graph, corpus)
     save_checkpoint(path / "encoder.ckpt",
                     {p.name: p.value for p in encoder.params()},
                     config={"num_items": graph.num_items,
@@ -173,51 +168,55 @@ def run_embed(ws: Workspace) -> Path:
     np.savez(path / "embeddings.npz", embeddings=embeddings,
              embeddable=embeddable, graph_session_ids=graph.session_ids)
     graph_mod.export_embeddings_csv(path / "embeddings.csv", corpus, embeddings)
-    ws.finish("embed", path, {"holdout_loss": history["holdout_loss"]})
-    return path
+    return ws.finish("embed", path, {"holdout_loss": history["holdout_loss"]})
+
+
+def _load_embeddings(ws: Workspace):
+    """(embeddings, embeddable, graph_session_ids) as the embed stage stored them."""
+    data = np.load(ws.require("embed") / "embeddings.npz")
+    return data["embeddings"], data["embeddable"], data["graph_session_ids"]
 
 
 def load_encoder(ws: Workspace):
     corpus = load_ingested(ws)
-    path = ws.require("embed")
-    ck = load_checkpoint(path / "encoder.ckpt")
+    ck = load_checkpoint(ws.require("embed") / "encoder.ckpt")
     graph = graph_mod.build_graph_from_corpus(corpus)
     encoder = graph_mod.SageEncoder(
         ck.config["num_items"], ck.config["base_dim"], ck.config["out_dim"],
         tuple(ck.config["fanout"]))
     load_params(encoder.params(), ck)
-    data = np.load(path / "embeddings.npz")
-    return corpus, graph, encoder, data["embeddings"], data["embeddable"]
+    embeddings, embeddable, _ = _load_embeddings(ws)
+    return corpus, graph, encoder, embeddings, embeddable
 
 
 # ---------------------------------------------------------------------------
 # contextualize
 
 def run_contextualize(ws: Workspace) -> Path:
-    corpus, graph, encoder, embeddings, _ = load_encoder(ws)
+    corpus = load_ingested(ws)
+    embeddings, embeddable, graph_session_ids = _load_embeddings(ws)
     path, reuse = ws.begin("contextualize")
     if reuse:
         return path
     cfg = ws.cfg
-    model = cluster_mod.kmeans_fit(embeddings[graph.session_ids],
+    model = cluster_mod.kmeans_fit(embeddings[graph_session_ids],
                                    num_contexts=cfg.num_contexts,
                                    max_iters=cfg.kmeans_max_iters,
                                    seed=cfg.seed,
-                                   session_ids=graph.session_ids,
+                                   session_ids=graph_session_ids,
                                    n_init=cfg.kmeans_n_init)
-    labels = cluster_mod.label_all(model, encoder, graph, corpus, strict=False)
+    labels = cluster_mod.label_all(model, embeddings, embeddable)
     np.savez(path / "contexts.npz", centers=model.centers,
              train_session_ids=model.session_ids, train_labels=model.labels,
              labels=labels,
              inertia_history=np.asarray(model.inertia_history))
     cluster_mod.export_clusters_csv(path / "clusters.csv", model, corpus,
                                     labels, embeddings)
-    ws.finish("contextualize", path, {
+    return ws.finish("contextualize", path, {
         "inertia_first": model.inertia_history[0],
         "inertia_last": model.inertia_history[-1],
         "num_unlabeled": int((labels == cluster_mod.UNLABELED).sum()),
     })
-    return path
 
 
 def load_contexts(ws: Workspace):
@@ -242,7 +241,8 @@ def _predictor_ckpt_config(ws: Workspace, corpus: SplitCorpus, feat_dim: int) ->
 
 
 def run_train_context(ws: Workspace) -> Path:
-    corpus, graph, encoder, embeddings, _ = load_encoder(ws)
+    corpus = load_ingested(ws)
+    embeddings, _, _ = _load_embeddings(ws)
     _, labels = load_contexts(ws)
     path, reuse = ws.begin("train-context")
     if reuse:
@@ -266,12 +266,11 @@ def run_train_context(ws: Workspace) -> Path:
     np.savez(path / "predictions.npz", topk_ids=topk_ids, topk_probs=topk_probs)
     pred_mod.export_predictions_csv(path / "predictions.csv", corpus,
                                     topk_ids, topk_probs)
-    ws.finish("train-context", path, {
+    return ws.finish("train-context", path, {
         "epochs_run": len(history["train_loss"]),
         "best_epoch": history["best_epoch"],
         "final_val_loss": history["val_loss"][-1] if history["val_loss"] else None,
     })
-    return path
 
 
 def load_context_predictor(ws: Workspace):
@@ -293,11 +292,11 @@ def _next_stage_name(mode: str) -> str:
     return "train-next" if mode == next_mod.WITH_CONTEXT else "train-next-ablation"
 
 
-def _build_next_model(ws: Workspace, corpus: SplitCorpus, mode: str,
+def _build_next_model(ws: Workspace, num_users: int, num_items: int, mode: str,
                       rng: np.random.Generator) -> next_mod.NextItemModel:
     cfg = ws.cfg
     return next_mod.NextItemModel(
-        corpus.num_users, corpus.num_items, cfg.num_contexts, cfg.user_dim,
+        num_users, num_items, cfg.num_contexts, cfg.user_dim,
         cfg.item_dim, cfg.context_dim, cfg.lstm_hidden, cfg.top_k_contexts,
         cfg.max_seq_len, mode, rng)
 
@@ -307,7 +306,7 @@ def _train_next_once(ws: Workspace, corpus: SplitCorpus,
                      seed: int) -> tuple[next_mod.NextItemModel, dict]:
     cfg = ws.cfg
     rng = np.random.default_rng(seed)
-    model = _build_next_model(ws, corpus, mode, rng)
+    model = _build_next_model(ws, corpus.num_users, corpus.num_items, mode, rng)
     history = next_mod.train_next(
         model, corpus, ctx_topk if mode == next_mod.WITH_CONTEXT else None,
         rng, lr=cfg.lr, batch_size=cfg.batch, max_epochs=cfg.max_epochs,
@@ -317,49 +316,45 @@ def _train_next_once(ws: Workspace, corpus: SplitCorpus,
 
 def run_train_next(ws: Workspace, ablation: bool = False) -> Path:
     mode = next_mod.ABLATION if ablation else next_mod.WITH_CONTEXT
-    corpus = load_ingested(ws)
-    _, ctx_topk, _ = load_context_predictor(ws)
     path, reuse = ws.begin(_next_stage_name(mode))
     if reuse:
         return path
+    corpus = load_ingested(ws)
+    _, ctx_topk, _ = load_context_predictor(ws)
     model, history = _train_next_once(ws, corpus, ctx_topk, mode, ws.cfg.seed)
     save_checkpoint(path / "nextitem.ckpt",
                     {p.name: p.value for p in model.params()},
                     config={"mode": mode, "num_users": corpus.num_users,
                             "num_items": corpus.num_items})
-    ws.finish(_next_stage_name(mode), path, {
+    return ws.finish(_next_stage_name(mode), path, {
         "mode": mode,
         "epochs_run": len(history["train_loss"]),
         "best_epoch": history["best_epoch"],
         "best_val_mrr": max(history["val_mrr"]) if history["val_mrr"] else None,
     })
-    return path
 
 
 def load_next_model(ws: Workspace, ablation: bool = False) -> next_mod.NextItemModel:
     mode = next_mod.ABLATION if ablation else next_mod.WITH_CONTEXT
     path = ws.require(_next_stage_name(mode))
     ck = load_checkpoint(path / "nextitem.ckpt")
-    corpus = load_ingested(ws)
-    model = _build_next_model(ws, corpus, mode, np.random.default_rng(ws.cfg.seed))
+    model = _build_next_model(ws, ck.config["num_users"], ck.config["num_items"],
+                              mode, np.random.default_rng(ws.cfg.seed))
     load_params(model.params(), ck)
     return model
 
 
 def _rep_metrics(ws: Workspace, corpus: SplitCorpus,
-                 ctx_topk: np.ndarray | None, mode: str,
-                 seeds: list[int],
-                 rep0_model: next_mod.NextItemModel | None = None) -> EvalReport:
+                 ctx_topk: np.ndarray | None, mode: str, seeds: list[int],
+                 rep0_model: next_mod.NextItemModel) -> EvalReport:
+    """Test metrics per seed; rep 0 is ``rep0_model``, trained with seeds[0]."""
     examples = next_mod.build_rank_examples(corpus, TEST)
     if not examples:
         raise PipelineError("no test interactions to evaluate")
     mrrs: list[float] = []
     recalls: list[float] = []
     for r, seed in enumerate(seeds):
-        if r == 0 and rep0_model is not None:
-            model = rep0_model  # identical to retraining with seeds[0]
-        else:
-            model, _ = _train_next_once(ws, corpus, ctx_topk, mode, seed)
+        model = _train_next_once(ws, corpus, ctx_topk, mode, seed)[0] if r else rep0_model
         ranks = next_mod.compute_ranks(model, corpus, examples, ctx_topk)
         mrrs.append(mrr(ranks))
         recalls.append(recall_at_k(ranks, 10))
@@ -378,11 +373,10 @@ def run_evaluate(ws: Workspace, ablation: bool = False) -> Path:
     if reuse:
         return path
     seeds = [ws.cfg.seed + r for r in range(ws.cfg.repetitions)]
-    report = _rep_metrics(ws, corpus, ctx_topk, mode, seeds, rep0_model=rep0)
+    report = _rep_metrics(ws, corpus, ctx_topk, mode, seeds, rep0)
     (path / "metrics.json").write_text(report.to_json())
-    ws.finish(stage, path, {"mean_mrr": report.mean_mrr,
-                            "mean_recall_at_10": report.mean_recall})
-    return path
+    return ws.finish(stage, path, {"mean_mrr": report.mean_mrr,
+                                   "mean_recall_at_10": report.mean_recall})
 
 
 def _ratio(num: float, den: float) -> float | None:
@@ -391,15 +385,20 @@ def _ratio(num: float, den: float) -> float | None:
 
 
 def run_ablate(ws: Workspace) -> Path:
-    """Paired with/without-context repetitions plus one-tailed Welch tests."""
+    """Paired with/without-context repetitions plus one-tailed Welch tests;
+    rep 0 of each arm is its train-next stage, reused or built here."""
     corpus = load_ingested(ws)
     _, ctx_topk, _ = load_context_predictor(ws)
     path, reuse = ws.begin("ablate")
     if reuse:
         return path
     seeds = [ws.cfg.seed + r for r in range(ws.cfg.repetitions)]
-    with_report = _rep_metrics(ws, corpus, ctx_topk, next_mod.WITH_CONTEXT, seeds)
-    abl_report = _rep_metrics(ws, corpus, None, next_mod.ABLATION, seeds)
+    run_train_next(ws)
+    with_report = _rep_metrics(ws, corpus, ctx_topk, next_mod.WITH_CONTEXT, seeds,
+                               load_next_model(ws))
+    run_train_next(ws, ablation=True)
+    abl_report = _rep_metrics(ws, corpus, None, next_mod.ABLATION, seeds,
+                              load_next_model(ws, ablation=True))
     t_mrr, p_mrr = t_test_one_tailed(with_report.mrr_values, abl_report.mrr_values)
     t_rec, p_rec = t_test_one_tailed(with_report.recall_values,
                                      abl_report.recall_values)
@@ -415,8 +414,7 @@ def run_ablate(ws: Workspace) -> Path:
     }
     (path / "ablation.json").write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    ws.finish("ablate", path, {"p_mrr": p_mrr, "mrr_ratio": payload["mrr_ratio"]})
-    return path
+    return ws.finish("ablate", path, {"p_mrr": p_mrr, "mrr_ratio": payload["mrr_ratio"]})
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +458,7 @@ def run_sweep(ws: Workspace, param: str, values: list | None,
                "base_config_hash": ws.config_hash}
     (path / "sweep.json").write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    ws.finish(f"sweep-{param}", path, {"num_values": len(values)})
-    return path
+    return ws.finish(f"sweep-{param}", path, {"num_values": len(values)})
 
 
 # ---------------------------------------------------------------------------

@@ -36,20 +36,10 @@ def small_stack(tmp_path_factory):
     encoder, history = graph_mod.train_encoder(
         graph, base_dim=16, out_dim=16, epochs=20, batch_size=256,
         lr=0.01, seed=11)
-    embeddings = np.zeros((corpus.num_sessions, 16))
-    in_graph = encoder.embed_all_sessions(graph)
-    for node, sid in enumerate(graph.session_ids):
-        embeddings[sid] = in_graph[node]
-    for s in corpus.sessions:
-        sid = s.session_id
-        if sid not in graph.node_of_session:
-            try:
-                embeddings[sid] = encoder.embed_new_session(graph, list(s.items))
-            except ValueError:
-                pass
+    embeddings, embeddable = encoder.embed_corpus(graph, corpus)
     model = cluster_mod.kmeans_fit(embeddings[graph.session_ids], 4, seed=11,
                                    session_ids=graph.session_ids)
-    labels = cluster_mod.label_all(model, encoder, graph, corpus, strict=False)
+    labels = cluster_mod.label_all(model, embeddings, embeddable)
     features = pred_mod.build_session_features(corpus, embeddings)
     return {
         "corpus": corpus,
@@ -59,6 +49,7 @@ def small_stack(tmp_path_factory):
         "encoder": encoder,
         "encoder_history": history,
         "embeddings": embeddings,
+        "embeddable": embeddable,
         "kmeans": model,
         "labels": labels,
         "features": features,

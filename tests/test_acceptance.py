@@ -89,13 +89,10 @@ class TestCriterion1Gradients:
         graph = graph_mod.build_graph_from_corpus(corpus)
         encoder, _ = graph_mod.train_encoder(graph, base_dim=8, out_dim=8,
                                              epochs=2, batch_size=64, seed=0)
-        embeddings = np.zeros((corpus.num_sessions, 8))
-        emb = encoder.embed_all_sessions(graph)
-        for node, sid in enumerate(graph.session_ids):
-            embeddings[sid] = emb[node]
+        embeddings, embeddable = encoder.embed_corpus(graph, corpus)
         km = cluster_mod.kmeans_fit(embeddings[graph.session_ids], 3, seed=0,
                                     session_ids=graph.session_ids)
-        labels = cluster_mod.label_all(km, encoder, graph, corpus, strict=False)
+        labels = cluster_mod.label_all(km, embeddings, embeddable)
         features = pred_mod.build_session_features(corpus, embeddings)
         return corpus, features, labels
 

@@ -118,10 +118,12 @@ def tiny_pipeline(tmp_path_factory):
     return tmp, cfg, ws
 
 
-def _partial_workspace(ws_full, cfg, workdir):
-    """A workspace holding copies of ``ws_full``'s stages up to train-context."""
+def _partial_workspace(ws_full, cfg, workdir,
+                       stages=("ingest", "embed", "contextualize", "train-context")):
+    """A workspace holding copies of ``ws_full``'s ``stages``, by default
+    those up to train-context."""
     workdir.mkdir()
-    for stage in ["ingest", "embed", "contextualize", "train-context"]:
+    for stage in stages:
         src = ws_full.stage_dir(stage)
         shutil.copytree(src, workdir / src.name)
     return pipeline.Workspace(cfg, workdir)
@@ -213,6 +215,101 @@ class TestPipelineMechanics:
         assert payload["recall_ratio"] is None
         assert payload["mrr_ratio"] == (payload["with_context"]["mean"]["mrr"]
                                         / payload["ablation"]["mean"]["mrr"])
+
+    def test_ablate_reuses_train_next_models(self, tiny_pipeline, tmp_path,
+                                             monkeypatch):
+        _, cfg, ws_full = tiny_pipeline
+        ws = _partial_workspace(ws_full, cfg, tmp_path / "reuse", (
+            "ingest", "embed", "contextualize", "train-context", "train-next",
+            "evaluate"))
+        real = next_mod.train_next
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].mode)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(next_mod, "train_next", counting)
+        path = pipeline.run_ablate(ws)
+        # rep 0 of the with-context arm is the published train-next model
+        assert len(calls) == 2 * cfg.repetitions - 1
+        assert calls.count(next_mod.WITH_CONTEXT) == cfg.repetitions - 1
+        assert ws.stage_dir("train-next-ablation").is_dir()
+        payload = json.loads((path / "ablation.json").read_text())
+        metrics = json.loads((ws.stage_dir("evaluate") / "metrics.json").read_text())
+        assert payload["with_context"] == metrics
+
+    def test_next_model_loads_without_corpus(self, tiny_pipeline, monkeypatch):
+        _, _, ws = tiny_pipeline
+
+        def no_corpus(ws):
+            raise AssertionError("load_next_model read the corpus")
+
+        ck = load_checkpoint(ws.stage_dir("train-next") / "nextitem.ckpt")
+        monkeypatch.setattr(pipeline, "load_ingested", no_corpus)
+        model = pipeline.load_next_model(ws)
+        for p in model.params():
+            assert np.array_equal(p.value, ck.tensors[p.name])
+
+    def test_contexts_read_stored_embeddings_only(self, tiny_pipeline, tmp_path,
+                                                  monkeypatch):
+        _, cfg, ws_full = tiny_pipeline
+        ws = _partial_workspace(ws_full, cfg, tmp_path / "no-encoder",
+                                ("ingest", "embed"))
+        (ws.stage_dir("embed") / "encoder.ckpt").unlink()
+
+        def no_graph(corpus):
+            raise AssertionError("the graph was rebuilt")
+
+        monkeypatch.setattr(pipeline.graph_mod, "build_graph_from_corpus", no_graph)
+        for run, stage, name in [(pipeline.run_contextualize, "contextualize",
+                                  "contexts.npz"),
+                                 (pipeline.run_train_context, "train-context",
+                                  "predictions.npz")]:
+            got = np.load(run(ws) / name)
+            want = np.load(ws_full.stage_dir(stage) / name)
+            assert sorted(got.files) == sorted(want.files)
+            for key in want.files:
+                assert np.array_equal(got[key], want[key]), key
+
+    def test_failed_stage_publishes_nothing(self, tiny_pipeline, tmp_path,
+                                            monkeypatch):
+        _, cfg, ws_full = tiny_pipeline
+        ws = _partial_workspace(ws_full, cfg, tmp_path / "crash",
+                                ("ingest", "embed"))
+        real = pipeline.cluster_mod.export_clusters_csv
+
+        def write_then_crash(path, *args):
+            real(path, *args)
+            raise RuntimeError("crash after the stage's files are written")
+
+        monkeypatch.setattr(pipeline.cluster_mod, "export_clusters_csv",
+                            write_then_crash)
+        with pytest.raises(RuntimeError, match="crash"):
+            pipeline.run_contextualize(ws)
+        assert not ws.stage_dir("contextualize").exists()
+        with pytest.raises(pipeline.MissingArtifactError, match="contextualize"):
+            pipeline.load_contexts(ws)
+
+        monkeypatch.undo()
+        path = pipeline.run_contextualize(ws)
+        assert path == ws.stage_dir("contextualize")
+        assert [p.name for p in ws.workdir.iterdir()
+                if p.name.startswith("contextualize")] == [path.name]
+        got = np.load(path / "contexts.npz")
+        want = np.load(ws_full.stage_dir("contextualize") / "contexts.npz")
+        for key in want.files:
+            assert np.array_equal(got[key], want[key]), key
+
+    def test_truncated_meta_named(self, tiny_pipeline, tmp_path):
+        _, cfg, ws_full = tiny_pipeline
+        ws = _partial_workspace(ws_full, cfg, tmp_path / "truncated", ("ingest",))
+        meta = ws.stage_dir("ingest") / "meta.json"
+        meta.write_text(meta.read_text()[:40])
+        with pytest.raises(pipeline.PipelineError, match="unreadable .*meta.json"):
+            pipeline.load_ingested(ws)
+        with pytest.raises(pipeline.PipelineError, match="unreadable .*meta.json"):
+            pipeline.run_ingest(ws, ws_full.workdir.parent / "log.csv")
 
     def test_wrong_shaped_checkpoint_tensor_named(self, tiny_pipeline, tmp_path):
         tmp, cfg, _ = tiny_pipeline

@@ -4,6 +4,7 @@ import pytest
 from ctxrec import cluster as C
 from ctxrec import graph as G
 from conftest import corpus_from_rows
+from reference_cluster import reference_labels
 
 
 class TestKmeansFit:
@@ -97,7 +98,7 @@ class TestAssign:
         pts = np.random.default_rng(6).normal(size=(60, 3))
         model = C.kmeans_fit(pts, 5, seed=7)
         for k in range(60):
-            assert C.assign(model, pts[k]) == model.label_of(k)
+            assert C.assign(model, pts[k]) == model.labels[k]
 
     def test_relabeling_invariance_under_center_permutation(self):
         pts = np.random.default_rng(8).normal(size=(50, 3))
@@ -131,23 +132,8 @@ class TestLabelAll:
         model = C.kmeans_fit(emb, 3, seed=1, session_ids=graph.session_ids)
         return corpus, graph, enc, model
 
-    def test_trainval_sessions_use_stored_assignments(self):
-        corpus, graph, enc, model = self._stack()
-        labels = C.label_all(model, enc, graph, corpus)
-        for sid in graph.session_ids:
-            assert labels[sid] == model.label_of(sid)
-
-    def test_test_session_duplicating_train_items_gets_same_label(self):
-        corpus, graph, enc, model = self._stack()
-        labels = C.label_all(model, enc, graph, corpus)
-        # session 9 is test-only and repeats session 0's item multiset {0, 1}
-        assert 9 not in graph.node_of_session
-        assert corpus.sessions[9].items in ((0, 1), (1, 0))
-        assert labels[9] == labels[0]
-
-    def test_strict_raises_on_unembeddable(self):
-        corpus, graph, enc, model = self._stack()
-        # rebuild a corpus whose test session uses an item unseen in training
+    def _unembeddable_stack(self):
+        # a corpus whose test session uses an item unseen in training
         rows = []
         t = 0
         for k in range(19):
@@ -155,17 +141,50 @@ class TestLabelAll:
             rows.append((0, k % 3, t))
         t += 10_000
         rows.append((0, 3, t))  # test-only item id 3
-        corpus2 = corpus_from_rows(rows)
-        graph2 = G.build_graph_from_corpus(corpus2)
-        enc2 = G.SageEncoder(corpus2.num_items, 4, 4,
-                             rng=np.random.default_rng(1))
-        emb2 = enc2.embed_all_sessions(graph2)
-        model2 = C.kmeans_fit(emb2, 2, seed=0, session_ids=graph2.session_ids)
-        with pytest.raises(ValueError):
-            C.label_all(model2, enc2, graph2, corpus2, strict=True)
+        corpus = corpus_from_rows(rows)
+        graph = G.build_graph_from_corpus(corpus)
+        enc = G.SageEncoder(corpus.num_items, 4, 4,
+                            rng=np.random.default_rng(1))
+        emb = enc.embed_all_sessions(graph)
+        model = C.kmeans_fit(emb, 2, seed=0, session_ids=graph.session_ids)
+        return corpus, graph, enc, model
+
+    def test_trainval_sessions_use_stored_assignments(self):
+        corpus, graph, enc, model = self._stack()
+        labels = C.label_all(model, *enc.embed_corpus(graph, corpus))
+        assert np.array_equal(model.session_ids, np.sort(graph.session_ids))
+        assert np.array_equal(labels[model.session_ids], model.labels)
+
+    def test_test_session_duplicating_train_items_gets_same_label(self):
+        corpus, graph, enc, model = self._stack()
+        labels = C.label_all(model, *enc.embed_corpus(graph, corpus))
+        # session 9 is test-only and repeats session 0's item multiset {0, 1}
+        assert 9 not in graph.node_of_session
+        assert corpus.sessions[9].items in ((0, 1), (1, 0))
+        assert labels[9] == labels[0]
+
+    def test_unembeddable_session_left_unlabeled(self):
+        corpus, graph, enc, model = self._unembeddable_stack()
+        embeddings, embeddable = enc.embed_corpus(graph, corpus)
         with pytest.warns(UserWarning, match="unlabeled"):
-            labels = C.label_all(model2, enc2, graph2, corpus2, strict=False)
-        assert labels[corpus2.num_sessions - 1] == C.UNLABELED
+            labels = C.label_all(model, embeddings, embeddable)
+        assert labels[corpus.num_sessions - 1] == C.UNLABELED
+
+    def test_small_stack_equals_reembedding_oracle(self, small_stack):
+        s = small_stack
+        expected = reference_labels(s["kmeans"], s["encoder"], s["graph"],
+                                    s["corpus"])
+        assert s["labels"].dtype == expected.dtype
+        assert np.array_equal(s["labels"], expected)
+
+    def test_unembeddable_equals_reembedding_oracle(self):
+        corpus, graph, enc, model = self._unembeddable_stack()
+        with pytest.warns(UserWarning, match="unlabeled"):
+            labels = C.label_all(model, *enc.embed_corpus(graph, corpus))
+        expected = reference_labels(model, enc, graph, corpus)
+        assert (expected == C.UNLABELED).sum() == 1
+        assert labels.dtype == expected.dtype
+        assert np.array_equal(labels, expected)
 
 
 def test_clusters_csv_export(tmp_path):

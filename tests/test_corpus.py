@@ -1,3 +1,7 @@
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ctxrec.corpus import (
     ColumnSchema,
     Interaction,
+    build_corpus,
     LogParseError,
     TEST,
     TRAIN,
@@ -213,6 +218,8 @@ def test_sessionize_boundaries_property(gaps):
     for s in sessions:
         times = [it.timestamp for it in inter
                  if s.start <= it.timestamp <= s.end][:s.length]
+        assert len(times) == s.length
+        assert all(b - a <= 3600 for a, b in zip(times, times[1:]))
     starts = [s.start for s in sessions]
     ends = [s.end for s in sessions]
     for a_end, b_start in zip(ends, starts[1:]):
@@ -230,3 +237,50 @@ def test_corpus_save_load_round_trip(tmp_path):
     assert loaded.splits == corpus.splits
     assert loaded.sessions == corpus.sessions
     assert loaded.session_of == corpus.session_of
+
+
+# (user, item, gap) rows; each user's timestamps strictly increase
+_logs = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 12),
+                           st.integers(1, 9000)), min_size=1, max_size=80)
+
+
+def _timed_rows(log):
+    clock: dict[int, int] = {}
+    rows = []
+    for user, item, gap in log:
+        clock[user] = clock.get(user, 0) + gap
+        rows.append((user, item, clock[user]))
+    return rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(_logs)
+def test_save_load_round_trip_property(log):
+    lines = [f"u{u},i{i},{t}" for u, i, t in _timed_rows(log)]
+    corpus = build_corpus(parse_log(lines), min_count=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        save_corpus(corpus, path)
+        loaded = load_corpus(path)
+    assert loaded == corpus
+
+
+@settings(max_examples=50, deadline=None)
+@given(_logs)
+def test_split_invariants_property(log):
+    corpus = corpus_from_rows(_timed_rows(log))
+    order = {TRAIN: 0, VAL: 1, TEST: 2}
+    per_user: dict[int, list[tuple[int, str]]] = {}
+    for it, tag in zip(corpus.interactions, corpus.splits):
+        per_user.setdefault(it.user_id, []).append((it.timestamp, tag))
+    for rows in per_user.values():
+        # chronology: every train <= every val <= every test timestamp
+        assert [t for t, _ in rows] == sorted(t for t, _ in rows)
+        ranks = [order[tag] for _, tag in rows]
+        assert ranks == sorted(ranks)
+        n = len(rows)
+        train_val = math.floor(0.9 * n)
+        val = max(1, round(0.1 * train_val)) if train_val else 0
+        tags = [tag for _, tag in rows]
+        assert tags.count(TRAIN) + tags.count(VAL) == train_val
+        assert tags.count(VAL) == val
