@@ -13,15 +13,23 @@ import numpy as np
 from scipy.special import stdtr
 
 
+def ranks_of_truth(scores: np.ndarray, true_items) -> np.ndarray:
+    """Per row of a (B, V) score matrix, the 1-based rank of that row's true
+    item under (score desc, id asc)."""
+    scores = np.asarray(scores)
+    t = np.asarray(true_items, dtype=np.intp)
+    n = scores.shape[1]
+    if ((t < 0) | (t >= n)).any():
+        raise IndexError(f"true_item {t.tolist()} out of range for {n} items")
+    s = scores[np.arange(len(t)), t][:, None]
+    greater = (scores > s).sum(axis=1)
+    tied_before = ((scores == s) & (np.arange(n) < t[:, None])).sum(axis=1)
+    return 1 + greater + tied_before
+
+
 def rank_of_truth(scores: np.ndarray, true_item: int) -> int:
     """1-based rank of the true item under (score desc, id asc)."""
-    scores = np.asarray(scores)
-    if not 0 <= true_item < scores.shape[0]:
-        raise IndexError(f"true_item {true_item} out of range for {scores.shape[0]} items")
-    s = scores[true_item]
-    greater = int((scores > s).sum())
-    tied_before = int((scores[:true_item] == s).sum())
-    return 1 + greater + tied_before
+    return int(ranks_of_truth(np.asarray(scores)[None], [true_item])[0])
 
 
 def mrr(ranks) -> float:

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import SplitCorpus, TRAIN, VAL, TEST
-from .metrics import mrr, rank_of_truth
+from .metrics import mrr, ranks_of_truth
 from .nn import engine
 from .nn.engine import Parameter, Var
-from .nn.layers import BiLstm, DenseLayer, EmbeddingTable, prefix_input
+from .nn.layers import (EVAL_BATCH, BiLstm, DenseLayer, EmbeddingTable, prefix_batch,
+                        prefix_input)
 from .nn.optim import fit
 
 WITH_CONTEXT = "with_context"
@@ -59,16 +60,22 @@ class NextItemModel:
             ps = self.context_emb.params() + ps
         return ps
 
-    def context_block(self, context_ids) -> Var:
-        """Concatenation of the top-K context embedding rows, id-ascending."""
+    def check_context_ids(self, context_ids) -> np.ndarray:
+        """``context_ids`` as an int array whose last axis holds top_k
+        strictly ascending ids in range; raises ValueError otherwise."""
         ids = np.asarray(context_ids, dtype=np.intp)
-        if ids.shape != (self.top_k,):
+        if ids.shape[-1:] != (self.top_k,):
             raise ValueError(f"expected {self.top_k} context ids, got {ids.shape}")
         if (np.diff(ids) <= 0).any():
             raise ValueError(f"context ids must be strictly ascending: {ids.tolist()}")
         if ids.min() < 0 or ids.max() >= self.num_contexts:
             raise ValueError(f"context id out of range [0, {self.num_contexts})")
-        return engine.flatten(self.context_emb.lookup(ids))
+        return ids
+
+    def context_block(self, context_ids) -> Var:
+        """Concatenation of the top-K context embedding rows, id-ascending."""
+        ids = self.check_context_ids(context_ids)
+        return engine.reshape(self.context_emb.lookup(ids), (-1,))
 
     def logits_var(self, user_id: int, prefix_items, context_ids) -> Var:
         e_user = self.user_emb.row(user_id)
@@ -81,8 +88,9 @@ class NextItemModel:
 
     def predict_probs(self, user_id: int, prefix_items, context_ids) -> np.ndarray:
         """Next-item probability vector over all items; sums to 1."""
-        return engine.softmax(self.logits_var(user_id, prefix_items,
-                                              context_ids).value)
+        with engine.no_grad():
+            logits = self.logits_var(user_id, prefix_items, context_ids)
+        return engine.softmax(logits.value)
 
 
 @dataclass(frozen=True)
@@ -104,33 +112,49 @@ def build_rank_examples(corpus: SplitCorpus, split_tag: str) -> list[RankExample
             if corpus.splits[k] == split_tag]
 
 
-def _example_inputs(model: NextItemModel, corpus: SplitCorpus,
-                    ctx_topk: np.ndarray | None, ex: RankExample) -> tuple:
-    """(user id, observed prefix, top-K context ids) for one example."""
-    if model.mode == ABLATION:
-        contexts = None
-    elif ctx_topk is None:
+def _batch_logits(model: NextItemModel, corpus: SplitCorpus,
+                  examples: list[RankExample],
+                  ctx_topk: np.ndarray | None) -> Var:
+    """(N, V) next-item logits of ``examples``: one padded prefix batch
+    through the item BiLSTM, one context-row lookup and one ``fc2`` matmul."""
+    if model.mode == WITH_CONTEXT and ctx_topk is None:
         raise ValueError("with-context mode needs per-prefix context predictions")
-    else:
-        contexts = ctx_topk[ex.interaction_idx]
-    return (ex.user_id, corpus.sessions[ex.session_id].items[:ex.position],
-            contexts)
+    z_item = model.item_lstm.encode(*prefix_batch(
+        model.item_emb, model.aux,
+        [corpus.sessions[ex.session_id].items[:ex.position] for ex in examples],
+        model.max_seq_len))
+    e_user = model.user_emb.lookup([ex.user_id for ex in examples])
+    if model.mode == ABLATION:
+        return model.fc2(engine.concat([z_item, e_user]))
+    ids = model.check_context_ids(ctx_topk[[ex.interaction_idx for ex in examples]])
+    block = engine.reshape(model.context_emb.lookup(ids), (len(examples), -1))
+    return model.fc2(engine.concat([block, z_item, e_user]))
 
 
-def _scored(model: NextItemModel, corpus: SplitCorpus,
-            examples: list[RankExample], ctx_topk: np.ndarray | None):
-    """(example, next-item probabilities) for every example, in order."""
-    for ex in examples:
-        yield ex, model.predict_probs(*_example_inputs(model, corpus, ctx_topk, ex))
+def _batch_probs(model: NextItemModel, corpus: SplitCorpus,
+                 examples: list[RankExample], ctx_topk: np.ndarray | None):
+    """(examples, (N, V) next-item probabilities) per batch of at most
+    ``EVAL_BATCH`` examples, in order."""
+    for start in range(0, len(examples), EVAL_BATCH):
+        batch = examples[start:start + EVAL_BATCH]
+        with engine.no_grad():
+            logits = _batch_logits(model, corpus, batch, ctx_topk)
+        yield batch, engine.softmax(logits.value)
+
+
+def batch_loss(model: NextItemModel, corpus: SplitCorpus,
+               ctx_topk: np.ndarray | None, examples: list[RankExample]) -> Var:
+    """Mean next-item cross-entropy of ``examples`` as one batched graph."""
+    logits = _batch_logits(model, corpus, examples, ctx_topk)
+    return engine.softmax_cross_entropy(logits, [ex.target_item for ex in examples])[0]
 
 
 def compute_ranks(model: NextItemModel, corpus: SplitCorpus,
                   examples: list[RankExample],
                   ctx_topk: np.ndarray | None) -> np.ndarray:
-    ranks = np.empty(len(examples), dtype=np.int64)
-    for j, (ex, probs) in enumerate(_scored(model, corpus, examples, ctx_topk)):
-        ranks[j] = rank_of_truth(probs, ex.target_item)
-    return ranks
+    ranks = [ranks_of_truth(probs, [ex.target_item for ex in batch])
+             for batch, probs in _batch_probs(model, corpus, examples, ctx_topk)]
+    return np.concatenate(ranks) if ranks else np.empty(0, dtype=np.int64)
 
 
 def train_next(model: NextItemModel, corpus: SplitCorpus,
@@ -143,13 +167,9 @@ def train_next(model: NextItemModel, corpus: SplitCorpus,
     train_examples = build_rank_examples(corpus, TRAIN)
     val_examples = build_rank_examples(corpus, VAL)
 
-    def example_loss(unit: list[RankExample]) -> list[Var]:
-        (ex,) = unit
-        logits = model.logits_var(*_example_inputs(model, corpus, ctx_topk, ex))
-        return [engine.softmax_cross_entropy(logits, ex.target_item)[0]]
-
     # no validation data: early-stop on train loss, recorded as -loss
-    history = fit(model.params(), [[ex] for ex in train_examples], example_loss,
+    history = fit(model.params(), [[ex] for ex in train_examples],
+                  lambda examples: batch_loss(model, corpus, ctx_topk, examples),
                   rng, lr=lr, batch_size=batch_size, max_epochs=max_epochs,
                   patience=patience, clip_norm=clip_norm, what="next-item",
                   val_score=(lambda: -mrr(compute_ranks(
@@ -167,13 +187,14 @@ def export_ranked_lists(path, model: NextItemModel, corpus: SplitCorpus,
 
     examples = build_rank_examples(corpus, TEST)
     with open(path, "w") as fh:
-        for ex, probs in _scored(model, corpus, examples, ctx_topk):
-            order = np.lexsort((np.arange(len(probs)), -probs))[:top_n]
-            fh.write(json.dumps({
-                "interaction_idx": ex.interaction_idx,
-                "session_id": ex.session_id,
-                "prefix_len": ex.position,
-                "true_item": ex.target_item,
-                "items": [int(i) for i in order],
-                "scores": [float(probs[i]) for i in order],
-            }, sort_keys=True) + "\n")
+        for batch, probs in _batch_probs(model, corpus, examples, ctx_topk):
+            for ex, row in zip(batch, probs):
+                order = np.lexsort((np.arange(len(row)), -row))[:top_n]
+                fh.write(json.dumps({
+                    "interaction_idx": ex.interaction_idx,
+                    "session_id": ex.session_id,
+                    "prefix_len": ex.position,
+                    "true_item": ex.target_item,
+                    "items": [int(i) for i in order],
+                    "scores": [float(row[i]) for i in order],
+                }, sort_keys=True) + "\n")

@@ -4,11 +4,13 @@ The operator set is deliberately small: exactly what the models in this
 package compose. Values are float64 throughout. Trainable weights live in
 ``Parameter`` objects whose ``.grad`` buffers accumulate across backward
 passes; intermediate nodes are ``Var`` objects forming a DAG. Recurrent
-encoders register as single fused nodes (see ``layers.BiLstm``) so an entire
-sequence pass costs one node instead of one per gate.
+encoders register as single fused nodes (see ``layers.BiLstm``) so a pass
+over a whole batch of sequences costs one node instead of one per gate.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -108,6 +110,26 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 PROB_FLOOR = 1e-12
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Inference scope: ops still compute values, but layers that keep a
+    backward cache (``layers.BiLstm``) skip it, and backpropagating through
+    such a node raises."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
+def grad_enabled() -> bool:
+    return _grad_enabled
+
+
 # ---------------------------------------------------------------------------
 # graph-building operators
 
@@ -121,28 +143,6 @@ def lookup(table: Parameter, ids) -> Var:
 
     def bwd(g):
         np.add.at(table.grad, ids, g)
-
-    out.bwd = bwd
-    return out
-
-
-def param_vector(param: Parameter) -> Var:
-    """Expose a parameter vector directly as a graph node."""
-    out = Var(param.value)
-
-    def bwd(g):
-        param.grad += g
-
-    out.bwd = bwd
-    return out
-
-
-def as_row_matrix(param: Parameter) -> Var:
-    """A (d,) parameter viewed as a (1, d) sequence of length one."""
-    out = Var(param.value[None, :])
-
-    def bwd(g):
-        param.grad += g[0]
 
     out.bwd = bwd
     return out
@@ -259,13 +259,11 @@ def dot_last(a: Var, b: Var) -> Var:
     return Var(out, (a, b), bwd)
 
 
-def flatten(x: Var) -> Var:
-    shape = x.value.shape
-
+def reshape(x: Var, shape) -> Var:
     def bwd(g):
-        _accum(x, g.reshape(shape))
+        _accum(x, g.reshape(x.value.shape))
 
-    return Var(x.value.reshape(-1), (x,), bwd)
+    return Var(x.value.reshape(shape), (x,), bwd)
 
 
 def vsum(x: Var) -> Var:
@@ -302,16 +300,26 @@ def add_n(parts: list[Var], weights: list[float] | None = None) -> Var:
     return Var(np.asarray(total), tuple(parts), bwd)
 
 
-def softmax_cross_entropy(logits: Var, true_index: int) -> tuple[Var, np.ndarray]:
-    """Fused softmax + negative log-likelihood; returns (loss node, probs)."""
+def softmax_cross_entropy(logits: Var, targets) -> tuple[Var, np.ndarray]:
+    """Fused softmax + negative log-likelihood; returns (loss node, probs).
+
+    A (V,) logits node with an int target gives that example's loss; a
+    (B, V) node with B targets gives the mean of the B row losses.
+    """
     probs = softmax(logits.value)
-    if not 0 <= true_index < probs.shape[-1]:
-        raise IndexError(f"true_index {true_index} out of range")
-    loss = -np.log(max(float(probs[true_index]), PROB_FLOOR))
+    rows = probs.reshape(-1, probs.shape[-1])
+    t = np.asarray(targets, dtype=np.intp).reshape(-1)
+    if t.shape != rows.shape[:1]:
+        raise ValueError(f"{t.size} targets for {rows.shape[0]} rows of logits")
+    if ((t < 0) | (t >= rows.shape[1])).any():
+        raise IndexError(f"true_index {targets} out of range")
+    n = len(t)
+    picked = np.arange(n), t
+    loss = -np.log(np.maximum(rows[picked], PROB_FLOOR)).mean()
 
     def bwd(g):
-        d = probs.copy()
-        d[true_index] -= 1.0
-        _accum(logits, g * d)
+        d = rows.copy()
+        d[picked] -= 1.0
+        _accum(logits, (g / n) * d.reshape(probs.shape))
 
     return Var(np.asarray(loss), (logits,), bwd), probs

@@ -98,17 +98,18 @@ def _batches(units: list[list], order: np.ndarray, batch_size: int):
 
 
 def fit(params: list[Parameter], units: list[list],
-        unit_losses: Callable[[list], list[Var]], rng: np.random.Generator,
+        batch_loss: Callable[[list], Var], rng: np.random.Generator,
         *, lr: float, batch_size: int, max_epochs: int, patience: int,
         clip_norm: float, what: str,
         val_score: Callable[[], float] | None = None) -> dict:
     """Mini-batch Adam training with early stopping and best-epoch restore.
 
     ``units`` are the shuffle units, each a list of examples that always
-    share a batch; ``unit_losses(unit)`` returns one loss node per example,
-    and a batch's loss is their mean. After each epoch ``val_score()``
-    (lower is better; the epoch's mean train loss when None) must beat the
-    best so far by more than 1e-12, or the epoch counts toward ``patience``.
+    share a batch; ``batch_loss(examples)`` returns the mean loss node over
+    a batch's examples (its units' lists, concatenated). After each epoch
+    ``val_score()`` (lower is better; the epoch's mean train loss when None)
+    must beat the best so far by more than 1e-12, or the epoch counts toward
+    ``patience``.
     The best epoch's parameters are restored before returning the history:
     per-epoch ``train_loss`` and ``val_score``, and ``best_epoch``.
     """
@@ -123,9 +124,9 @@ def fit(params: list[Parameter], units: list[list],
         epoch_loss = 0.0
         n_seen = 0
         for batch in _batches(units, rng.permutation(len(units)), batch_size):
-            losses = [loss for unit in batch for loss in unit_losses(unit)]
-            n = len(losses)
-            total = engine.add_n(losses, [1.0 / n] * n)
+            examples = [ex for unit in batch for ex in unit]
+            n = len(examples)
+            total = batch_loss(examples)
             step(total)
             epoch_loss += float(total.value) * n
             n_seen += n

@@ -15,7 +15,9 @@ import hashlib
 import json
 import os
 import shutil
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -53,16 +55,28 @@ class Workspace:
     def stage_dir(self, stage: str) -> Path:
         return self.workdir / f"{stage}-{self.config_hash[:12]}"
 
-    def begin(self, stage: str) -> tuple[Path, bool]:
-        """(published dir, True) to reuse, else (fresh build dir, False)."""
+    @contextmanager
+    def begin(self, stage: str,
+              reads: tuple[str, ...] = ()) -> Iterator[tuple[Path, bool]]:
+        """Yields (published dir, True) to reuse, else (fresh build dir,
+        False), after checking the ``meta.json`` of each upstream stage the
+        stage ``reads`` (their contents are left to the build). The build
+        dir does not outlive the block: ``finish`` publishes it, and a block
+        left by an exception removes it."""
+        for upstream in reads:
+            self.require(upstream)
         path = self.stage_dir(stage)
         if path.exists():
             self._verify_meta(stage, path)
-            return path, True
+            yield path, True
+            return
         tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-        shutil.rmtree(tmp, ignore_errors=True)  # left by a failed attempt
+        shutil.rmtree(tmp, ignore_errors=True)  # left by a killed attempt
         tmp.mkdir()
-        return tmp, False
+        try:
+            yield tmp, False
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
 
     def finish(self, stage: str, tmp: Path, extra: dict | None = None) -> Path:
         """Write ``meta.json`` last, then publish the build dir; returns its path."""
@@ -114,28 +128,28 @@ def _sha256_file(path: str | Path) -> str:
 def run_ingest(ws: Workspace, input_path: str | Path, delimiter: str = ",",
                has_header: bool = False, on_error: str = "abort") -> Path:
     input_sha = _sha256_file(input_path)
-    path, reuse = ws.begin("ingest")
-    if reuse:
-        if _read_meta(path).get("input_sha256") != input_sha:
-            raise PipelineError(
-                f"{path} holds a corpus built from different input data; "
-                "artifacts are immutable - use a fresh workdir")
-        return path
-    schema = ColumnSchema(delimiter=delimiter, has_header=has_header)
-    parsed = parse_log(Path(input_path), schema, on_error=on_error)
-    corpus = build_corpus(parsed, idle_threshold=ws.cfg.idle_threshold_s,
-                          min_count=ws.cfg.min_user_interactions)
-    save_corpus(corpus, path / "corpus.jsonl")
-    n_sessions = corpus.num_sessions
-    avg_len = (len(corpus.interactions) / n_sessions) if n_sessions else 0.0
-    return ws.finish("ingest", path, {
-        "input_sha256": input_sha,
-        "num_users": corpus.num_users,
-        "num_items": corpus.num_items,
-        "num_interactions": len(corpus.interactions),
-        "num_sessions": n_sessions,
-        "avg_session_length": avg_len,
-    })
+    with ws.begin("ingest") as (path, reuse):
+        if reuse:
+            if _read_meta(path).get("input_sha256") != input_sha:
+                raise PipelineError(
+                    f"{path} holds a corpus built from different input data; "
+                    "artifacts are immutable - use a fresh workdir")
+            return path
+        schema = ColumnSchema(delimiter=delimiter, has_header=has_header)
+        parsed = parse_log(Path(input_path), schema, on_error=on_error)
+        corpus = build_corpus(parsed, idle_threshold=ws.cfg.idle_threshold_s,
+                              min_count=ws.cfg.min_user_interactions)
+        save_corpus(corpus, path / "corpus.jsonl")
+        n_sessions = corpus.num_sessions
+        avg_len = (len(corpus.interactions) / n_sessions) if n_sessions else 0.0
+        return ws.finish("ingest", path, {
+            "input_sha256": input_sha,
+            "num_users": corpus.num_users,
+            "num_items": corpus.num_items,
+            "num_interactions": len(corpus.interactions),
+            "num_sessions": n_sessions,
+            "avg_session_length": avg_len,
+        })
 
 
 def load_ingested(ws: Workspace) -> SplitCorpus:
@@ -146,29 +160,29 @@ def load_ingested(ws: Workspace) -> SplitCorpus:
 # embed
 
 def run_embed(ws: Workspace) -> Path:
-    corpus = load_ingested(ws)
-    path, reuse = ws.begin("embed")
-    if reuse:
-        return path
-    cfg = ws.cfg
-    graph = graph_mod.build_graph_from_corpus(corpus)
-    encoder, history = graph_mod.train_encoder(
-        graph, base_dim=cfg.graph_base_dim, out_dim=cfg.session_emb_dim,
-        epochs=cfg.graph_epochs, batch_size=cfg.graph_batch,
-        fanout=(cfg.graph_fanout1, cfg.graph_fanout2),
-        num_negatives=cfg.graph_negatives, lr=cfg.graph_lr,
-        clip_norm=cfg.clip_norm, seed=cfg.seed)
-    embeddings, embeddable = encoder.embed_corpus(graph, corpus)
-    save_checkpoint(path / "encoder.ckpt",
-                    {p.name: p.value for p in encoder.params()},
-                    config={"num_items": graph.num_items,
-                            "base_dim": cfg.graph_base_dim,
-                            "out_dim": cfg.session_emb_dim,
-                            "fanout": [cfg.graph_fanout1, cfg.graph_fanout2]})
-    np.savez(path / "embeddings.npz", embeddings=embeddings,
-             embeddable=embeddable, graph_session_ids=graph.session_ids)
-    graph_mod.export_embeddings_csv(path / "embeddings.csv", corpus, embeddings)
-    return ws.finish("embed", path, {"holdout_loss": history["holdout_loss"]})
+    with ws.begin("embed", reads=("ingest",)) as (path, reuse):
+        if reuse:
+            return path
+        corpus = load_ingested(ws)
+        cfg = ws.cfg
+        graph = graph_mod.build_graph_from_corpus(corpus)
+        encoder, history = graph_mod.train_encoder(
+            graph, base_dim=cfg.graph_base_dim, out_dim=cfg.session_emb_dim,
+            epochs=cfg.graph_epochs, batch_size=cfg.graph_batch,
+            fanout=(cfg.graph_fanout1, cfg.graph_fanout2),
+            num_negatives=cfg.graph_negatives, lr=cfg.graph_lr,
+            clip_norm=cfg.clip_norm, seed=cfg.seed)
+        embeddings, embeddable = encoder.embed_corpus(graph, corpus)
+        save_checkpoint(path / "encoder.ckpt",
+                        {p.name: p.value for p in encoder.params()},
+                        config={"num_items": graph.num_items,
+                                "base_dim": cfg.graph_base_dim,
+                                "out_dim": cfg.session_emb_dim,
+                                "fanout": [cfg.graph_fanout1, cfg.graph_fanout2]})
+        np.savez(path / "embeddings.npz", embeddings=embeddings,
+                 embeddable=embeddable, graph_session_ids=graph.session_ids)
+        graph_mod.export_embeddings_csv(path / "embeddings.csv", corpus, embeddings)
+        return ws.finish("embed", path, {"holdout_loss": history["holdout_loss"]})
 
 
 def _load_embeddings(ws: Workspace):
@@ -193,30 +207,30 @@ def load_encoder(ws: Workspace):
 # contextualize
 
 def run_contextualize(ws: Workspace) -> Path:
-    corpus = load_ingested(ws)
-    embeddings, embeddable, graph_session_ids = _load_embeddings(ws)
-    path, reuse = ws.begin("contextualize")
-    if reuse:
-        return path
-    cfg = ws.cfg
-    model = cluster_mod.kmeans_fit(embeddings[graph_session_ids],
-                                   num_contexts=cfg.num_contexts,
-                                   max_iters=cfg.kmeans_max_iters,
-                                   seed=cfg.seed,
-                                   session_ids=graph_session_ids,
-                                   n_init=cfg.kmeans_n_init)
-    labels = cluster_mod.label_all(model, embeddings, embeddable)
-    np.savez(path / "contexts.npz", centers=model.centers,
-             train_session_ids=model.session_ids, train_labels=model.labels,
-             labels=labels,
-             inertia_history=np.asarray(model.inertia_history))
-    cluster_mod.export_clusters_csv(path / "clusters.csv", model, corpus,
-                                    labels, embeddings)
-    return ws.finish("contextualize", path, {
-        "inertia_first": model.inertia_history[0],
-        "inertia_last": model.inertia_history[-1],
-        "num_unlabeled": int((labels == cluster_mod.UNLABELED).sum()),
-    })
+    with ws.begin("contextualize", reads=("ingest", "embed")) as (path, reuse):
+        if reuse:
+            return path
+        corpus = load_ingested(ws)
+        embeddings, embeddable, graph_session_ids = _load_embeddings(ws)
+        cfg = ws.cfg
+        model = cluster_mod.kmeans_fit(embeddings[graph_session_ids],
+                                       num_contexts=cfg.num_contexts,
+                                       max_iters=cfg.kmeans_max_iters,
+                                       seed=cfg.seed,
+                                       session_ids=graph_session_ids,
+                                       n_init=cfg.kmeans_n_init)
+        labels = cluster_mod.label_all(model, embeddings, embeddable)
+        np.savez(path / "contexts.npz", centers=model.centers,
+                 train_session_ids=model.session_ids, train_labels=model.labels,
+                 labels=labels,
+                 inertia_history=np.asarray(model.inertia_history))
+        cluster_mod.export_clusters_csv(path / "clusters.csv", model, corpus,
+                                        labels, embeddings)
+        return ws.finish("contextualize", path, {
+            "inertia_first": model.inertia_history[0],
+            "inertia_last": model.inertia_history[-1],
+            "num_unlabeled": int((labels == cluster_mod.UNLABELED).sum()),
+        })
 
 
 def load_contexts(ws: Workspace):
@@ -241,36 +255,37 @@ def _predictor_ckpt_config(ws: Workspace, corpus: SplitCorpus, feat_dim: int) ->
 
 
 def run_train_context(ws: Workspace) -> Path:
-    corpus = load_ingested(ws)
-    embeddings, _, _ = _load_embeddings(ws)
-    _, labels = load_contexts(ws)
-    path, reuse = ws.begin("train-context")
-    if reuse:
-        return path
-    cfg = ws.cfg
-    features = pred_mod.build_session_features(corpus, embeddings)
-    rng = np.random.default_rng(cfg.seed)
-    model = pred_mod.ContextPredictor(
-        corpus.num_users, corpus.num_items, cfg.num_contexts, features.dim,
-        cfg.user_dim, cfg.item_dim, cfg.lstm_hidden, cfg.max_seq_len, rng)
-    history = pred_mod.train_context(
-        model, corpus, features, labels, rng, lr=cfg.lr, batch_size=cfg.batch,
-        max_epochs=cfg.max_epochs, patience=cfg.patience,
-        clip_norm=cfg.clip_norm)
-    topk_ids, topk_probs = pred_mod.predict_all_prefixes(
-        model, corpus, features, cfg.top_k_contexts)
+    with ws.begin("train-context",
+                  reads=("ingest", "embed", "contextualize")) as (path, reuse):
+        if reuse:
+            return path
+        corpus = load_ingested(ws)
+        embeddings, _, _ = _load_embeddings(ws)
+        _, labels = load_contexts(ws)
+        cfg = ws.cfg
+        features = pred_mod.build_session_features(corpus, embeddings)
+        rng = np.random.default_rng(cfg.seed)
+        model = pred_mod.ContextPredictor(
+            corpus.num_users, corpus.num_items, cfg.num_contexts, features.dim,
+            cfg.user_dim, cfg.item_dim, cfg.lstm_hidden, cfg.max_seq_len, rng)
+        history = pred_mod.train_context(
+            model, corpus, features, labels, rng, lr=cfg.lr, batch_size=cfg.batch,
+            max_epochs=cfg.max_epochs, patience=cfg.patience,
+            clip_norm=cfg.clip_norm)
+        topk_ids, topk_probs = pred_mod.predict_all_prefixes(
+            model, corpus, features, cfg.top_k_contexts)
 
-    save_checkpoint(path / "predictor.ckpt",
-                    {p.name: p.value for p in model.params()},
-                    config=_predictor_ckpt_config(ws, corpus, features.dim))
-    np.savez(path / "predictions.npz", topk_ids=topk_ids, topk_probs=topk_probs)
-    pred_mod.export_predictions_csv(path / "predictions.csv", corpus,
-                                    topk_ids, topk_probs)
-    return ws.finish("train-context", path, {
-        "epochs_run": len(history["train_loss"]),
-        "best_epoch": history["best_epoch"],
-        "final_val_loss": history["val_loss"][-1] if history["val_loss"] else None,
-    })
+        save_checkpoint(path / "predictor.ckpt",
+                        {p.name: p.value for p in model.params()},
+                        config=_predictor_ckpt_config(ws, corpus, features.dim))
+        np.savez(path / "predictions.npz", topk_ids=topk_ids, topk_probs=topk_probs)
+        pred_mod.export_predictions_csv(path / "predictions.csv", corpus,
+                                        topk_ids, topk_probs)
+        return ws.finish("train-context", path, {
+            "epochs_run": len(history["train_loss"]),
+            "best_epoch": history["best_epoch"],
+            "final_val_loss": history["val_loss"][-1] if history["val_loss"] else None,
+        })
 
 
 def load_context_predictor(ws: Workspace):
@@ -316,22 +331,23 @@ def _train_next_once(ws: Workspace, corpus: SplitCorpus,
 
 def run_train_next(ws: Workspace, ablation: bool = False) -> Path:
     mode = next_mod.ABLATION if ablation else next_mod.WITH_CONTEXT
-    path, reuse = ws.begin(_next_stage_name(mode))
-    if reuse:
-        return path
-    corpus = load_ingested(ws)
-    _, ctx_topk, _ = load_context_predictor(ws)
-    model, history = _train_next_once(ws, corpus, ctx_topk, mode, ws.cfg.seed)
-    save_checkpoint(path / "nextitem.ckpt",
-                    {p.name: p.value for p in model.params()},
-                    config={"mode": mode, "num_users": corpus.num_users,
-                            "num_items": corpus.num_items})
-    return ws.finish(_next_stage_name(mode), path, {
-        "mode": mode,
-        "epochs_run": len(history["train_loss"]),
-        "best_epoch": history["best_epoch"],
-        "best_val_mrr": max(history["val_mrr"]) if history["val_mrr"] else None,
-    })
+    with ws.begin(_next_stage_name(mode),
+                  reads=("ingest", "train-context")) as (path, reuse):
+        if reuse:
+            return path
+        corpus = load_ingested(ws)
+        _, ctx_topk, _ = load_context_predictor(ws)
+        model, history = _train_next_once(ws, corpus, ctx_topk, mode, ws.cfg.seed)
+        save_checkpoint(path / "nextitem.ckpt",
+                        {p.name: p.value for p in model.params()},
+                        config={"mode": mode, "num_users": corpus.num_users,
+                                "num_items": corpus.num_items})
+        return ws.finish(_next_stage_name(mode), path, {
+            "mode": mode,
+            "epochs_run": len(history["train_loss"]),
+            "best_epoch": history["best_epoch"],
+            "best_val_mrr": max(history["val_mrr"]) if history["val_mrr"] else None,
+        })
 
 
 def load_next_model(ws: Workspace, ablation: bool = False) -> next_mod.NextItemModel:
@@ -365,18 +381,19 @@ def _rep_metrics(ws: Workspace, corpus: SplitCorpus,
 
 def run_evaluate(ws: Workspace, ablation: bool = False) -> Path:
     mode = next_mod.ABLATION if ablation else next_mod.WITH_CONTEXT
-    corpus = load_ingested(ws)
-    _, ctx_topk, _ = load_context_predictor(ws)
-    rep0 = load_next_model(ws, ablation)
     stage = "evaluate" if mode == next_mod.WITH_CONTEXT else "evaluate-ablation"
-    path, reuse = ws.begin(stage)
-    if reuse:
-        return path
-    seeds = [ws.cfg.seed + r for r in range(ws.cfg.repetitions)]
-    report = _rep_metrics(ws, corpus, ctx_topk, mode, seeds, rep0)
-    (path / "metrics.json").write_text(report.to_json())
-    return ws.finish(stage, path, {"mean_mrr": report.mean_mrr,
-                                   "mean_recall_at_10": report.mean_recall})
+    reads = ("ingest", "train-context", _next_stage_name(mode))
+    with ws.begin(stage, reads) as (path, reuse):
+        if reuse:
+            return path
+        corpus = load_ingested(ws)
+        _, ctx_topk, _ = load_context_predictor(ws)
+        rep0 = load_next_model(ws, ablation)
+        seeds = [ws.cfg.seed + r for r in range(ws.cfg.repetitions)]
+        report = _rep_metrics(ws, corpus, ctx_topk, mode, seeds, rep0)
+        (path / "metrics.json").write_text(report.to_json())
+        return ws.finish(stage, path, {"mean_mrr": report.mean_mrr,
+                                       "mean_recall_at_10": report.mean_recall})
 
 
 def _ratio(num: float, den: float) -> float | None:
@@ -387,34 +404,34 @@ def _ratio(num: float, den: float) -> float | None:
 def run_ablate(ws: Workspace) -> Path:
     """Paired with/without-context repetitions plus one-tailed Welch tests;
     rep 0 of each arm is its train-next stage, reused or built here."""
-    corpus = load_ingested(ws)
-    _, ctx_topk, _ = load_context_predictor(ws)
-    path, reuse = ws.begin("ablate")
-    if reuse:
-        return path
-    seeds = [ws.cfg.seed + r for r in range(ws.cfg.repetitions)]
-    run_train_next(ws)
-    with_report = _rep_metrics(ws, corpus, ctx_topk, next_mod.WITH_CONTEXT, seeds,
-                               load_next_model(ws))
-    run_train_next(ws, ablation=True)
-    abl_report = _rep_metrics(ws, corpus, None, next_mod.ABLATION, seeds,
-                              load_next_model(ws, ablation=True))
-    t_mrr, p_mrr = t_test_one_tailed(with_report.mrr_values, abl_report.mrr_values)
-    t_rec, p_rec = t_test_one_tailed(with_report.recall_values,
-                                     abl_report.recall_values)
-    payload = {
-        "config_hash": ws.config_hash,
-        "seeds": seeds,
-        "with_context": with_report.to_dict(),
-        "ablation": abl_report.to_dict(),
-        "t_test": {"mrr": {"t": t_mrr, "p": p_mrr},
-                   "recall_at_10": {"t": t_rec, "p": p_rec}},
-        "mrr_ratio": _ratio(with_report.mean_mrr, abl_report.mean_mrr),
-        "recall_ratio": _ratio(with_report.mean_recall, abl_report.mean_recall),
-    }
-    (path / "ablation.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return ws.finish("ablate", path, {"p_mrr": p_mrr, "mrr_ratio": payload["mrr_ratio"]})
+    with ws.begin("ablate", reads=("ingest", "train-context")) as (path, reuse):
+        if reuse:
+            return path
+        corpus = load_ingested(ws)
+        _, ctx_topk, _ = load_context_predictor(ws)
+        seeds = [ws.cfg.seed + r for r in range(ws.cfg.repetitions)]
+        run_train_next(ws)
+        with_report = _rep_metrics(ws, corpus, ctx_topk, next_mod.WITH_CONTEXT, seeds,
+                                   load_next_model(ws))
+        run_train_next(ws, ablation=True)
+        abl_report = _rep_metrics(ws, corpus, None, next_mod.ABLATION, seeds,
+                                  load_next_model(ws, ablation=True))
+        t_mrr, p_mrr = t_test_one_tailed(with_report.mrr_values, abl_report.mrr_values)
+        t_rec, p_rec = t_test_one_tailed(with_report.recall_values,
+                                         abl_report.recall_values)
+        payload = {
+            "config_hash": ws.config_hash,
+            "seeds": seeds,
+            "with_context": with_report.to_dict(),
+            "ablation": abl_report.to_dict(),
+            "t_test": {"mrr": {"t": t_mrr, "p": p_mrr},
+                       "recall_at_10": {"t": t_rec, "p": p_rec}},
+            "mrr_ratio": _ratio(with_report.mean_mrr, abl_report.mean_mrr),
+            "recall_ratio": _ratio(with_report.mean_recall, abl_report.mean_recall),
+        }
+        (path / "ablation.json").write_text(
+            json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        return ws.finish("ablate", path, {"p_mrr": p_mrr, "mrr_ratio": payload["mrr_ratio"]})
 
 
 # ---------------------------------------------------------------------------
@@ -436,29 +453,29 @@ def run_sweep(ws: Workspace, param: str, values: list | None,
         if param not in SWEEP_GRIDS:
             raise PipelineError(f"no default grid for {param!r}; pass --values")
         values = SWEEP_GRIDS[param]
-    path, reuse = ws.begin(f"sweep-{param}")
-    if reuse:
-        return path
-    rows = []
-    for value in values:
-        overrides = ({"user_dim": value, "item_dim": value}
-                     if param == "user_item_dim" else {param: value})
-        sub = Workspace(ws.cfg.replace(**overrides), ws.workdir)
-        run_ingest(sub, input_path, delimiter, has_header)
-        run_embed(sub)
-        run_contextualize(sub)
-        run_train_context(sub)
-        run_train_next(sub)
-        metrics_path = run_evaluate(sub) / "metrics.json"
-        metrics = json.loads(metrics_path.read_text())
-        rows.append({"value": value, "config_hash": sub.config_hash,
-                     "mean_mrr": metrics["mean"]["mrr"],
-                     "mean_recall_at_10": metrics["mean"]["recall_at_10"]})
-    payload = {"param": param, "values": list(values), "rows": rows,
-               "base_config_hash": ws.config_hash}
-    (path / "sweep.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return ws.finish(f"sweep-{param}", path, {"num_values": len(values)})
+    with ws.begin(f"sweep-{param}") as (path, reuse):
+        if reuse:
+            return path
+        rows = []
+        for value in values:
+            overrides = ({"user_dim": value, "item_dim": value}
+                         if param == "user_item_dim" else {param: value})
+            sub = Workspace(ws.cfg.replace(**overrides), ws.workdir)
+            run_ingest(sub, input_path, delimiter, has_header)
+            run_embed(sub)
+            run_contextualize(sub)
+            run_train_context(sub)
+            run_train_next(sub)
+            metrics_path = run_evaluate(sub) / "metrics.json"
+            metrics = json.loads(metrics_path.read_text())
+            rows.append({"value": value, "config_hash": sub.config_hash,
+                         "mean_mrr": metrics["mean"]["mrr"],
+                         "mean_recall_at_10": metrics["mean"]["recall_at_10"]})
+        payload = {"param": param, "values": list(values), "rows": rows,
+                   "base_config_hash": ws.config_hash}
+        (path / "sweep.json").write_text(
+            json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        return ws.finish(f"sweep-{param}", path, {"num_values": len(values)})
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from .corpus import SplitCorpus, TRAIN, VAL
 from .cluster import UNLABELED
 from .nn import engine
 from .nn.engine import Parameter, Var
-from .nn.layers import BiLstm, DenseLayer, EmbeddingTable, prefix_input
+from .nn.layers import (EVAL_BATCH, BiLstm, DenseLayer, EmbeddingTable, prefix_batch,
+                        prefix_input)
 from .nn.optim import fit
 
 FEATURE_EXTRAS = 3  # duration, idle gap, item count
@@ -93,17 +94,19 @@ def long_term_input(corpus: SplitCorpus, features: SessionFeatureStore,
     return features.matrix[history]
 
 
-def top_k_contexts(probs: np.ndarray, k: int = 3) -> list[int]:
-    """Ids of the k most probable contexts, returned ascending by id.
-
-    Probability ties break toward the lower id.
-    """
-    probs = np.asarray(probs)
-    n = probs.shape[0]
+def top_k_rows(probs: np.ndarray, k: int) -> np.ndarray:
+    """Per row of a (B, C) probability matrix, the ids of its k most
+    probable contexts, ascending by id; probability ties break toward the
+    lower id."""
+    n = probs.shape[1]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} contexts")
-    order = np.lexsort((np.arange(n), -probs))
-    return sorted(int(i) for i in order[:k])
+    return np.sort(np.argsort(-probs, axis=1, kind="stable")[:, :k], axis=1)
+
+
+def top_k_contexts(probs: np.ndarray, k: int = 3) -> list[int]:
+    """``top_k_rows`` of one probability vector, as a list."""
+    return top_k_rows(np.asarray(probs)[None], k)[0].tolist()
 
 
 class ContextPredictor:
@@ -143,8 +146,10 @@ class ContextPredictor:
     def predict_probs(self, user_id: int, prefix_items,
                       history: np.ndarray) -> np.ndarray:
         """Context probability vector for the current prefix; sums to 1."""
-        z_long = self.encode_history(history)
-        return engine.softmax(self.logits_var(user_id, prefix_items, z_long).value)
+        with engine.no_grad():
+            z_long = self.encode_history(history)
+            logits = self.logits_var(user_id, prefix_items, z_long)
+        return engine.softmax(logits.value)
 
 
 @dataclass(frozen=True)
@@ -180,24 +185,37 @@ def _group_by_session(examples: list[ContextExample]) -> list[list[ContextExampl
 
 
 def _prefix_logits(model: ContextPredictor, corpus: SplitCorpus,
-                   features: SessionFeatureStore, session_id: int,
-                   positions: list[int]) -> list[Var]:
-    """Context logits for each prefix length in ``positions`` of one
-    session; the session's history is encoded once for all of them."""
-    s = corpus.sessions[session_id]
-    z_long = model.encode_history(long_term_input(
-        corpus, features, s.user_id, session_id, model.max_seq_len))
-    return [model.logits_var(s.user_id, s.items[:pos], z_long) for pos in positions]
+                   features: SessionFeatureStore, session_ids: list[int],
+                   positions: list[int]) -> Var:
+    """(N, C) context logits for the prefix of length ``positions[j]`` of
+    session ``session_ids[j]``: each distinct session's history is encoded
+    once, all histories as one batch and all prefixes as another."""
+    sids, inverse = np.unique(session_ids, return_inverse=True)
+    histories = [long_term_input(corpus, features, corpus.sessions[sid].user_id,
+                                 int(sid), model.max_seq_len) for sid in sids]
+    lengths = np.array([len(h) for h in histories])
+    padded = np.zeros((len(histories), lengths.max(), features.dim))
+    for r, h in enumerate(histories):
+        padded[r, :len(h)] = h
+    z_long = model.long_lstm.encode(engine.constant(padded), lengths)
+    z_short = model.short_lstm.encode(*prefix_batch(
+        model.item_emb, model.aux,
+        [corpus.sessions[sid].items[:pos] for sid, pos in zip(session_ids, positions)],
+        model.max_seq_len))
+    e_user = model.user_emb.lookup(
+        [corpus.sessions[sid].user_id for sid in session_ids])
+    return model.fc1(engine.concat([e_user, z_short,
+                                    engine.index_rows(z_long, inverse)]))
 
 
-def _group_losses(model: ContextPredictor, corpus: SplitCorpus,
-                  features: SessionFeatureStore,
-                  group: list[ContextExample]) -> list[Var]:
-    """One cross-entropy node per example of a single-session group."""
-    logits = _prefix_logits(model, corpus, features, group[0].session_id,
-                            [ex.position for ex in group])
-    return [engine.softmax_cross_entropy(lg, ex.label)[0]
-            for lg, ex in zip(logits, group)]
+def batch_loss(model: ContextPredictor, corpus: SplitCorpus,
+               features: SessionFeatureStore,
+               examples: list[ContextExample]) -> Var:
+    """Mean cross-entropy of ``examples`` as one batched graph."""
+    logits = _prefix_logits(model, corpus, features,
+                            [ex.session_id for ex in examples],
+                            [ex.position for ex in examples])
+    return engine.softmax_cross_entropy(logits, [ex.label for ex in examples])[0]
 
 
 def train_context(model: ContextPredictor, corpus: SplitCorpus,
@@ -213,7 +231,7 @@ def train_context(model: ContextPredictor, corpus: SplitCorpus,
 
     # no validation data (degenerate corpora): early-stop on train loss
     history = fit(model.params(), train_groups,
-                  lambda group: _group_losses(model, corpus, features, group),
+                  lambda examples: batch_loss(model, corpus, features, examples),
                   rng, lr=lr, batch_size=batch_size, max_epochs=max_epochs,
                   patience=patience, clip_norm=clip_norm, what="context",
                   val_score=(lambda: evaluate_context_loss(
@@ -229,9 +247,10 @@ def evaluate_context_loss(model: ContextPredictor, corpus: SplitCorpus,
     if not examples:
         return float("nan")
     total = 0.0
-    for group in _group_by_session(examples):
-        for loss in _group_losses(model, corpus, features, group):
-            total += float(loss.value)
+    with engine.no_grad():
+        for start in range(0, len(examples), EVAL_BATCH):
+            chunk = examples[start:start + EVAL_BATCH]
+            total += float(batch_loss(model, corpus, features, chunk).value) * len(chunk)
     return total / len(examples)
 
 
@@ -243,15 +262,14 @@ def predict_all_prefixes(model: ContextPredictor, corpus: SplitCorpus,
     n = len(corpus.interactions)
     topk_ids = np.zeros((n, k), dtype=np.intp)
     topk_probs = np.zeros((n, k))
-    for s in corpus.sessions:
-        idxs = corpus.interaction_range(s.session_id)
-        logits = _prefix_logits(model, corpus, features, s.session_id,
-                                [corpus.position_of[idx] for idx in idxs])
-        for idx, lg in zip(idxs, logits):
-            probs = engine.softmax(lg.value)
-            ids = top_k_contexts(probs, k)
-            topk_ids[idx] = ids
-            topk_probs[idx] = probs[ids]
+    with engine.no_grad():
+        for start in range(0, n, EVAL_BATCH):
+            rows = slice(start, start + EVAL_BATCH)
+            probs = engine.softmax(_prefix_logits(
+                model, corpus, features, corpus.session_of[rows],
+                corpus.position_of[rows]).value)
+            topk_ids[rows] = top_k_rows(probs, k)
+            topk_probs[rows] = np.take_along_axis(probs, topk_ids[rows], axis=1)
     return topk_ids, topk_probs
 
 

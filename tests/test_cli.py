@@ -288,6 +288,7 @@ class TestPipelineMechanics:
         with pytest.raises(RuntimeError, match="crash"):
             pipeline.run_contextualize(ws)
         assert not ws.stage_dir("contextualize").exists()
+        assert not [p.name for p in ws.workdir.iterdir() if ".tmp-" in p.name]
         with pytest.raises(pipeline.MissingArtifactError, match="contextualize"):
             pipeline.load_contexts(ws)
 
@@ -300,6 +301,32 @@ class TestPipelineMechanics:
         want = np.load(ws_full.stage_dir("contextualize") / "contexts.npz")
         for key in want.files:
             assert np.array_equal(got[key], want[key]), key
+
+    def test_missing_upstream_leaves_no_build_dir(self, tiny_pipeline, tmp_path):
+        _, cfg, ws_full = tiny_pipeline
+        ws = _partial_workspace(ws_full, cfg, tmp_path / "no-embed", ("ingest",))
+        with pytest.raises(pipeline.MissingArtifactError, match="embed"):
+            pipeline.run_contextualize(ws)
+        assert [p.name for p in ws.workdir.iterdir()] == [ws.stage_dir("ingest").name]
+
+    def test_reused_stages_load_no_inputs(self, tiny_pipeline, monkeypatch):
+        _, _, ws = tiny_pipeline
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("load_corpus", "load_checkpoint"):
+            monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
+        for run, stage in [(pipeline.run_embed, "embed"),
+                           (pipeline.run_contextualize, "contextualize"),
+                           (pipeline.run_train_context, "train-context"),
+                           (pipeline.run_evaluate, "evaluate")]:
+            assert run(ws) == ws.stage_dir(stage)
+            assert calls == [], stage
 
     def test_truncated_meta_named(self, tiny_pipeline, tmp_path):
         _, cfg, ws_full = tiny_pipeline

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import reference_models
 from ctxrec import nextitem as NX
 from ctxrec import predictor as P
 from ctxrec.corpus import TEST
+from ctxrec.metrics import rank_of_truth
 from ctxrec.nn import engine, finite_diff_check
 from conftest import corpus_from_rows
 
@@ -157,6 +159,62 @@ class TestTrainNext:
         assert "next.context_emb" in report.per_param
         assert report.passed, str(report)
 
+    @staticmethod
+    def _covering_batch(corpus, max_seq_len):
+        """Train examples covering an empty prefix and a prefix longer than
+        ``max_seq_len``, with fixed ascending top-2 context ids."""
+        examples = NX.build_rank_examples(corpus, "train")
+        batch = [ex for ex in examples if ex.position > max_seq_len][:8]
+        batch += [ex for ex in examples if ex.position == 0][:8]
+        assert len(batch) == 16
+        n = len(corpus.interactions)
+        first = np.arange(n) % 2
+        ctx_topk = np.stack([first, first + 1 + np.arange(n) % 2], axis=1)
+        return batch, ctx_topk
+
+    @pytest.mark.parametrize("mode", [NX.WITH_CONTEXT, NX.ABLATION])
+    def test_batch_loss_matches_per_example_oracle(self, small_stack, mode):
+        corpus = small_stack["corpus"]
+        model = NX.NextItemModel(corpus.num_users, corpus.num_items, 4,
+                                 user_dim=4, item_dim=4, context_dim=2, hidden=3,
+                                 top_k=2, max_seq_len=2, mode=mode,
+                                 rng=np.random.default_rng(8))
+        batch, ctx_topk = self._covering_batch(corpus, 2)
+        if mode == NX.ABLATION:
+            ctx_topk = None
+        results = []
+        for loss_fn in (NX.batch_loss, reference_models.next_batch_loss):
+            for p in model.params():
+                p.zero_grad()
+            loss = loss_fn(model, corpus, ctx_topk, batch)
+            engine.backward(loss)
+            results.append((float(loss.value), [p.grad.copy() for p in model.params()]))
+        (loss, grads), (ref_loss, ref_grads) = results
+        assert abs(loss - ref_loss) <= 1e-10 * abs(ref_loss)
+        for p, g, ref_g in zip(model.params(), grads, ref_grads):
+            assert np.abs(g - ref_g).max() <= 1e-10 * np.abs(ref_g).max(), p.name
+
+    def test_gradient_check_on_batch_loss(self, small_stack):
+        corpus = small_stack["corpus"]
+        model = NX.NextItemModel(corpus.num_users, corpus.num_items, 4,
+                                 user_dim=4, item_dim=4, context_dim=2, hidden=3,
+                                 top_k=2, max_seq_len=2,
+                                 rng=np.random.default_rng(9))
+        batch, ctx_topk = self._covering_batch(corpus, 2)
+
+        def build():
+            return NX.batch_loss(model, corpus, ctx_topk, batch)
+
+        report = finite_diff_check(build, model.params(), tolerance=1e-4,
+                                   samples_per_param=3,
+                                   rng=np.random.default_rng(3))
+        assert "next.context_emb" in report.per_param
+        assert report.passed, str(report)
+        assert not finite_diff_check(build, model.params(), tolerance=1e-4,
+                                     samples_per_param=3,
+                                     rng=np.random.default_rng(3),
+                                     gradient_scale=2.0).passed
+
     def test_with_context_requires_predictions(self):
         corpus = corpus_from_rows([(0, k % 3, k * 10) for k in range(12)])
         rng = np.random.default_rng(4)
@@ -187,3 +245,35 @@ def test_ranked_list_export(tmp_path):
     assert len(lines) == corpus.splits.count(TEST)
     assert all(len(row["items"]) == 2 for row in lines)
     assert all(row["scores"][0] >= row["scores"][1] for row in lines)
+
+
+def test_served_predictions_equal_batched_artifacts(small_stack):
+    """For every interaction, the one-prefix serving path gives the top-K
+    contexts of ``predict_all_prefixes`` and the rank of ``compute_ranks``.
+    Both models are trained first, so no probability tie is left exact."""
+    corpus = small_stack["corpus"]
+    feats = small_stack["features"]
+    rng = np.random.default_rng(10)
+    ctx_model = P.ContextPredictor(corpus.num_users, corpus.num_items, 4,
+                                   feats.dim, user_dim=4, item_dim=4, hidden=3,
+                                   max_seq_len=3, rng=rng)
+    P.train_context(ctx_model, corpus, feats, small_stack["labels"], rng,
+                    lr=0.01, batch_size=128, max_epochs=2, patience=2)
+    topk_ids, _ = P.predict_all_prefixes(ctx_model, corpus, feats, k=2)
+    next_model = NX.NextItemModel(corpus.num_users, corpus.num_items, 4,
+                                  user_dim=4, item_dim=4, context_dim=2, hidden=3,
+                                  top_k=2, max_seq_len=3, rng=rng)
+    NX.train_next(next_model, corpus, topk_ids, rng, lr=0.01, batch_size=128,
+                  max_epochs=2, patience=2)
+    examples = [NX.RankExample(k, it.user_id, corpus.session_of[k],
+                               corpus.position_of[k], it.item_id)
+                for k, it in enumerate(corpus.interactions)]
+    ranks = NX.compute_ranks(next_model, corpus, examples, topk_ids)
+    for ex, rank in zip(examples, ranks):
+        prefix = corpus.sessions[ex.session_id].items[:ex.position]
+        history = P.long_term_input(corpus, feats, ex.user_id, ex.session_id,
+                                    ctx_model.max_seq_len)
+        ids = P.top_k_contexts(ctx_model.predict_probs(ex.user_id, prefix, history), 2)
+        assert ids == topk_ids[ex.interaction_idx].tolist()
+        probs = next_model.predict_probs(ex.user_id, prefix, ids)
+        assert rank_of_truth(probs, ex.target_item) == rank

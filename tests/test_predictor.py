@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_models
 from ctxrec import predictor as P
 from ctxrec.corpus import TRAIN
 from ctxrec.nn import engine, finite_diff_check
@@ -195,6 +196,56 @@ class TestTrainContext:
                                    rng=np.random.default_rng(2))
         assert report.passed, str(report)
 
+    def _covering_batch(self, corpus, labels, max_seq_len):
+        """Train examples covering an empty prefix, a prefix longer than
+        ``max_seq_len`` and a first session (history = one zero row)."""
+        examples = P.build_context_examples(corpus, labels, TRAIN)
+        first = {corpus.user_session_ids(u)[0] for u in range(corpus.num_users)}
+        batch = [ex for ex in examples if ex.position > max_seq_len][:6]
+        batch += [ex for ex in examples if ex.session_id in first][:6]
+        batch += [ex for ex in examples if ex.position == 0][:6]
+        assert len(batch) == 18
+        return batch
+
+    def test_batch_loss_matches_per_example_oracle(self, small_stack):
+        corpus = small_stack["corpus"]
+        feats = small_stack["features"]
+        model = P.ContextPredictor(corpus.num_users, corpus.num_items, 4,
+                                   feats.dim, user_dim=4, item_dim=4, hidden=3,
+                                   max_seq_len=2, rng=np.random.default_rng(7))
+        batch = self._covering_batch(corpus, small_stack["labels"], 2)
+        results = []
+        for loss_fn in (P.batch_loss, reference_models.context_batch_loss):
+            for p in model.params():
+                p.zero_grad()
+            loss = loss_fn(model, corpus, feats, batch)
+            engine.backward(loss)
+            results.append((float(loss.value), [p.grad.copy() for p in model.params()]))
+        (loss, grads), (ref_loss, ref_grads) = results
+        assert abs(loss - ref_loss) <= 1e-10 * abs(ref_loss)
+        for p, g, ref_g in zip(model.params(), grads, ref_grads):
+            assert np.abs(g - ref_g).max() <= 1e-10 * np.abs(ref_g).max(), p.name
+
+    def test_gradient_check_on_batch_loss(self, small_stack):
+        corpus = small_stack["corpus"]
+        feats = small_stack["features"]
+        model = P.ContextPredictor(corpus.num_users, corpus.num_items, 4,
+                                   feats.dim, user_dim=4, item_dim=4, hidden=3,
+                                   max_seq_len=2, rng=np.random.default_rng(8))
+        batch = self._covering_batch(corpus, small_stack["labels"], 2)
+
+        def build():
+            return P.batch_loss(model, corpus, feats, batch)
+
+        report = finite_diff_check(build, model.params(), tolerance=1e-4,
+                                   samples_per_param=3,
+                                   rng=np.random.default_rng(2))
+        assert report.passed, str(report)
+        assert not finite_diff_check(build, model.params(), tolerance=1e-4,
+                                     samples_per_param=3,
+                                     rng=np.random.default_rng(2),
+                                     gradient_scale=2.0).passed
+
     def test_seeded_training_is_bitwise_reproducible(self, small_stack):
         corpus = small_stack["corpus"]
         feats = small_stack["features"]
@@ -231,6 +282,18 @@ def test_predict_all_prefixes_covers_every_interaction(small_stack):
     assert ids.shape == (len(corpus.interactions), 2)
     assert (np.diff(ids, axis=1) > 0).all()  # ascending ids
     assert (probs >= 0).all() and (probs <= 1).all()
+
+
+def test_predict_all_prefixes_matches_per_prefix_oracle(small_stack):
+    corpus = small_stack["corpus"]
+    feats = small_stack["features"]
+    model = P.ContextPredictor(corpus.num_users, corpus.num_items, 4,
+                               feats.dim, user_dim=4, item_dim=4, hidden=3,
+                               max_seq_len=2, rng=np.random.default_rng(5))
+    ids, probs = P.predict_all_prefixes(model, corpus, feats, k=2)
+    ref_ids, ref_probs = reference_models.predict_all_prefixes(model, corpus, feats, 2)
+    assert np.array_equal(ids, ref_ids)
+    assert np.abs(probs - ref_probs).max() < 1e-10
 
 
 def test_predictions_csv_export(tmp_path, small_stack):

@@ -19,6 +19,7 @@ from ctxrec.nn import (
     softmax,
     softmax_cross_entropy,
 )
+import reference_models
 from ctxrec.nn import engine
 from ctxrec.nn.checkpoint import load_params
 
@@ -136,12 +137,113 @@ class TestBiLstm:
             lstm.run(np.zeros((0, 3)))
 
 
+def _bilstm_grads(lstm, build, seqs):
+    """Output and input and parameter gradients of sum(out * weights)."""
+    for p in lstm.params():
+        p.zero_grad()
+    out, weights = build()
+    backward(engine.vsum(engine.dot_last(out, constant(weights))))
+    return out.value, seqs.grad, [p.grad.copy() for p in lstm.params()]
+
+
+class TestBatchedBiLstm:
+    """``encode`` on a padded batch against ``forward`` on each sequence."""
+
+    @pytest.mark.parametrize("lengths", [[6, 2, 1, 6, 3, 2], [4, 4, 4]],
+                             ids=["mixed", "equal"])
+    def test_rows_match_single_sequence_forward(self, lengths):
+        rng = np.random.default_rng(9)
+        lstm = BiLstm("k", 3, 4, rng)
+        lengths = np.array(lengths)
+        xs = rng.normal(size=(len(lengths), lengths.max(), 3))
+        weights = rng.normal(size=(len(lengths), 8))
+        batch = constant(xs)
+        out, dx, dparams = _bilstm_grads(
+            lstm, lambda: (lstm.encode(batch, lengths), weights), batch)
+
+        single_dparams = [np.zeros_like(p.value) for p in lstm.params()]
+        for b, n in enumerate(lengths):
+            seq = constant(xs[b, :n])
+            row, row_dx, row_dparams = _bilstm_grads(
+                lstm, lambda: (lstm.forward(seq), weights[b]), seq)
+            assert np.abs(row - out[b]).max() < 1e-10
+            assert np.abs(row_dx - dx[b, :n]).max() < 1e-10
+            assert np.all(dx[b, n:] == 0.0)  # padding
+            for acc, g in zip(single_dparams, row_dparams):
+                acc += g
+        for acc, g in zip(single_dparams, dparams):
+            assert np.abs(acc - g).max() < 1e-10
+
+    def test_forward_matches_per_step_reference(self):
+        """``forward`` against the one-sequence BiLSTM it replaced, in
+        output, input gradient and every parameter gradient."""
+        rng = np.random.default_rng(13)
+        lstm = BiLstm("old", 3, 4, rng)
+        xs = rng.normal(size=(7, 3))
+        weights = rng.normal(size=8)
+        seq = constant(xs)
+        out, dx, dparams = _bilstm_grads(lstm, lambda: (lstm.forward(seq), weights), seq)
+        for p in lstm.params():
+            p.zero_grad()
+        ref_out, caches = reference_models.bilstm_forward(lstm, xs)
+        ref_dx = reference_models.bilstm_backward(lstm, caches, weights)
+        assert np.abs(out - ref_out).max() < 1e-10
+        assert np.abs(dx - ref_dx).max() < 1e-10
+        for p, g in zip(lstm.params(), dparams):
+            assert np.abs(p.grad - g).max() < 1e-10, p.name
+
+    def test_single_row_batch_is_forward(self):
+        rng = np.random.default_rng(10)
+        lstm = BiLstm("one", 3, 4, rng)
+        xs = rng.normal(size=(5, 3))
+        out = lstm.encode(constant(xs[None]), [5]).value[0]
+        assert np.array_equal(out, lstm.forward(constant(xs)).value)
+
+    def test_lengths_validated(self):
+        lstm = BiLstm("v", 3, 4, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="lengths"):
+            lstm.encode(constant(np.zeros((2, 3, 3))), [3, 0])
+        with pytest.raises(ValueError, match="lengths"):
+            lstm.encode(constant(np.zeros((2, 3, 3))), [4, 1])
+
+    def test_no_grad_keeps_no_cache(self):
+        lstm = BiLstm("n", 3, 4, np.random.default_rng(0))
+        xs = np.random.default_rng(1).normal(size=(4, 3))
+        with engine.no_grad():
+            out = lstm.forward(constant(xs))
+        assert np.array_equal(out.value, lstm.forward(constant(xs)).value)
+        with pytest.raises(RuntimeError, match="no_grad"):
+            backward(engine.vsum(out))
+
+    def test_gradient_check_on_mixed_lengths(self):
+        rng = np.random.default_rng(11)
+        lstm = BiLstm("gc", 3, 4, rng)
+        xs = rng.normal(size=(3, 5, 3))
+        weights = rng.normal(size=(3, 8))
+
+        def build():
+            out = lstm.encode(constant(xs), [5, 1, 3])
+            return engine.vsum(engine.dot_last(out, constant(weights)))
+
+        report = finite_diff_check(build, lstm.params(), tolerance=1e-4,
+                                   rng=np.random.default_rng(12))
+        assert report.passed, str(report)
+        assert not finite_diff_check(build, lstm.params(), tolerance=1e-4,
+                                     rng=np.random.default_rng(12),
+                                     gradient_scale=2.0).passed
+
+
+def _leaf(param: Parameter):
+    """The whole parameter as a graph node, through a row lookup."""
+    return engine.lookup(param, np.arange(param.value.shape[0]))
+
+
 class TestBackward:
     def test_sum_of_parameters_gives_unit_gradients(self):
         a = Parameter("a", np.array([1.0, 2.0, 3.0]))
         b = Parameter("b", np.array([[4.0, 5.0]]))
-        loss = engine.add(engine.vsum(engine.param_vector(a)),
-                          engine.vsum(engine.param_vector(b)))
+        loss = engine.add(engine.vsum(_leaf(a)),
+                          engine.vsum(_leaf(b)))
         backward(loss)
         assert np.array_equal(a.grad, np.ones(3))
         assert np.array_equal(b.grad, np.ones((1, 2)))
@@ -149,7 +251,7 @@ class TestBackward:
     def test_unused_parameter_gets_zero_gradient(self):
         a = Parameter("a", np.array([1.0]))
         unused = Parameter("u", np.array([5.0]))
-        loss = engine.vsum(engine.param_vector(a))
+        loss = engine.vsum(_leaf(a))
         backward(loss)
         assert np.array_equal(unused.grad, np.zeros(1))
 
@@ -159,7 +261,7 @@ class TestBackward:
 
     def test_shared_subgraph_accumulates_once(self):
         a = Parameter("a", np.array([2.0]))
-        v = engine.param_vector(a)
+        v = _leaf(a)
         s = engine.vsum(v)
         loss = engine.add(s, s)  # d(loss)/da = 2
         backward(loss)
@@ -181,6 +283,23 @@ class TestBackward:
             table.lookup(np.array([4]))
         with pytest.raises(IndexError):
             table.lookup(np.array([-1]))
+
+    def test_row_wise_cross_entropy_is_mean_of_rows(self):
+        logits = np.random.default_rng(6).normal(size=(4, 5))
+        targets = [0, 3, 3, 1]
+        batch = constant(logits)
+        loss, probs = softmax_cross_entropy(batch, targets)
+        backward(loss)
+        rows = [constant(row) for row in logits]
+        parts = [softmax_cross_entropy(r, t)[0] for r, t in zip(rows, targets)]
+        backward(engine.add_n(parts, [0.25] * 4))
+        assert abs(float(loss.value) - np.mean([float(p.value) for p in parts])) < 1e-12
+        assert np.allclose(probs, softmax(logits), rtol=0, atol=1e-15)
+        assert np.abs(batch.grad - np.stack([r.grad for r in rows])).max() < 1e-15
+        with pytest.raises(ValueError, match="targets"):
+            softmax_cross_entropy(batch, [0, 1])
+        with pytest.raises(IndexError):
+            softmax_cross_entropy(batch, [0, 1, 2, 5])
 
     def test_softmax_cross_entropy_matches_plain_ops(self):
         logits = constant(np.array([0.3, -1.2, 2.0]))
@@ -245,7 +364,7 @@ class TestFiniteDiffCheck:
         theta = Parameter("theta", np.random.default_rng(0).normal(size=8))
 
         def build():
-            v = engine.param_vector(theta)
+            v = _leaf(theta)
             return engine.scale(engine.vsum(engine.dot_last(v, v)), 0.5)
 
         report = finite_diff_check(build, [theta], tolerance=1e-8,
@@ -256,7 +375,7 @@ class TestFiniteDiffCheck:
         theta = Parameter("theta", np.random.default_rng(0).normal(size=8))
 
         def build():
-            v = engine.param_vector(theta)
+            v = _leaf(theta)
             return engine.scale(engine.vsum(engine.dot_last(v, v)), 0.5)
 
         report = finite_diff_check(build, [theta], tolerance=1e-4,
