@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import shutil
 import sys
+from pathlib import Path
 
 from .config import ConfigError, PipelineConfig, resolve_config
 from . import pipeline
+from .nextitem import export_ranked_lists
 from .synth import SynthSpec, generate
 
 
@@ -96,6 +99,27 @@ def _parse_values(raw: str | None) -> list | None:
     return out
 
 
+_EXPORTS = {"embeddings": ("embed", "embeddings.csv"),
+            "clusters": ("contextualize", "clusters.csv"),
+            "context-predictions": ("train-context", "predictions.csv")}
+
+
+def _export(ws: pipeline.Workspace, what: str, out_path: str | Path) -> Path:
+    """Copy a stage's CSV to ``out_path``, or write the ranked lists there."""
+    out_path = Path(out_path)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    if what in _EXPORTS:
+        stage, name = _EXPORTS[what]
+        shutil.copyfile(ws.require(stage) / name, out_path)
+    elif what == "ranked-lists":
+        corpus = pipeline.load_ingested(ws)
+        _, ctx_topk, _ = pipeline.load_context_predictor(ws)
+        export_ranked_lists(out_path, pipeline.load_next_model(ws), corpus, ctx_topk)
+    else:
+        raise pipeline.PipelineError(f"unknown export {what!r}")
+    return out_path
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -111,25 +135,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "ingest":
             path = pipeline.run_ingest(ws, args.input, args.delimiter,
                                        args.has_header, args.on_error)
-        elif args.command == "embed":
-            path = pipeline.run_embed(ws)
-        elif args.command == "contextualize":
-            path = pipeline.run_contextualize(ws)
-        elif args.command == "train-context":
-            path = pipeline.run_train_context(ws)
-        elif args.command == "train-next":
-            path = pipeline.run_train_next(ws, ablation=args.ablation)
-        elif args.command == "evaluate":
-            path = pipeline.run_evaluate(ws, ablation=args.ablation)
-        elif args.command == "ablate":
-            path = pipeline.run_ablate(ws)
         elif args.command == "sweep":
             path = pipeline.run_sweep(ws, args.param, _parse_values(args.values),
                                       args.input, args.delimiter, args.has_header)
         elif args.command == "export":
-            path = pipeline.run_export(ws, args.what, args.out)
-        else:  # pragma: no cover
-            raise AssertionError(args.command)
+            path = _export(ws, args.what, args.out)
+        else:  # a stage whose only option is --ablation, if any
+            run = getattr(pipeline, "run_" + args.command.replace("-", "_"))
+            path = run(ws, ablation=args.ablation) if "ablation" in args else run(ws)
         print(f"{args.command}: {path}")
         return 0
     except (ConfigError, pipeline.PipelineError, FileNotFoundError, ValueError) as exc:

@@ -58,10 +58,6 @@ class BipartiteMultigraph:
         return len(self.session_ids)
 
     @property
-    def num_nodes(self) -> int:
-        return self.num_session_nodes + self.num_items
-
-    @property
     def num_edges(self) -> int:
         return len(self.edges)
 
@@ -71,9 +67,6 @@ class BipartiteMultigraph:
 
     def item_degree(self, item: int) -> int:
         return int(self.item_off[item + 1] - self.item_off[item])
-
-    def session_degree(self, node: int) -> int:
-        return int(self.session_off[node + 1] - self.session_off[node])
 
 
 def build_graph(item_lists: list[list[int]], num_items: int,

@@ -274,10 +274,5 @@ class BiLstm:
 
         return out, grad_in
 
-    def run(self, xs: np.ndarray) -> np.ndarray:
-        """Inference-only encoding of a raw (T, input_dim) array."""
-        with engine.no_grad():
-            return self.forward(Var(xs)).value
-
     def params(self) -> list[Parameter]:
         return self.fwd.params() + self.bwd.params()

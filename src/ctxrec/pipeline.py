@@ -1,11 +1,12 @@
 """Stage orchestration over immutable, content-addressed artifacts.
 
-Every stage builds ``<workdir>/<stage>-<config_hash[:12]>/`` in a
-``.tmp-<pid>`` sibling, writes its ``meta.json`` (the full config snapshot and
-its hash) last and publishes it by a rename, so only a complete artifact is
-ever read or reused. A stage re-run with the same config reuses the existing
-artifact; it never overwrites one. Downstream stages refuse artifacts whose
-recorded hash does not match the active config.
+``STAGES`` declares each stage once: the config fields it reads and the
+upstream stages it loads. A stage's key hashes those fields' values and its
+upstream stages' keys, so a stage is rebuilt only when something it depends on
+changes. ``Workspace.run`` builds ``<workdir>/<stage>-<key[:12]>/`` in a
+``.tmp-<pid>`` sibling, writes its ``meta.json`` (key, field values, upstream
+keys) last and publishes it by a rename, so only a complete artifact is ever
+read or reused, and a mismatched ``meta.json`` is refused.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ import hashlib
 import json
 import os
 import shutil
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -41,85 +41,132 @@ class MissingArtifactError(PipelineError):
         self.stage = stage
 
 
+_TRAIN = ("num_contexts", "top_k_contexts", "user_dim", "item_dim", "lstm_hidden",
+          "max_seq_len", "lr", "batch", "max_epochs", "patience", "clip_norm", "seed")
+_NEXT = _TRAIN + ("context_dim",)
+# stage: (the PipelineConfig fields it reads, the stages whose artifacts it
+# loads), each stage after its upstream stages
+STAGES = {
+    "ingest": (("idle_threshold_s", "min_user_interactions"), ()),
+    "embed": (("session_emb_dim", "graph_base_dim", "graph_lr", "graph_epochs",
+               "graph_batch", "graph_fanout1", "graph_fanout2", "graph_negatives",
+               "clip_norm", "seed"), ("ingest",)),
+    "contextualize": (("num_contexts", "kmeans_max_iters", "kmeans_n_init", "seed"),
+                      ("ingest", "embed")),
+    "train-context": (_TRAIN, ("ingest", "embed", "contextualize")),
+    "train-next": (_NEXT, ("ingest", "train-context")),
+    "train-next-ablation": (_NEXT, ("ingest", "train-context")),
+    "evaluate": (_NEXT + ("repetitions",), ("ingest", "train-context", "train-next")),
+    "evaluate-ablation": (_NEXT + ("repetitions",),
+                          ("ingest", "train-context", "train-next-ablation")),
+    # builds or reuses both train-next stages itself
+    "ablate": (_NEXT + ("repetitions",), ("ingest", "train-context")),
+    # every sweep-<param>; it runs the full pipeline on the config per value
+    "sweep": (tuple(f.name for f in dataclasses.fields(PipelineConfig)), ()),
+}
+
+
+class StageConfig:
+    """The config fields one stage's entry declares. Reading any other field
+    raises, so no stage reads a value that its key does not hash."""
+
+    def __init__(self, stage: str, values: dict):
+        vars(self).update(values, _stage=stage)
+
+    def __getattr__(self, name: str):  # reached only for an undeclared name
+        raise AttributeError(f"stage {vars(self).get('_stage')!r} reads config field "
+                             f"{name!r}, which its STAGES entry does not declare")
+
+
 class Workspace:
     def __init__(self, cfg: PipelineConfig, workdir: str | Path):
         cfg.validate()
         self.cfg = cfg
         self.workdir = Path(workdir)
         self.workdir.mkdir(parents=True, exist_ok=True)
+        self._idents: dict[str, dict] = {}
+        for stage in STAGES:
+            self._idents[stage] = self._identity(stage)
 
     @property
     def config_hash(self) -> str:
         return self.cfg.config_hash()
 
-    def stage_dir(self, stage: str) -> Path:
-        return self.workdir / f"{stage}-{self.config_hash[:12]}"
+    def _identity(self, stage: str, inputs: dict | None = None) -> dict:
+        """What ``meta.json`` records of ``stage``: the values of its fields,
+        its upstream stages' keys, any non-config ``inputs``, and its key,
+        the sha256 of all of these."""
+        fields, upstream = STAGES["sweep" if stage.startswith("sweep-") else stage]
+        ident = {"stage": stage, "fields": {f: getattr(self.cfg, f) for f in fields},
+                 "upstream": {u: self._idents[u]["key"] for u in upstream}}
+        if inputs is not None:
+            ident["inputs"] = inputs
+        ident["key"] = hashlib.sha256(json.dumps(ident, sort_keys=True).encode()).hexdigest()
+        return ident
 
-    @contextmanager
-    def begin(self, stage: str,
-              reads: tuple[str, ...] = ()) -> Iterator[tuple[Path, bool]]:
-        """Yields (published dir, True) to reuse, else (fresh build dir,
-        False), after checking the ``meta.json`` of each upstream stage the
-        stage ``reads`` (their contents are left to the build). The build
-        dir does not outlive the block: ``finish`` publishes it, and a block
-        left by an exception removes it."""
-        for upstream in reads:
+    def stage_dir(self, stage: str) -> Path:
+        return self.workdir / f"{stage}-{self._idents[stage]['key'][:12]}"
+
+    def run(self, stage: str, body: Callable[[Path, StageConfig], dict],
+            inputs: dict | None = None) -> Path:
+        """The published dir of ``stage``: reused if it exists, else built by
+        ``body(build_dir, cfg)``, where ``cfg`` is the stage's config view and
+        the return value holds the extras for ``meta.json``. The build runs in
+        a ``.tmp-<pid>`` dir, which is published by a rename after
+        ``meta.json`` is written, and removed if ``body`` raises."""
+        ident = self._idents[stage] if inputs is None else self._identity(stage, inputs)
+        for upstream in ident["upstream"]:
             self.require(upstream)
-        path = self.stage_dir(stage)
+        path = self.workdir / f"{stage}-{ident['key'][:12]}"
         if path.exists():
-            self._verify_meta(stage, path)
-            yield path, True
-            return
+            _verify_meta(path, ident)
+            return path
+        _remove_dead_builds(path)
         tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-        shutil.rmtree(tmp, ignore_errors=True)  # left by a killed attempt
         tmp.mkdir()
         try:
-            yield tmp, False
+            meta = {**body(tmp, StageConfig(stage, ident["fields"])), **ident}
+            (tmp / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+            os.replace(tmp, path)
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
-
-    def finish(self, stage: str, tmp: Path, extra: dict | None = None) -> Path:
-        """Write ``meta.json`` last, then publish the build dir; returns its path."""
-        meta = {"stage": stage, "config_hash": self.config_hash,
-                "config": json.loads(json.dumps(dataclasses.asdict(self.cfg)))}
-        if extra:
-            meta.update(extra)
-        (tmp / "meta.json").write_text(
-            json.dumps(meta, sort_keys=True, indent=2) + "\n")
-        path = self.stage_dir(stage)
-        os.replace(tmp, path)
         return path
 
     def require(self, stage: str) -> Path:
+        """The published dir of ``stage``, after checking its own ``meta.json``."""
         path = self.stage_dir(stage)
         if not path.exists():
             raise MissingArtifactError(stage)
-        self._verify_meta(stage, path)
+        _verify_meta(path, self._idents[stage])
         return path
 
-    def _verify_meta(self, stage: str, path: Path) -> None:
-        meta = _read_meta(path)
-        if meta.get("config_hash") != self.config_hash:
-            raise PipelineError(
-                f"artifact {path} was built with config hash "
-                f"{meta.get('config_hash')!r}, expected {self.config_hash!r}; "
-                "refusing a mismatched artifact chain")
 
-
-def _read_meta(path: Path) -> dict:
-    """``meta.json`` of a published stage dir, or a PipelineError naming it."""
+def _verify_meta(path: Path, ident: dict) -> None:
+    """Refuse ``path`` unless its ``meta.json`` records ``ident``."""
     try:
-        return json.loads((path / "meta.json").read_text())
+        meta = json.loads((path / "meta.json").read_text())
     except (OSError, ValueError) as exc:
         raise PipelineError(f"unreadable {path / 'meta.json'}: {exc}") from exc
+    for name, want in ident.items():
+        if meta.get(name) != want:
+            raise PipelineError(f"artifact {path} records {name} {meta.get(name)!r}, "
+                                f"expected {want!r}; refusing a mismatched artifact chain")
 
 
-def _sha256_file(path: str | Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def _remove_dead_builds(path: Path) -> None:
+    """Remove the ``.tmp-<pid>`` builds of ``path`` left by this process or
+    by one that is gone, such as a killed build."""
+    for tmp in path.parent.glob(f"{path.name}.tmp-*"):
+        pid = int(tmp.name.rsplit("-", 1)[1])
+        try:
+            if pid != os.getpid():
+                os.kill(pid, 0)  # signal 0 sends nothing: it checks the pid exists
+                continue
+        except ProcessLookupError:
+            pass
+        except PermissionError:  # alive, under another user
+            continue
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------
@@ -127,29 +174,29 @@ def _sha256_file(path: str | Path) -> str:
 
 def run_ingest(ws: Workspace, input_path: str | Path, delimiter: str = ",",
                has_header: bool = False, on_error: str = "abort") -> Path:
-    input_sha = _sha256_file(input_path)
-    with ws.begin("ingest") as (path, reuse):
-        if reuse:
-            if _read_meta(path).get("input_sha256") != input_sha:
-                raise PipelineError(
-                    f"{path} holds a corpus built from different input data; "
-                    "artifacts are immutable - use a fresh workdir")
-            return path
+    input_sha = hashlib.sha256(Path(input_path).read_bytes()).hexdigest()
+
+    def body(path: Path, cfg: StageConfig) -> dict:
         schema = ColumnSchema(delimiter=delimiter, has_header=has_header)
         parsed = parse_log(Path(input_path), schema, on_error=on_error)
-        corpus = build_corpus(parsed, idle_threshold=ws.cfg.idle_threshold_s,
-                              min_count=ws.cfg.min_user_interactions)
+        corpus = build_corpus(parsed, idle_threshold=cfg.idle_threshold_s,
+                              min_count=cfg.min_user_interactions)
         save_corpus(corpus, path / "corpus.jsonl")
         n_sessions = corpus.num_sessions
         avg_len = (len(corpus.interactions) / n_sessions) if n_sessions else 0.0
-        return ws.finish("ingest", path, {
+        return {
             "input_sha256": input_sha,
             "num_users": corpus.num_users,
             "num_items": corpus.num_items,
             "num_interactions": len(corpus.interactions),
             "num_sessions": n_sessions,
             "avg_session_length": avg_len,
-        })
+        }
+    path = ws.run("ingest", body)
+    if json.loads((path / "meta.json").read_text())["input_sha256"] != input_sha:
+        raise PipelineError(f"{path} holds a corpus built from different input data; "
+                            "artifacts are immutable - use a fresh workdir")
+    return path
 
 
 def load_ingested(ws: Workspace) -> SplitCorpus:
@@ -160,11 +207,8 @@ def load_ingested(ws: Workspace) -> SplitCorpus:
 # embed
 
 def run_embed(ws: Workspace) -> Path:
-    with ws.begin("embed", reads=("ingest",)) as (path, reuse):
-        if reuse:
-            return path
+    def body(path: Path, cfg: StageConfig) -> dict:
         corpus = load_ingested(ws)
-        cfg = ws.cfg
         graph = graph_mod.build_graph_from_corpus(corpus)
         encoder, history = graph_mod.train_encoder(
             graph, base_dim=cfg.graph_base_dim, out_dim=cfg.session_emb_dim,
@@ -182,7 +226,8 @@ def run_embed(ws: Workspace) -> Path:
         np.savez(path / "embeddings.npz", embeddings=embeddings,
                  embeddable=embeddable, graph_session_ids=graph.session_ids)
         graph_mod.export_embeddings_csv(path / "embeddings.csv", corpus, embeddings)
-        return ws.finish("embed", path, {"holdout_loss": history["holdout_loss"]})
+        return {"holdout_loss": history["holdout_loss"]}
+    return ws.run("embed", body)
 
 
 def _load_embeddings(ws: Workspace):
@@ -195,9 +240,7 @@ def load_encoder(ws: Workspace):
     corpus = load_ingested(ws)
     ck = load_checkpoint(ws.require("embed") / "encoder.ckpt")
     graph = graph_mod.build_graph_from_corpus(corpus)
-    encoder = graph_mod.SageEncoder(
-        ck.config["num_items"], ck.config["base_dim"], ck.config["out_dim"],
-        tuple(ck.config["fanout"]))
+    encoder = graph_mod.SageEncoder(**ck.config)
     load_params(encoder.params(), ck)
     embeddings, embeddable, _ = _load_embeddings(ws)
     return corpus, graph, encoder, embeddings, embeddable
@@ -207,12 +250,9 @@ def load_encoder(ws: Workspace):
 # contextualize
 
 def run_contextualize(ws: Workspace) -> Path:
-    with ws.begin("contextualize", reads=("ingest", "embed")) as (path, reuse):
-        if reuse:
-            return path
+    def body(path: Path, cfg: StageConfig) -> dict:
         corpus = load_ingested(ws)
         embeddings, embeddable, graph_session_ids = _load_embeddings(ws)
-        cfg = ws.cfg
         model = cluster_mod.kmeans_fit(embeddings[graph_session_ids],
                                        num_contexts=cfg.num_contexts,
                                        max_iters=cfg.kmeans_max_iters,
@@ -226,11 +266,12 @@ def run_contextualize(ws: Workspace) -> Path:
                  inertia_history=np.asarray(model.inertia_history))
         cluster_mod.export_clusters_csv(path / "clusters.csv", model, corpus,
                                         labels, embeddings)
-        return ws.finish("contextualize", path, {
+        return {
             "inertia_first": model.inertia_history[0],
             "inertia_last": model.inertia_history[-1],
             "num_unlabeled": int((labels == cluster_mod.UNLABELED).sum()),
-        })
+        }
+    return ws.run("contextualize", body)
 
 
 def load_contexts(ws: Workspace):
@@ -246,28 +287,19 @@ def load_contexts(ws: Workspace):
 # ---------------------------------------------------------------------------
 # train-context
 
-def _predictor_ckpt_config(ws: Workspace, corpus: SplitCorpus, feat_dim: int) -> dict:
-    cfg = ws.cfg
-    return {"num_users": corpus.num_users, "num_items": corpus.num_items,
-            "num_contexts": cfg.num_contexts, "feat_dim": feat_dim,
-            "user_dim": cfg.user_dim, "item_dim": cfg.item_dim,
-            "hidden": cfg.lstm_hidden, "max_seq_len": cfg.max_seq_len}
-
-
 def run_train_context(ws: Workspace) -> Path:
-    with ws.begin("train-context",
-                  reads=("ingest", "embed", "contextualize")) as (path, reuse):
-        if reuse:
-            return path
+    def body(path: Path, cfg: StageConfig) -> dict:
         corpus = load_ingested(ws)
         embeddings, _, _ = _load_embeddings(ws)
         _, labels = load_contexts(ws)
-        cfg = ws.cfg
         features = pred_mod.build_session_features(corpus, embeddings)
         rng = np.random.default_rng(cfg.seed)
-        model = pred_mod.ContextPredictor(
-            corpus.num_users, corpus.num_items, cfg.num_contexts, features.dim,
-            cfg.user_dim, cfg.item_dim, cfg.lstm_hidden, cfg.max_seq_len, rng)
+        # ContextPredictor's arguments, as the checkpoint records them
+        dims = {"num_users": corpus.num_users, "num_items": corpus.num_items,
+                "num_contexts": cfg.num_contexts, "feat_dim": features.dim,
+                "user_dim": cfg.user_dim, "item_dim": cfg.item_dim,
+                "hidden": cfg.lstm_hidden, "max_seq_len": cfg.max_seq_len}
+        model = pred_mod.ContextPredictor(**dims, rng=rng)
         history = pred_mod.train_context(
             model, corpus, features, labels, rng, lr=cfg.lr, batch_size=cfg.batch,
             max_epochs=cfg.max_epochs, patience=cfg.patience,
@@ -276,25 +308,22 @@ def run_train_context(ws: Workspace) -> Path:
             model, corpus, features, cfg.top_k_contexts)
 
         save_checkpoint(path / "predictor.ckpt",
-                        {p.name: p.value for p in model.params()},
-                        config=_predictor_ckpt_config(ws, corpus, features.dim))
+                        {p.name: p.value for p in model.params()}, config=dims)
         np.savez(path / "predictions.npz", topk_ids=topk_ids, topk_probs=topk_probs)
         pred_mod.export_predictions_csv(path / "predictions.csv", corpus,
                                         topk_ids, topk_probs)
-        return ws.finish("train-context", path, {
+        return {
             "epochs_run": len(history["train_loss"]),
             "best_epoch": history["best_epoch"],
             "final_val_loss": history["val_loss"][-1] if history["val_loss"] else None,
-        })
+        }
+    return ws.run("train-context", body)
 
 
 def load_context_predictor(ws: Workspace):
     path = ws.require("train-context")
     ck = load_checkpoint(path / "predictor.ckpt")
-    c = ck.config
-    model = pred_mod.ContextPredictor(
-        c["num_users"], c["num_items"], c["num_contexts"], c["feat_dim"],
-        c["user_dim"], c["item_dim"], c["hidden"], c["max_seq_len"])
+    model = pred_mod.ContextPredictor(**ck.config)
     load_params(model.params(), ck)
     preds = np.load(path / "predictions.npz")
     return model, preds["topk_ids"], preds["topk_probs"]
@@ -303,25 +332,19 @@ def load_context_predictor(ws: Workspace):
 # ---------------------------------------------------------------------------
 # train-next / evaluate / ablate
 
-def _next_stage_name(mode: str) -> str:
-    return "train-next" if mode == next_mod.WITH_CONTEXT else "train-next-ablation"
-
-
-def _build_next_model(ws: Workspace, num_users: int, num_items: int, mode: str,
+def _build_next_model(cfg: StageConfig, num_users: int, num_items: int, mode: str,
                       rng: np.random.Generator) -> next_mod.NextItemModel:
-    cfg = ws.cfg
     return next_mod.NextItemModel(
         num_users, num_items, cfg.num_contexts, cfg.user_dim,
         cfg.item_dim, cfg.context_dim, cfg.lstm_hidden, cfg.top_k_contexts,
         cfg.max_seq_len, mode, rng)
 
 
-def _train_next_once(ws: Workspace, corpus: SplitCorpus,
+def _train_next_once(cfg: StageConfig, corpus: SplitCorpus,
                      ctx_topk: np.ndarray | None, mode: str,
                      seed: int) -> tuple[next_mod.NextItemModel, dict]:
-    cfg = ws.cfg
     rng = np.random.default_rng(seed)
-    model = _build_next_model(ws, corpus.num_users, corpus.num_items, mode, rng)
+    model = _build_next_model(cfg, corpus.num_users, corpus.num_items, mode, rng)
     history = next_mod.train_next(
         model, corpus, ctx_topk if mode == next_mod.WITH_CONTEXT else None,
         rng, lr=cfg.lr, batch_size=cfg.batch, max_epochs=cfg.max_epochs,
@@ -331,69 +354,66 @@ def _train_next_once(ws: Workspace, corpus: SplitCorpus,
 
 def run_train_next(ws: Workspace, ablation: bool = False) -> Path:
     mode = next_mod.ABLATION if ablation else next_mod.WITH_CONTEXT
-    with ws.begin(_next_stage_name(mode),
-                  reads=("ingest", "train-context")) as (path, reuse):
-        if reuse:
-            return path
+
+    def body(path: Path, cfg: StageConfig) -> dict:
         corpus = load_ingested(ws)
         _, ctx_topk, _ = load_context_predictor(ws)
-        model, history = _train_next_once(ws, corpus, ctx_topk, mode, ws.cfg.seed)
+        model, history = _train_next_once(cfg, corpus, ctx_topk, mode, cfg.seed)
         save_checkpoint(path / "nextitem.ckpt",
                         {p.name: p.value for p in model.params()},
                         config={"mode": mode, "num_users": corpus.num_users,
                                 "num_items": corpus.num_items})
-        return ws.finish(_next_stage_name(mode), path, {
+        return {
             "mode": mode,
             "epochs_run": len(history["train_loss"]),
             "best_epoch": history["best_epoch"],
             "best_val_mrr": max(history["val_mrr"]) if history["val_mrr"] else None,
-        })
+        }
+    return ws.run("train-next-ablation" if ablation else "train-next", body)
 
 
 def load_next_model(ws: Workspace, ablation: bool = False) -> next_mod.NextItemModel:
-    mode = next_mod.ABLATION if ablation else next_mod.WITH_CONTEXT
-    path = ws.require(_next_stage_name(mode))
-    ck = load_checkpoint(path / "nextitem.ckpt")
-    model = _build_next_model(ws, ck.config["num_users"], ck.config["num_items"],
-                              mode, np.random.default_rng(ws.cfg.seed))
+    stage = "train-next-ablation" if ablation else "train-next"
+    cfg = StageConfig(stage, ws._idents[stage]["fields"])
+    ck = load_checkpoint(ws.require(stage) / "nextitem.ckpt")
+    model = _build_next_model(cfg, ck.config["num_users"], ck.config["num_items"],
+                              ck.config["mode"], np.random.default_rng(cfg.seed))
     load_params(model.params(), ck)
     return model
 
 
-def _rep_metrics(ws: Workspace, corpus: SplitCorpus,
-                 ctx_topk: np.ndarray | None, mode: str, seeds: list[int],
-                 rep0_model: next_mod.NextItemModel) -> EvalReport:
-    """Test metrics per seed; rep 0 is ``rep0_model``, trained with seeds[0]."""
+def _rep_metrics(ws: Workspace, cfg: StageConfig, corpus: SplitCorpus,
+                 ctx_topk: np.ndarray | None, ablation: bool) -> EvalReport:
+    """Test metrics per repetition seed; rep 0 is the arm's published
+    train-next model, and every later rep trains its own."""
+    mode = next_mod.ABLATION if ablation else next_mod.WITH_CONTEXT
     examples = next_mod.build_rank_examples(corpus, TEST)
     if not examples:
         raise PipelineError("no test interactions to evaluate")
+    seeds = [cfg.seed + r for r in range(cfg.repetitions)]
     mrrs: list[float] = []
     recalls: list[float] = []
     for r, seed in enumerate(seeds):
-        model = _train_next_once(ws, corpus, ctx_topk, mode, seed)[0] if r else rep0_model
+        model = (_train_next_once(cfg, corpus, ctx_topk, mode, seed)[0] if r
+                 else load_next_model(ws, ablation))
         ranks = next_mod.compute_ranks(model, corpus, examples, ctx_topk)
         mrrs.append(mrr(ranks))
         recalls.append(recall_at_k(ranks, 10))
+    # evaluate's and ablate's keys cover every config field (with their
+    # upstream keys), so the full config's hash is safe to record
     return EvalReport(mode=mode, seeds=seeds, mrr_values=mrrs,
                       recall_values=recalls, num_examples=len(examples),
                       config_hash=ws.config_hash)
 
 
 def run_evaluate(ws: Workspace, ablation: bool = False) -> Path:
-    mode = next_mod.ABLATION if ablation else next_mod.WITH_CONTEXT
-    stage = "evaluate" if mode == next_mod.WITH_CONTEXT else "evaluate-ablation"
-    reads = ("ingest", "train-context", _next_stage_name(mode))
-    with ws.begin(stage, reads) as (path, reuse):
-        if reuse:
-            return path
+    def body(path: Path, cfg: StageConfig) -> dict:
         corpus = load_ingested(ws)
         _, ctx_topk, _ = load_context_predictor(ws)
-        rep0 = load_next_model(ws, ablation)
-        seeds = [ws.cfg.seed + r for r in range(ws.cfg.repetitions)]
-        report = _rep_metrics(ws, corpus, ctx_topk, mode, seeds, rep0)
+        report = _rep_metrics(ws, cfg, corpus, ctx_topk, ablation)
         (path / "metrics.json").write_text(report.to_json())
-        return ws.finish(stage, path, {"mean_mrr": report.mean_mrr,
-                                       "mean_recall_at_10": report.mean_recall})
+        return {"mean_mrr": report.mean_mrr, "mean_recall_at_10": report.mean_recall}
+    return ws.run("evaluate-ablation" if ablation else "evaluate", body)
 
 
 def _ratio(num: float, den: float) -> float | None:
@@ -404,24 +424,19 @@ def _ratio(num: float, den: float) -> float | None:
 def run_ablate(ws: Workspace) -> Path:
     """Paired with/without-context repetitions plus one-tailed Welch tests;
     rep 0 of each arm is its train-next stage, reused or built here."""
-    with ws.begin("ablate", reads=("ingest", "train-context")) as (path, reuse):
-        if reuse:
-            return path
+    def body(path: Path, cfg: StageConfig) -> dict:
         corpus = load_ingested(ws)
         _, ctx_topk, _ = load_context_predictor(ws)
-        seeds = [ws.cfg.seed + r for r in range(ws.cfg.repetitions)]
         run_train_next(ws)
-        with_report = _rep_metrics(ws, corpus, ctx_topk, next_mod.WITH_CONTEXT, seeds,
-                                   load_next_model(ws))
+        with_report = _rep_metrics(ws, cfg, corpus, ctx_topk, False)
         run_train_next(ws, ablation=True)
-        abl_report = _rep_metrics(ws, corpus, None, next_mod.ABLATION, seeds,
-                                  load_next_model(ws, ablation=True))
+        abl_report = _rep_metrics(ws, cfg, corpus, None, True)
         t_mrr, p_mrr = t_test_one_tailed(with_report.mrr_values, abl_report.mrr_values)
         t_rec, p_rec = t_test_one_tailed(with_report.recall_values,
                                          abl_report.recall_values)
         payload = {
             "config_hash": ws.config_hash,
-            "seeds": seeds,
+            "seeds": with_report.seeds,
             "with_context": with_report.to_dict(),
             "ablation": abl_report.to_dict(),
             "t_test": {"mrr": {"t": t_mrr, "p": p_mrr},
@@ -431,7 +446,8 @@ def run_ablate(ws: Workspace) -> Path:
         }
         (path / "ablation.json").write_text(
             json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        return ws.finish("ablate", path, {"p_mrr": p_mrr, "mrr_ratio": payload["mrr_ratio"]})
+        return {"p_mrr": p_mrr, "mrr_ratio": payload["mrr_ratio"]}
+    return ws.run("ablate", body)
 
 
 # ---------------------------------------------------------------------------
@@ -448,26 +464,22 @@ SWEEP_GRIDS = {
 def run_sweep(ws: Workspace, param: str, values: list | None,
               input_path: str | Path, delimiter: str = ",",
               has_header: bool = False) -> Path:
-    """Grid one hyperparameter, all others fixed; full pipeline per value."""
+    """Grid one hyperparameter, all others fixed: the full pipeline per value,
+    which reuses every stage that does not read ``param``."""
     if values is None:
         if param not in SWEEP_GRIDS:
             raise PipelineError(f"no default grid for {param!r}; pass --values")
         values = SWEEP_GRIDS[param]
-    with ws.begin(f"sweep-{param}") as (path, reuse):
-        if reuse:
-            return path
+
+    def body(path: Path, cfg: StageConfig) -> dict:
         rows = []
         for value in values:
             overrides = ({"user_dim": value, "item_dim": value}
                          if param == "user_item_dim" else {param: value})
+            # the sweep's entry declares every field, so all of ws.cfg is its to read
             sub = Workspace(ws.cfg.replace(**overrides), ws.workdir)
-            run_ingest(sub, input_path, delimiter, has_header)
-            run_embed(sub)
-            run_contextualize(sub)
-            run_train_context(sub)
-            run_train_next(sub)
-            metrics_path = run_evaluate(sub) / "metrics.json"
-            metrics = json.loads(metrics_path.read_text())
+            evaluated = run_full_pipeline(sub, input_path, delimiter, has_header)
+            metrics = json.loads((evaluated / "metrics.json").read_text())
             rows.append({"value": value, "config_hash": sub.config_hash,
                          "mean_mrr": metrics["mean"]["mrr"],
                          "mean_recall_at_10": metrics["mean"]["recall_at_10"]})
@@ -475,29 +487,8 @@ def run_sweep(ws: Workspace, param: str, values: list | None,
                    "base_config_hash": ws.config_hash}
         (path / "sweep.json").write_text(
             json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        return ws.finish(f"sweep-{param}", path, {"num_values": len(values)})
-
-
-# ---------------------------------------------------------------------------
-# export
-
-def run_export(ws: Workspace, what: str, out_path: str | Path) -> Path:
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    if what == "embeddings":
-        shutil.copyfile(ws.require("embed") / "embeddings.csv", out_path)
-    elif what == "clusters":
-        shutil.copyfile(ws.require("contextualize") / "clusters.csv", out_path)
-    elif what == "context-predictions":
-        shutil.copyfile(ws.require("train-context") / "predictions.csv", out_path)
-    elif what == "ranked-lists":
-        corpus = load_ingested(ws)
-        _, ctx_topk, _ = load_context_predictor(ws)
-        model = load_next_model(ws)
-        next_mod.export_ranked_lists(out_path, model, corpus, ctx_topk)
-    else:
-        raise PipelineError(f"unknown export {what!r}")
-    return out_path
+        return {"num_values": len(values)}
+    return ws.run(f"sweep-{param}", body, {"values": list(values)})
 
 
 def run_full_pipeline(ws: Workspace, input_path: str | Path,

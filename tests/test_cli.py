@@ -1,5 +1,12 @@
+import dataclasses
 import json
+import os
 import shutil
+import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,10 +178,32 @@ class TestPipelineMechanics:
         ws = pipeline.Workspace(cfg, workdir)
         meta_path = ws.stage_dir("train-next") / "meta.json"
         meta = json.loads(meta_path.read_text())
-        meta["config_hash"] = "0" * 64
+        meta["key"] = "0" * 64
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(pipeline.PipelineError, match="mismatched"):
             pipeline.run_evaluate(ws)
+
+    def test_tampered_upstream_key_refused(self, tiny_pipeline, tmp_path):
+        tmp, cfg, _ = tiny_pipeline
+        workdir = tmp_path / "tampered-upstream"
+        shutil.copytree(tmp / "work", workdir)
+        ws = pipeline.Workspace(cfg, workdir)
+        meta_path = ws.stage_dir("evaluate") / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["upstream"]["train-next"] = "0" * 64
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(pipeline.PipelineError, match="mismatched"):
+            pipeline.run_evaluate(ws)
+
+    def test_meta_records_key_fields_and_upstream_keys(self, tiny_pipeline):
+        _, cfg, ws = tiny_pipeline
+        metas = {stage: json.loads((ws.stage_dir(stage) / "meta.json").read_text())
+                 for stage in ("ingest", "embed", "contextualize", "train-context")}
+        for stage, meta in metas.items():
+            fields, upstream = pipeline.STAGES[stage]
+            assert ws.stage_dir(stage).name == f"{stage}-{meta['key'][:12]}"
+            assert meta["fields"] == {f: getattr(cfg, f) for f in fields}
+            assert meta["upstream"] == {u: metas[u]["key"] for u in upstream}
 
     def test_missing_artifact_names_required_stage(self, tiny_pipeline, tmp_path):
         _, cfg, _ = tiny_pipeline
@@ -302,6 +331,38 @@ class TestPipelineMechanics:
         for key in want.files:
             assert np.array_equal(got[key], want[key]), key
 
+    def test_killed_build_is_removed_on_rerun(self, tiny_pipeline, tmp_path):
+        _, cfg, ws_full = tiny_pipeline
+        ws = _partial_workspace(ws_full, cfg, tmp_path / "killed", ("ingest", "embed"))
+        # a build dir of a live process (the parent of this one) is left alone
+        live = ws.workdir / f"{ws.stage_dir('contextualize').name}.tmp-{os.getppid()}"
+        live.mkdir()
+        script = textwrap.dedent("""
+            import json, os, signal, sys
+            from ctxrec import pipeline
+            from ctxrec.config import PipelineConfig
+            ws = pipeline.Workspace(PipelineConfig(**json.loads(sys.argv[1])), sys.argv[2])
+            real = pipeline.cluster_mod.export_clusters_csv
+            def write_then_die(*args):
+                real(*args)
+                os.kill(os.getpid(), signal.SIGKILL)
+            pipeline.cluster_mod.export_clusters_csv = write_then_die
+            pipeline.run_contextualize(ws)
+        """)
+        src = str(Path(pipeline.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(TINY_CFG),
+                               str(ws.workdir)], env=env)
+        assert proc.returncode == -signal.SIGKILL
+        (killed,) = [p for p in ws.workdir.iterdir() if ".tmp-" in p.name and p != live]
+        assert (killed / "clusters.csv").exists()
+        assert not (killed / "meta.json").exists()
+        assert not ws.stage_dir("contextualize").exists()
+
+        path = pipeline.run_contextualize(ws)
+        assert path == ws.stage_dir("contextualize")
+        assert [p for p in ws.workdir.iterdir() if ".tmp-" in p.name] == [live]
+
     def test_missing_upstream_leaves_no_build_dir(self, tiny_pipeline, tmp_path):
         _, cfg, ws_full = tiny_pipeline
         ws = _partial_workspace(ws_full, cfg, tmp_path / "no-embed", ("ingest",))
@@ -361,6 +422,42 @@ class TestPipelineMechanics:
         assert path.name.startswith("evaluate-ablation")
 
 
+class TestStageKeys:
+    @pytest.mark.parametrize("field, value, kept", [
+        ("patience", 3, {"ingest", "embed", "contextualize"}),
+        ("graph_epochs", 5, {"ingest"}),
+        ("context_dim", 6, {"ingest", "embed", "contextualize", "train-context"}),
+    ])
+    def test_changed_field_rekeys_only_stages_that_depend_on_it(
+            self, tmp_path, field, value, kept):
+        cfg = PipelineConfig(**TINY_CFG)
+        a = pipeline.Workspace(cfg, tmp_path)
+        b = pipeline.Workspace(cfg.replace(**{field: value}), tmp_path)
+        stages = [s for s in pipeline.STAGES if s != "sweep"]
+        assert {s for s in stages if a.stage_dir(s) == b.stage_dir(s)} == kept
+
+    def test_evaluate_and_ablate_keys_cover_every_field(self):
+        # their artifacts record the full config's hash, which must not go
+        # stale while their key stays the same
+        def read(stage):
+            fields, upstream = pipeline.STAGES[stage]
+            return set(fields).union(*(read(u) for u in upstream))
+
+        every = {f.name for f in dataclasses.fields(PipelineConfig)}
+        for stage in ("evaluate", "evaluate-ablation", "ablate"):
+            assert read(stage) == every, stage
+
+    def test_undeclared_field_read_fails(self, tiny_pipeline, tmp_path, monkeypatch):
+        _, cfg, ws_full = tiny_pipeline
+        fields, upstream = pipeline.STAGES["embed"]
+        monkeypatch.setitem(pipeline.STAGES, "embed",
+                            (tuple(f for f in fields if f != "clip_norm"), upstream))
+        ws = _partial_workspace(ws_full, cfg, tmp_path / "undeclared", ("ingest",))
+        with pytest.raises(AttributeError, match="'embed' reads config field 'clip_norm'"):
+            pipeline.run_embed(ws)
+        assert [p.name for p in ws.workdir.iterdir()] == [ws.stage_dir("ingest").name]
+
+
 class TestCli:
     def test_synth_and_full_chain_exit_codes(self, tmp_path, capsys):
         log = tmp_path / "log.csv"
@@ -401,13 +498,21 @@ class TestCli:
         assert "top_k_contexts" in capsys.readouterr().err
         assert not any(wd.iterdir()) if wd.exists() else True
 
-    def test_sweep_grid_produces_one_row_per_value(self, tmp_path):
+    def test_sweep_grid_produces_one_row_per_value(self, tmp_path, monkeypatch):
         log = tmp_path / "log.csv"
         generate(SynthSpec(**TINY), log)
         wd = str(tmp_path / "work")
         sweep_cfg = []
         for key, value in {**TINY_CFG, "top_k_contexts": 1}.items():
             sweep_cfg += ["--" + key.replace("_", "-"), str(value)]
+        real = pipeline.graph_mod.train_encoder
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline.graph_mod, "train_encoder", counting)
         rc = main(["sweep", "--workdir", wd, "--input", str(log),
                    "--param", "num_contexts", "--values", "2,3,4,5,6",
                    ] + sweep_cfg)
@@ -417,3 +522,13 @@ class TestCli:
         payload = json.loads((sweep_dirs[0] / "sweep.json").read_text())
         assert [row["value"] for row in payload["rows"]] == [2, 3, 4, 5, 6]
         assert len(payload["rows"]) == 5
+        # no value changes what ingest and embed read: one encoder for all
+        assert len(calls) == 1
+
+        # other values are another sweep, built from the stages already there
+        assert main(["sweep", "--workdir", wd, "--input", str(log),
+                     "--param", "num_contexts", "--values", "3,5"] + sweep_cfg) == 0
+        (other,) = set((tmp_path / "work").glob("sweep-num_contexts-*")) - set(sweep_dirs)
+        rows = json.loads((other / "sweep.json").read_text())["rows"]
+        assert rows == [payload["rows"][1], payload["rows"][3]]
+        assert len(calls) == 1

@@ -15,7 +15,7 @@ class TestBuildGraph:
     def test_hand_counts(self):
         # sessions {A: [i1, i2], B: [i2]} over a 3-item vocabulary
         g = G.build_graph([[1, 2], [2]], 3)
-        assert g.num_nodes == 5
+        assert g.num_session_nodes + g.num_items == 5
         assert g.num_edges == 3
         assert g.item_degree(2) == 2
 
@@ -23,11 +23,11 @@ class TestBuildGraph:
         g = G.build_graph([[1, 1]], 2)
         assert g.num_edges == 2
         assert g.item_degree(1) == 2
-        assert g.session_degree(0) == 2
+        assert g.session_off[1] - g.session_off[0] == 2
 
     def test_empty_corpus(self):
         g = G.build_graph([], 0)
-        assert g.num_nodes == 0
+        assert g.num_session_nodes + g.num_items == 0
         assert g.num_edges == 0
 
     def test_item_out_of_range(self):
@@ -39,7 +39,7 @@ class TestBuildGraph:
         g = G.build_graph_from_corpus(corpus)
         visible = sum(1 for tag in corpus.splits if tag != TEST)
         assert g.num_edges == visible
-        assert g.num_nodes == g.num_session_nodes + corpus.num_items
+        assert g.num_items == corpus.num_items
 
 
 class TestTrainEncoder:

@@ -94,12 +94,18 @@ def _reference_bilstm(lstm: BiLstm, xs: np.ndarray) -> np.ndarray:
     return np.concatenate([run(lstm.fwd, xs), run(lstm.bwd, xs[::-1])])
 
 
+def _run(lstm: BiLstm, xs: np.ndarray) -> np.ndarray:
+    """Inference-only encoding of a raw (T, input_dim) array."""
+    with engine.no_grad():
+        return lstm.forward(engine.Var(xs)).value
+
+
 class TestBiLstm:
     def test_zero_parameters_give_zero_output(self):
         lstm = BiLstm("z", 3, 4, np.random.default_rng(0))
         for p in lstm.params():
             p.value[...] = 0.0
-        out = lstm.run(np.random.default_rng(1).normal(size=(6, 3)))
+        out = _run(lstm, np.random.default_rng(1).normal(size=(6, 3)))
         assert np.all(out == 0.0)
 
     def test_identical_directions_on_length_one(self):
@@ -107,14 +113,14 @@ class TestBiLstm:
         lstm = BiLstm("s", 3, 4, rng)
         for pf, pb in zip(lstm.fwd.params(), lstm.bwd.params()):
             pb.value[...] = pf.value
-        out = lstm.run(rng.normal(size=(1, 3)))
+        out = _run(lstm, rng.normal(size=(1, 3)))
         assert np.array_equal(out[:4], out[4:])
 
     def test_matches_independent_reference_cell(self):
         rng = np.random.default_rng(3)
         lstm = BiLstm("r", 2, 2, rng)
         xs = rng.normal(size=(3, 2))
-        assert np.abs(lstm.run(xs) - _reference_bilstm(lstm, xs)).max() < 1e-10
+        assert np.abs(_run(lstm, xs) - _reference_bilstm(lstm, xs)).max() < 1e-10
 
     def test_reversed_sequence_swaps_halves(self):
         rng = np.random.default_rng(4)
@@ -126,15 +132,15 @@ class TestBiLstm:
         for pb, pa in zip(b.bwd.params(), a.fwd.params()):
             pb.value[...] = pa.value
         xs = rng.normal(size=(7, 3))
-        out_a = a.run(xs)
-        out_b = b.run(xs[::-1])
+        out_a = _run(a, xs)
+        out_b = _run(b, xs[::-1])
         assert np.allclose(out_a[:5], out_b[5:], atol=1e-12)
         assert np.allclose(out_a[5:], out_b[:5], atol=1e-12)
 
     def test_empty_sequence_rejected(self):
         lstm = BiLstm("e", 3, 4, np.random.default_rng(0))
         with pytest.raises(ValueError, match="auxiliary"):
-            lstm.run(np.zeros((0, 3)))
+            _run(lstm, np.zeros((0, 3)))
 
 
 def _bilstm_grads(lstm, build, seqs):
