@@ -5,14 +5,14 @@ interaction, one item node per vocabulary item, and one edge per interaction
 occurrence (repeats create parallel edges). The encoder is a two-layer mean
 aggregator with L2-normalized layer outputs, trained unsupervised: each edge
 (session, item) is pushed together against degree^0.75-sampled negative
-items. Because every session node shares one base feature vector, an item's
-first-layer neighbor mean equals that vector exactly, so only the session
-side needs second-hop sampling.
-
-Neighbor sampling (with replacement) is used only while training; every
-embedding that feeds clustering or downstream features comes from the
-deterministic full-neighborhood forward pass, so results are reproducible
-and an unseen session built from the same item multiset embeds identically.
+items. Every session node shares one base feature vector, so an item's
+first-layer output depends on the item alone and only the session side
+needs second-hop sampling. A training batch is a GraphSAGE node-set
+minibatch (Hamilton et al. 2017, Alg. 2): it draws its neighbor samples
+(with replacement) first, computes the first layer once per node, and takes
+every neighbor mean as a sparse averaging-matrix product. Embeddings that
+feed clustering come from the deterministic full-neighborhood forward pass,
+so an unseen session with the same item multiset embeds identically.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .corpus import SplitCorpus, TEST
 from .nn import engine
@@ -236,36 +237,6 @@ class SageEncoder:
 
     # -- sampled forward for training (autodiff graph) -----------------------
 
-    def _session_z(self, graph: BipartiteMultigraph, nodes: np.ndarray,
-                   rng: np.random.Generator) -> engine.Var:
-        """Sampled session embeddings, pre-normalization (training loss side)."""
-        f1, f2 = self.fanout
-        own = _sample_neighbors(graph.session_adj, graph.session_off, nodes, f2, rng)
-        own_mean = engine.mean_axis(engine.lookup(self.item_feat, own), 1)
-        self_feat = engine.broadcast_param(self.session_feat, (len(nodes),))
-        h1_self = self._phi1_var(engine.concat([self_feat, own_mean]))
-
-        hop = _sample_neighbors(graph.session_adj, graph.session_off, nodes, f1, rng)
-        hop_feat = engine.lookup(self.item_feat, hop)      # (N, f1, b)
-        hop_tile = engine.broadcast_param(self.session_feat, hop.shape)
-        h1_items = self._phi1_var(engine.concat([hop_feat, hop_tile]))
-        return self._phi2_raw_var(h1_self, engine.mean_axis(h1_items, 1))
-
-    def _item_z(self, graph: BipartiteMultigraph, items: np.ndarray,
-                rng: np.random.Generator) -> engine.Var:
-        f1, f2 = self.fanout
-        self_feat = engine.lookup(self.item_feat, items)
-        tiles = engine.broadcast_param(self.session_feat, (len(items),))
-        h1_self = self._phi1_var(engine.concat([self_feat, tiles]))
-
-        sess = _sample_neighbors(graph.item_adj, graph.item_off, items, f1, rng)
-        sess_items = _sample_neighbors(graph.session_adj, graph.session_off,
-                                       sess.reshape(-1), f2, rng).reshape(len(items), f1, f2)
-        neigh_mean = engine.mean_axis(engine.lookup(self.item_feat, sess_items), 2)
-        sess_tile = engine.broadcast_param(self.session_feat, sess.shape)
-        h1_sess = self._phi1_var(engine.concat([sess_tile, neigh_mean]))
-        return self._phi2_raw_var(h1_self, engine.mean_axis(h1_sess, 1))
-
     def _phi1_var(self, x: engine.Var) -> engine.Var:
         return engine.l2_normalize_rows(engine.relu(self.layer1(x)))
 
@@ -281,28 +252,72 @@ def _l2n(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     return x / norms
 
 
+def _mean_matrix(cols: np.ndarray, off: np.ndarray, num_cols: int) -> sparse.csr_matrix:
+    """CSR matrix whose row r averages rows cols[off[r]:off[r+1]] of its operand."""
+    deg = np.diff(off)
+    data = np.repeat(1.0 / np.maximum(deg, 1), deg)
+    return sparse.csr_matrix((data, cols, off), shape=(len(off) - 1, num_cols))
+
+
+def _sampled_mean(ids: np.ndarray, x: Parameter | engine.Var) -> engine.Var:
+    """Row r is the mean of x's rows ids[r] for (R, k) ids; k = 1 gathers."""
+    off = np.arange(0, ids.size + 1, ids.shape[1])
+    return engine.sparse_matmul(_mean_matrix(ids.reshape(-1), off, x.value.shape[0]), x)
+
+
+def _edge_loss_sampled(encoder: SageEncoder, graph: BipartiteMultigraph,
+                       edges: np.ndarray, negatives: np.ndarray,
+                       rng: np.random.Generator) -> engine.Var:
+    """Mean negative-sampling loss of a batch of edges and their negatives."""
+    f1, f2 = encoder.fanout
+    uniq_s, inv_s = np.unique(edges[:, 0], return_inverse=True)
+    uniq_i, inv_i = np.unique(np.concatenate([edges[:, 1], negatives.reshape(-1)]),
+                              return_inverse=True)
+    own = _sample_neighbors(graph.session_adj, graph.session_off, uniq_s, f2, rng)
+    hop = _sample_neighbors(graph.session_adj, graph.session_off, uniq_s, f1, rng)
+    sess = _sample_neighbors(graph.item_adj, graph.item_off, uniq_i, f1, rng)
+    sess_items = _sample_neighbors(graph.session_adj, graph.session_off,
+                                   sess.reshape(-1), f2, rng)
+
+    # layer 1 once per node: the batch's and the hop items, then the batch
+    # sessions followed by the session draws of the batch items
+    nodes, col = np.unique(np.concatenate([uniq_i, hop.reshape(-1)]),
+                           return_inverse=True)
+    tiles = engine.broadcast_param(encoder.session_feat, (len(nodes),))
+    item_h1 = encoder._phi1_var(engine.concat(
+        [_sampled_mean(nodes[:, None], encoder.item_feat), tiles]))
+    n_s, n_i = len(uniq_s), len(uniq_i)
+    tiles = engine.broadcast_param(encoder.session_feat, (n_s + sess.size,))
+    sess_h1 = encoder._phi1_var(engine.concat(
+        [tiles, _sampled_mean(np.concatenate([own, sess_items]), encoder.item_feat)]))
+    z_s = encoder._phi2_raw_var(_sampled_mean(np.arange(n_s)[:, None], sess_h1),
+                                _sampled_mean(col[n_i:].reshape(hop.shape), item_h1))
+    z_i = encoder._phi2_raw_var(
+        _sampled_mean(col[:n_i, None], item_h1),
+        _sampled_mean(n_s + np.arange(sess.size).reshape(sess.shape), sess_h1))
+
+    b, k = len(edges), negatives.shape[1]
+    pos = engine.dot_last(_sampled_mean(inv_s[:, None], z_s),
+                          _sampled_mean(inv_i[:b, None], z_i))
+    neg = engine.dot_last(_sampled_mean(np.repeat(inv_s, k)[:, None], z_s),
+                          _sampled_mean(inv_i[b:, None], z_i))
+    loss = engine.add(engine.vsum(engine.logsigmoid(pos)),
+                      engine.vsum(engine.logsigmoid(engine.scale(neg, -1.0))))
+    return engine.scale(loss, -1.0 / b)
+
+
 def _edge_loss_det(encoder: SageEncoder, graph: BipartiteMultigraph,
                    edges: np.ndarray, negatives: np.ndarray) -> float:
-    """Holdout loss under deterministic full neighborhoods, fixed negatives.
-
-    Computed on the same pre-normalization outputs the training loss sees.
-    """
+    """Holdout loss, full neighborhoods and fixed negatives, pre-normalization."""
     item_h1 = encoder._item_h1()
-    n = graph.num_session_nodes
-    feat_sum = np.zeros((n, encoder.base_dim))
-    h1_sum = np.zeros((n, encoder.out_dim))
-    np.add.at(feat_sum, graph.edges[:, 0], encoder.item_feat.value[graph.edges[:, 1]])
-    np.add.at(h1_sum, graph.edges[:, 0], item_h1[graph.edges[:, 1]])
-    deg_s = np.maximum((graph.session_off[1:] - graph.session_off[:-1]), 1)[:, None]
-    h1_sess = encoder._phi1(
-        np.broadcast_to(encoder.session_feat.value, (n, encoder.base_dim)),
-        feat_sum / deg_s)
-    z_s_all = encoder._phi2_raw(h1_sess, h1_sum / deg_s)
+    session_mean = _mean_matrix(graph.session_adj, graph.session_off, graph.num_items)
+    feat_mean = session_mean @ encoder.item_feat.value
+    h1_sess = encoder._phi1(np.broadcast_to(encoder.session_feat.value, feat_mean.shape),
+                            feat_mean)
+    z_s_all = encoder._phi2_raw(h1_sess, session_mean @ item_h1)
     # item-side second layer: neighbor sessions' full h1
-    h1_sess_sum = np.zeros((graph.num_items, encoder.out_dim))
-    np.add.at(h1_sess_sum, graph.edges[:, 1], h1_sess[graph.edges[:, 0]])
-    deg_i = np.maximum((graph.item_off[1:] - graph.item_off[:-1]), 1)[:, None]
-    z_i_all = encoder._phi2_raw(item_h1, h1_sess_sum / deg_i)
+    item_mean = _mean_matrix(graph.item_adj, graph.item_off, graph.num_session_nodes)
+    z_i_all = encoder._phi2_raw(item_h1, item_mean @ h1_sess)
 
     z_s = z_s_all[edges[:, 0]]
     pos = (z_s * z_i_all[edges[:, 1]]).sum(axis=1)
@@ -342,9 +357,8 @@ def train_encoder(graph: BipartiteMultigraph, base_dim: int = 64,
     if graph.num_edges - n_hold < 1:
         n_hold = 0
     perm = rng.permutation(graph.num_edges)
-    hold_idx = perm[:n_hold]
     train_idx = perm[n_hold:]
-    hold_edges = graph.edges[hold_idx] if n_hold else graph.edges
+    hold_edges = graph.edges[perm[:n_hold]] if n_hold else graph.edges
     hold_negs = rng.choice(graph.num_items, size=(len(hold_edges), num_negatives),
                            p=weights)
 
@@ -358,23 +372,9 @@ def train_encoder(graph: BipartiteMultigraph, base_dim: int = 64,
             batch = graph.edges[train_idx[order[start:start + batch_size]]]
             negs = rng.choice(graph.num_items,
                               size=(len(batch), num_negatives), p=weights)
-            uniq_s, inv_s = np.unique(batch[:, 0], return_inverse=True)
-            all_items = np.concatenate([batch[:, 1], negs.reshape(-1)])
-            uniq_i, inv_i = np.unique(all_items, return_inverse=True)
-
-            z_s = encoder._session_z(graph, uniq_s, rng)
-            z_i = encoder._item_z(graph, uniq_i, rng)
-            b = len(batch)
-            z_s_pos = engine.index_rows(z_s, inv_s)
-            z_pos = engine.index_rows(z_i, inv_i[:b])
-            pos_term = engine.vsum(engine.logsigmoid(engine.dot_last(z_s_pos, z_pos)))
-            z_s_rep = engine.index_rows(z_s, np.repeat(inv_s, num_negatives))
-            z_neg = engine.index_rows(z_i, inv_i[b:])
-            neg_score = engine.scale(engine.dot_last(z_s_rep, z_neg), -1.0)
-            neg_term = engine.vsum(engine.logsigmoid(neg_score))
-            loss = engine.scale(engine.add(pos_term, neg_term), -1.0 / b)
+            loss = _edge_loss_sampled(encoder, graph, batch, negs, rng)
             step(loss)
-            epoch_loss += float(loss.value) * b
+            epoch_loss += float(loss.value) * len(batch)
         history["train_loss"].append(epoch_loss / max(len(train_idx), 1))
         history["holdout_loss"].append(_edge_loss_det(encoder, graph, hold_edges, hold_negs))
     return encoder, history

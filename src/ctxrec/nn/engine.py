@@ -213,13 +213,20 @@ def logsigmoid(x: Var) -> Var:
     return Var(y, (x,), bwd)
 
 
-def mean_axis(x: Var, axis: int) -> Var:
-    n = x.value.shape[axis]
+def sparse_matmul(mat, x: Parameter | Var) -> Var:
+    """``mat @ x`` for a scipy.sparse ``mat`` (e.g. a neighbor-averaging
+    matrix) and a 2-D parameter or node; the backward pass adds ``mat.T @ g``
+    to its gradient."""
+    if isinstance(x, Parameter):
+        def bwd(g):
+            x.grad += mat.T @ g
+
+        return Var(mat @ x.value, (), bwd)
 
     def bwd(g):
-        _accum(x, np.broadcast_to(np.expand_dims(g / n, axis), x.value.shape))
+        _accum(x, mat.T @ g)
 
-    return Var(x.value.mean(axis=axis), (x,), bwd)
+    return Var(mat @ x.value, (x,), bwd)
 
 
 def index_rows(x: Var, ids) -> Var:

@@ -1,0 +1,163 @@
+"""The graph encoder's sampled training path as it stood before the node-set
+minibatch, kept as the differential oracle for it.
+
+``session_z``, ``item_z``, ``phi1_var``, ``phi2_raw_var`` and
+``edge_loss_det`` are copied unchanged apart from being module functions
+(``self`` became ``enc``); ``mean_axis`` is the removed ``engine.mean_axis``.
+``train_encoder`` is the trainer of that time; the batch loss it assembled
+inline is ``batch_loss``, moved out unchanged so one step can be compared.
+"""
+
+import numpy as np
+
+from ctxrec.graph import (
+    BipartiteMultigraph,
+    SageEncoder,
+    _sample_neighbors,
+    negative_sampling_weights,
+)
+from ctxrec.nn import engine
+from ctxrec.nn.engine import Var, _accum
+from ctxrec.nn.optim import adam_stepper
+
+
+def mean_axis(x: Var, axis: int) -> Var:
+    n = x.value.shape[axis]
+
+    def bwd(g):
+        _accum(x, np.broadcast_to(np.expand_dims(g / n, axis), x.value.shape))
+
+    return Var(x.value.mean(axis=axis), (x,), bwd)
+
+
+def session_z(enc: SageEncoder, graph: BipartiteMultigraph, nodes: np.ndarray,
+              rng: np.random.Generator) -> engine.Var:
+    """Sampled session embeddings, pre-normalization (training loss side)."""
+    f1, f2 = enc.fanout
+    own = _sample_neighbors(graph.session_adj, graph.session_off, nodes, f2, rng)
+    own_mean = mean_axis(engine.lookup(enc.item_feat, own), 1)
+    self_feat = engine.broadcast_param(enc.session_feat, (len(nodes),))
+    h1_self = phi1_var(enc, engine.concat([self_feat, own_mean]))
+
+    hop = _sample_neighbors(graph.session_adj, graph.session_off, nodes, f1, rng)
+    hop_feat = engine.lookup(enc.item_feat, hop)      # (N, f1, b)
+    hop_tile = engine.broadcast_param(enc.session_feat, hop.shape)
+    h1_items = phi1_var(enc, engine.concat([hop_feat, hop_tile]))
+    return phi2_raw_var(enc, h1_self, mean_axis(h1_items, 1))
+
+
+def item_z(enc: SageEncoder, graph: BipartiteMultigraph, items: np.ndarray,
+           rng: np.random.Generator) -> engine.Var:
+    f1, f2 = enc.fanout
+    self_feat = engine.lookup(enc.item_feat, items)
+    tiles = engine.broadcast_param(enc.session_feat, (len(items),))
+    h1_self = phi1_var(enc, engine.concat([self_feat, tiles]))
+
+    sess = _sample_neighbors(graph.item_adj, graph.item_off, items, f1, rng)
+    sess_items = _sample_neighbors(graph.session_adj, graph.session_off,
+                                   sess.reshape(-1), f2, rng).reshape(len(items), f1, f2)
+    neigh_mean = mean_axis(engine.lookup(enc.item_feat, sess_items), 2)
+    sess_tile = engine.broadcast_param(enc.session_feat, sess.shape)
+    h1_sess = phi1_var(enc, engine.concat([sess_tile, neigh_mean]))
+    return phi2_raw_var(enc, h1_self, mean_axis(h1_sess, 1))
+
+
+def phi1_var(enc: SageEncoder, x: engine.Var) -> engine.Var:
+    return engine.l2_normalize_rows(engine.relu(enc.layer1(x)))
+
+
+def phi2_raw_var(enc: SageEncoder, h1_self: engine.Var, h1_neigh: engine.Var) -> engine.Var:
+    return enc.layer2(engine.concat([h1_self, h1_neigh]))
+
+
+def edge_loss_det(encoder: SageEncoder, graph: BipartiteMultigraph,
+                  edges: np.ndarray, negatives: np.ndarray) -> float:
+    """Holdout loss under deterministic full neighborhoods, fixed negatives.
+
+    Computed on the same pre-normalization outputs the training loss sees.
+    """
+    item_h1 = encoder._item_h1()
+    n = graph.num_session_nodes
+    feat_sum = np.zeros((n, encoder.base_dim))
+    h1_sum = np.zeros((n, encoder.out_dim))
+    np.add.at(feat_sum, graph.edges[:, 0], encoder.item_feat.value[graph.edges[:, 1]])
+    np.add.at(h1_sum, graph.edges[:, 0], item_h1[graph.edges[:, 1]])
+    deg_s = np.maximum((graph.session_off[1:] - graph.session_off[:-1]), 1)[:, None]
+    h1_sess = encoder._phi1(
+        np.broadcast_to(encoder.session_feat.value, (n, encoder.base_dim)),
+        feat_sum / deg_s)
+    z_s_all = encoder._phi2_raw(h1_sess, h1_sum / deg_s)
+    # item-side second layer: neighbor sessions' full h1
+    h1_sess_sum = np.zeros((graph.num_items, encoder.out_dim))
+    np.add.at(h1_sess_sum, graph.edges[:, 1], h1_sess[graph.edges[:, 0]])
+    deg_i = np.maximum((graph.item_off[1:] - graph.item_off[:-1]), 1)[:, None]
+    z_i_all = encoder._phi2_raw(item_h1, h1_sess_sum / deg_i)
+
+    z_s = z_s_all[edges[:, 0]]
+    pos = (z_s * z_i_all[edges[:, 1]]).sum(axis=1)
+    neg = (z_s[:, None, :] * z_i_all[negatives]).sum(axis=2)
+    loss = -(np.log(engine.stable_sigmoid(pos) + 1e-300).sum()
+             + np.log(engine.stable_sigmoid(-neg) + 1e-300).sum())
+    return float(loss / len(edges))
+
+
+def batch_loss(encoder: SageEncoder, graph: BipartiteMultigraph,
+               batch: np.ndarray, negs: np.ndarray,
+               rng: np.random.Generator) -> engine.Var:
+    """The edge loss ``train_encoder`` assembled inline for one batch."""
+    num_negatives = negs.shape[1]
+    uniq_s, inv_s = np.unique(batch[:, 0], return_inverse=True)
+    all_items = np.concatenate([batch[:, 1], negs.reshape(-1)])
+    uniq_i, inv_i = np.unique(all_items, return_inverse=True)
+
+    z_s = session_z(encoder, graph, uniq_s, rng)
+    z_i = item_z(encoder, graph, uniq_i, rng)
+    b = len(batch)
+    z_s_pos = engine.index_rows(z_s, inv_s)
+    z_pos = engine.index_rows(z_i, inv_i[:b])
+    pos_term = engine.vsum(engine.logsigmoid(engine.dot_last(z_s_pos, z_pos)))
+    z_s_rep = engine.index_rows(z_s, np.repeat(inv_s, num_negatives))
+    z_neg = engine.index_rows(z_i, inv_i[b:])
+    neg_score = engine.scale(engine.dot_last(z_s_rep, z_neg), -1.0)
+    neg_term = engine.vsum(engine.logsigmoid(neg_score))
+    return engine.scale(engine.add(pos_term, neg_term), -1.0 / b)
+
+
+def train_encoder(graph: BipartiteMultigraph, base_dim: int = 64,
+                  out_dim: int = 64, epochs: int = 10, batch_size: int = 512,
+                  fanout: tuple[int, int] = (10, 10), num_negatives: int = 5,
+                  lr: float = 0.001, clip_norm: float = 5.0,
+                  holdout_frac: float = 0.05,
+                  seed: int = 0) -> tuple[SageEncoder, dict]:
+    if graph.num_edges == 0:
+        raise ValueError("cannot train on a graph with zero edges")
+    rng = np.random.default_rng(seed)
+    encoder = SageEncoder(graph.num_items, base_dim, out_dim, fanout, rng)
+    weights = negative_sampling_weights(graph)
+
+    n_hold = int(round(holdout_frac * graph.num_edges))
+    if graph.num_edges - n_hold < 1:
+        n_hold = 0
+    perm = rng.permutation(graph.num_edges)
+    hold_idx = perm[:n_hold]
+    train_idx = perm[n_hold:]
+    hold_edges = graph.edges[hold_idx] if n_hold else graph.edges
+    hold_negs = rng.choice(graph.num_items, size=(len(hold_edges), num_negatives),
+                           p=weights)
+
+    step = adam_stepper(encoder.params(), lr, clip_norm, "graph")
+    history = {"holdout_loss": [edge_loss_det(encoder, graph, hold_edges, hold_negs)],
+               "train_loss": []}
+    for _ in range(epochs):
+        order = rng.permutation(len(train_idx))
+        epoch_loss = 0.0
+        for start in range(0, len(order), batch_size):
+            batch = graph.edges[train_idx[order[start:start + batch_size]]]
+            negs = rng.choice(graph.num_items,
+                              size=(len(batch), num_negatives), p=weights)
+            loss = batch_loss(encoder, graph, batch, negs, rng)
+            step(loss)
+            epoch_loss += float(loss.value) * len(batch)
+        history["train_loss"].append(epoch_loss / max(len(train_idx), 1))
+        history["holdout_loss"].append(edge_loss_det(encoder, graph, hold_edges, hold_negs))
+    return encoder, history

@@ -4,7 +4,8 @@ import pytest
 from ctxrec import graph as G
 from ctxrec.corpus import TEST
 from ctxrec.nn import engine, finite_diff_check
-from conftest import corpus_from_rows
+import reference_graph
+from conftest import corpus_from_rows, synth_corpus
 
 
 def _l2n(x):
@@ -177,23 +178,78 @@ def test_sampled_training_path_gradients():
         2, size=(len(batch), 2), p=G.negative_sampling_weights(g))
 
     def build():
-        rng = np.random.default_rng(11)  # frozen sampling: deterministic loss
-        uniq_s, inv_s = np.unique(batch[:, 0], return_inverse=True)
-        all_items = np.concatenate([batch[:, 1], negs.reshape(-1)])
-        uniq_i, inv_i = np.unique(all_items, return_inverse=True)
-        z_s = enc._session_z(g, uniq_s, rng)
-        z_i = enc._item_z(g, uniq_i, rng)
-        b = len(batch)
-        pos = engine.vsum(engine.logsigmoid(engine.dot_last(
-            engine.index_rows(z_s, inv_s), engine.index_rows(z_i, inv_i[:b]))))
-        rep = engine.index_rows(z_s, np.repeat(inv_s, 2))
-        neg = engine.vsum(engine.logsigmoid(engine.scale(
-            engine.dot_last(rep, engine.index_rows(z_i, inv_i[b:])), -1.0)))
-        return engine.scale(engine.add(pos, neg), -1.0 / b)
+        # frozen sampling: deterministic loss
+        return G._edge_loss_sampled(enc, g, batch, negs, np.random.default_rng(11))
 
     report = finite_diff_check(build, enc.params(), tolerance=1e-4,
                                rng=np.random.default_rng(2))
     assert report.passed, str(report)
+
+
+def _rel(a, b):
+    return np.abs(np.asarray(a) - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+class TestNodeSetMinibatchOracle:
+    """The node-set minibatch against the per-hop-row encoder it replaced
+    (``reference_graph``), with the same seed and so the same draws."""
+
+    @pytest.fixture(scope="class")
+    def synth_graph(self, tmp_path_factory):
+        corpus, *_ = synth_corpus(tmp_path_factory.mktemp("oracle"), num_users=12)
+        return G.build_graph_from_corpus(corpus)
+
+    @staticmethod
+    def _toy_graph(num_items=4):
+        # repeats in sessions 0 and 2 make parallel edges; items past 3 have none
+        return G.build_graph([[0, 1, 1], [1], [0, 2, 2, 2, 1], [2, 3]], num_items)
+
+    @staticmethod
+    def _step(loss_fn, enc, g, batch, negs):
+        for p in enc.params():
+            p.zero_grad()
+        loss = loss_fn(enc, g, batch, negs, np.random.default_rng(3))
+        engine.backward(loss)
+        return float(loss.value), [p.grad.copy() for p in enc.params()]
+
+    @pytest.mark.parametrize("which", ["toy", "synth"])
+    def test_one_step_loss_and_gradients(self, which, request):
+        g = self._toy_graph() if which == "toy" else request.getfixturevalue("synth_graph")
+        enc = G.SageEncoder(g.num_items, 8, 6, fanout=(4, 3),
+                            rng=np.random.default_rng(5))
+        rng = np.random.default_rng(6)
+        batch = g.edges[rng.permutation(g.num_edges)[:256]]
+        negs = rng.choice(g.num_items, size=(len(batch), 3),
+                          p=G.negative_sampling_weights(g))
+        loss, grads = self._step(G._edge_loss_sampled, enc, g, batch, negs)
+        ref_loss, ref_grads = self._step(reference_graph.batch_loss, enc, g, batch, negs)
+        assert _rel(loss, ref_loss) < 1e-10
+        for p, a, b in zip(enc.params(), grads, ref_grads):
+            assert np.abs(b).max() > 0, p.name
+            assert _rel(a, b) < 1e-10, p.name
+
+    def test_holdout_loss_matches_reference(self, synth_graph):
+        g = synth_graph
+        enc = G.SageEncoder(g.num_items, 8, 6, rng=np.random.default_rng(8))
+        negs = np.random.default_rng(9).choice(g.num_items, size=(g.num_edges, 4))
+        got = G._edge_loss_det(enc, g, g.edges, negs)
+        assert _rel(got, reference_graph.edge_loss_det(enc, g, g.edges, negs)) < 1e-12
+        toy = self._toy_graph(5)  # item 4 has no edges: an empty averaging row
+        enc = G.SageEncoder(toy.num_items, 4, 4, rng=np.random.default_rng(1))
+        negs = np.arange(toy.num_edges * 2).reshape(-1, 2) % toy.num_items
+        assert _rel(G._edge_loss_det(enc, toy, toy.edges, negs),
+                    reference_graph.edge_loss_det(enc, toy, toy.edges, negs)) < 1e-12
+
+    def test_two_epoch_training_matches_reference(self, synth_graph):
+        kwargs = dict(base_dim=8, out_dim=8, epochs=2, batch_size=128,
+                      fanout=(5, 4), seed=4)
+        enc, hist = G.train_encoder(synth_graph, **kwargs)
+        ref_enc, ref_hist = reference_graph.train_encoder(synth_graph, **kwargs)
+        assert len(hist["holdout_loss"]) == 3
+        assert _rel(hist["holdout_loss"], np.array(ref_hist["holdout_loss"])) < 1e-9
+        assert _rel(hist["train_loss"], np.array(ref_hist["train_loss"])) < 1e-9
+        for p, q in zip(enc.params(), ref_enc.params()):
+            assert _rel(p.value, q.value) < 1e-9, p.name
 
 
 def test_embeddings_csv_export(tmp_path):

@@ -1,0 +1,163 @@
+#!/usr/bin/env python3
+"""Multi-seed quality report for changes that are not bitwise identical.
+
+    python3 tools/quality.py --seeds 7 1 2 3 4 --out quality.json
+    python3 tools/quality.py --seeds 7 1 2 3 4 --compare HEAD~1 --out quality.json
+
+For each pipeline seed it runs the acceptance chain (ingest, embed,
+contextualize, train-context, ablate) with the acceptance config
+(``ACC_CFG`` in ``tests/test_acceptance.py``, its seed replaced) on the
+pinned ``SynthSpec()`` corpus. It records the criterion 6/7 quantities:
+cluster purity, top-1 context accuracy, both arms' mean MRR and Recall@10,
+``mrr_ratio`` and the one-tailed p of the MRR t-test, and which bars pass.
+
+``--compare REV`` exports REV's ``src/`` with ``git archive`` into a
+temporary directory, runs it on the same seeds and config, and adds paired
+per-seed deltas (this checkout minus REV).
+
+This is a report. Never use it to choose the tier-1 seed, the corpus or a
+threshold. Each seed takes about a minute on one core.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import dataclasses
+import io
+import json
+import subprocess
+import sys
+import tarfile
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FIELDS = ["purity", "context_acc", "mrr_with", "mrr_ablation", "recall_with",
+          "recall_ablation", "mrr_ratio", "p"]
+# the bars of acceptance criteria 6 and 7
+BARS = {"purity": lambda r: r["purity"] >= 0.9,
+        "context_acc": lambda r: r["context_acc"] >= 0.375,
+        "mrr_ratio": lambda r: r["mrr_ratio"] is not None and r["mrr_ratio"] >= 1.05,
+        "p": lambda r: r["p"] < 0.05}
+
+
+def measure(seed: int, tmp: Path) -> dict:
+    """Criterion 6/7 quantities of one pipeline seed on the pinned corpus."""
+    import numpy as np
+    from ctxrec import pipeline
+    from ctxrec.corpus import TEST
+    from ctxrec.synth import SynthSpec, generate, planted_labels
+    from test_acceptance import ACC_CFG
+
+    sidecar = generate(SynthSpec(), tmp / "log.csv", tmp / "labels.json")
+    ws = pipeline.Workspace(dataclasses.replace(ACC_CFG, seed=seed), tmp / "work")
+    pipeline.run_ingest(ws, tmp / "log.csv")
+    pipeline.run_embed(ws)
+    pipeline.run_contextualize(ws)
+    pipeline.run_train_context(ws)
+    corpus = pipeline.load_ingested(ws)
+    _, labels = pipeline.load_contexts(ws)
+    planted = planted_labels(sidecar, corpus)
+    mask = labels >= 0
+    purity = sum(Counter(planted[(labels == c) & mask]).most_common(1)[0][1]
+                 for c in set(labels[mask])) / mask.sum()
+
+    _, topk_ids, topk_probs = pipeline.load_context_predictor(ws)
+    hits = total = 0
+    for k in range(len(corpus.interactions)):
+        sid = corpus.session_of[k]
+        if corpus.splits[k] != TEST or labels[sid] < 0:
+            continue
+        hits += int(topk_ids[k][np.argmax(topk_probs[k])] == labels[sid])
+        total += 1
+
+    ablation = json.loads((pipeline.run_ablate(ws) / "ablation.json").read_text())
+    with_ctx, abl = ablation["with_context"]["mean"], ablation["ablation"]["mean"]
+    row = {"purity": float(purity), "context_acc": hits / total,
+           "mrr_with": with_ctx["mrr"], "mrr_ablation": abl["mrr"],
+           "recall_with": with_ctx["recall_at_10"],
+           "recall_ablation": abl["recall_at_10"],
+           "mrr_ratio": ablation["mrr_ratio"], "p": ablation["t_test"]["mrr"]["p"]}
+    row["passes"] = {name: bool(bar(row)) for name, bar in BARS.items()}
+    return row
+
+
+def run_seeds(seeds: list[int]) -> dict:
+    rows = {}
+    for seed in seeds:
+        with tempfile.TemporaryDirectory(prefix=f"quality-{seed}-") as tmp:
+            rows[str(seed)] = measure(seed, Path(tmp))
+        print(f"seed {seed}: {json.dumps(rows[str(seed)])}", file=sys.stderr)
+    return rows
+
+
+def run_rev(rev: str, seeds: list[int]) -> dict:
+    """This script on REV's src/, in a child process, on the same seeds."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                         check=True, capture_output=True).stdout
+    with tempfile.TemporaryDirectory(prefix="quality-rev-") as tmp:
+        with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+            archive.extractall(tmp, filter="data")
+        out = Path(tmp) / "rows.json"
+        subprocess.run([sys.executable, __file__, "--src", str(Path(tmp) / "src"),
+                        "--seeds", *map(str, seeds), "--out", str(out)],
+                       check=True, stdout=subprocess.DEVNULL)
+        return json.loads(out.read_text())["seeds"]
+
+
+def table(rows: dict, base: dict | None) -> str:
+    lines = ["| seed | " + " | ".join(FIELDS) + " | bars |",
+             "|---" * (len(FIELDS) + 2) + "|"]
+    for seed, row in rows.items():
+        cells = []
+        for f in FIELDS:
+            cell = f"{row[f]:.4g}" if row[f] is not None else "-"
+            if base is not None and row[f] is not None and base[seed][f] is not None:
+                cell += f" ({row[f] - base[seed][f]:+.3g})"
+            cells.append(cell)
+        bars = "pass" if all(row["passes"].values()) else "FAIL " + ",".join(
+            k for k, ok in row["passes"].items() if not ok)
+        lines.append(f"| {seed} | " + " | ".join(cells) + f" | {bars} |")
+    return "\n".join(lines)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seeds", type=int, nargs="+", default=[7, 1, 2, 3, 4])
+    ap.add_argument("--compare", metavar="REV", help="git revision to pair against")
+    ap.add_argument("--out", type=Path, help="write the JSON report here")
+    ap.add_argument("--src", type=Path, default=ROOT / "src", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    sys.path[:0] = [str(args.src), str(ROOT / "tests")]
+    import ctxrec
+    if Path(ctxrec.__file__).resolve().parent != args.src.resolve() / "ctxrec":
+        sys.exit(f"quality: imported ctxrec from {ctxrec.__file__}, not {args.src}")
+
+    report = {"src": str(args.src), "seeds": run_seeds(args.seeds)}
+    base = None
+    if args.compare:
+        base = run_rev(args.compare, args.seeds)
+        report["compare"] = {
+            "rev": args.compare, "seeds": base,
+            "delta": {s: {f: (row[f] - base[s][f] if None not in (row[f], base[s][f])
+                              else None) for f in FIELDS}
+                      for s, row in report["seeds"].items()},
+            # a bar that REV passes and this checkout fails
+            "regressed": {s: [k for k, ok in row["passes"].items()
+                              if not ok and base[s]["passes"][k]]
+                          for s, row in report["seeds"].items()}}
+    if args.out:
+        args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    print(table(report["seeds"], base))
+    regressed = any(report.get("compare", {}).get("regressed", {}).values())
+    return 1 if regressed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
