@@ -386,5 +386,5 @@ def export_embeddings_csv(path, corpus: SplitCorpus, embeddings: np.ndarray) -> 
     with open(path, "w") as fh:
         fh.write("session_id,split," + ",".join(f"c{k}" for k in range(dim)) + "\n")
         for s in corpus.sessions:
-            row = ",".join(repr(v) for v in embeddings[s.session_id])
+            row = ",".join(repr(float(v)) for v in embeddings[s.session_id])
             fh.write(f"{s.session_id},{corpus.session_split(s.session_id)},{row}\n")

@@ -19,8 +19,8 @@ from .corpus import SplitCorpus, TRAIN, VAL, TEST
 from .metrics import mrr, ranks_of_truth
 from .nn import engine
 from .nn.engine import Parameter, Var
-from .nn.layers import (EVAL_BATCH, BiLstm, DenseLayer, EmbeddingTable, prefix_batch,
-                        prefix_input)
+from .nn.layers import (EVAL_BATCH, BiLstm, DenseLayer, EmbeddingTable, prefix_input,
+                        prefix_sources)
 from .nn.optim import fit
 
 WITH_CONTEXT = "with_context"
@@ -115,14 +115,15 @@ def build_rank_examples(corpus: SplitCorpus, split_tag: str) -> list[RankExample
 def _batch_logits(model: NextItemModel, corpus: SplitCorpus,
                   examples: list[RankExample],
                   ctx_topk: np.ndarray | None) -> Var:
-    """(N, V) next-item logits of ``examples``: one padded prefix batch
-    through the item BiLSTM, one context-row lookup and one ``fc2`` matmul."""
+    """(N, V) next-item logits of ``examples``: the prefixes through the item
+    BiLSTM as one batch (the prefixes of one session share a source), one
+    context-row lookup and one ``fc2`` matmul."""
     if model.mode == WITH_CONTEXT and ctx_topk is None:
         raise ValueError("with-context mode needs per-prefix context predictions")
-    z_item = model.item_lstm.encode(*prefix_batch(
-        model.item_emb, model.aux,
-        [corpus.sessions[ex.session_id].items[:ex.position] for ex in examples],
-        model.max_seq_len))
+    z_item = model.item_lstm.encode(*prefix_sources(
+        model.item_emb, model.aux, [ex.session_id for ex in examples],
+        [corpus.sessions[ex.session_id].items for ex in examples],
+        [ex.position for ex in examples], model.max_seq_len))
     e_user = model.user_emb.lookup([ex.user_id for ex in examples])
     if model.mode == ABLATION:
         return model.fc2(engine.concat([z_item, e_user]))

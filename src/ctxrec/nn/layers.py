@@ -4,11 +4,17 @@ The BiLSTM registers a whole padded batch of sequences as a single fused
 graph node: the forward pass loops over time steps with every sequence of
 the batch in each step's matmul and caches per-step activations; the
 backward pass runs truncation-free BPTT the same way, batched over the rows.
+Output rows read prefixes of shared source sequences (``window_sources``
+groups them): the forward direction runs once per source and keeps its
+state after every step, so a row reads the state after its own last step
+and BPTT seeds a gradient at each such step; the backward direction runs
+once per row over the row's reversed prefix.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from . import engine
 from .engine import Parameter, Var, _accum
@@ -39,19 +45,42 @@ class EmbeddingTable:
         return [self.weights]
 
 
-def prefix_batch(table: EmbeddingTable, aux: Parameter, prefixes,
-                 max_len: int) -> tuple[Var, np.ndarray]:
-    """The padded (B, T, dim) batch a prefix encoder reads, and its row
-    lengths: row b holds the embedding rows of the last ``max_len`` items of
-    ``prefixes[b]``, or the learnable ``aux`` vector as a sequence of length
-    one when that prefix is empty. Padding is zero."""
-    cut = [list(p)[-max_len:] for p in prefixes]
-    lengths = np.array([max(len(c), 1) for c in cut], dtype=np.intp)
-    ids = np.zeros((len(cut), int(lengths.max())), dtype=np.intp)
-    valid = np.zeros(ids.shape, dtype=bool)
-    for b, c in enumerate(cut):
-        ids[b, :len(c)] = c
-        valid[b, :len(c)] = True
+def window_sources(keys, seqs, stops, max_len: int):
+    """Group rows that each read a window of a sequence into the shared
+    sources ``BiLstm.encode`` takes. Row b reads the last ``max_len`` ids of
+    ``seqs[b][:stops[b]]``; rows with one key (a non-negative int) read one
+    sequence. Rows whose windows start at the same place of one sequence read
+    one source, which runs to the furthest of their stops, and every empty
+    window reads one shared source of length one whose slot holds no id.
+
+    Returns ``(ids, valid, lengths, src, ends)``: source s holds the ids
+    ``ids[s][valid[s]]`` over its ``lengths[s]`` steps, and row b is the
+    first ``ends[b]`` steps of source ``src[b]``."""
+    stops = np.asarray(stops, dtype=np.intp)
+    starts = np.maximum(stops - max_len, 0)
+    group = np.where(stops > 0, np.asarray(keys, dtype=np.intp), -1) \
+        * (int(starts.max()) + 1) + starts
+    _, first, src = np.unique(group, return_index=True, return_inverse=True)
+    ends = np.maximum(stops - starts, 1)
+    lengths = np.zeros(len(first), dtype=np.intp)
+    np.maximum.at(lengths, src, ends)
+    ids = np.zeros((len(first), int(lengths.max())), dtype=np.intp)
+    for s, b in enumerate(first.tolist()):
+        start = starts[b]
+        ids[s, :lengths[s]] = seqs[b][start:start + lengths[s]] if stops[b] else 0
+    valid = np.arange(ids.shape[1]) < lengths[:, None]
+    valid[stops[first] == 0, 0] = False
+    return ids, valid, lengths, src, ends
+
+
+def prefix_sources(table: EmbeddingTable, aux: Parameter, keys, seqs, stops,
+                   max_len: int) -> tuple[Var, np.ndarray, np.ndarray, np.ndarray]:
+    """``BiLstm.encode``'s arguments for the item prefixes
+    ``seqs[b][:stops[b]]`` (``window_sources`` grouped by ``keys``): the
+    padded (S, T, dim) node of source embedding rows, where the empty-prefix
+    source holds the learnable ``aux`` vector, then lengths, src and ends.
+    Padding is zero."""
+    ids, valid, lengths, src, ends = window_sources(keys, seqs, stops, max_len)
     items = ids[valid]
     if items.size and (items.min() < 0 or items.max() >= table.rows):
         raise IndexError(f"lookup index out of range for table "
@@ -65,14 +94,16 @@ def prefix_batch(table: EmbeddingTable, aux: Parameter, prefixes,
         np.add.at(table.weights.grad, items, g[valid])
         aux.grad += g[empty, 0].sum(axis=0)
 
-    return Var(x, (), bwd), lengths
+    return Var(x, (), bwd), lengths, src, ends
 
 
 def prefix_input(table: EmbeddingTable, aux: Parameter, prefix_items,
                  max_len: int) -> Var:
-    """The (T, dim) sequence of one prefix: ``prefix_batch`` of one row."""
-    seqs, _ = prefix_batch(table, aux, [prefix_items], max_len)
-    return engine.reshape(seqs, seqs.value.shape[1:])
+    """The (T, dim) sequence of one prefix, as a ``prefix_sources`` row
+    reads it: the embedding rows of its last ``max_len`` items, or ``aux`` as
+    a sequence of length one when it is empty."""
+    items = list(prefix_items)[-max_len:]
+    return table.lookup(items) if items else engine.broadcast_param(aux, (1,))
 
 
 class DenseLayer:
@@ -116,42 +147,49 @@ def _run_direction(d: LstmDirection, xs: np.ndarray, counts: list[int],
                    keep: bool):
     """Run one direction over packed time-major inputs ``xs``: step t reads
     the next ``counts[t]`` rows, which belong to batch rows ``0..counts[t]-1``
-    (longest sequences first, so ``counts`` never grows). A row that stops
-    keeps its state, so the returned (B, h) states are each row's final
-    hidden state. The BPTT cache is returned when ``keep``, else None."""
+    (longest sequences first, so ``counts`` never grows). Returns the hidden
+    state after every packed step, (len(xs), h), and the BPTT cache when
+    ``keep``, else None."""
     h = d.hidden_dim
-    z_in = xs @ d.w_in.value.T + d.bias.value  # input matmul batched over all steps
-    hs = np.zeros((counts[0], h))
-    cs = np.zeros((counts[0], h))
-    if keep:
-        H_prev = np.empty((len(xs), h))
-        C_prev = np.empty((len(xs), h))
-        ACT = np.empty((len(xs), 4 * h))
-        TC = np.empty((len(xs), h))
+    # the input matmul batched over all steps; each step then turns its rows
+    # into that step's gate activations in place
+    ACT = xs @ d.w_in.value.T + d.bias.value
+    H = np.empty((len(xs), h))
+    C = np.empty((len(xs), h))
+    TC = np.empty((len(xs), h))
     w_rec_t = d.w_rec.value.T
+    hs = cs = np.zeros((counts[0], h))
     off = 0
     for n in counts:
         rows = slice(off, off + n)
         # all four gates [i, f, g, o] from one tanh: sigmoid(x) = (1 + tanh(x/2)) / 2
-        act = np.tanh((z_in[rows] + hs[:n] @ w_rec_t) * d.gate_scale) \
-            * d.gate_scale + d.gate_shift
-        c = act[:, h:2 * h] * cs[:n] + act[:, :h] * act[:, 2 * h:3 * h]
-        tc = np.tanh(c)
-        if keep:
-            H_prev[rows] = hs[:n]
-            C_prev[rows] = cs[:n]
-            ACT[rows] = act
-            TC[rows] = tc
-        hs[:n] = act[:, 3 * h:] * tc
-        cs[:n] = c
+        act = ACT[rows]
+        act += hs[:n] @ w_rec_t
+        act *= d.gate_scale
+        np.tanh(act, out=act)
+        act *= d.gate_scale
+        act += d.gate_shift
+        c = np.multiply(act[:, h:2 * h], cs[:n], out=C[rows])
+        c += act[:, :h] * act[:, 2 * h:3 * h]
+        hs = np.multiply(act[:, 3 * h:], np.tanh(c, out=TC[rows]), out=H[rows])
+        cs = c
         off += n
-    return hs, ((xs, H_prev, C_prev, ACT, TC) if keep else None)
+    if not keep:
+        return H, None
+    # step t of a row continues its step t-1, counts[t-1] packed elements back
+    k = np.asarray(counts)
+    prev = np.arange(k[0], len(xs)) - np.repeat(k[:-1], k[1:])
+    start = np.zeros((counts[0], h))
+    return H, (xs, np.concatenate([start, H[prev]]), np.concatenate([start, C[prev]]),
+               ACT, TC)
 
 
 def _backward_direction(d: LstmDirection, cache, counts: list[int],
-                        dh_final: np.ndarray) -> np.ndarray:
-    """BPTT for one direction, batched over rows; accumulates parameter
-    grads and returns d(packed inputs)."""
+                        dH: np.ndarray) -> np.ndarray:
+    """BPTT for one direction, batched over rows, from ``dH``, the loss
+    gradient of the hidden state after every packed step (zero where no
+    output reads it); accumulates parameter grads and returns d(packed
+    inputs)."""
     xs, H_prev, C_prev, ACT, TC = cache
     h = d.hidden_dim
     i, f, g, o = (ACT[:, k * h:(k + 1) * h] for k in range(4))
@@ -164,33 +202,56 @@ def _backward_direction(d: LstmDirection, cache, counts: list[int],
     partner[:, 2] = i * (1.0 - g * g)
     partner[:, 3] = TC * o * (1.0 - o)
     dc_dh = o * (1.0 - TC * TC)
-    dZ = np.empty((len(xs), 4, h))
-    dh = dh_final.copy()
+    dZ = np.empty((len(xs), 4 * h))
+    dZ_gates = dZ.reshape(len(xs), 4, h)
+    dh = np.zeros((counts[0], h))
     dc = np.zeros_like(dh)
     w_rec = d.w_rec.value
     off = len(xs)
     for n in reversed(counts):
         off -= n
         rows = slice(off, off + n)
-        dcn = dc[:n] + dh[:n] * dc_dh[rows]
-        dZ[rows, :3] = partner[rows, :3] * dcn[:, None]
-        dZ[rows, 3] = partner[rows, 3] * dh[:n]
-        dh[:n] = dZ[rows].reshape(n, 4 * h) @ w_rec
-        dc[:n] = dcn * f[rows]
-    dZ = dZ.reshape(len(xs), 4 * h)
+        dh[:n] += dH[rows]
+        dcn = dh[:n] * dc_dh[rows]
+        dcn += dc[:n]
+        np.multiply(partner[rows, :3], dcn[:, None], out=dZ_gates[rows, :3])
+        np.multiply(partner[rows, 3], dh[:n], out=dZ_gates[rows, 3])
+        np.matmul(dZ[rows], w_rec, out=dh[:n])
+        np.multiply(dcn, f[rows], out=dc[:n])
     d.w_in.grad += dZ.T @ xs
     d.w_rec.grad += dZ.T @ H_prev
     d.bias.grad += dZ.sum(axis=0)
     return dZ @ d.w_in.value
 
 
+def _packing(lengths: np.ndarray):
+    """Time-major packing of rows with ``lengths`` (each >= 1), longest
+    first: step t covers the first ``counts[t]`` rows in that order, so
+    ``counts`` never grows. Packed element k is step ``steps[k]`` of row
+    ``rows[k]``, and step t of row r is element ``offsets[t] + rank[r]``."""
+    order = np.argsort(-lengths, kind="stable")
+    ls = lengths[order]
+    t = np.arange(ls[0])[:, None]
+    active = t < ls  # (T, B), time-major like the packed rows
+    counts = active.sum(axis=1)
+    rows = np.broadcast_to(order, active.shape)[active]
+    steps = np.broadcast_to(t, active.shape)[active]
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return counts.tolist(), rows, steps, offsets, rank
+
+
 class BiLstm:
     """Bidirectional LSTM summarizing a sequence as the concatenation of the
     two directions' final hidden states (output dim = 2 * hidden_dim).
 
-    ``encode`` runs a padded batch of sequences as one graph node, looping
-    over time steps only; ``forward`` is its one-sequence call. Under
-    ``engine.no_grad()`` neither keeps the per-step BPTT cache."""
+    ``encode`` runs a padded batch of source sequences as one graph node,
+    looping over time steps only. Each output row reads a prefix of one
+    source: the forward direction runs once per source and the row takes its
+    state after the prefix's last step, while the backward direction runs
+    once per row over the reversed prefix. ``forward`` is the one-sequence
+    call. Under ``engine.no_grad()`` neither keeps the per-step BPTT cache."""
 
     def __init__(self, name: str, input_dim: int, hidden_dim: int,
                  rng: np.random.Generator):
@@ -211,13 +272,16 @@ class BiLstm:
         if xs.shape[0] == 0:
             raise ValueError("BiLstm requires a non-empty sequence; "
                              "substitute the auxiliary vector for empty prefixes")
-        out, grad_in = self._run(xs[None], None)
+        out, grad_in = self._run(xs[None], None, None, None)
         return Var(out[0], (seq,), lambda g: _accum(seq, grad_in(g[None])[0]))
 
-    def encode(self, seqs: Var, lengths) -> Var:
-        """Encode a padded (B, T, input_dim) batch node into (B, 2 * hidden):
-        row b's sequence is its first ``lengths[b]`` steps, 1 <= lengths[b] <= T;
-        what follows is padding and gets zero gradient."""
+    def encode(self, seqs: Var, lengths, src=None, ends=None) -> Var:
+        """Encode prefixes of a padded (S, T, input_dim) batch node of source
+        sequences into (B, 2 * hidden): source s is its first ``lengths[s]``
+        steps, 1 <= lengths[s] <= T, and what follows is padding with zero
+        gradient. Output row b encodes the first ``ends[b]`` steps of source
+        ``src[b]``, 1 <= ends[b] <= lengths[src[b]]; by default row s is all
+        of source s."""
         xs = seqs.value
         lengths = np.asarray(lengths, dtype=np.intp)
         if xs.ndim != 3 or xs.shape[2] != self.input_dim:
@@ -226,50 +290,79 @@ class BiLstm:
                 or lengths.min() < 1 or lengths.max() > xs.shape[1]:
             raise ValueError(f"lengths must be B values in [1, T] for a batch "
                              f"of shape {xs.shape}")
-        out, grad_in = self._run(xs, lengths)
+        if (src is None) != (ends is None):
+            raise ValueError("src and ends must be given together")
+        if src is not None:
+            src = np.asarray(src, dtype=np.intp)
+            ends = np.asarray(ends, dtype=np.intp)
+            if src.ndim != 1 or ends.shape != src.shape or not len(src) \
+                    or src.min() < 0 or src.max() >= len(lengths):
+                raise ValueError(f"src must be a non-empty list of source ids in "
+                                 f"[0, {len(lengths)}) with one end each")
+            if ends.min() < 1 or (ends > lengths[src]).any():
+                raise ValueError("ends must lie in [1, lengths[src]]")
+        out, grad_in = self._run(xs, lengths, src, ends)
         return Var(out, (seqs,), lambda g: _accum(seqs, grad_in(g)))
 
-    def _run(self, xs: np.ndarray, lengths: np.ndarray | None):
+    def _run(self, xs: np.ndarray, lengths: np.ndarray | None,
+             src: np.ndarray | None, ends: np.ndarray | None):
         """(B, 2h) outputs and the function mapping their gradient to the
-        gradient of ``xs``. ``lengths`` None means every row spans all T."""
-        B, T, _ = xs.shape
-        if lengths is None or (lengths == T).all():
-            order = None  # every row runs every step: no packing
-            counts = [B] * T
-            x_f = xs.transpose(1, 0, 2).reshape(T * B, -1)
-            x_b = xs[:, ::-1].transpose(1, 0, 2).reshape(T * B, -1)
+        gradient of ``xs``. ``lengths`` None means every source spans all T;
+        ``src`` None means row s is all of source s."""
+        S, T, _ = xs.shape
+        shared = src is not None  # rows may then read one source
+        transposed = not shared and (lengths is None or (lengths == T).all())
+        if transposed:
+            # every row runs every step of its own source: the packing is
+            # the (T, S) transpose and needs no gather
+            counts_f = counts_b = [S] * T
+            x_f = xs.transpose(1, 0, 2).reshape(T * S, -1)
+            x_b = xs[:, ::-1].transpose(1, 0, 2).reshape(T * S, -1)
+            out_f = out_b = slice((T - 1) * S, T * S)
         else:
-            order = np.argsort(-lengths, kind="stable")
-            ls = lengths[order]
-            steps = np.arange(T)[:, None]
-            active = steps < ls  # (T, B), time-major like the packed rows
-            counts = active.sum(axis=1).tolist()
-            rows = np.broadcast_to(order, (T, B))[active]
-            t_f = np.broadcast_to(steps, (T, B))[active]
-            t_b = (ls - 1 - steps)[active]  # the backward direction reads reversed
-            x_f, x_b = xs[rows, t_f], xs[rows, t_b]
+            counts_f, rows_f, steps_f, offsets, rank = _packing(lengths)
+            if shared:
+                out_f = offsets[ends - 1] + rank[src]
+                counts_b, rows_b, steps_b, offsets, rank = _packing(ends)
+                out_b = offsets[ends - 1] + rank
+            else:
+                src, ends = np.arange(S), lengths
+                counts_b, rows_b, steps_b = counts_f, rows_f, steps_f
+                out_f = out_b = offsets[ends - 1] + rank
+            src_b = src[rows_b]
+            t_b = ends[rows_b] - 1 - steps_b  # the backward direction reads reversed
+            x_f, x_b = xs[rows_f, steps_f], xs[src_b, t_b]
         keep = engine.grad_enabled()
-        h_f, cache_f = _run_direction(self.fwd, x_f, counts, keep)
-        h_b, cache_b = _run_direction(self.bwd, x_b, counts, keep)
-        out = np.concatenate([h_f, h_b], axis=1)
-        if order is not None:
-            out[order] = out.copy()
+        H_f, cache_f = _run_direction(self.fwd, x_f, counts_f, keep)
+        H_b, cache_b = _run_direction(self.bwd, x_b, counts_b, keep)
+        out = np.concatenate([H_f[out_f], H_b[out_b]], axis=1)
 
         def grad_in(g: np.ndarray) -> np.ndarray:
             if not keep:
                 raise RuntimeError("this BiLstm node was built under no_grad "
                                    "and kept no backward cache")
-            if order is not None:
-                g = g[order]
             h = self.hidden_dim
-            d_f = _backward_direction(self.fwd, cache_f, counts, g[:, :h])
-            d_b = _backward_direction(self.bwd, cache_b, counts, g[:, h:])
-            if order is None:
-                dx = d_f.reshape(T, B, -1) + d_b.reshape(T, B, -1)[::-1]
+            dH_f = np.zeros_like(H_f)
+            np.add.at(dH_f, out_f, g[:, :h])  # rows may read one (source, end)
+            dH_b = np.zeros_like(H_b)
+            dH_b[out_b] = g[:, h:]
+            d_f = _backward_direction(self.fwd, cache_f, counts_f, dH_f)
+            d_b = _backward_direction(self.bwd, cache_b, counts_b, dH_b)
+            if transposed:
+                dx = d_f.reshape(T, S, -1) + d_b.reshape(T, S, -1)[::-1]
                 return dx.transpose(1, 0, 2)
-            dx = np.zeros_like(xs)
-            dx[rows, t_f] = d_f
-            dx[rows, t_b] += d_b
+            dx = np.zeros(xs.shape)
+            dx[rows_f, steps_f] = d_f
+            if not shared:  # each (source, step) is read by one row
+                dx[src_b, t_b] += d_b
+                return dx
+            # rows that read one source: sum their backward-direction gradients
+            # per (source, step) as a sparse product, several times faster than
+            # np.add.at here. Building the matrix costs a few tenths of a ms,
+            # so rows that own their source keep the plain scatter above.
+            n = len(d_b)
+            dx.reshape(S * T, -1)[...] += sparse.csr_matrix(
+                (np.ones(n), (src_b * T + t_b, np.arange(n))), shape=(S * T, n)) @ d_b
             return dx
 
         return out, grad_in

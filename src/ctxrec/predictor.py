@@ -10,7 +10,12 @@ auxiliary vector shared by all sessions.
 
 Training builds one example per observed-prefix position of every training
 interaction, labeled with the session's clustered context id, and early-stops
-on validation cross-entropy.
+on validation cross-entropy. A batch encodes its histories and prefixes as
+shared sources (``layers.window_sources``), so each BiLSTM's forward
+direction runs once per source: the history of a user's session j is the
+forward state after session j-1 of that user's feature rows while j is at
+most ``max_seq_len`` (later windows are their own sources), and the prefixes
+of one session share that session's items.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from .corpus import SplitCorpus, TRAIN, VAL
 from .cluster import UNLABELED
 from .nn import engine
 from .nn.engine import Parameter, Var
-from .nn.layers import (EVAL_BATCH, BiLstm, DenseLayer, EmbeddingTable, prefix_batch,
-                        prefix_input)
+from .nn.layers import (EVAL_BATCH, BiLstm, DenseLayer, EmbeddingTable, prefix_input,
+                        prefix_sources, window_sources)
 from .nn.optim import fit
 
 FEATURE_EXTRAS = 3  # duration, idle gap, item count
@@ -189,18 +194,22 @@ def _prefix_logits(model: ContextPredictor, corpus: SplitCorpus,
                    positions: list[int]) -> Var:
     """(N, C) context logits for the prefix of length ``positions[j]`` of
     session ``session_ids[j]``: each distinct session's history is encoded
-    once, all histories as one batch and all prefixes as another."""
+    once, all histories as one batch and all prefixes as another. A history
+    is a window of its user's session-feature rows, so the histories of one
+    user (and the prefixes of one session) share a source whose forward
+    direction runs once."""
     sids, inverse = np.unique(session_ids, return_inverse=True)
-    histories = [long_term_input(corpus, features, corpus.sessions[sid].user_id,
-                                 int(sid), model.max_seq_len) for sid in sids]
-    lengths = np.array([len(h) for h in histories])
-    padded = np.zeros((len(histories), lengths.max(), features.dim))
-    for r, h in enumerate(histories):
-        padded[r, :len(h)] = h
-    z_long = model.long_lstm.encode(engine.constant(padded), lengths)
-    z_short = model.short_lstm.encode(*prefix_batch(
-        model.item_emb, model.aux,
-        [corpus.sessions[sid].items[:pos] for sid, pos in zip(session_ids, positions)],
+    users = [corpus.sessions[sid].user_id for sid in sids]
+    user_sids = [corpus.user_session_ids(u) for u in users]
+    ids, valid, lengths, src, ends = window_sources(
+        users, user_sids, [seq.index(sid) for seq, sid in zip(user_sids, sids)],
+        model.max_seq_len)
+    histories = np.zeros(ids.shape + (features.dim,))  # a first session reads a zero row
+    histories[valid] = features.matrix[ids[valid]]
+    z_long = model.long_lstm.encode(engine.constant(histories), lengths, src, ends)
+    z_short = model.short_lstm.encode(*prefix_sources(
+        model.item_emb, model.aux, session_ids,
+        [corpus.sessions[sid].items for sid in session_ids], positions,
         model.max_seq_len))
     e_user = model.user_emb.lookup(
         [corpus.sessions[sid].user_id for sid in session_ids])

@@ -263,3 +263,9 @@ def test_embeddings_csv_export(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "session_id,split,c0,c1,c2,c3"
     assert len(lines) == 1 + corpus.num_sessions
+    assert np.abs(emb).max() > 0
+    for s, line in zip(corpus.sessions, lines[1:]):
+        sid, _, *values = line.split(",")
+        assert int(sid) == s.session_id
+        parsed = np.array([float(v) for v in values])
+        assert parsed.tobytes() == emb[s.session_id].tobytes()

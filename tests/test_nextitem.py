@@ -194,6 +194,30 @@ class TestTrainNext:
         for p, g, ref_g in zip(model.params(), grads, ref_grads):
             assert np.abs(g - ref_g).max() <= 1e-10 * np.abs(ref_g).max(), p.name
 
+    def test_shared_source_batch_matches_per_example_oracle(self, small_stack):
+        """Every train example of two users in one batch: a session's
+        prefixes share one source, and prefixes past ``max_seq_len`` = 3
+        read their own windows."""
+        corpus = small_stack["corpus"]
+        model = NX.NextItemModel(corpus.num_users, corpus.num_items, 4,
+                                 user_dim=4, item_dim=4, context_dim=2, hidden=3,
+                                 top_k=2, max_seq_len=3, rng=np.random.default_rng(9))
+        batch = [ex for ex in NX.build_rank_examples(corpus, "train") if ex.user_id < 2]
+        assert min(ex.position for ex in batch) == 0
+        assert max(ex.position for ex in batch) > 3
+        _, ctx_topk = self._covering_batch(corpus, 2)
+        results = []
+        for loss_fn in (NX.batch_loss, reference_models.next_batch_loss):
+            for p in model.params():
+                p.zero_grad()
+            loss = loss_fn(model, corpus, ctx_topk, batch)
+            engine.backward(loss)
+            results.append((float(loss.value), [p.grad.copy() for p in model.params()]))
+        (loss, grads), (ref_loss, ref_grads) = results
+        assert abs(loss - ref_loss) <= 1e-10 * abs(ref_loss)
+        for p, g, ref_g in zip(model.params(), grads, ref_grads):
+            assert np.abs(g - ref_g).max() <= 1e-10 * np.abs(ref_g).max(), p.name
+
     def test_gradient_check_on_batch_loss(self, small_stack):
         corpus = small_stack["corpus"]
         model = NX.NextItemModel(corpus.num_users, corpus.num_items, 4,

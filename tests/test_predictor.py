@@ -226,6 +226,34 @@ class TestTrainContext:
         for p, g, ref_g in zip(model.params(), grads, ref_grads):
             assert np.abs(g - ref_g).max() <= 1e-10 * np.abs(ref_g).max(), p.name
 
+    def test_shared_source_batch_matches_per_example_oracle(self, small_stack):
+        """Every train example of three users in one batch: their histories
+        share per-user sources (windows from the first session) or read
+        truncated windows of ``max_seq_len`` = 3, and a session's prefixes
+        share one source."""
+        corpus = small_stack["corpus"]
+        feats = small_stack["features"]
+        model = P.ContextPredictor(corpus.num_users, corpus.num_items, 4,
+                                   feats.dim, user_dim=4, item_dim=4, hidden=3,
+                                   max_seq_len=3, rng=np.random.default_rng(9))
+        batch = [ex for ex in P.build_context_examples(corpus, small_stack["labels"], TRAIN)
+                 if ex.user_id < 3]
+        js = [corpus.user_session_ids(ex.user_id).index(ex.session_id) for ex in batch]
+        assert min(js) == 0 and max(js) > 3
+        assert min(ex.position for ex in batch) == 0
+        assert max(ex.position for ex in batch) > 3
+        results = []
+        for loss_fn in (P.batch_loss, reference_models.context_batch_loss):
+            for p in model.params():
+                p.zero_grad()
+            loss = loss_fn(model, corpus, feats, batch)
+            engine.backward(loss)
+            results.append((float(loss.value), [p.grad.copy() for p in model.params()]))
+        (loss, grads), (ref_loss, ref_grads) = results
+        assert abs(loss - ref_loss) <= 1e-10 * abs(ref_loss)
+        for p, g, ref_g in zip(model.params(), grads, ref_grads):
+            assert np.abs(g - ref_g).max() <= 1e-10 * np.abs(ref_g).max(), p.name
+
     def test_gradient_check_on_batch_loss(self, small_stack):
         corpus = small_stack["corpus"]
         feats = small_stack["features"]

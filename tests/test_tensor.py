@@ -20,9 +20,11 @@ from ctxrec.nn import (
     softmax,
     softmax_cross_entropy,
 )
+import reference_bilstm
 import reference_models
 from ctxrec.nn import engine
 from ctxrec.nn.checkpoint import load_params
+from ctxrec.nn.layers import window_sources
 
 
 class TestSoftmax:
@@ -238,6 +240,145 @@ class TestBatchedBiLstm:
         assert not finite_diff_check(build, lstm.params(), tolerance=1e-4,
                                      rng=np.random.default_rng(12),
                                      gradient_scale=2.0).passed
+
+
+def _oracle_grads(lstm, xs, lengths, g):
+    """Output, input gradient and parameter gradients of the per-row kernel
+    that the prefix-state kernel replaced, for output gradient ``g``."""
+    for p in lstm.params():
+        p.zero_grad()
+    out, grad_in = reference_bilstm.bilstm_run(lstm, xs, lengths)
+    dx = grad_in(g)
+    return out, dx, [p.grad.copy() for p in lstm.params()]
+
+
+def _rel_err(a, ref):
+    return np.abs(np.asarray(a) - ref).max() / max(np.abs(ref).max(), 1e-300)
+
+
+# Source lengths 7, 3, 1 and 5 over T = 7. Source 0 runs past its longest
+# row (end 5), rows 1 and 2 both read (source 0, end 4), and source 2 has a
+# single step.
+SHARED_LENGTHS = np.array([7, 3, 1, 5])
+SHARED_SRC = np.array([0, 0, 0, 1, 1, 2, 3, 0, 3])
+SHARED_ENDS = np.array([5, 4, 4, 3, 1, 1, 5, 1, 2])
+
+
+class TestPrefixStateBiLstm:
+    """``encode`` over shared sources against the per-row kernel it replaced
+    (``reference_bilstm``): own-source rows exactly, shared rows at 1e-10."""
+
+    @pytest.mark.parametrize("lengths, T", [([6, 2, 1, 6, 3, 2], 6), ([4, 4, 4], 4),
+                                            ([3, 1, 2], 5), ([5], 5)],
+                             ids=["mixed", "equal", "padded-past-longest", "one-row"])
+    def test_own_source_rows_equal_oracle_exactly(self, lengths, T):
+        rng = np.random.default_rng(19)
+        lstm = BiLstm("own", 3, 4, rng)
+        lengths = np.array(lengths)
+        xs = rng.normal(size=(len(lengths), T, 3))
+        g = rng.normal(size=(len(lengths), 8))
+        ref_out, ref_dx, ref_dparams = _oracle_grads(lstm, xs, lengths, g)
+        for src in (None, np.arange(len(lengths))):
+            batch = constant(xs)
+            out, dx, dparams = _bilstm_grads(
+                lstm, lambda: (lstm.encode(batch, lengths, src,
+                                           None if src is None else lengths), g), batch)
+            assert np.array_equal(out, ref_out)
+            assert np.array_equal(dx, ref_dx)
+            for got, ref in zip(dparams, ref_dparams):
+                assert np.array_equal(got, ref)
+
+    def test_forward_equals_oracle_exactly(self):
+        rng = np.random.default_rng(20)
+        lstm = BiLstm("one", 3, 4, rng)
+        xs = rng.normal(size=(6, 3))
+        g = rng.normal(size=8)
+        seq = constant(xs)
+        out, dx, dparams = _bilstm_grads(lstm, lambda: (lstm.forward(seq), g), seq)
+        ref_out, ref_dx, ref_dparams = _oracle_grads(lstm, xs[None], None, g[None])
+        assert np.array_equal(out, ref_out[0])
+        assert np.array_equal(dx, ref_dx[0])
+        for got, ref in zip(dparams, ref_dparams):
+            assert np.array_equal(got, ref)
+
+    def test_shared_rows_match_per_row_oracle(self):
+        rng = np.random.default_rng(21)
+        lstm = BiLstm("shared", 3, 4, rng)
+        xs = rng.normal(size=(len(SHARED_LENGTHS), SHARED_LENGTHS.max(), 3))
+        g = rng.normal(size=(len(SHARED_SRC), 8))
+        batch = constant(xs)
+        out, dx, dparams = _bilstm_grads(
+            lstm, lambda: (lstm.encode(batch, SHARED_LENGTHS, SHARED_SRC, SHARED_ENDS), g),
+            batch)
+        ref_dx = np.zeros_like(xs)
+        ref_dparams = [np.zeros_like(p.value) for p in lstm.params()]
+        for b, (s, e) in enumerate(zip(SHARED_SRC, SHARED_ENDS)):
+            row, row_dx, row_dparams = _oracle_grads(lstm, xs[s:s + 1, :e], None, g[b:b + 1])
+            assert _rel_err(out[b], row[0]) <= 1e-10
+            ref_dx[s, :e] += row_dx[0]
+            for acc, rg in zip(ref_dparams, row_dparams):
+                acc += rg
+        assert _rel_err(dx, ref_dx) <= 1e-10
+        assert np.all(dx[0, 5:] == 0.0)  # steps no row reads
+        for p, got, ref in zip(lstm.params(), dparams, ref_dparams):
+            assert _rel_err(got, ref) <= 1e-10, p.name
+
+    def test_no_grad_shared_rows_equal_grad_mode(self):
+        rng = np.random.default_rng(22)
+        lstm = BiLstm("ng", 3, 4, rng)
+        xs = rng.normal(size=(len(SHARED_LENGTHS), SHARED_LENGTHS.max(), 3))
+        with engine.no_grad():
+            out = lstm.encode(constant(xs), SHARED_LENGTHS, SHARED_SRC, SHARED_ENDS)
+        assert np.array_equal(out.value, lstm.encode(
+            constant(xs), SHARED_LENGTHS, SHARED_SRC, SHARED_ENDS).value)
+
+    def test_gradient_check_on_shared_sources(self):
+        rng = np.random.default_rng(23)
+        lstm = BiLstm("gs", 3, 4, rng)
+        xs = rng.normal(size=(len(SHARED_LENGTHS), SHARED_LENGTHS.max(), 3))
+        weights = rng.normal(size=(len(SHARED_SRC), 8))
+
+        def build():
+            out = lstm.encode(constant(xs), SHARED_LENGTHS, SHARED_SRC, SHARED_ENDS)
+            return engine.vsum(engine.dot_last(out, constant(weights)))
+
+        report = finite_diff_check(build, lstm.params(), tolerance=1e-4,
+                                   rng=np.random.default_rng(24))
+        assert report.passed, str(report)
+        assert not finite_diff_check(build, lstm.params(), tolerance=1e-4,
+                                     rng=np.random.default_rng(24),
+                                     gradient_scale=2.0).passed
+
+    def test_sources_validated(self):
+        lstm = BiLstm("sv", 3, 4, np.random.default_rng(0))
+        xs = constant(np.zeros((2, 3, 3)))
+        with pytest.raises(ValueError, match="ends"):
+            lstm.encode(xs, [3, 2], [0, 1], [3, 3])
+        with pytest.raises(ValueError, match="ends"):
+            lstm.encode(xs, [3, 2], [0, 1], [0, 1])
+        with pytest.raises(ValueError, match="src"):
+            lstm.encode(xs, [3, 2], [0, 2], [1, 1])
+        with pytest.raises(ValueError, match="src"):
+            lstm.encode(xs, [3, 2], [0, 1], [1])
+        with pytest.raises(ValueError, match="together"):
+            lstm.encode(xs, [3, 2], [0, 1])
+
+
+def test_window_sources_groups_rows():
+    # key 5 reads (1, 2, 3, 4, 5, 6), key 7 reads (8, 9), key 9 reads (4,)
+    seqs = {5: (1, 2, 3, 4, 5, 6), 7: (8, 9), 9: (4,)}
+    keys = [5, 5, 5, 7, 5, 9, 5, 7, 5]
+    stops = [2, 3, 0, 0, 6, 1, 3, 2, 6]
+    ids, valid, lengths, src, ends = window_sources(
+        keys, [seqs[k] for k in keys], stops, 3)
+    spans = [tuple(row[ok]) for row, ok in zip(ids, valid)]
+    # key 5 windows from 0 share a source up to its furthest stop; the
+    # truncated window (4, 5, 6) is its own; both empty rows share one
+    assert [spans[s][:e] for s, e in zip(src, ends)] == [
+        (1, 2), (1, 2, 3), (), (), (4, 5, 6), (4,), (1, 2, 3), (8, 9), (4, 5, 6)]
+    assert sorted(spans) == [(), (1, 2, 3), (4,), (4, 5, 6), (8, 9)]
+    assert np.array_equal(lengths, [max(len(sp), 1) for sp in spans])
+    assert ends[2] == ends[3] == 1 and src[2] == src[3]
 
 
 def _leaf(param: Parameter):
