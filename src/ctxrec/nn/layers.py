@@ -272,7 +272,8 @@ class BiLstm:
         if xs.shape[0] == 0:
             raise ValueError("BiLstm requires a non-empty sequence; "
                              "substitute the auxiliary vector for empty prefixes")
-        out, grad_in = self._run(xs[None], None, None, None)
+        length = np.array([xs.shape[0]])
+        out, grad_in = self._run(xs[None], length, np.zeros(1, dtype=np.intp), length)
         return Var(out[0], (seq,), lambda g: _accum(seq, grad_in(g[None])[0]))
 
     def encode(self, seqs: Var, lengths, src=None, ends=None) -> Var:
@@ -292,26 +293,27 @@ class BiLstm:
                              f"of shape {xs.shape}")
         if (src is None) != (ends is None):
             raise ValueError("src and ends must be given together")
-        if src is not None:
-            src = np.asarray(src, dtype=np.intp)
-            ends = np.asarray(ends, dtype=np.intp)
-            if src.ndim != 1 or ends.shape != src.shape or not len(src) \
-                    or src.min() < 0 or src.max() >= len(lengths):
-                raise ValueError(f"src must be a non-empty list of source ids in "
-                                 f"[0, {len(lengths)}) with one end each")
-            if ends.min() < 1 or (ends > lengths[src]).any():
-                raise ValueError("ends must lie in [1, lengths[src]]")
+        if src is None:
+            src, ends = np.arange(len(lengths)), lengths
+        src = np.asarray(src, dtype=np.intp)
+        ends = np.asarray(ends, dtype=np.intp)
+        if src.ndim != 1 or ends.shape != src.shape or not len(src) \
+                or src.min() < 0 or src.max() >= len(lengths):
+            raise ValueError(f"src must be a non-empty list of source ids in "
+                             f"[0, {len(lengths)}) with one end each")
+        if ends.min() < 1 or (ends > lengths[src]).any():
+            raise ValueError("ends must lie in [1, lengths[src]]")
         out, grad_in = self._run(xs, lengths, src, ends)
         return Var(out, (seqs,), lambda g: _accum(seqs, grad_in(g)))
 
-    def _run(self, xs: np.ndarray, lengths: np.ndarray | None,
-             src: np.ndarray | None, ends: np.ndarray | None):
-        """(B, 2h) outputs and the function mapping their gradient to the
-        gradient of ``xs``. ``lengths`` None means every source spans all T;
-        ``src`` None means row s is all of source s."""
+    def _run(self, xs: np.ndarray, lengths: np.ndarray, src: np.ndarray,
+             ends: np.ndarray):
+        """(B, 2h) outputs, row b the first ``ends[b]`` steps of source
+        ``src[b]``, and the function mapping their gradient to the gradient
+        of ``xs``."""
         S, T, _ = xs.shape
-        shared = src is not None  # rows may then read one source
-        transposed = not shared and (lengths is None or (lengths == T).all())
+        transposed = (ends == T).all() and len(src) == S \
+            and (src == np.arange(S)).all()
         if transposed:
             # every row runs every step of its own source: the packing is
             # the (T, S) transpose and needs no gather
@@ -321,14 +323,9 @@ class BiLstm:
             out_f = out_b = slice((T - 1) * S, T * S)
         else:
             counts_f, rows_f, steps_f, offsets, rank = _packing(lengths)
-            if shared:
-                out_f = offsets[ends - 1] + rank[src]
-                counts_b, rows_b, steps_b, offsets, rank = _packing(ends)
-                out_b = offsets[ends - 1] + rank
-            else:
-                src, ends = np.arange(S), lengths
-                counts_b, rows_b, steps_b = counts_f, rows_f, steps_f
-                out_f = out_b = offsets[ends - 1] + rank
+            out_f = offsets[ends - 1] + rank[src]
+            counts_b, rows_b, steps_b, offsets, rank = _packing(ends)
+            out_b = offsets[ends - 1] + rank
             src_b = src[rows_b]
             t_b = ends[rows_b] - 1 - steps_b  # the backward direction reads reversed
             x_f, x_b = xs[rows_f, steps_f], xs[src_b, t_b]
@@ -353,13 +350,13 @@ class BiLstm:
                 return dx.transpose(1, 0, 2)
             dx = np.zeros(xs.shape)
             dx[rows_f, steps_f] = d_f
-            if not shared:  # each (source, step) is read by one row
+            if np.bincount(src).max() == 1:  # each (source, step) has one reader
                 dx[src_b, t_b] += d_b
                 return dx
             # rows that read one source: sum their backward-direction gradients
             # per (source, step) as a sparse product, several times faster than
             # np.add.at here. Building the matrix costs a few tenths of a ms,
-            # so rows that own their source keep the plain scatter above.
+            # so sources with one reader take the plain scatter above.
             n = len(d_b)
             dx.reshape(S * T, -1)[...] += sparse.csr_matrix(
                 (np.ones(n), (src_b * T + t_b, np.arange(n))), shape=(S * T, n)) @ d_b

@@ -301,25 +301,32 @@ class TestPrefixStateBiLstm:
         for got, ref in zip(dparams, ref_dparams):
             assert np.array_equal(got, ref)
 
-    def test_shared_rows_match_per_row_oracle(self):
+    # one reader per source, in permuted order and stopping short of sources
+    # 0 and 2, takes the plain input-gradient scatter instead of the sum
+    @pytest.mark.parametrize("lengths, src, ends", [
+        (SHARED_LENGTHS, SHARED_SRC, SHARED_ENDS),
+        (np.array([6, 2, 4]), np.array([2, 0, 1]), np.array([3, 5, 2]))],
+        ids=["shared", "one-reader"])
+    def test_rows_match_per_row_oracle(self, lengths, src, ends):
         rng = np.random.default_rng(21)
         lstm = BiLstm("shared", 3, 4, rng)
-        xs = rng.normal(size=(len(SHARED_LENGTHS), SHARED_LENGTHS.max(), 3))
-        g = rng.normal(size=(len(SHARED_SRC), 8))
+        xs = rng.normal(size=(len(lengths), lengths.max(), 3))
+        g = rng.normal(size=(len(src), 8))
         batch = constant(xs)
         out, dx, dparams = _bilstm_grads(
-            lstm, lambda: (lstm.encode(batch, SHARED_LENGTHS, SHARED_SRC, SHARED_ENDS), g),
-            batch)
+            lstm, lambda: (lstm.encode(batch, lengths, src, ends), g), batch)
         ref_dx = np.zeros_like(xs)
         ref_dparams = [np.zeros_like(p.value) for p in lstm.params()]
-        for b, (s, e) in enumerate(zip(SHARED_SRC, SHARED_ENDS)):
+        for b, (s, e) in enumerate(zip(src, ends)):
             row, row_dx, row_dparams = _oracle_grads(lstm, xs[s:s + 1, :e], None, g[b:b + 1])
             assert _rel_err(out[b], row[0]) <= 1e-10
             ref_dx[s, :e] += row_dx[0]
             for acc, rg in zip(ref_dparams, row_dparams):
                 acc += rg
         assert _rel_err(dx, ref_dx) <= 1e-10
-        assert np.all(dx[0, 5:] == 0.0)  # steps no row reads
+        last = np.zeros(len(lengths), dtype=int)
+        np.maximum.at(last, src, ends)
+        assert np.all(dx[np.arange(xs.shape[1]) >= last[:, None]] == 0.0)  # steps no row reads
         for p, got, ref in zip(lstm.params(), dparams, ref_dparams):
             assert _rel_err(got, ref) <= 1e-10, p.name
 
