@@ -10,9 +10,12 @@ first-layer output depends on the item alone and only the session side
 needs second-hop sampling. A training batch is a GraphSAGE node-set
 minibatch (Hamilton et al. 2017, Alg. 2): it draws its neighbor samples
 (with replacement) first, computes the first layer once per node, and takes
-every neighbor mean as a sparse averaging-matrix product. Embeddings that
-feed clustering come from the deterministic full-neighborhood forward pass,
-so an unseen session with the same item multiset embeds identically.
+every neighbor mean as a sparse averaging-matrix product. The first layer is
+folded through the session side's neighbor mean (see ``_layer1_pre``), and
+the batch loss is one autodiff node whose backward pass is written out.
+Embeddings that feed clustering come from the deterministic
+full-neighborhood forward pass, so an unseen session with the same item
+multiset embeds identically.
 """
 
 from __future__ import annotations
@@ -235,17 +238,6 @@ class SageEncoder:
                 pass
         return embeddings, embeddable
 
-    # -- sampled forward for training (autodiff graph) -----------------------
-
-    def _phi1_var(self, x: engine.Var) -> engine.Var:
-        return engine.l2_normalize_rows(engine.relu(self.layer1(x)))
-
-    def _phi2_raw_var(self, h1_self: engine.Var, h1_neigh: engine.Var) -> engine.Var:
-        # the edge loss sees the unnormalized second-layer output: normalizing
-        # first caps the logit at +-1 and the loss saturates before the item
-        # features spread; every exported embedding is still L2-normalized
-        return self.layer2(engine.concat([h1_self, h1_neigh]))
-
 
 def _l2n(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     norms = np.maximum(np.linalg.norm(x, axis=-1, keepdims=True), eps)
@@ -259,16 +251,63 @@ def _mean_matrix(cols: np.ndarray, off: np.ndarray, num_cols: int) -> sparse.csr
     return sparse.csr_matrix((data, cols, off), shape=(len(off) - 1, num_cols))
 
 
-def _sampled_mean(ids: np.ndarray, x: Parameter | engine.Var) -> engine.Var:
-    """Row r is the mean of x's rows ids[r] for (R, k) ids; k = 1 gathers."""
-    off = np.arange(0, ids.size + 1, ids.shape[1])
-    return engine.sparse_matmul(_mean_matrix(ids.reshape(-1), off, x.value.shape[0]), x)
+# -- training loss: layer 1 folded through the neighbor mean ----------------
+#
+# Layer 1 is linear before its ReLU. With W1 = [W1a | W1b] split by input
+# half, a session row's pre-activation W1 [s ; mean F[I]] + b1 equals
+# mean((F W1b^T)[I]) + (W1a s + b1), so the dense layer runs once over the
+# vocabulary instead of once per sampled row. An item node's is
+# F[i] W1a^T + (W1b s + b1), since every session shares the feature s.
+
+def _layer1_pre(encoder: SageEncoder, items: np.ndarray,
+                mean: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Layer-1 pre-activations of the item nodes ``items`` and of the
+    session rows whose item means ``mean`` takes over the vocabulary."""
+    w_self, w_neigh = np.split(encoder.layer1.weight.value, 2, axis=1)
+    s, b = encoder.session_feat.value, encoder.layer1.bias.value
+    feat = encoder.item_feat.value
+    return (feat[items] @ w_self.T + (w_neigh @ s + b),
+            mean @ (feat @ w_neigh.T) + (w_self @ s + b))
+
+
+def _relu_l2n(pre: np.ndarray, eps: float = 1e-12):
+    """ReLU then row L2 normalization (norm clamped at eps), and its backward."""
+    h = np.maximum(pre, 0.0)
+    norms = np.sqrt(np.einsum("ij,ij->i", h, h))[:, None]
+    clamped = np.maximum(norms, eps)
+    y = h / clamped
+
+    def bwd(dy: np.ndarray) -> np.ndarray:
+        dh = dy - y * np.einsum("ij,ij->i", dy, y)[:, None]
+        free = norms > eps
+        if not free.all():  # a clamped row takes no projection term
+            dh = np.where(free, dh, dy)
+        return dh * ((pre > 0) / clamped)
+
+    return y, bwd
+
+
+def _edge_scores(z_s: np.ndarray, z_i: np.ndarray, sess_rows: np.ndarray,
+                 item_rows: np.ndarray):
+    """Each item slot's session row, sign and signed logit. The slots are the
+    b edges' items, then their negatives row-major; ``sess_rows`` holds the b
+    edges' rows of ``z_s``, ``item_rows`` every slot's row of ``z_i``. The
+    loss is the sum of softplus(-score) over b."""
+    b = len(sess_rows)
+    k = len(item_rows) // b - 1
+    pair = np.concatenate([sess_rows, np.repeat(sess_rows, k)])
+    sign = np.repeat([1.0, -1.0], [b, b * k])
+    return pair, sign, sign * np.einsum("ij,ij->i", z_s[pair], z_i[item_rows])
 
 
 def _edge_loss_sampled(encoder: SageEncoder, graph: BipartiteMultigraph,
                        edges: np.ndarray, negatives: np.ndarray,
                        rng: np.random.Generator) -> engine.Var:
-    """Mean negative-sampling loss of a batch of edges and their negatives."""
+    """Mean negative-sampling loss of a batch of edges and their negatives, as
+    one node whose backward is written out. The edge loss sees the
+    unnormalized second-layer output: normalizing first caps the logit at
+    +-1 and the loss saturates before the item features spread; every
+    exported embedding is still L2-normalized."""
     f1, f2 = encoder.fanout
     uniq_s, inv_s = np.unique(edges[:, 0], return_inverse=True)
     uniq_i, inv_i = np.unique(np.concatenate([edges[:, 1], negatives.reshape(-1)]),
@@ -283,48 +322,64 @@ def _edge_loss_sampled(encoder: SageEncoder, graph: BipartiteMultigraph,
     # sessions followed by the session draws of the batch items
     nodes, col = np.unique(np.concatenate([uniq_i, hop.reshape(-1)]),
                            return_inverse=True)
-    tiles = engine.broadcast_param(encoder.session_feat, (len(nodes),))
-    item_h1 = encoder._phi1_var(engine.concat(
-        [_sampled_mean(nodes[:, None], encoder.item_feat), tiles]))
-    n_s, n_i = len(uniq_s), len(uniq_i)
-    tiles = engine.broadcast_param(encoder.session_feat, (n_s + sess.size,))
-    sess_h1 = encoder._phi1_var(engine.concat(
-        [tiles, _sampled_mean(np.concatenate([own, sess_items]), encoder.item_feat)]))
-    z_s = encoder._phi2_raw_var(_sampled_mean(np.arange(n_s)[:, None], sess_h1),
-                                _sampled_mean(col[n_i:].reshape(hop.shape), item_h1))
-    z_i = encoder._phi2_raw_var(
-        _sampled_mean(col[:n_i, None], item_h1),
-        _sampled_mean(n_s + np.arange(sess.size).reshape(sess.shape), sess_h1))
+    drawn = np.concatenate([own, sess_items]).reshape(-1)
+    mean = _mean_matrix(drawn, np.arange(0, drawn.size + 1, f2), encoder.num_items)
+    item_pre, sess_pre = _layer1_pre(encoder, nodes, mean)
+    item_h1, item_bwd = _relu_l2n(item_pre)
+    sess_h1, sess_bwd = _relu_l2n(sess_pre)
+    n_s, n_i, o = len(uniq_s), len(uniq_i), encoder.out_dim
+    hop_mean = _mean_matrix(col[n_i:], np.arange(0, hop.size + 1, f1), len(nodes))
+    x_s = np.concatenate([sess_h1[:n_s], hop_mean @ item_h1], axis=1)
+    x_i = np.concatenate([item_h1[col[:n_i]],
+                          sess_h1[n_s:].reshape(n_i, f1, o).mean(axis=1)], axis=1)
+    w2, b2 = encoder.layer2.weight.value, encoder.layer2.bias.value
+    z_s, z_i = x_s @ w2.T + b2, x_i @ w2.T + b2
+    pair, sign, score = _edge_scores(z_s, z_i, inv_s, inv_i)
+    b = len(edges)
 
-    b, k = len(edges), negatives.shape[1]
-    pos = engine.dot_last(_sampled_mean(inv_s[:, None], z_s),
-                          _sampled_mean(inv_i[:b, None], z_i))
-    neg = engine.dot_last(_sampled_mean(np.repeat(inv_s, k)[:, None], z_s),
-                          _sampled_mean(inv_i[b:, None], z_i))
-    loss = engine.add(engine.vsum(engine.logsigmoid(pos)),
-                      engine.vsum(engine.logsigmoid(engine.scale(neg, -1.0))))
-    return engine.scale(loss, -1.0 / b)
+    def bwd(g):
+        # d loss / d(z_s[pair] . z_i[inv_i]) per item slot
+        d_dot = (-g / b) * sign * engine.stable_sigmoid(-score)
+        d_pairs = sparse.coo_matrix((d_dot, (pair, inv_i)), shape=(n_s, n_i))
+        dz_s, dz_i = d_pairs @ z_i, d_pairs.T @ z_s
+        encoder.layer2.weight.grad += dz_s.T @ x_s + dz_i.T @ x_i
+        encoder.layer2.bias.grad += dz_s.sum(axis=0) + dz_i.sum(axis=0)
+        dx_s, dx_i = dz_s @ w2, dz_i @ w2
+        d_item_h1 = hop_mean.T @ dx_s[:, o:]
+        d_item_h1[col[:n_i]] += dx_i[:, :o]  # the batch items are distinct nodes
+        d_item = item_bwd(d_item_h1)
+        d_sess = sess_bwd(np.concatenate(
+            [dx_s[:, :o], np.repeat(dx_i[:, o:] / f1, f1, axis=0)]))
+
+        d = encoder.base_dim
+        w1 = encoder.layer1.weight
+        w_self, w_neigh = np.split(w1.value, 2, axis=1)
+        s, feat = encoder.session_feat.value, encoder.item_feat.value
+        c_item, c_sess = d_item.sum(axis=0), d_sess.sum(axis=0)
+        d_proj = mean.T @ d_sess  # gradient of F W1b^T, one row per item
+        w1.grad[:, :d] += d_item.T @ feat[nodes] + np.outer(c_sess, s)
+        w1.grad[:, d:] += d_proj.T @ feat + np.outer(c_item, s)
+        encoder.layer1.bias.grad += c_item + c_sess
+        encoder.session_feat.grad += c_item @ w_neigh + c_sess @ w_self
+        encoder.item_feat.grad += d_proj @ w_neigh
+        encoder.item_feat.grad[nodes] += d_item @ w_self
+
+    return engine.Var(np.logaddexp(0.0, -score).sum() / b, (), bwd)
 
 
 def _edge_loss_det(encoder: SageEncoder, graph: BipartiteMultigraph,
                    edges: np.ndarray, negatives: np.ndarray) -> float:
     """Holdout loss, full neighborhoods and fixed negatives, pre-normalization."""
-    item_h1 = encoder._item_h1()
     session_mean = _mean_matrix(graph.session_adj, graph.session_off, graph.num_items)
-    feat_mean = session_mean @ encoder.item_feat.value
-    h1_sess = encoder._phi1(np.broadcast_to(encoder.session_feat.value, feat_mean.shape),
-                            feat_mean)
-    z_s_all = encoder._phi2_raw(h1_sess, session_mean @ item_h1)
+    item_pre, sess_pre = _layer1_pre(encoder, np.arange(graph.num_items), session_mean)
+    item_h1, sess_h1 = _relu_l2n(item_pre)[0], _relu_l2n(sess_pre)[0]
+    z_s = encoder._phi2_raw(sess_h1, session_mean @ item_h1)
     # item-side second layer: neighbor sessions' full h1
     item_mean = _mean_matrix(graph.item_adj, graph.item_off, graph.num_session_nodes)
-    z_i_all = encoder._phi2_raw(item_h1, item_mean @ h1_sess)
-
-    z_s = z_s_all[edges[:, 0]]
-    pos = (z_s * z_i_all[edges[:, 1]]).sum(axis=1)
-    neg = (z_s[:, None, :] * z_i_all[negatives]).sum(axis=2)
-    loss = -(np.log(engine.stable_sigmoid(pos) + 1e-300).sum()
-             + np.log(engine.stable_sigmoid(-neg) + 1e-300).sum())
-    return float(loss / len(edges))
+    z_i = encoder._phi2_raw(item_h1, item_mean @ sess_h1)
+    score = _edge_scores(z_s, z_i, edges[:, 0],
+                         np.concatenate([edges[:, 1], negatives.reshape(-1)]))[2]
+    return float(np.logaddexp(0.0, -score).sum() / len(edges))
 
 
 def negative_sampling_weights(graph: BipartiteMultigraph, power: float = 0.75) -> np.ndarray:

@@ -5,7 +5,8 @@ package compose. Values are float64 throughout. Trainable weights live in
 ``Parameter`` objects whose ``.grad`` buffers accumulate across backward
 passes; intermediate nodes are ``Var`` objects forming a DAG. Recurrent
 encoders register as single fused nodes (see ``layers.BiLstm``) so a pass
-over a whole batch of sequences costs one node instead of one per gate.
+over a whole batch of sequences costs one node instead of one per gate, and
+so does the graph encoder's batch loss (``graph._edge_loss_sampled``).
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ def constant(value) -> Var:
 
 def _accum(var: Var, g: np.ndarray) -> None:
     if var.grad is None:
-        var.grad = np.zeros_like(var.value)
-    var.grad += g
+        var.grad = np.array(g, dtype=np.float64)  # a copy: ``g`` may be shared
+    else:
+        var.grad += g
 
 
 def backward(root: Var, seed: float = 1.0) -> None:
@@ -195,40 +197,6 @@ def concat(parts: list[Var], axis: int = -1) -> Var:
     return Var(out_val, tuple(parts), bwd)
 
 
-def relu(x: Var) -> Var:
-    mask = x.value > 0
-
-    def bwd(g):
-        _accum(x, g * mask)
-
-    return Var(np.where(mask, x.value, 0.0), (x,), bwd)
-
-
-def logsigmoid(x: Var) -> Var:
-    y = -np.logaddexp(0.0, -x.value)
-
-    def bwd(g):
-        _accum(x, g * stable_sigmoid(-x.value))
-
-    return Var(y, (x,), bwd)
-
-
-def sparse_matmul(mat, x: Parameter | Var) -> Var:
-    """``mat @ x`` for a scipy.sparse ``mat`` (e.g. a neighbor-averaging
-    matrix) and a 2-D parameter or node; the backward pass adds ``mat.T @ g``
-    to its gradient."""
-    if isinstance(x, Parameter):
-        def bwd(g):
-            x.grad += mat.T @ g
-
-        return Var(mat @ x.value, (), bwd)
-
-    def bwd(g):
-        _accum(x, mat.T @ g)
-
-    return Var(mat @ x.value, (x,), bwd)
-
-
 def index_rows(x: Var, ids) -> Var:
     """Gather along axis 0 of an intermediate node (e.g. deduped embeddings)."""
     ids = np.asarray(ids, dtype=np.intp)
@@ -239,20 +207,6 @@ def index_rows(x: Var, ids) -> Var:
         np.add.at(x.grad, ids, g)
 
     return Var(x.value[ids], (x,), bwd)
-
-
-def l2_normalize_rows(x: Var, eps: float = 1e-12) -> Var:
-    """Normalize along the last axis to unit L2 norm (norm clamped at eps)."""
-    norms = np.linalg.norm(x.value, axis=-1, keepdims=True)
-    clamped = np.maximum(norms, eps)
-    y = x.value / clamped
-    free = norms > eps  # where the clamp is inactive the projection term applies
-
-    def bwd(g):
-        proj = (g * y).sum(axis=-1, keepdims=True)
-        _accum(x, np.where(free, (g - y * proj) / clamped, g / clamped))
-
-    return Var(y, (x,), bwd)
 
 
 def dot_last(a: Var, b: Var) -> Var:

@@ -12,6 +12,7 @@ read or reused, and a mismatched ``meta.json`` is refused.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -59,7 +60,7 @@ STAGES = {
     "evaluate": (_NEXT + ("repetitions",), ("ingest", "train-context", "train-next")),
     "evaluate-ablation": (_NEXT + ("repetitions",),
                           ("ingest", "train-context", "train-next-ablation")),
-    # builds or reuses both train-next stages itself
+    # builds or reuses both evaluate stages (and their train-next stages) itself
     "ablate": (_NEXT + ("repetitions",), ("ingest", "train-context")),
     # every sweep-<param>; it runs the full pipeline on the config per value
     "sweep": (tuple(f.name for f in dataclasses.fields(PipelineConfig)), ()),
@@ -406,10 +407,18 @@ def _rep_metrics(ws: Workspace, cfg: StageConfig, corpus: SplitCorpus,
                       config_hash=ws.config_hash)
 
 
-def run_evaluate(ws: Workspace, ablation: bool = False) -> Path:
+def _evaluate_inputs(ws: Workspace) -> tuple[SplitCorpus, np.ndarray]:
+    """The corpus and the per-prefix top-k context ids that evaluation reads."""
+    corpus = load_ingested(ws)
+    return corpus, load_context_predictor(ws)[1]
+
+
+def run_evaluate(ws: Workspace, ablation: bool = False,
+                 inputs: Callable[[], tuple[SplitCorpus, np.ndarray]] | None = None) -> Path:
+    """``inputs()`` returns ``_evaluate_inputs(ws)``; ablate passes one that
+    loads them once for both arms."""
     def body(path: Path, cfg: StageConfig) -> dict:
-        corpus = load_ingested(ws)
-        _, ctx_topk, _ = load_context_predictor(ws)
+        corpus, ctx_topk = inputs() if inputs else _evaluate_inputs(ws)
         report = _rep_metrics(ws, cfg, corpus, ctx_topk, ablation)
         (path / "metrics.json").write_text(report.to_json())
         return {"mean_mrr": report.mean_mrr, "mean_recall_at_10": report.mean_recall}
@@ -422,27 +431,34 @@ def _ratio(num: float, den: float) -> float | None:
 
 
 def run_ablate(ws: Workspace) -> Path:
-    """Paired with/without-context repetitions plus one-tailed Welch tests;
-    rep 0 of each arm is its train-next stage, reused or built here."""
+    """Paired with/without-context repetitions plus one-tailed Welch tests,
+    read from the ``evaluate`` and ``evaluate-ablation`` reports, which are
+    reused or built here (with their ``train-next`` stages)."""
     def body(path: Path, cfg: StageConfig) -> dict:
-        corpus = load_ingested(ws)
-        _, ctx_topk, _ = load_context_predictor(ws)
-        run_train_next(ws)
-        with_report = _rep_metrics(ws, cfg, corpus, ctx_topk, False)
-        run_train_next(ws, ablation=True)
-        abl_report = _rep_metrics(ws, cfg, corpus, None, True)
-        t_mrr, p_mrr = t_test_one_tailed(with_report.mrr_values, abl_report.mrr_values)
-        t_rec, p_rec = t_test_one_tailed(with_report.recall_values,
-                                         abl_report.recall_values)
+        inputs = functools.cache(lambda: _evaluate_inputs(ws))
+        arms = []
+        for ablation in (False, True):
+            run_train_next(ws, ablation)
+            arms.append(json.loads(
+                (run_evaluate(ws, ablation, inputs) / "metrics.json").read_text()))
+        with_arm, abl_arm = arms
+
+        def t_test(key: str) -> tuple[float, float]:
+            return t_test_one_tailed(*([rep[key] for rep in arm["repetitions"]]
+                                       for arm in arms))
+
+        t_mrr, p_mrr = t_test("mrr")
+        t_rec, p_rec = t_test("recall_at_10")
         payload = {
             "config_hash": ws.config_hash,
-            "seeds": with_report.seeds,
-            "with_context": with_report.to_dict(),
-            "ablation": abl_report.to_dict(),
+            "seeds": with_arm["seeds"],
+            "with_context": with_arm,
+            "ablation": abl_arm,
             "t_test": {"mrr": {"t": t_mrr, "p": p_mrr},
                        "recall_at_10": {"t": t_rec, "p": p_rec}},
-            "mrr_ratio": _ratio(with_report.mean_mrr, abl_report.mean_mrr),
-            "recall_ratio": _ratio(with_report.mean_recall, abl_report.mean_recall),
+            "mrr_ratio": _ratio(with_arm["mean"]["mrr"], abl_arm["mean"]["mrr"]),
+            "recall_ratio": _ratio(with_arm["mean"]["recall_at_10"],
+                                   abl_arm["mean"]["recall_at_10"]),
         }
         (path / "ablation.json").write_text(
             json.dumps(payload, sort_keys=True, indent=2) + "\n")

@@ -21,6 +21,7 @@ of one session share that session's items.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,8 +158,7 @@ class ContextPredictor:
         return engine.softmax(logits.value)
 
 
-@dataclass(frozen=True)
-class ContextExample:
+class ContextExample(NamedTuple):
     interaction_idx: int
     user_id: int
     session_id: int
@@ -166,19 +166,22 @@ class ContextExample:
     label: int
 
 
-def build_context_examples(corpus: SplitCorpus, labels: np.ndarray,
-                           split_tag: str) -> list[ContextExample]:
-    """One example per ``split_tag`` interaction: its in-session prefix,
-    labeled with the session's context. Unlabeled sessions are skipped."""
-    out = []
-    for k, it in enumerate(corpus.interactions):
-        if corpus.splits[k] != split_tag:
-            continue
-        sid = corpus.session_of[k]
-        if labels[sid] == UNLABELED:
-            continue
-        out.append(ContextExample(k, it.user_id, sid, corpus.position_of[k],
-                                  int(labels[sid])))
+def build_context_examples(corpus: SplitCorpus,
+                           labels: np.ndarray) -> dict[str, list[ContextExample]]:
+    """Per split, train and validation, one example per interaction in
+    corpus order: its in-session prefix, labeled with the session's context.
+    Unlabeled sessions are skipped."""
+    session_of = np.asarray(corpus.session_of, dtype=np.intp)
+    label = np.asarray(labels)[session_of]
+    splits = np.asarray(corpus.splits)
+    # ContextExample's fields after interaction_idx, one entry per interaction
+    columns = (np.array([s.user_id for s in corpus.sessions], dtype=np.intp)[session_of],
+               session_of, np.asarray(corpus.position_of, dtype=np.intp), label)
+    out = {}
+    for tag in (TRAIN, VAL):
+        idx = np.flatnonzero((splits == tag) & (label != UNLABELED))
+        out[tag] = list(map(ContextExample, idx.tolist(),
+                            *(c[idx].tolist() for c in columns)))
     return out
 
 
@@ -235,8 +238,9 @@ def train_context(model: ContextPredictor, corpus: SplitCorpus,
     """Cross-entropy training over per-prefix examples, Adam, early stopping
     on validation loss. A session's prefix family is one shuffle unit and
     shares one history encoding, so its BPTT runs once per batch."""
-    train_groups = _group_by_session(build_context_examples(corpus, labels, TRAIN))
-    val_examples = build_context_examples(corpus, labels, VAL)
+    examples = build_context_examples(corpus, labels)
+    train_groups = _group_by_session(examples[TRAIN])
+    val_examples = examples[VAL]
 
     # no validation data (degenerate corpora): early-stop on train loss
     history = fit(model.params(), train_groups,

@@ -1,11 +1,14 @@
 """The graph encoder's sampled training path as it stood before the node-set
-minibatch, kept as the differential oracle for it.
+minibatch, kept as the differential oracle for the fused batch loss
+(``graph._edge_loss_sampled``) that now replaces both.
 
 ``session_z``, ``item_z``, ``phi1_var``, ``phi2_raw_var`` and
 ``edge_loss_det`` are copied unchanged apart from being module functions
-(``self`` became ``enc``); ``mean_axis`` is the removed ``engine.mean_axis``.
-``train_encoder`` is the trainer of that time; the batch loss it assembled
-inline is ``batch_loss``, moved out unchanged so one step can be compared.
+(``self`` became ``enc``) and calling the local operators. ``mean_axis``,
+``relu``, ``logsigmoid`` and ``l2_normalize_rows`` are the removed
+``engine`` operators of the same names. ``train_encoder`` is the
+trainer of that time; the batch loss it assembled inline is ``batch_loss``,
+moved out unchanged so one step can be compared.
 """
 
 import numpy as np
@@ -28,6 +31,38 @@ def mean_axis(x: Var, axis: int) -> Var:
         _accum(x, np.broadcast_to(np.expand_dims(g / n, axis), x.value.shape))
 
     return Var(x.value.mean(axis=axis), (x,), bwd)
+
+
+def relu(x: Var) -> Var:
+    mask = x.value > 0
+
+    def bwd(g):
+        _accum(x, g * mask)
+
+    return Var(np.where(mask, x.value, 0.0), (x,), bwd)
+
+
+def logsigmoid(x: Var) -> Var:
+    y = -np.logaddexp(0.0, -x.value)
+
+    def bwd(g):
+        _accum(x, g * engine.stable_sigmoid(-x.value))
+
+    return Var(y, (x,), bwd)
+
+
+def l2_normalize_rows(x: Var, eps: float = 1e-12) -> Var:
+    """Normalize along the last axis to unit L2 norm (norm clamped at eps)."""
+    norms = np.linalg.norm(x.value, axis=-1, keepdims=True)
+    clamped = np.maximum(norms, eps)
+    y = x.value / clamped
+    free = norms > eps  # where the clamp is inactive the projection term applies
+
+    def bwd(g):
+        proj = (g * y).sum(axis=-1, keepdims=True)
+        _accum(x, np.where(free, (g - y * proj) / clamped, g / clamped))
+
+    return Var(y, (x,), bwd)
 
 
 def session_z(enc: SageEncoder, graph: BipartiteMultigraph, nodes: np.ndarray,
@@ -63,7 +98,7 @@ def item_z(enc: SageEncoder, graph: BipartiteMultigraph, items: np.ndarray,
 
 
 def phi1_var(enc: SageEncoder, x: engine.Var) -> engine.Var:
-    return engine.l2_normalize_rows(engine.relu(enc.layer1(x)))
+    return l2_normalize_rows(relu(enc.layer1(x)))
 
 
 def phi2_raw_var(enc: SageEncoder, h1_self: engine.Var, h1_neigh: engine.Var) -> engine.Var:
@@ -115,11 +150,11 @@ def batch_loss(encoder: SageEncoder, graph: BipartiteMultigraph,
     b = len(batch)
     z_s_pos = engine.index_rows(z_s, inv_s)
     z_pos = engine.index_rows(z_i, inv_i[:b])
-    pos_term = engine.vsum(engine.logsigmoid(engine.dot_last(z_s_pos, z_pos)))
+    pos_term = engine.vsum(logsigmoid(engine.dot_last(z_s_pos, z_pos)))
     z_s_rep = engine.index_rows(z_s, np.repeat(inv_s, num_negatives))
     z_neg = engine.index_rows(z_i, inv_i[b:])
     neg_score = engine.scale(engine.dot_last(z_s_rep, z_neg), -1.0)
-    neg_term = engine.vsum(engine.logsigmoid(neg_score))
+    neg_term = engine.vsum(logsigmoid(neg_score))
     return engine.scale(engine.add(pos_term, neg_term), -1.0 / b)
 
 

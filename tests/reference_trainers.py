@@ -4,11 +4,14 @@ moved onto ``ctxrec.nn.optim.fit``, kept as the differential oracle for it.
 The code is copied unchanged except for one substitution:
 ``evaluate_context_loss`` calls the local ``cross_entropy`` (the removed
 ``engine.cross_entropy``); ``snapshot`` and ``restore`` are the removed
-optimizer helpers.
+optimizer helpers. ``build_context_examples`` is the per-interaction builder
+that the array-based ``predictor.build_context_examples`` replaced, and the
+oracle for it.
 """
 
 import numpy as np
 
+from ctxrec.cluster import UNLABELED
 from ctxrec.corpus import SplitCorpus, TRAIN, VAL
 from ctxrec.metrics import mrr, rank_of_truth
 from ctxrec.nextitem import ABLATION, NextItemModel, RankExample, build_rank_examples
@@ -19,7 +22,6 @@ from ctxrec.predictor import (
     ContextExample,
     ContextPredictor,
     SessionFeatureStore,
-    build_context_examples,
     long_term_input,
 )
 
@@ -40,6 +42,22 @@ def snapshot(params: list[Parameter]) -> list[np.ndarray]:
 def restore(params: list[Parameter], values: list[np.ndarray]) -> None:
     for p, v in zip(params, values):
         p.value[...] = v
+
+
+def build_context_examples(corpus: SplitCorpus, labels: np.ndarray,
+                           split_tag: str) -> list[ContextExample]:
+    """One example per ``split_tag`` interaction: its in-session prefix,
+    labeled with the session's context. Unlabeled sessions are skipped."""
+    out = []
+    for k, it in enumerate(corpus.interactions):
+        if corpus.splits[k] != split_tag:
+            continue
+        sid = corpus.session_of[k]
+        if labels[sid] == UNLABELED:
+            continue
+        out.append(ContextExample(k, it.user_id, sid, corpus.position_of[k],
+                                  int(labels[sid])))
+    return out
 
 
 def _group_by_session(examples: list[ContextExample]) -> list[list[ContextExample]]:

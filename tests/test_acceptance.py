@@ -104,7 +104,7 @@ class TestCriterion1Gradients:
         ctx_model = pred_mod.ContextPredictor(
             corpus.num_users, corpus.num_items, 3, features.dim,
             user_dim=6, item_dim=6, hidden=4, rng=rng)
-        ctx_examples = pred_mod.build_context_examples(corpus, labels, TRAIN)[:10]
+        ctx_examples = pred_mod.build_context_examples(corpus, labels)[TRAIN][:10]
 
         def build_ctx():
             losses = []

@@ -260,13 +260,27 @@ class TestPipelineMechanics:
 
         monkeypatch.setattr(next_mod, "train_next", counting)
         path = pipeline.run_ablate(ws)
-        # rep 0 of the with-context arm is the published train-next model
-        assert len(calls) == 2 * cfg.repetitions - 1
-        assert calls.count(next_mod.WITH_CONTEXT) == cfg.repetitions - 1
+        # the with-context arm is the published evaluate report, so only the
+        # ablation arm trains: its train-next model, then repetitions 1..R-1
+        assert calls == [next_mod.ABLATION] * cfg.repetitions
         assert ws.stage_dir("train-next-ablation").is_dir()
+        assert ws.stage_dir("evaluate-ablation").is_dir()
         payload = json.loads((path / "ablation.json").read_text())
         metrics = json.loads((ws.stage_dir("evaluate") / "metrics.json").read_text())
         assert payload["with_context"] == metrics
+
+    def test_ablate_after_both_evaluates_trains_and_ranks_nothing(
+            self, tiny_pipeline, tmp_path, monkeypatch):
+        _, cfg, ws_full = tiny_pipeline
+        ws = _partial_workspace(ws_full, cfg, tmp_path / "readme-order")
+        first = (pipeline.run_ablate(ws) / "ablation.json").read_bytes()
+        shutil.rmtree(ws.stage_dir("ablate"))
+        calls = []
+        for name in ("train_next", "compute_ranks"):
+            monkeypatch.setattr(next_mod, name,
+                                lambda *args, name=name, **kw: calls.append(name))
+        assert (pipeline.run_ablate(ws) / "ablation.json").read_bytes() == first
+        assert calls == []
 
     def test_next_model_loads_without_corpus(self, tiny_pipeline, monkeypatch):
         _, _, ws = tiny_pipeline

@@ -35,8 +35,9 @@ def _assert_identical(model_a, hist_a, model_b, hist_b):
 
 def _fit_context(model, corpus, features, labels, rng, **kw):
     """``train_context``'s use of ``fit``, with the per-example batch loss."""
-    groups = ref._group_by_session(P.build_context_examples(corpus, labels, TRAIN))
-    val = P.build_context_examples(corpus, labels, VAL)
+    examples = P.build_context_examples(corpus, labels)
+    groups = ref._group_by_session(examples[TRAIN])
+    val = examples[VAL]
     history = fit(model.params(), groups,
                   lambda exs: reference_models.context_batch_loss(
                       model, corpus, features, exs),

@@ -3,7 +3,7 @@ import pytest
 
 from ctxrec import graph as G
 from ctxrec.corpus import TEST
-from ctxrec.nn import engine, finite_diff_check
+from ctxrec.nn import DenseLayer, engine, finite_diff_check
 import reference_graph
 from conftest import corpus_from_rows, synth_corpus
 
@@ -169,6 +169,11 @@ class TestEmbedNewSession:
         assert np.array_equal(a, b)
 
 
+def _frozen_loss(enc, g, batch, negs):
+    # frozen sampling: deterministic loss
+    return lambda: G._edge_loss_sampled(enc, g, batch, negs, np.random.default_rng(11))
+
+
 def test_sampled_training_path_gradients():
     g = G.build_graph([[0, 1], [1], [0, 1, 1]], 2)
     enc = G.SageEncoder(2, base_dim=3, out_dim=3, fanout=(3, 3),
@@ -176,14 +181,72 @@ def test_sampled_training_path_gradients():
     batch = g.edges
     negs = np.random.default_rng(7).choice(
         2, size=(len(batch), 2), p=G.negative_sampling_weights(g))
-
-    def build():
-        # frozen sampling: deterministic loss
-        return G._edge_loss_sampled(enc, g, batch, negs, np.random.default_rng(11))
-
-    report = finite_diff_check(build, enc.params(), tolerance=1e-4,
-                               rng=np.random.default_rng(2))
+    report = finite_diff_check(_frozen_loss(enc, g, batch, negs), enc.params(),
+                               tolerance=1e-4, rng=np.random.default_rng(2))
     assert report.passed, str(report)
+
+
+def test_fused_loss_gradients_through_a_dead_relu_row():
+    # session 1 holds item 2 twice (parallel edges), so every draw of its
+    # own items is item 2; item 2's feature makes that session's layer-1
+    # pre-activation negative in every unit, and its normalized row is the
+    # clamped zero row
+    g = G.build_graph([[0, 1, 1], [2, 2], [1, 0, 3]], 4)
+    enc = G.SageEncoder(4, base_dim=5, out_dim=4, fanout=(3, 2),
+                        rng=np.random.default_rng(12))
+    w_self, w_neigh = np.split(enc.layer1.weight.value, 2, axis=1)
+    s, b1 = enc.session_feat.value, enc.layer1.bias.value
+    enc.item_feat.value[2] = -3.0 * np.linalg.pinv(w_neigh) @ np.ones(4)
+    assert (enc.item_feat.value[2] @ w_neigh.T + w_self @ s + b1 < -1.0).all()
+    batch = g.edges
+    negs = np.random.default_rng(8).integers(0, 4, size=(len(batch), 2))
+    report = finite_diff_check(_frozen_loss(enc, g, batch, negs), enc.params(),
+                               tolerance=1e-6, samples_per_param=20,
+                               rng=np.random.default_rng(3))
+    assert report.passed, str(report)
+    assert not finite_diff_check(_frozen_loss(enc, g, batch, negs), enc.params(),
+                                 tolerance=1e-6, rng=np.random.default_rng(3),
+                                 gradient_scale=2.0).passed
+
+
+class TestReferenceOperators:
+    """The operators the old encoder composed, kept in ``reference_graph``."""
+
+    def test_forward_closed_forms(self):
+        x = np.array([[3.0, -4.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 2.0, 2.0]])
+        assert np.array_equal(reference_graph.relu(engine.constant(x)).value,
+                              np.maximum(x, 0.0))
+        y = reference_graph.l2_normalize_rows(engine.constant(x)).value
+        assert np.allclose(y[[0, 2]], x[[0, 2]] / np.array([[5.0], [3.0]]),
+                           rtol=0, atol=1e-15)
+        assert np.all(y[1] == 0.0)  # the clamped zero row stays zero
+        z = np.array([-800.0, 0.0, 3.0])
+        ls = reference_graph.logsigmoid(engine.constant(z)).value
+        assert np.allclose(ls, [-800.0, -np.log(2.0), -np.log1p(np.exp(-3.0))],
+                           rtol=1e-15, atol=0)
+
+    def test_gradient_check_with_a_clamped_row(self):
+        rng = np.random.default_rng(14)
+        layer = DenseLayer("d", 4, 3, rng)
+        xs = rng.normal(size=(5, 4))
+        # row 2's pre-activation is -5 in every unit: its ReLU output is the
+        # zero row, which the normalization clamps
+        xs[2] = np.linalg.pinv(layer.weight.value) @ (-5.0 - layer.bias.value)
+        weights = rng.normal(size=(5, 3))
+
+        def build():
+            h = reference_graph.l2_normalize_rows(
+                reference_graph.relu(layer(engine.constant(xs))))
+            score = engine.dot_last(h, engine.constant(weights))
+            return engine.vsum(reference_graph.logsigmoid(score))
+
+        report = finite_diff_check(build, layer.params(), tolerance=1e-6,
+                                   samples_per_param=15,  # every coordinate
+                                   rng=np.random.default_rng(16))
+        assert report.passed, str(report)
+        assert not finite_diff_check(build, layer.params(), tolerance=1e-6,
+                                     rng=np.random.default_rng(16),
+                                     gradient_scale=2.0).passed
 
 
 def _rel(a, b):
@@ -191,8 +254,9 @@ def _rel(a, b):
 
 
 class TestNodeSetMinibatchOracle:
-    """The node-set minibatch against the per-hop-row encoder it replaced
-    (``reference_graph``), with the same seed and so the same draws."""
+    """The fused node-set minibatch loss against the per-hop-row encoder that
+    preceded it (``reference_graph``), with the same seed and so the same
+    draws."""
 
     @pytest.fixture(scope="class")
     def synth_graph(self, tmp_path_factory):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import sparse
 
 from ctxrec.nn import (
     Adam,
@@ -465,41 +464,6 @@ class TestBackward:
         expected = probs.copy()
         expected[1] -= 1.0
         assert np.allclose(logits.grad, expected)
-
-
-class TestSparseMatmul:
-    # row 0 averages column 2 twice with column 0, row 1 mixes signs, row 2 is empty
-    MAT = sparse.csr_matrix((np.array([0.25, 0.5, 0.25, 1.0, -2.0]),
-                             np.array([2, 0, 2, 4, 1]), np.array([0, 3, 5, 5])),
-                            shape=(3, 5))
-
-    def test_forward_is_the_dense_product(self):
-        x = np.random.default_rng(15).normal(size=(5, 2))
-        out = engine.sparse_matmul(self.MAT, constant(x)).value
-        assert np.allclose(out, self.MAT.toarray() @ x, rtol=0, atol=1e-15)
-        assert np.all(out[2] == 0.0)
-
-    def test_gradient_check_parameter_and_var_inputs(self):
-        rng = np.random.default_rng(14)
-        table = Parameter("table", rng.normal(size=(5, 3)))
-        layer = DenseLayer("d", 2, 3, rng)
-        xs = rng.normal(size=(5, 2))
-        weights = rng.normal(size=(3, 3))
-
-        def build():
-            from_param = engine.sparse_matmul(self.MAT, table)
-            from_var = engine.sparse_matmul(self.MAT, engine.relu(layer(constant(xs))))
-            both = engine.add(engine.l2_normalize_rows(from_param), from_var)
-            return engine.vsum(engine.dot_last(both, constant(weights)))
-
-        params = [table] + layer.params()
-        report = finite_diff_check(build, params, tolerance=1e-6,
-                                   samples_per_param=15,  # every coordinate
-                                   rng=np.random.default_rng(16))
-        assert report.passed, str(report)
-        assert not finite_diff_check(build, params, tolerance=1e-6,
-                                     rng=np.random.default_rng(16),
-                                     gradient_scale=2.0).passed
 
 
 class TestAdam:

@@ -20,20 +20,41 @@ plus 3 metadata columns).
 - ``test_fc2_softmax_xent``: the next-item output layer and its softmax
   cross-entropy over a 256-row batch, forward and backward, at the pinned
   vocabulary (V = 200) and at 10 V.
+- ``test_encoder_step``: one graph-encoder training step (batch loss,
+  backward, clipping and Adam) on the ``pinned`` graph (``SynthSpec()`` cut
+  to 12 users) with base and output dim 32, fanout (10, 10), 512 edges and
+  5 negatives each. ``fused`` is ``graph._edge_loss_sampled``,
+  ``reference`` the per-hop-row oracle in ``tests/reference_graph.py``, and
+  ``interleaved`` runs one step of each per round, alternating which goes
+  first, and records both medians in ``extra_info``: separate runs on a
+  shared host can differ by more than the gap between two versions.
+- ``test_lloyd``: ``cluster._lloyd`` on 480 random 32-dim points (the
+  ``pinned`` session count) with 8 contexts, for 1 and for 10 iterations.
+  Both include the k-means++ seeding and the final assignment pass, so one
+  Lloyd iteration costs the difference over 9.
+- ``test_ranking``: ``metrics.ranks_of_truth`` over a 1,024-row score
+  matrix (one evaluation batch) at V = 200 and 10 V.
 """
 
 from __future__ import annotations
 
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+import reference_graph  # noqa: E402
+from ctxrec import cluster, graph, metrics  # noqa: E402
+from ctxrec.corpus import build_corpus, parse_log  # noqa: E402
 from ctxrec.nn import engine  # noqa: E402
 from ctxrec.nn.layers import BiLstm, DenseLayer, window_sources  # noqa: E402
+from ctxrec.nn.optim import adam_stepper  # noqa: E402
+from ctxrec.synth import SynthSpec, generate  # noqa: E402
 
 HIDDEN = 16
 ITEM_DIM = 32
@@ -101,3 +122,59 @@ def test_fc2_softmax_xent(benchmark, vocab):
         engine.backward(engine.softmax_cross_entropy(fc2(x), targets)[0])
 
     benchmark(step)
+
+
+@pytest.fixture(scope="module")
+def pinned_graph(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("pinned")
+    generate(SynthSpec(num_users=USERS), tmp / "log.csv", tmp / "labels.json")
+    return graph.build_graph_from_corpus(build_corpus(parse_log(tmp / "log.csv")))
+
+
+def _encoder_step(g, loss_fn):
+    """One training step's closure: fixed batch, negatives and draws, so
+    every call does the same work."""
+    enc = graph.SageEncoder(g.num_items, 32, 32, (10, 10), np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    batch = g.edges[rng.permutation(g.num_edges)[:512]]
+    negs = rng.choice(g.num_items, size=(len(batch), 5),
+                      p=graph.negative_sampling_weights(g))
+    step = adam_stepper(enc.params(), 0.003, 5.0, "graph")
+    return lambda: step(loss_fn(enc, g, batch, negs, np.random.default_rng(2)))
+
+
+@pytest.mark.parametrize("impl", ["fused", "reference", "interleaved"])
+def test_encoder_step(benchmark, pinned_graph, impl):
+    steps = {"fused": _encoder_step(pinned_graph, graph._edge_loss_sampled),
+             "reference": _encoder_step(pinned_graph, reference_graph.batch_loss)}
+    if impl != "interleaved":
+        benchmark(steps[impl])
+        return
+    times = {name: [] for name in steps}
+
+    def both():
+        names = ["fused", "reference"]
+        if len(times["fused"]) % 2:
+            names.reverse()
+        for name in names:
+            t0 = time.perf_counter()
+            steps[name]()
+            times[name].append(time.perf_counter() - t0)
+
+    benchmark(both)
+    benchmark.extra_info.update(
+        {f"{name}_median_ms": 1e3 * float(np.median(t)) for name, t in times.items()})
+
+
+@pytest.mark.parametrize("iters", [1, 10])
+def test_lloyd(benchmark, iters):
+    points = np.random.default_rng(3).normal(size=(USERS * SESSIONS, 32))
+    _, _, history = benchmark(cluster._lloyd, points, 8, iters, np.random.default_rng(4))
+    assert len(history) == iters  # no early convergence: every iteration ran
+
+
+@pytest.mark.parametrize("vocab", [200, 2000], ids=["V", "10V"])
+def test_ranking(benchmark, vocab):
+    rng = np.random.default_rng(5)
+    scores = rng.random((1024, vocab))
+    benchmark(metrics.ranks_of_truth, scores, rng.integers(0, vocab, size=1024))
