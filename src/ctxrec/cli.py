@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import shutil
 import sys
 from pathlib import Path
 
+from .cluster import export_clusters_csv
 from .config import ConfigError, PipelineConfig, resolve_config
+from .graph import export_embeddings_csv
 from . import pipeline
 from .nextitem import export_ranked_lists
+from .predictor import export_predictions_csv
 from .synth import SynthSpec, generate
 
 
@@ -75,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="config key to sweep (or user_item_dim for both)")
     p.add_argument("--values", default=None,
                    help="comma-separated grid; defaults depend on --param")
-    p = _stage_parser(sub, "export", "re-emit artifacts as CSV/JSONL")
+    p = _stage_parser(sub, "export", "render stored artifacts as CSV/JSONL")
     p.add_argument("--what", required=True,
                    choices=["embeddings", "clusters", "context-predictions",
                             "ranked-lists"])
@@ -99,20 +101,22 @@ def _parse_values(raw: str | None) -> list | None:
     return out
 
 
-_EXPORTS = {"embeddings": ("embed", "embeddings.csv"),
-            "clusters": ("contextualize", "clusters.csv"),
-            "context-predictions": ("train-context", "predictions.csv")}
-
-
 def _export(ws: pipeline.Workspace, what: str, out_path: str | Path) -> Path:
-    """Copy a stage's CSV to ``out_path``, or write the ranked lists there."""
+    """Render a CSV of the stored embeddings, clusters or context
+    predictions, or the JSONL ranked lists, to ``out_path``."""
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    if what in _EXPORTS:
-        stage, name = _EXPORTS[what]
-        shutil.copyfile(ws.require(stage) / name, out_path)
+    corpus = pipeline.load_ingested(ws)
+    if what == "embeddings":
+        export_embeddings_csv(out_path, corpus, pipeline.load_embeddings(ws)[0])
+    elif what == "clusters":
+        model, labels = pipeline.load_contexts(ws)
+        export_clusters_csv(out_path, model, corpus, labels,
+                            pipeline.load_embeddings(ws)[0])
+    elif what == "context-predictions":
+        _, topk_ids, topk_probs = pipeline.load_context_predictor(ws)
+        export_predictions_csv(out_path, corpus, topk_ids, topk_probs)
     elif what == "ranked-lists":
-        corpus = pipeline.load_ingested(ws)
         _, ctx_topk, _ = pipeline.load_context_predictor(ws)
         export_ranked_lists(out_path, pipeline.load_next_model(ws), corpus, ctx_topk)
     else:

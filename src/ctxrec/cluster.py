@@ -143,11 +143,6 @@ def assign(model: ContextModel, embedding: np.ndarray) -> int:
     return int(d2.argmin())
 
 
-def assign_many(model: ContextModel, embeddings: np.ndarray) -> np.ndarray:
-    return _squared_distances(np.asarray(embeddings, dtype=np.float64),
-                              model.centers).argmin(axis=1)
-
-
 def label_all(model: ContextModel, embeddings: np.ndarray,
               embeddable: np.ndarray) -> np.ndarray:
     """Context id for every session, from its stored embedding row.

@@ -177,16 +177,6 @@ class SageEncoder:
         h1_neigh = item_h1[items].mean(axis=0)
         return self._phi2(h1_self, h1_neigh)
 
-    def embed_session(self, graph: BipartiteMultigraph, session_id: int) -> np.ndarray:
-        """Deterministic full-neighborhood embedding of a training session."""
-        if session_id not in graph.node_of_session:
-            raise ValueError(f"session {session_id} has no node in the graph")
-        node = graph.node_of_session[session_id]
-        items = graph.session_items(node)
-        if len(items) == 0:
-            raise ValueError(f"session {session_id} is isolated")
-        return self._embed_from_items(items, self._item_h1())
-
     def embed_new_session(self, graph: BipartiteMultigraph,
                           items: list[int]) -> np.ndarray:
         """Inductive embedding for an unseen item list; the graph is unchanged.
@@ -209,8 +199,8 @@ class SageEncoder:
     def embed_all_sessions(self, graph: BipartiteMultigraph) -> np.ndarray:
         """(num_session_nodes, out_dim) deterministic embeddings.
 
-        Uses the same per-session aggregation path as embed_session so stored
-        matrices match single-session calls bit for bit.
+        Uses the same per-session aggregation path as ``embed_new_session``,
+        so a stored row matches an inductive call on its items bit for bit.
         """
         item_h1 = self._item_h1()
         out = np.empty((graph.num_session_nodes, self.out_dim))

@@ -7,11 +7,15 @@ drops the context block entirely, isolating the contribution of implicit
 contexts; its output is literally independent of whatever context ids are
 supplied. No parameter is shared with the context predictor: the two models
 are trained separately and communicate only through predicted context ids.
+
+Training, ranking and serving score through one head (``NextItemModel.head``)
+over a batch of prefixes encoded as shared sources; a served request
+(``NextItemModel.predict_probs``) is a one-row call of that batched path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +23,7 @@ from .corpus import SplitCorpus, TRAIN, VAL, TEST
 from .metrics import mrr, ranks_of_truth
 from .nn import engine
 from .nn.engine import Parameter, Var
-from .nn.layers import (EVAL_BATCH, BiLstm, DenseLayer, EmbeddingTable, prefix_input,
-                        prefix_sources)
+from .nn.layers import EVAL_BATCH, BiLstm, DenseLayer, EmbeddingTable, prefix_sources
 from .nn.optim import fit
 
 WITH_CONTEXT = "with_context"
@@ -72,29 +75,32 @@ class NextItemModel:
             raise ValueError(f"context id out of range [0, {self.num_contexts})")
         return ids
 
-    def context_block(self, context_ids) -> Var:
-        """Concatenation of the top-K context embedding rows, id-ascending."""
-        ids = self.check_context_ids(context_ids)
-        return engine.reshape(self.context_emb.lookup(ids), (-1,))
-
-    def logits_var(self, user_id: int, prefix_items, context_ids) -> Var:
-        e_user = self.user_emb.row(user_id)
-        z_item = self.item_lstm.forward(prefix_input(
-            self.item_emb, self.aux, prefix_items, self.max_seq_len))
+    def head(self, user_ids, z_item: Var, context_ids) -> Var:
+        """(B, V) next-item logits of B rows through ``fc2``: the embedding
+        rows of each row's top-K ``context_ids`` (B of them, unread in
+        ablation mode), the rows' prefix encodings and their users'
+        embeddings."""
+        e_user = self.user_emb.lookup(user_ids)
         if self.mode == ABLATION:
             return self.fc2(engine.concat([z_item, e_user]))
-        return self.fc2(engine.concat([self.context_block(context_ids),
-                                       z_item, e_user]))
+        ids = self.check_context_ids(context_ids)
+        block = engine.reshape(self.context_emb.lookup(ids), (len(ids), -1))
+        return self.fc2(engine.concat([block, z_item, e_user]))
 
     def predict_probs(self, user_id: int, prefix_items, context_ids) -> np.ndarray:
-        """Next-item probability vector over all items; sums to 1."""
+        """Next-item probability vector over all items; sums to 1. One row of
+        the batched path, whose prefix is one source."""
         with engine.no_grad():
-            logits = self.logits_var(user_id, prefix_items, context_ids)
-        return engine.softmax(logits.value)
+            # one row reading all of its one source: encode's default src/ends
+            prefix, lengths, _, _ = prefix_sources(
+                self.item_emb, self.aux, [0], [prefix_items], [len(prefix_items)],
+                self.max_seq_len)
+            logits = self.head([user_id], self.item_lstm.encode(prefix, lengths),
+                               [context_ids])
+        return engine.softmax(logits.value[0])
 
 
-@dataclass(frozen=True)
-class RankExample:
+class RankExample(NamedTuple):
     interaction_idx: int
     user_id: int
     session_id: int
@@ -103,13 +109,17 @@ class RankExample:
 
 
 def build_rank_examples(corpus: SplitCorpus, split_tag: str) -> list[RankExample]:
-    """One example per interaction of the split: predict it from its in-session
-    prefix (which may be empty, and may include earlier interactions of any
-    split that happen to share the session)."""
-    return [RankExample(k, it.user_id, corpus.session_of[k],
-                        corpus.position_of[k], it.item_id)
-            for k, it in enumerate(corpus.interactions)
-            if corpus.splits[k] == split_tag]
+    """One example per interaction of the split, in corpus order: predict it
+    from its in-session prefix (which may be empty, and may include earlier
+    interactions of any split that happen to share the session)."""
+    idx = np.flatnonzero(np.asarray(corpus.splits) == split_tag)
+    session_of = np.asarray(corpus.session_of, dtype=np.intp)
+    # RankExample's fields after interaction_idx, one entry per interaction
+    columns = (np.array([s.user_id for s in corpus.sessions], dtype=np.intp)[session_of],
+               session_of, np.asarray(corpus.position_of, dtype=np.intp),
+               np.array([it.item_id for it in corpus.interactions], dtype=np.intp))
+    return list(map(RankExample._make,
+                    zip(idx.tolist(), *(c[idx].tolist() for c in columns))))
 
 
 def _batch_logits(model: NextItemModel, corpus: SplitCorpus,
@@ -124,12 +134,9 @@ def _batch_logits(model: NextItemModel, corpus: SplitCorpus,
         model.item_emb, model.aux, [ex.session_id for ex in examples],
         [corpus.sessions[ex.session_id].items for ex in examples],
         [ex.position for ex in examples], model.max_seq_len))
-    e_user = model.user_emb.lookup([ex.user_id for ex in examples])
-    if model.mode == ABLATION:
-        return model.fc2(engine.concat([z_item, e_user]))
-    ids = model.check_context_ids(ctx_topk[[ex.interaction_idx for ex in examples]])
-    block = engine.reshape(model.context_emb.lookup(ids), (len(examples), -1))
-    return model.fc2(engine.concat([block, z_item, e_user]))
+    return model.head([ex.user_id for ex in examples], z_item,
+                      None if model.mode == ABLATION
+                      else ctx_topk[[ex.interaction_idx for ex in examples]])
 
 
 def _batch_probs(model: NextItemModel, corpus: SplitCorpus,

@@ -150,17 +150,6 @@ def lookup(table: Parameter, ids) -> Var:
     return out
 
 
-def broadcast_param(param: Parameter, lead_shape: tuple) -> Var:
-    """A (d,) parameter broadcast to lead_shape + (d,)."""
-    out = Var(np.broadcast_to(param.value, tuple(lead_shape) + param.value.shape))
-
-    def bwd(g):
-        param.grad += g.reshape(-1, param.value.shape[0]).sum(axis=0)
-
-    out.bwd = bwd
-    return out
-
-
 def dense(weight: Parameter, bias: Parameter | None, x: Var) -> Var:
     """Affine map along the last axis: y = x @ W.T + b."""
     din = weight.value.shape[1]
@@ -209,56 +198,11 @@ def index_rows(x: Var, ids) -> Var:
     return Var(x.value[ids], (x,), bwd)
 
 
-def dot_last(a: Var, b: Var) -> Var:
-    out = (a.value * b.value).sum(axis=-1)
-
-    def bwd(g):
-        ge = np.expand_dims(g, -1)
-        _accum(a, ge * b.value)
-        _accum(b, ge * a.value)
-
-    return Var(out, (a, b), bwd)
-
-
 def reshape(x: Var, shape) -> Var:
     def bwd(g):
         _accum(x, g.reshape(x.value.shape))
 
     return Var(x.value.reshape(shape), (x,), bwd)
-
-
-def vsum(x: Var) -> Var:
-    def bwd(g):
-        _accum(x, np.broadcast_to(g, x.value.shape))
-
-    return Var(x.value.sum(), (x,), bwd)
-
-
-def scale(x: Var, factor: float) -> Var:
-    def bwd(g):
-        _accum(x, g * factor)
-
-    return Var(x.value * factor, (x,), bwd)
-
-
-def add(a: Var, b: Var) -> Var:
-    def bwd(g):
-        _accum(a, g)
-        _accum(b, g)
-
-    return Var(a.value + b.value, (a, b), bwd)
-
-
-def add_n(parts: list[Var], weights: list[float] | None = None) -> Var:
-    """Weighted sum of scalar nodes (batch-loss assembly)."""
-    w = weights if weights is not None else [1.0] * len(parts)
-    total = sum(float(p.value) * wi for p, wi in zip(parts, w))
-
-    def bwd(g):
-        for p, wi in zip(parts, w):
-            _accum(p, g * wi)
-
-    return Var(np.asarray(total), tuple(parts), bwd)
 
 
 def softmax_cross_entropy(logits: Var, targets) -> tuple[Var, np.ndarray]:

@@ -38,9 +38,6 @@ class EmbeddingTable:
     def lookup(self, ids) -> Var:
         return engine.lookup(self.weights, ids)
 
-    def row(self, idx: int) -> Var:
-        return self.lookup(int(idx))
-
     def params(self) -> list[Parameter]:
         return [self.weights]
 
@@ -56,6 +53,16 @@ def window_sources(keys, seqs, stops, max_len: int):
     Returns ``(ids, valid, lengths, src, ends)``: source s holds the ids
     ``ids[s][valid[s]]`` over its ``lengths[s]`` steps, and row b is the
     first ``ends[b]`` steps of source ``src[b]``."""
+    if len(stops) == 1:
+        # one row is one source, built directly: a served request would
+        # otherwise spend more on the grouping (np.unique alone takes ~10 us)
+        # than on its lookup
+        stop = int(stops[0])
+        ids = np.asarray(seqs[0][max(stop - max_len, 0):stop] if stop > 0 else [0],
+                         dtype=np.intp)[None]
+        lengths = np.array([ids.shape[1]], dtype=np.intp)
+        return (ids, np.full(ids.shape, stop > 0), lengths, np.zeros(1, dtype=np.intp),
+                lengths)
     stops = np.asarray(stops, dtype=np.intp)
     starts = np.maximum(stops - max_len, 0)
     group = np.where(stops > 0, np.asarray(keys, dtype=np.intp), -1) \
@@ -85,25 +92,18 @@ def prefix_sources(table: EmbeddingTable, aux: Parameter, keys, seqs, stops,
     if items.size and (items.min() < 0 or items.max() >= table.rows):
         raise IndexError(f"lookup index out of range for table "
                          f"{table.weights.name} with {table.rows} rows")
-    empty = ~valid[:, 0]
-    x = np.zeros(ids.shape + (table.dim,))
-    x[valid] = table.weights.value[items]
-    x[empty, 0] = aux.value
+    if items.size == ids.size:  # every slot holds an id, as in a served request
+        x = table.weights.value[ids]
+    else:
+        x = np.zeros(ids.shape + (table.dim,))
+        x[valid] = table.weights.value[items]
+        x[~valid[:, 0], 0] = aux.value
 
     def bwd(g):
         np.add.at(table.weights.grad, items, g[valid])
-        aux.grad += g[empty, 0].sum(axis=0)
+        aux.grad += g[~valid[:, 0], 0].sum(axis=0)
 
     return Var(x, (), bwd), lengths, src, ends
-
-
-def prefix_input(table: EmbeddingTable, aux: Parameter, prefix_items,
-                 max_len: int) -> Var:
-    """The (T, dim) sequence of one prefix, as a ``prefix_sources`` row
-    reads it: the embedding rows of its last ``max_len`` items, or ``aux`` as
-    a sequence of length one when it is empty."""
-    items = list(prefix_items)[-max_len:]
-    return table.lookup(items) if items else engine.broadcast_param(aux, (1,))
 
 
 class DenseLayer:
@@ -250,8 +250,11 @@ class BiLstm:
     looping over time steps only. Each output row reads a prefix of one
     source: the forward direction runs once per source and the row takes its
     state after the prefix's last step, while the backward direction runs
-    once per row over the reversed prefix. ``forward`` is the one-sequence
-    call. Under ``engine.no_grad()`` neither keeps the per-step BPTT cache."""
+    once per row over the reversed prefix. The models call ``encode`` for
+    training, batch scoring and serving alike: a served request is a batch
+    of one row, which reads all of its one source. ``forward`` encodes one
+    (T, input_dim) sequence the same way. Under ``engine.no_grad()``
+    neither keeps the per-step BPTT cache."""
 
     def __init__(self, name: str, input_dim: int, hidden_dim: int,
                  rng: np.random.Generator):
@@ -293,16 +296,17 @@ class BiLstm:
                              f"of shape {xs.shape}")
         if (src is None) != (ends is None):
             raise ValueError("src and ends must be given together")
-        if src is None:
+        if src is None:  # valid by construction: row s is all of source s
             src, ends = np.arange(len(lengths)), lengths
-        src = np.asarray(src, dtype=np.intp)
-        ends = np.asarray(ends, dtype=np.intp)
-        if src.ndim != 1 or ends.shape != src.shape or not len(src) \
-                or src.min() < 0 or src.max() >= len(lengths):
-            raise ValueError(f"src must be a non-empty list of source ids in "
-                             f"[0, {len(lengths)}) with one end each")
-        if ends.min() < 1 or (ends > lengths[src]).any():
-            raise ValueError("ends must lie in [1, lengths[src]]")
+        else:
+            src = np.asarray(src, dtype=np.intp)
+            ends = np.asarray(ends, dtype=np.intp)
+            if src.ndim != 1 or ends.shape != src.shape or not len(src) \
+                    or src.min() < 0 or src.max() >= len(lengths):
+                raise ValueError(f"src must be a non-empty list of source ids in "
+                                 f"[0, {len(lengths)}) with one end each")
+            if ends.min() < 1 or (ends > lengths[src]).any():
+                raise ValueError("ends must lie in [1, lengths[src]]")
         out, grad_in = self._run(xs, lengths, src, ends)
         return Var(out, (seqs,), lambda g: _accum(seqs, grad_in(g)))
 

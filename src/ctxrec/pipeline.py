@@ -53,7 +53,7 @@ STAGES = {
                "graph_batch", "graph_fanout1", "graph_fanout2", "graph_negatives",
                "clip_norm", "seed"), ("ingest",)),
     "contextualize": (("num_contexts", "kmeans_max_iters", "kmeans_n_init", "seed"),
-                      ("ingest", "embed")),
+                      ("embed",)),
     "train-context": (_TRAIN, ("ingest", "embed", "contextualize")),
     "train-next": (_NEXT, ("ingest", "train-context")),
     "train-next-ablation": (_NEXT, ("ingest", "train-context")),
@@ -226,12 +226,11 @@ def run_embed(ws: Workspace) -> Path:
                                 "fanout": [cfg.graph_fanout1, cfg.graph_fanout2]})
         np.savez(path / "embeddings.npz", embeddings=embeddings,
                  embeddable=embeddable, graph_session_ids=graph.session_ids)
-        graph_mod.export_embeddings_csv(path / "embeddings.csv", corpus, embeddings)
         return {"holdout_loss": history["holdout_loss"]}
     return ws.run("embed", body)
 
 
-def _load_embeddings(ws: Workspace):
+def load_embeddings(ws: Workspace):
     """(embeddings, embeddable, graph_session_ids) as the embed stage stored them."""
     data = np.load(ws.require("embed") / "embeddings.npz")
     return data["embeddings"], data["embeddable"], data["graph_session_ids"]
@@ -243,7 +242,7 @@ def load_encoder(ws: Workspace):
     graph = graph_mod.build_graph_from_corpus(corpus)
     encoder = graph_mod.SageEncoder(**ck.config)
     load_params(encoder.params(), ck)
-    embeddings, embeddable, _ = _load_embeddings(ws)
+    embeddings, embeddable, _ = load_embeddings(ws)
     return corpus, graph, encoder, embeddings, embeddable
 
 
@@ -252,8 +251,7 @@ def load_encoder(ws: Workspace):
 
 def run_contextualize(ws: Workspace) -> Path:
     def body(path: Path, cfg: StageConfig) -> dict:
-        corpus = load_ingested(ws)
-        embeddings, embeddable, graph_session_ids = _load_embeddings(ws)
+        embeddings, embeddable, graph_session_ids = load_embeddings(ws)
         model = cluster_mod.kmeans_fit(embeddings[graph_session_ids],
                                        num_contexts=cfg.num_contexts,
                                        max_iters=cfg.kmeans_max_iters,
@@ -265,8 +263,6 @@ def run_contextualize(ws: Workspace) -> Path:
                  train_session_ids=model.session_ids, train_labels=model.labels,
                  labels=labels,
                  inertia_history=np.asarray(model.inertia_history))
-        cluster_mod.export_clusters_csv(path / "clusters.csv", model, corpus,
-                                        labels, embeddings)
         return {
             "inertia_first": model.inertia_history[0],
             "inertia_last": model.inertia_history[-1],
@@ -291,7 +287,7 @@ def load_contexts(ws: Workspace):
 def run_train_context(ws: Workspace) -> Path:
     def body(path: Path, cfg: StageConfig) -> dict:
         corpus = load_ingested(ws)
-        embeddings, _, _ = _load_embeddings(ws)
+        embeddings, _, _ = load_embeddings(ws)
         _, labels = load_contexts(ws)
         features = pred_mod.build_session_features(corpus, embeddings)
         rng = np.random.default_rng(cfg.seed)
@@ -311,8 +307,6 @@ def run_train_context(ws: Workspace) -> Path:
         save_checkpoint(path / "predictor.ckpt",
                         {p.name: p.value for p in model.params()}, config=dims)
         np.savez(path / "predictions.npz", topk_ids=topk_ids, topk_probs=topk_probs)
-        pred_mod.export_predictions_csv(path / "predictions.csv", corpus,
-                                        topk_ids, topk_probs)
         return {
             "epochs_run": len(history["train_loss"]),
             "best_epoch": history["best_epoch"],

@@ -3,10 +3,10 @@
 The predictor combines three signals: a long-horizon encoding of the user's
 previous sessions' feature vectors, a short-horizon encoding of the items
 observed so far in the current session, and a learnable per-user embedding.
-A fully connected head maps their concatenation to context logits. The
-prediction is recomputed from scratch for every new observed item; an empty
-prefix is encoded through the short-horizon LSTM as a single learnable
-auxiliary vector shared by all sessions.
+A fully connected head (``ContextPredictor.head``) maps their concatenation
+to context logits. The prediction is recomputed from scratch for every new
+observed item; an empty prefix is encoded through the short-horizon LSTM as a
+single learnable auxiliary vector shared by all sessions.
 
 Training builds one example per observed-prefix position of every training
 interaction, labeled with the session's clustered context id, and early-stops
@@ -15,7 +15,10 @@ shared sources (``layers.window_sources``), so each BiLSTM's forward
 direction runs once per source: the history of a user's session j is the
 forward state after session j-1 of that user's feature rows while j is at
 most ``max_seq_len`` (later windows are their own sources), and the prefixes
-of one session share that session's items.
+of one session share that session's items. Serving
+(``ContextPredictor.predict_probs``) is a one-row call of the same path: the
+request's history and its prefix are each one source, scored by the same
+head.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from .corpus import SplitCorpus, TRAIN, VAL
 from .cluster import UNLABELED
 from .nn import engine
 from .nn.engine import Parameter, Var
-from .nn.layers import (EVAL_BATCH, BiLstm, DenseLayer, EmbeddingTable, prefix_input,
-                        prefix_sources, window_sources)
+from .nn.layers import (EVAL_BATCH, BiLstm, DenseLayer, EmbeddingTable, prefix_sources,
+                        window_sources)
 from .nn.optim import fit
 
 FEATURE_EXTRAS = 3  # duration, idle gap, item count
@@ -140,22 +143,26 @@ class ContextPredictor:
                 + self.short_lstm.params() + self.long_lstm.params()
                 + self.fc1.params() + [self.aux])
 
-    def encode_history(self, history: np.ndarray) -> Var:
-        return self.long_lstm.forward(engine.constant(history))
-
-    def logits_var(self, user_id: int, prefix_items, z_long: Var) -> Var:
-        e_user = self.user_emb.row(user_id)
-        z_short = self.short_lstm.forward(prefix_input(
-            self.item_emb, self.aux, prefix_items, self.max_seq_len))
-        return self.fc1(engine.concat([e_user, z_short, z_long]))
+    def head(self, user_ids, z_short: Var, z_long: Var) -> Var:
+        """(B, C) context logits of B rows: the users' embeddings and the
+        rows' short- and long-horizon encodings through ``fc1``."""
+        return self.fc1(engine.concat([self.user_emb.lookup(user_ids), z_short, z_long]))
 
     def predict_probs(self, user_id: int, prefix_items,
                       history: np.ndarray) -> np.ndarray:
-        """Context probability vector for the current prefix; sums to 1."""
+        """Context probability vector for the current prefix; sums to 1.
+        ``history`` is ``long_term_input``'s (T, feat_dim) array. One row of
+        the batched path: ``history`` and the prefix are each one source."""
+        history = np.asarray(history, dtype=np.float64)
         with engine.no_grad():
-            z_long = self.encode_history(history)
-            logits = self.logits_var(user_id, prefix_items, z_long)
-        return engine.softmax(logits.value)
+            z_long = self.long_lstm.encode(engine.constant(history[None]),
+                                           [len(history)])
+            # one row reading all of its one source: encode's default src/ends
+            prefix, lengths, _, _ = prefix_sources(
+                self.item_emb, self.aux, [0], [prefix_items], [len(prefix_items)],
+                self.max_seq_len)
+            logits = self.head([user_id], self.short_lstm.encode(prefix, lengths), z_long)
+        return engine.softmax(logits.value[0])
 
 
 class ContextExample(NamedTuple):
@@ -214,10 +221,8 @@ def _prefix_logits(model: ContextPredictor, corpus: SplitCorpus,
         model.item_emb, model.aux, session_ids,
         [corpus.sessions[sid].items for sid in session_ids], positions,
         model.max_seq_len))
-    e_user = model.user_emb.lookup(
-        [corpus.sessions[sid].user_id for sid in session_ids])
-    return model.fc1(engine.concat([e_user, z_short,
-                                    engine.index_rows(z_long, inverse)]))
+    return model.head([corpus.sessions[sid].user_id for sid in session_ids],
+                      z_short, engine.index_rows(z_long, inverse))
 
 
 def batch_loss(model: ContextPredictor, corpus: SplitCorpus,

@@ -4,7 +4,8 @@ that reads the embed stage's stored rows.
 
 ``label_all`` is copied unchanged. It calls ``ContextModel.label_of``, which
 left the package with it, so ``ReferenceContextModel`` carries that method,
-also unchanged.
+also unchanged. ``assign_many`` is the removed ``cluster.assign_many``,
+which only tests called.
 """
 
 import warnings
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ctxrec.cluster import UNLABELED, ContextModel, assign
+from ctxrec.cluster import UNLABELED, ContextModel, _squared_distances, assign
 from ctxrec.corpus import SplitCorpus
 from ctxrec.graph import BipartiteMultigraph, SageEncoder
 
@@ -53,6 +54,11 @@ def label_all(model: ContextModel, encoder: SageEncoder,
             continue
         labels[sid] = assign(model, emb)
     return labels
+
+
+def assign_many(model: ContextModel, embeddings: np.ndarray) -> np.ndarray:
+    return _squared_distances(np.asarray(embeddings, dtype=np.float64),
+                              model.centers).argmin(axis=1)
 
 
 def reference_labels(model: ContextModel, encoder: SageEncoder,

@@ -5,10 +5,13 @@ minibatch, kept as the differential oracle for the fused batch loss
 ``session_z``, ``item_z``, ``phi1_var``, ``phi2_raw_var`` and
 ``edge_loss_det`` are copied unchanged apart from being module functions
 (``self`` became ``enc``) and calling the local operators. ``mean_axis``,
-``relu``, ``logsigmoid`` and ``l2_normalize_rows`` are the removed
-``engine`` operators of the same names. ``train_encoder`` is the
-trainer of that time; the batch loss it assembled inline is ``batch_loss``,
-moved out unchanged so one step can be compared.
+``relu``, ``logsigmoid``, ``l2_normalize_rows``, ``broadcast_param``,
+``dot_last``, ``vsum``, ``scale``, ``add`` and ``add_n`` are the removed
+``engine`` operators of the same names, which the tests also build graphs
+from. ``train_encoder`` is the trainer of that time; the batch loss it
+assembled inline is ``batch_loss``, moved out unchanged so one step can be
+compared. ``embed_session`` is the removed ``SageEncoder.embed_session``,
+the full-neighborhood embedding of one graph session.
 """
 
 import numpy as np
@@ -20,7 +23,7 @@ from ctxrec.graph import (
     negative_sampling_weights,
 )
 from ctxrec.nn import engine
-from ctxrec.nn.engine import Var, _accum
+from ctxrec.nn.engine import Parameter, Var, _accum
 from ctxrec.nn.optim import adam_stepper
 
 
@@ -65,18 +68,86 @@ def l2_normalize_rows(x: Var, eps: float = 1e-12) -> Var:
     return Var(y, (x,), bwd)
 
 
+def broadcast_param(param: Parameter, lead_shape: tuple) -> Var:
+    """A (d,) parameter broadcast to lead_shape + (d,)."""
+    out = Var(np.broadcast_to(param.value, tuple(lead_shape) + param.value.shape))
+
+    def bwd(g):
+        param.grad += g.reshape(-1, param.value.shape[0]).sum(axis=0)
+
+    out.bwd = bwd
+    return out
+
+
+def dot_last(a: Var, b: Var) -> Var:
+    out = (a.value * b.value).sum(axis=-1)
+
+    def bwd(g):
+        ge = np.expand_dims(g, -1)
+        _accum(a, ge * b.value)
+        _accum(b, ge * a.value)
+
+    return Var(out, (a, b), bwd)
+
+
+def vsum(x: Var) -> Var:
+    def bwd(g):
+        _accum(x, np.broadcast_to(g, x.value.shape))
+
+    return Var(x.value.sum(), (x,), bwd)
+
+
+def scale(x: Var, factor: float) -> Var:
+    def bwd(g):
+        _accum(x, g * factor)
+
+    return Var(x.value * factor, (x,), bwd)
+
+
+def add(a: Var, b: Var) -> Var:
+    def bwd(g):
+        _accum(a, g)
+        _accum(b, g)
+
+    return Var(a.value + b.value, (a, b), bwd)
+
+
+def add_n(parts: list[Var], weights: list[float] | None = None) -> Var:
+    """Weighted sum of scalar nodes (batch-loss assembly)."""
+    w = weights if weights is not None else [1.0] * len(parts)
+    total = sum(float(p.value) * wi for p, wi in zip(parts, w))
+
+    def bwd(g):
+        for p, wi in zip(parts, w):
+            _accum(p, g * wi)
+
+    return Var(np.asarray(total), tuple(parts), bwd)
+
+
+def embed_session(enc: SageEncoder, graph: BipartiteMultigraph,
+                  session_id: int) -> np.ndarray:
+    """Deterministic full-neighborhood embedding of a training session."""
+    if session_id not in graph.node_of_session:
+        raise ValueError(f"session {session_id} has no node in the graph")
+    node = graph.node_of_session[session_id]
+    items = graph.session_items(node)
+    if len(items) == 0:
+        raise ValueError(f"session {session_id} is isolated")
+    return enc._embed_from_items(items, enc._item_h1())
+
+
 def session_z(enc: SageEncoder, graph: BipartiteMultigraph, nodes: np.ndarray,
               rng: np.random.Generator) -> engine.Var:
     """Sampled session embeddings, pre-normalization (training loss side)."""
     f1, f2 = enc.fanout
     own = _sample_neighbors(graph.session_adj, graph.session_off, nodes, f2, rng)
     own_mean = mean_axis(engine.lookup(enc.item_feat, own), 1)
-    self_feat = engine.broadcast_param(enc.session_feat, (len(nodes),))
+    self_feat = broadcast_param(enc.session_feat, (len(nodes),))
     h1_self = phi1_var(enc, engine.concat([self_feat, own_mean]))
 
     hop = _sample_neighbors(graph.session_adj, graph.session_off, nodes, f1, rng)
     hop_feat = engine.lookup(enc.item_feat, hop)      # (N, f1, b)
-    hop_tile = engine.broadcast_param(enc.session_feat, hop.shape)
+    hop_tile = broadcast_param(enc.session_feat, hop.shape)
     h1_items = phi1_var(enc, engine.concat([hop_feat, hop_tile]))
     return phi2_raw_var(enc, h1_self, mean_axis(h1_items, 1))
 
@@ -85,14 +156,14 @@ def item_z(enc: SageEncoder, graph: BipartiteMultigraph, items: np.ndarray,
            rng: np.random.Generator) -> engine.Var:
     f1, f2 = enc.fanout
     self_feat = engine.lookup(enc.item_feat, items)
-    tiles = engine.broadcast_param(enc.session_feat, (len(items),))
+    tiles = broadcast_param(enc.session_feat, (len(items),))
     h1_self = phi1_var(enc, engine.concat([self_feat, tiles]))
 
     sess = _sample_neighbors(graph.item_adj, graph.item_off, items, f1, rng)
     sess_items = _sample_neighbors(graph.session_adj, graph.session_off,
                                    sess.reshape(-1), f2, rng).reshape(len(items), f1, f2)
     neigh_mean = mean_axis(engine.lookup(enc.item_feat, sess_items), 2)
-    sess_tile = engine.broadcast_param(enc.session_feat, sess.shape)
+    sess_tile = broadcast_param(enc.session_feat, sess.shape)
     h1_sess = phi1_var(enc, engine.concat([sess_tile, neigh_mean]))
     return phi2_raw_var(enc, h1_self, mean_axis(h1_sess, 1))
 
@@ -150,12 +221,12 @@ def batch_loss(encoder: SageEncoder, graph: BipartiteMultigraph,
     b = len(batch)
     z_s_pos = engine.index_rows(z_s, inv_s)
     z_pos = engine.index_rows(z_i, inv_i[:b])
-    pos_term = engine.vsum(logsigmoid(engine.dot_last(z_s_pos, z_pos)))
+    pos_term = vsum(logsigmoid(dot_last(z_s_pos, z_pos)))
     z_s_rep = engine.index_rows(z_s, np.repeat(inv_s, num_negatives))
     z_neg = engine.index_rows(z_i, inv_i[b:])
-    neg_score = engine.scale(engine.dot_last(z_s_rep, z_neg), -1.0)
-    neg_term = engine.vsum(logsigmoid(neg_score))
-    return engine.scale(engine.add(pos_term, neg_term), -1.0 / b)
+    neg_score = scale(dot_last(z_s_rep, z_neg), -1.0)
+    neg_term = vsum(logsigmoid(neg_score))
+    return scale(add(pos_term, neg_term), -1.0 / b)
 
 
 def train_encoder(graph: BipartiteMultigraph, base_dim: int = 64,

@@ -3,17 +3,26 @@ as the differential oracle for it.
 
 ``bilstm_forward`` / ``bilstm_backward`` are the one-sequence BiLSTM as it
 stood before the kernel (three ``stable_sigmoid`` calls per step), copied
-unchanged apart from being module functions. The batch losses build one
-``logits_var`` graph per example and average their cross-entropies with
-``add_n``, as the training loop did; ``predict_all_prefixes`` scores one
-prefix at a time.
+unchanged apart from being module functions. ``prefix_input``,
+``encode_history``, ``context_logits_var``, ``context_block`` and
+``next_logits_var`` are the per-example scoring path that serving ran
+before it became a one-row call of the batched heads: the removed
+``layers.prefix_input`` and the removed ``ContextPredictor`` /
+``NextItemModel`` methods, copied unchanged apart from being module
+functions (``self`` became ``model``, and ``EmbeddingTable.row(i)`` is
+``lookup(int(i))``). ``context_probs`` and ``next_probs`` are the two
+``predict_probs`` of that time. The batch losses build one logits graph
+per example and average their cross-entropies with ``add_n``, as the
+training loop did; ``predict_all_prefixes`` scores one prefix at a time.
 """
 
 import numpy as np
 
+from ctxrec.nextitem import ABLATION
 from ctxrec.nn import engine
 from ctxrec.nn.engine import stable_sigmoid
 from ctxrec.predictor import long_term_input, top_k_contexts
+from reference_graph import add_n, broadcast_param
 
 
 def _run_direction(d, xs):
@@ -88,6 +97,56 @@ def bilstm_backward(lstm, caches, g):
     return dx + _backward_direction(lstm.bwd, cache_b, g[h:])[::-1]
 
 
+def prefix_input(table, aux, prefix_items, max_len):
+    """The (T, dim) sequence of one prefix: the embedding rows of its last
+    ``max_len`` items, or ``aux`` as a sequence of length one when it is
+    empty."""
+    items = list(prefix_items)[-max_len:]
+    return table.lookup(items) if items else broadcast_param(aux, (1,))
+
+
+def encode_history(model, history):
+    return model.long_lstm.forward(engine.constant(history))
+
+
+def context_logits_var(model, user_id, prefix_items, z_long):
+    e_user = model.user_emb.lookup(int(user_id))
+    z_short = model.short_lstm.forward(prefix_input(
+        model.item_emb, model.aux, prefix_items, model.max_seq_len))
+    return model.fc1(engine.concat([e_user, z_short, z_long]))
+
+
+def context_probs(model, user_id, prefix_items, history):
+    """Context probability vector for the current prefix; sums to 1."""
+    with engine.no_grad():
+        z_long = encode_history(model, history)
+        logits = context_logits_var(model, user_id, prefix_items, z_long)
+    return engine.softmax(logits.value)
+
+
+def context_block(model, context_ids):
+    """Concatenation of the top-K context embedding rows, id-ascending."""
+    ids = model.check_context_ids(context_ids)
+    return engine.reshape(model.context_emb.lookup(ids), (-1,))
+
+
+def next_logits_var(model, user_id, prefix_items, context_ids):
+    e_user = model.user_emb.lookup(int(user_id))
+    z_item = model.item_lstm.forward(prefix_input(
+        model.item_emb, model.aux, prefix_items, model.max_seq_len))
+    if model.mode == ABLATION:
+        return model.fc2(engine.concat([z_item, e_user]))
+    return model.fc2(engine.concat([context_block(model, context_ids),
+                                    z_item, e_user]))
+
+
+def next_probs(model, user_id, prefix_items, context_ids):
+    """Next-item probability vector over all items; sums to 1."""
+    with engine.no_grad():
+        logits = next_logits_var(model, user_id, prefix_items, context_ids)
+    return engine.softmax(logits.value)
+
+
 def context_batch_loss(model, corpus, features, examples):
     """Mean cross-entropy of context examples, one graph per example; each
     session's history is encoded once."""
@@ -95,13 +154,14 @@ def context_batch_loss(model, corpus, features, examples):
     losses = []
     for ex in examples:
         if ex.session_id not in z_long:
-            z_long[ex.session_id] = model.encode_history(long_term_input(
+            z_long[ex.session_id] = encode_history(model, long_term_input(
                 corpus, features, ex.user_id, ex.session_id, model.max_seq_len))
         items = corpus.sessions[ex.session_id].items
-        logits = model.logits_var(ex.user_id, items[:ex.position], z_long[ex.session_id])
+        logits = context_logits_var(model, ex.user_id, items[:ex.position],
+                                    z_long[ex.session_id])
         losses.append(engine.softmax_cross_entropy(logits, ex.label)[0])
     n = len(losses)
-    return engine.add_n(losses, [1.0 / n] * n)
+    return add_n(losses, [1.0 / n] * n)
 
 
 def next_batch_loss(model, corpus, ctx_topk, examples):
@@ -109,11 +169,12 @@ def next_batch_loss(model, corpus, ctx_topk, examples):
     losses = []
     for ex in examples:
         contexts = None if ctx_topk is None else ctx_topk[ex.interaction_idx]
-        logits = model.logits_var(
-            ex.user_id, corpus.sessions[ex.session_id].items[:ex.position], contexts)
+        logits = next_logits_var(
+            model, ex.user_id, corpus.sessions[ex.session_id].items[:ex.position],
+            contexts)
         losses.append(engine.softmax_cross_entropy(logits, ex.target_item)[0])
     n = len(losses)
-    return engine.add_n(losses, [1.0 / n] * n)
+    return add_n(losses, [1.0 / n] * n)
 
 
 def predict_all_prefixes(model, corpus, features, k):
@@ -125,8 +186,8 @@ def predict_all_prefixes(model, corpus, features, k):
         history = long_term_input(corpus, features, s.user_id, s.session_id,
                                   model.max_seq_len)
         for idx in corpus.interaction_range(s.session_id):
-            probs = model.predict_probs(s.user_id, s.items[:corpus.position_of[idx]],
-                                        history)
+            probs = context_probs(model, s.user_id, s.items[:corpus.position_of[idx]],
+                                  history)
             ids = top_k_contexts(probs, k)
             topk_ids[idx] = ids
             topk_probs[idx] = probs[ids]

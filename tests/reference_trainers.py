@@ -1,12 +1,15 @@
 """The context and next-item training loops as they stood before both
 moved onto ``ctxrec.nn.optim.fit``, kept as the differential oracle for it.
 
-The code is copied unchanged except for one substitution:
+The code is copied unchanged except for these substitutions:
 ``evaluate_context_loss`` calls the local ``cross_entropy`` (the removed
-``engine.cross_entropy``); ``snapshot`` and ``restore`` are the removed
-optimizer helpers. ``build_context_examples`` is the per-interaction builder
-that the array-based ``predictor.build_context_examples`` replaced, and the
-oracle for it.
+``engine.cross_entropy``); the models' per-example scoring methods, which
+left the package, are the functions of ``reference_models`` and
+``engine.add_n`` is ``reference_graph.add_n``. ``snapshot`` and ``restore``
+are the removed optimizer helpers. ``build_context_examples`` and
+``build_rank_examples`` are the per-interaction builders that the array-based
+``predictor.build_context_examples`` and ``nextitem.build_rank_examples``
+replaced, and the oracles for them.
 """
 
 import numpy as np
@@ -14,7 +17,7 @@ import numpy as np
 from ctxrec.cluster import UNLABELED
 from ctxrec.corpus import SplitCorpus, TRAIN, VAL
 from ctxrec.metrics import mrr, rank_of_truth
-from ctxrec.nextitem import ABLATION, NextItemModel, RankExample, build_rank_examples
+from ctxrec.nextitem import ABLATION, NextItemModel, RankExample
 from ctxrec.nn import engine
 from ctxrec.nn.engine import PROB_FLOOR, Parameter
 from ctxrec.nn.optim import Adam, clip_global_norm
@@ -24,6 +27,8 @@ from ctxrec.predictor import (
     SessionFeatureStore,
     long_term_input,
 )
+from reference_graph import add_n
+from reference_models import context_logits_var, encode_history, next_logits_var, next_probs
 
 
 def cross_entropy(probabilities: np.ndarray, true_index: int) -> float:
@@ -58,6 +63,16 @@ def build_context_examples(corpus: SplitCorpus, labels: np.ndarray,
         out.append(ContextExample(k, it.user_id, sid, corpus.position_of[k],
                                   int(labels[sid])))
     return out
+
+
+def build_rank_examples(corpus: SplitCorpus, split_tag: str) -> list[RankExample]:
+    """One example per interaction of the split: predict it from its in-session
+    prefix (which may be empty, and may include earlier interactions of any
+    split that happen to share the session)."""
+    return [RankExample(k, it.user_id, corpus.session_of[k],
+                        corpus.position_of[k], it.item_id)
+            for k, it in enumerate(corpus.interactions)
+            if corpus.splits[k] == split_tag]
 
 
 def _group_by_session(examples: list[ContextExample]) -> list[list[ContextExample]]:
@@ -113,13 +128,13 @@ def train_context(model: ContextPredictor, corpus: SplitCorpus,
             losses = []
             for group in batch:
                 sid = group[0].session_id
-                z_long = model.encode_history(histories[sid])
+                z_long = encode_history(model, histories[sid])
                 for ex in group:
-                    logits = model.logits_var(ex.user_id,
-                                              prefixes[sid][:ex.position], z_long)
+                    logits = context_logits_var(model, ex.user_id,
+                                                prefixes[sid][:ex.position], z_long)
                     loss, _ = engine.softmax_cross_entropy(logits, ex.label)
                     losses.append(loss)
-            total = engine.add_n(losses, [1.0 / n] * len(losses))
+            total = add_n(losses, [1.0 / n] * len(losses))
             if not np.isfinite(total.value):
                 raise FloatingPointError("non-finite context training loss")
             opt.zero_grad()
@@ -158,10 +173,10 @@ def evaluate_context_loss(model: ContextPredictor, corpus: SplitCorpus,
     for group in _group_by_session(examples):
         sid = group[0].session_id
         hist = long_term_input(corpus, features, group[0].user_id, sid, max_seq_len)
-        z_long = model.encode_history(hist)
+        z_long = encode_history(model, hist)
         items = corpus.sessions[sid].items
         for ex in group:
-            logits = model.logits_var(ex.user_id, items[:ex.position], z_long)
+            logits = context_logits_var(model, ex.user_id, items[:ex.position], z_long)
             probs = engine.softmax(logits.value)
             total += cross_entropy(probs, ex.label)
     return total / len(examples)
@@ -181,9 +196,9 @@ def compute_ranks(model: NextItemModel, corpus: SplitCorpus,
     ranks = np.empty(len(examples), dtype=np.int64)
     prefixes = {s.session_id: s.items for s in corpus.sessions}
     for j, ex in enumerate(examples):
-        probs = model.predict_probs(ex.user_id,
-                                    prefixes[ex.session_id][:ex.position],
-                                    _contexts_for(model, ctx_topk, ex.interaction_idx))
+        probs = next_probs(model, ex.user_id,
+                           prefixes[ex.session_id][:ex.position],
+                           _contexts_for(model, ctx_topk, ex.interaction_idx))
         ranks[j] = rank_of_truth(probs, ex.target_item)
     return ranks
 
@@ -214,12 +229,12 @@ def train_next(model: NextItemModel, corpus: SplitCorpus,
             batch = [train_examples[j] for j in order[start:start + batch_size]]
             losses = []
             for ex in batch:
-                logits = model.logits_var(
-                    ex.user_id, prefixes[ex.session_id][:ex.position],
+                logits = next_logits_var(
+                    model, ex.user_id, prefixes[ex.session_id][:ex.position],
                     _contexts_for(model, ctx_topk, ex.interaction_idx))
                 loss, _ = engine.softmax_cross_entropy(logits, ex.target_item)
                 losses.append(loss)
-            total = engine.add_n(losses, [1.0 / len(batch)] * len(batch))
+            total = add_n(losses, [1.0 / len(batch)] * len(batch))
             if not np.isfinite(total.value):
                 raise FloatingPointError("non-finite next-item training loss")
             opt.zero_grad()

@@ -30,8 +30,9 @@ from ctxrec.corpus import (
     sessionize,
 )
 from ctxrec.metrics import mrr, rank_of_truth, recall_at_k
-from ctxrec.nn import engine, finite_diff_check
+from ctxrec.nn import finite_diff_check
 from ctxrec.synth import SynthSpec, generate, planted_labels
+from reference_cluster import assign_many
 
 ACC_CFG = PipelineConfig(
     num_contexts=8, top_k_contexts=3, user_dim=32, item_dim=32,
@@ -107,35 +108,16 @@ class TestCriterion1Gradients:
         ctx_examples = pred_mod.build_context_examples(corpus, labels)[TRAIN][:10]
 
         def build_ctx():
-            losses = []
-            for ex in ctx_examples:
-                hist = pred_mod.long_term_input(corpus, features, ex.user_id,
-                                                ex.session_id)
-                z_long = ctx_model.encode_history(hist)
-                items = corpus.sessions[ex.session_id].items
-                loss, _ = engine.softmax_cross_entropy(
-                    ctx_model.logits_var(ex.user_id, items[:ex.position], z_long),
-                    ex.label)
-                losses.append(loss)
-            return engine.add_n(losses, [1.0 / len(losses)] * len(losses))
+            return pred_mod.batch_loss(ctx_model, corpus, features, ctx_examples)
 
         next_model = next_mod.NextItemModel(
             corpus.num_users, corpus.num_items, 3, user_dim=6, item_dim=6,
             context_dim=4, hidden=4, top_k=2, rng=rng)
         next_examples = next_mod.build_rank_examples(corpus, TRAIN)[:10]
-        ctx_ids = np.array([[0, 2], [1, 2]] * 5)
-        prefixes = {s.session_id: s.items for s in corpus.sessions}
+        ctx_ids = np.array([[0, 2], [1, 2]])[np.arange(len(corpus.interactions)) % 2]
 
         def build_next():
-            losses = []
-            for j, ex in enumerate(next_examples):
-                loss, _ = engine.softmax_cross_entropy(
-                    next_model.logits_var(ex.user_id,
-                                          prefixes[ex.session_id][:ex.position],
-                                          ctx_ids[j]),
-                    ex.target_item)
-                losses.append(loss)
-            return engine.add_n(losses, [1.0 / len(losses)] * len(losses))
+            return next_mod.batch_loss(next_model, corpus, ctx_ids, next_examples)
 
         rep_ctx = finite_diff_check(build_ctx, ctx_model.params(),
                                     tolerance=1e-4, samples_per_param=4,
@@ -230,7 +212,7 @@ class TestCriterion4ClusteringInvariants:
         model = cluster_mod.kmeans_fit(pts, 9, seed=4, n_init=1)
         hist = np.array(model.inertia_history)
         monotone = bool((np.diff(hist) <= 1e-9).all())
-        nearest = bool(np.array_equal(cluster_mod.assign_many(model, pts),
+        nearest = bool(np.array_equal(assign_many(model, pts),
                                       model.labels))
         degenerate = cluster_mod.kmeans_fit(pts[:9], 9, seed=1)
         zero_inertia = degenerate.inertia_history[-1] == 0.0
@@ -247,15 +229,14 @@ class TestCriterion5InductiveConsistency:
     def test_hundred_sessions_exact(self, planted_run):
         corpus, _, encoder, _, _ = pipeline.load_encoder(planted_run["ws"])
         graph = graph_mod.build_graph_from_corpus(corpus)
+        full = encoder.embed_all_sessions(graph)
         rng = np.random.default_rng(50)
         nodes = rng.choice(graph.num_session_nodes, size=100, replace=False)
         exact = 0
         for node in nodes:
-            sid = int(graph.session_ids[node])
             items = [int(i) for i in graph.session_items(node)]
             a = encoder.embed_new_session(graph, items)
-            b = encoder.embed_session(graph, sid)
-            exact += int(np.array_equal(a, b))
+            exact += int(np.array_equal(a, full[node]))
         _report(5, exact == 100,
                 f"{exact}/100 sampled sessions embed identically (bitwise)")
         assert exact == 100

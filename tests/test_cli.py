@@ -320,14 +320,14 @@ class TestPipelineMechanics:
         _, cfg, ws_full = tiny_pipeline
         ws = _partial_workspace(ws_full, cfg, tmp_path / "crash",
                                 ("ingest", "embed"))
-        real = pipeline.cluster_mod.export_clusters_csv
+        real = pipeline.np.savez
 
-        def write_then_crash(path, *args):
-            real(path, *args)
-            raise RuntimeError("crash after the stage's files are written")
+        def write_then_crash(path, *args, **kwargs):
+            real(path, *args, **kwargs)
+            if Path(path).name == "contexts.npz":
+                raise RuntimeError("crash after the stage's files are written")
 
-        monkeypatch.setattr(pipeline.cluster_mod, "export_clusters_csv",
-                            write_then_crash)
+        monkeypatch.setattr(pipeline.np, "savez", write_then_crash)
         with pytest.raises(RuntimeError, match="crash"):
             pipeline.run_contextualize(ws)
         assert not ws.stage_dir("contextualize").exists()
@@ -356,11 +356,12 @@ class TestPipelineMechanics:
             from ctxrec import pipeline
             from ctxrec.config import PipelineConfig
             ws = pipeline.Workspace(PipelineConfig(**json.loads(sys.argv[1])), sys.argv[2])
-            real = pipeline.cluster_mod.export_clusters_csv
-            def write_then_die(*args):
-                real(*args)
-                os.kill(os.getpid(), signal.SIGKILL)
-            pipeline.cluster_mod.export_clusters_csv = write_then_die
+            real = pipeline.np.savez
+            def write_then_die(path, *args, **kwargs):
+                real(path, *args, **kwargs)
+                if path.name == "contexts.npz":
+                    os.kill(os.getpid(), signal.SIGKILL)
+            pipeline.np.savez = write_then_die
             pipeline.run_contextualize(ws)
         """)
         src = str(Path(pipeline.__file__).parents[1])
@@ -369,7 +370,7 @@ class TestPipelineMechanics:
                                str(ws.workdir)], env=env)
         assert proc.returncode == -signal.SIGKILL
         (killed,) = [p for p in ws.workdir.iterdir() if ".tmp-" in p.name and p != live]
-        assert (killed / "clusters.csv").exists()
+        assert (killed / "contexts.npz").exists()
         assert not (killed / "meta.json").exists()
         assert not ws.stage_dir("contextualize").exists()
 
@@ -492,6 +493,52 @@ class TestCli:
         assert main(["export", "--workdir", wd, "--what", "embeddings",
                      "--out", str(out)] + flags) == 0
         assert out.exists()
+
+    def test_export_renders_csvs_from_stored_arrays(self, tiny_pipeline, tmp_path):
+        _, _, ws = tiny_pipeline
+        corpus = pipeline.load_ingested(ws)
+        embeddings = np.load(ws.stage_dir("embed") / "embeddings.npz")["embeddings"]
+        contexts = np.load(ws.stage_dir("contextualize") / "contexts.npz")
+        preds = np.load(ws.stage_dir("train-context") / "predictions.npz")
+
+        def export(what):
+            out = tmp_path / f"{what}.csv"
+            assert main(["export", "--workdir", str(ws.workdir), "--what", what,
+                         "--out", str(out)] + _tiny_cfg_flags()) == 0
+            header, *rows = out.read_text().splitlines()
+            return header.split(","), [row.split(",") for row in rows]
+
+        def exact(text, value):
+            return np.float64(float(text)).tobytes() == np.float64(value).tobytes()
+
+        header, rows = export("embeddings")
+        assert header == ["session_id", "split"] + [f"c{k}" for k in range(8)]
+        assert [int(r[0]) for r in rows] == [s.session_id for s in corpus.sessions]
+        for r in rows:
+            sid = int(r[0])
+            assert r[1] == corpus.session_split(sid)
+            assert all(exact(v, e) for v, e in zip(r[2:], embeddings[sid], strict=True))
+
+        header, rows = export("clusters")
+        labels = contexts["labels"]
+        assert header == ["session_id", "context_id", "distance_to_center"]
+        assert [int(r[0]) for r in rows] == [s.session_id for s in corpus.sessions
+                                            if labels[s.session_id] >= 0]
+        for sid, c, dist in rows:
+            assert int(c) == labels[int(sid)]
+            want = np.linalg.norm(embeddings[int(sid)] - contexts["centers"][int(c)])
+            assert exact(dist, want)
+
+        header, rows = export("context-predictions")
+        assert header == ["session_id", "prefix_len", "context_0", "context_1",
+                          "prob_0", "prob_1"]
+        assert [(int(r[0]), int(r[1])) for r in rows] == list(
+            zip(corpus.session_of, corpus.position_of))
+        for r, ids, probs in zip(rows, preds["topk_ids"], preds["topk_probs"], strict=True):
+            assert [int(c) for c in r[2:4]] == ids.tolist()
+            assert all(exact(v, p) for v, p in zip(r[4:], probs, strict=True))
+
+        assert not [p for p in ws.workdir.rglob("*.csv")]
 
     def test_evaluate_without_train_next_fails_with_name(self, tmp_path, capsys):
         log = tmp_path / "log.csv"

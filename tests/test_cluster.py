@@ -4,7 +4,7 @@ import pytest
 from ctxrec import cluster as C
 from ctxrec import graph as G
 from conftest import corpus_from_rows
-from reference_cluster import reference_labels
+from reference_cluster import assign_many, reference_labels
 
 
 class TestKmeansFit:
@@ -46,7 +46,7 @@ class TestKmeansFit:
         pts = rng.normal(size=(150, 3))
         model = C.kmeans_fit(pts, 5, seed=4)
         order = np.argsort(model.session_ids)  # identity here
-        again = C.assign_many(model, pts)
+        again = assign_many(model, pts)
         assert np.array_equal(model.labels[order], again)
 
     def test_bitwise_determinism(self):

