@@ -109,17 +109,13 @@ class RankExample(NamedTuple):
 
 
 def build_rank_examples(corpus: SplitCorpus, split_tag: str) -> list[RankExample]:
-    """One example per interaction of the split, in corpus order: predict it
-    from its in-session prefix (which may be empty, and may include earlier
-    interactions of any split that happen to share the session)."""
-    idx = np.flatnonzero(np.asarray(corpus.splits) == split_tag)
-    session_of = np.asarray(corpus.session_of, dtype=np.intp)
-    # RankExample's fields after interaction_idx, one entry per interaction
-    columns = (np.array([s.user_id for s in corpus.sessions], dtype=np.intp)[session_of],
-               session_of, np.asarray(corpus.position_of, dtype=np.intp),
-               np.array([it.item_id for it in corpus.interactions], dtype=np.intp))
-    return list(map(RankExample._make,
-                    zip(idx.tolist(), *(c[idx].tolist() for c in columns))))
+    """One example per interaction of the split: predict it from its in-session
+    prefix (which may be empty, and may include earlier interactions of any
+    split that happen to share the session)."""
+    return [RankExample(k, it.user_id, corpus.session_of[k],
+                        corpus.position_of[k], it.item_id)
+            for k, it in enumerate(corpus.interactions)
+            if corpus.splits[k] == split_tag]
 
 
 def _batch_logits(model: NextItemModel, corpus: SplitCorpus,

@@ -86,22 +86,19 @@ def prefix_sources(table: EmbeddingTable, aux: Parameter, keys, seqs, stops,
     ``seqs[b][:stops[b]]`` (``window_sources`` grouped by ``keys``): the
     padded (S, T, dim) node of source embedding rows, where the empty-prefix
     source holds the learnable ``aux`` vector, then lengths, src and ends.
-    Padding is zero."""
+    Padding slots hold id 0, so they read table row 0; ``encode`` never reads
+    a step past a source's length."""
     ids, valid, lengths, src, ends = window_sources(keys, seqs, stops, max_len)
-    items = ids[valid]
-    if items.size and (items.min() < 0 or items.max() >= table.rows):
+    if ids.min() < 0 or ids.max() >= table.rows:
         raise IndexError(f"lookup index out of range for table "
                          f"{table.weights.name} with {table.rows} rows")
-    if items.size == ids.size:  # every slot holds an id, as in a served request
-        x = table.weights.value[ids]
-    else:
-        x = np.zeros(ids.shape + (table.dim,))
-        x[valid] = table.weights.value[items]
-        x[~valid[:, 0], 0] = aux.value
+    empty = ~valid[:, 0]
+    x = table.weights.value[ids]
+    x[empty, 0] = aux.value
 
     def bwd(g):
-        np.add.at(table.weights.grad, items, g[valid])
-        aux.grad += g[~valid[:, 0], 0].sum(axis=0)
+        np.add.at(table.weights.grad, ids[valid], g[valid])
+        aux.grad += g[empty, 0].sum(axis=0)
 
     return Var(x, (), bwd), lengths, src, ends
 
@@ -275,8 +272,7 @@ class BiLstm:
         if xs.shape[0] == 0:
             raise ValueError("BiLstm requires a non-empty sequence; "
                              "substitute the auxiliary vector for empty prefixes")
-        length = np.array([xs.shape[0]])
-        out, grad_in = self._run(xs[None], length, np.zeros(1, dtype=np.intp), length)
+        out, grad_in = self._run(xs[None], np.array([xs.shape[0]]), None, None)
         return Var(out[0], (seq,), lambda g: _accum(seq, grad_in(g[None])[0]))
 
     def encode(self, seqs: Var, lengths, src=None, ends=None) -> Var:
@@ -296,9 +292,7 @@ class BiLstm:
                              f"of shape {xs.shape}")
         if (src is None) != (ends is None):
             raise ValueError("src and ends must be given together")
-        if src is None:  # valid by construction: row s is all of source s
-            src, ends = np.arange(len(lengths)), lengths
-        else:
+        if src is not None:
             src = np.asarray(src, dtype=np.intp)
             ends = np.asarray(ends, dtype=np.intp)
             if src.ndim != 1 or ends.shape != src.shape or not len(src) \
@@ -313,19 +307,22 @@ class BiLstm:
     def _run(self, xs: np.ndarray, lengths: np.ndarray, src: np.ndarray,
              ends: np.ndarray):
         """(B, 2h) outputs, row b the first ``ends[b]`` steps of source
-        ``src[b]``, and the function mapping their gradient to the gradient
-        of ``xs``."""
+        ``src[b]`` (with ``src`` None, row s is all of source s), and the
+        function mapping their gradient to the gradient of ``xs``."""
         S, T, _ = xs.shape
-        transposed = (ends == T).all() and len(src) == S \
-            and (src == np.arange(S)).all()
+        transposed = src is None and (lengths == T).all()
         if transposed:
             # every row runs every step of its own source: the packing is
-            # the (T, S) transpose and needs no gather
+            # the (T, S) transpose and needs no gather. The general packing
+            # lays such rows out in the same order, so it gives the same bits
+            # when a caller spells them out with src and ends.
             counts_f = counts_b = [S] * T
             x_f = xs.transpose(1, 0, 2).reshape(T * S, -1)
             x_b = xs[:, ::-1].transpose(1, 0, 2).reshape(T * S, -1)
             out_f = out_b = slice((T - 1) * S, T * S)
         else:
+            if src is None:
+                src, ends = np.arange(S), lengths
             counts_f, rows_f, steps_f, offsets, rank = _packing(lengths)
             out_f = offsets[ends - 1] + rank[src]
             counts_b, rows_b, steps_b, offsets, rank = _packing(ends)

@@ -6,10 +6,9 @@ The code is copied unchanged except for these substitutions:
 ``engine.cross_entropy``); the models' per-example scoring methods, which
 left the package, are the functions of ``reference_models`` and
 ``engine.add_n`` is ``reference_graph.add_n``. ``snapshot`` and ``restore``
-are the removed optimizer helpers. ``build_context_examples`` and
-``build_rank_examples`` are the per-interaction builders that the array-based
-``predictor.build_context_examples`` and ``nextitem.build_rank_examples``
-replaced, and the oracles for them.
+are the removed optimizer helpers. ``build_context_examples`` is the
+per-interaction builder that the array-based
+``predictor.build_context_examples`` replaced, and the oracle for it.
 """
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from ctxrec.cluster import UNLABELED
 from ctxrec.corpus import SplitCorpus, TRAIN, VAL
 from ctxrec.metrics import mrr, rank_of_truth
-from ctxrec.nextitem import ABLATION, NextItemModel, RankExample
+from ctxrec.nextitem import ABLATION, NextItemModel, RankExample, build_rank_examples
 from ctxrec.nn import engine
 from ctxrec.nn.engine import PROB_FLOOR, Parameter
 from ctxrec.nn.optim import Adam, clip_global_norm
@@ -63,16 +62,6 @@ def build_context_examples(corpus: SplitCorpus, labels: np.ndarray,
         out.append(ContextExample(k, it.user_id, sid, corpus.position_of[k],
                                   int(labels[sid])))
     return out
-
-
-def build_rank_examples(corpus: SplitCorpus, split_tag: str) -> list[RankExample]:
-    """One example per interaction of the split: predict it from its in-session
-    prefix (which may be empty, and may include earlier interactions of any
-    split that happen to share the session)."""
-    return [RankExample(k, it.user_id, corpus.session_of[k],
-                        corpus.position_of[k], it.item_id)
-            for k, it in enumerate(corpus.interactions)
-            if corpus.splits[k] == split_tag]
 
 
 def _group_by_session(examples: list[ContextExample]) -> list[list[ContextExample]]:

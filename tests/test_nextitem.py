@@ -3,10 +3,9 @@ import pytest
 
 import reference_graph
 import reference_models
-import reference_trainers
 from ctxrec import nextitem as NX
 from ctxrec import predictor as P
-from ctxrec.corpus import TEST, TRAIN, VAL
+from ctxrec.corpus import TEST
 from ctxrec.metrics import rank_of_truth
 from ctxrec.nn import engine, finite_diff_check
 from conftest import corpus_from_rows
@@ -271,16 +270,6 @@ def test_ranked_list_export(tmp_path):
     assert len(lines) == corpus.splits.count(TEST)
     assert all(len(row["items"]) == 2 for row in lines)
     assert all(row["scores"][0] >= row["scores"][1] for row in lines)
-
-
-def test_rank_examples_match_per_interaction_oracle(small_stack):
-    corpus = small_stack["corpus"]
-    for tag in (TRAIN, VAL, TEST):
-        got = NX.build_rank_examples(corpus, tag)
-        want = reference_trainers.build_rank_examples(corpus, tag)
-        assert len(want) > 0
-        assert got == want
-        assert all(type(v) is int for ex in got for v in ex)
 
 
 def test_served_predictions_equal_batched_artifacts(small_stack):
