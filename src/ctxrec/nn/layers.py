@@ -304,8 +304,8 @@ class BiLstm:
         out, grad_in = self._run(xs, lengths, src, ends)
         return Var(out, (seqs,), lambda g: _accum(seqs, grad_in(g)))
 
-    def _run(self, xs: np.ndarray, lengths: np.ndarray, src: np.ndarray,
-             ends: np.ndarray):
+    def _run(self, xs: np.ndarray, lengths: np.ndarray, src: np.ndarray | None,
+             ends: np.ndarray | None):
         """(B, 2h) outputs, row b the first ``ends[b]`` steps of source
         ``src[b]`` (with ``src`` None, row s is all of source s), and the
         function mapping their gradient to the gradient of ``xs``."""
