@@ -6,11 +6,15 @@ so per-user work could be parallelized without changing any output.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 CORPUS_FORMAT_VERSION = 1
 
@@ -209,6 +213,22 @@ def sessionize(interactions: Sequence[Interaction],
     return sessions
 
 
+class CorpusArrays(NamedTuple):
+    """A corpus's interactions and sessions as int arrays, for building
+    examples and prefix windows without walking the corpus in Python."""
+
+    user_of: np.ndarray        # per interaction
+    item_of: np.ndarray        # per interaction
+    session_of: np.ndarray     # per interaction
+    position_of: np.ndarray    # per interaction
+    session_user: np.ndarray   # per session
+    session_items: np.ndarray  # every session's items, sessions in id order
+    session_start: np.ndarray  # per session: where its items begin in session_items
+    user_sessions: np.ndarray  # every user's session ids in time order, users in id order
+    user_start: np.ndarray     # per user: where their ids begin in user_sessions
+    session_rank: np.ndarray   # per session: its index among its user's sessions
+
+
 @dataclass
 class SplitCorpus:
     """Interactions, sessions, and the per-user chronological split.
@@ -249,6 +269,33 @@ class SplitCorpus:
 
     def user_session_ids(self, user_id: int) -> list[int]:
         return self._user_sessions[user_id]
+
+    @functools.cached_property
+    def arrays(self) -> CorpusArrays:
+        """Built on first use; a corpus's interactions and sessions do not
+        change after it is built (its split tags may, and are not cached)."""
+        def column(values) -> np.ndarray:
+            return np.fromiter(values, dtype=np.intp)
+
+        def starts(lengths: np.ndarray) -> np.ndarray:
+            return np.cumsum(lengths) - lengths
+
+        user_sessions = [self._user_sessions[u] for u in range(self.num_users)]
+        session_rank = np.zeros(self.num_sessions, dtype=np.intp)
+        for sids in user_sessions:
+            session_rank[sids] = np.arange(len(sids))
+        return CorpusArrays(
+            user_of=column(it.user_id for it in self.interactions),
+            item_of=column(it.item_id for it in self.interactions),
+            session_of=column(self.session_of),
+            position_of=column(self.position_of),
+            session_user=column(s.user_id for s in self.sessions),
+            session_items=column(itertools.chain.from_iterable(
+                s.items for s in self.sessions)),
+            session_start=starts(column(s.length for s in self.sessions)),
+            user_sessions=column(itertools.chain.from_iterable(user_sessions)),
+            user_start=starts(column(map(len, user_sessions))),
+            session_rank=session_rank)
 
     def __post_init__(self):
         self._session_first = {}

@@ -93,8 +93,8 @@ class NextItemModel:
         with engine.no_grad():
             # one row reading all of its one source: encode's default src/ends
             prefix, lengths, _, _ = prefix_sources(
-                self.item_emb, self.aux, [0], [prefix_items], [len(prefix_items)],
-                self.max_seq_len)
+                self.item_emb, self.aux, np.asarray(prefix_items, dtype=np.intp), [0],
+                [len(prefix_items)], self.max_seq_len)
             logits = self.head([user_id], self.item_lstm.encode(prefix, lengths),
                                [context_ids])
         return engine.softmax(logits.value[0])
@@ -108,56 +108,65 @@ class RankExample(NamedTuple):
     target_item: int
 
 
-def build_rank_examples(corpus: SplitCorpus, split_tag: str) -> list[RankExample]:
-    """One example per interaction of the split: predict it from its in-session
-    prefix (which may be empty, and may include earlier interactions of any
-    split that happen to share the session)."""
-    return [RankExample(k, it.user_id, corpus.session_of[k],
-                        corpus.position_of[k], it.item_id)
-            for k, it in enumerate(corpus.interactions)
-            if corpus.splits[k] == split_tag]
+def _rows(examples) -> np.ndarray:
+    """``RankExample`` rows, or already their (N, 5) int array of fields, as
+    that array."""
+    return np.array(examples, dtype=np.intp).reshape(-1, len(RankExample._fields))
 
 
-def _batch_logits(model: NextItemModel, corpus: SplitCorpus,
-                  examples: list[RankExample],
+def rank_rows(corpus: SplitCorpus, split_tag: str) -> np.ndarray:
+    """One example per interaction of the split, in corpus order, as the
+    (N, 5) int array of ``RankExample`` fields: predict the interaction from
+    its in-session prefix (which may be empty, and may include earlier
+    interactions of any split that happen to share the session)."""
+    a = corpus.arrays
+    idx = np.flatnonzero(np.asarray(corpus.splits) == split_tag)
+    return np.stack([idx, a.user_of[idx], a.session_of[idx], a.position_of[idx],
+                     a.item_of[idx]], axis=1)
+
+
+def _batch_logits(model: NextItemModel, corpus: SplitCorpus, rows: np.ndarray,
                   ctx_topk: np.ndarray | None) -> Var:
-    """(N, V) next-item logits of ``examples``: the prefixes through the item
-    BiLSTM as one batch (the prefixes of one session share a source), one
-    context-row lookup and one ``fc2`` matmul."""
+    """(N, V) next-item logits of the examples ``rows`` (see ``_rows``): the
+    prefixes through the item BiLSTM as one batch (the prefixes of one
+    session share a source), one context-row lookup and one ``fc2`` matmul."""
     if model.mode == WITH_CONTEXT and ctx_topk is None:
         raise ValueError("with-context mode needs per-prefix context predictions")
+    interactions, users, sessions, positions, _ = rows.T
+    a = corpus.arrays
     z_item = model.item_lstm.encode(*prefix_sources(
-        model.item_emb, model.aux, [ex.session_id for ex in examples],
-        [corpus.sessions[ex.session_id].items for ex in examples],
-        [ex.position for ex in examples], model.max_seq_len))
-    return model.head([ex.user_id for ex in examples], z_item,
-                      None if model.mode == ABLATION
-                      else ctx_topk[[ex.interaction_idx for ex in examples]])
+        model.item_emb, model.aux, a.session_items, a.session_start[sessions], positions,
+        model.max_seq_len))
+    return model.head(users, z_item,
+                      None if model.mode == ABLATION else ctx_topk[interactions])
 
 
-def _batch_probs(model: NextItemModel, corpus: SplitCorpus,
-                 examples: list[RankExample], ctx_topk: np.ndarray | None):
-    """(examples, (N, V) next-item probabilities) per batch of at most
+def _batch_probs(model: NextItemModel, corpus: SplitCorpus, rows: np.ndarray,
+                 ctx_topk: np.ndarray | None):
+    """(rows, (N, V) next-item probabilities) per batch of at most
     ``EVAL_BATCH`` examples, in order."""
-    for start in range(0, len(examples), EVAL_BATCH):
-        batch = examples[start:start + EVAL_BATCH]
+    for start in range(0, len(rows), EVAL_BATCH):
+        batch = rows[start:start + EVAL_BATCH]
         with engine.no_grad():
             logits = _batch_logits(model, corpus, batch, ctx_topk)
         yield batch, engine.softmax(logits.value)
 
 
 def batch_loss(model: NextItemModel, corpus: SplitCorpus,
-               ctx_topk: np.ndarray | None, examples: list[RankExample]) -> Var:
-    """Mean next-item cross-entropy of ``examples`` as one batched graph."""
-    logits = _batch_logits(model, corpus, examples, ctx_topk)
-    return engine.softmax_cross_entropy(logits, [ex.target_item for ex in examples])[0]
+               ctx_topk: np.ndarray | None, examples) -> Var:
+    """Mean next-item cross-entropy of ``examples`` (see ``_rows``) as one
+    batched graph."""
+    rows = _rows(examples)
+    logits = _batch_logits(model, corpus, rows, ctx_topk)
+    return engine.softmax_cross_entropy(logits, rows[:, 4])[0]
 
 
-def compute_ranks(model: NextItemModel, corpus: SplitCorpus,
-                  examples: list[RankExample],
+def compute_ranks(model: NextItemModel, corpus: SplitCorpus, examples,
                   ctx_topk: np.ndarray | None) -> np.ndarray:
-    ranks = [ranks_of_truth(probs, [ex.target_item for ex in batch])
-             for batch, probs in _batch_probs(model, corpus, examples, ctx_topk)]
+    """The rank of each example's target item (see ``_rows``) among the
+    model's next-item probabilities."""
+    ranks = [ranks_of_truth(probs, batch[:, 4])
+             for batch, probs in _batch_probs(model, corpus, _rows(examples), ctx_topk)]
     return np.concatenate(ranks) if ranks else np.empty(0, dtype=np.int64)
 
 
@@ -168,17 +177,17 @@ def train_next(model: NextItemModel, corpus: SplitCorpus,
                clip_norm: float = 5.0) -> dict:
     """Cross-entropy training over every train interaction, Adam, early
     stopping on validation MRR (higher is better)."""
-    train_examples = build_rank_examples(corpus, TRAIN)
-    val_examples = build_rank_examples(corpus, VAL)
+    train_examples = rank_rows(corpus, TRAIN)
+    val_examples = rank_rows(corpus, VAL)
 
     # no validation data: early-stop on train loss, recorded as -loss
-    history = fit(model.params(), [[ex] for ex in train_examples],
-                  lambda examples: batch_loss(model, corpus, ctx_topk, examples),
+    history = fit(model.params(), np.ones(len(train_examples), dtype=np.intp),
+                  lambda idx: batch_loss(model, corpus, ctx_topk, train_examples[idx]),
                   rng, lr=lr, batch_size=batch_size, max_epochs=max_epochs,
                   patience=patience, clip_norm=clip_norm, what="next-item",
                   val_score=(lambda: -mrr(compute_ranks(
                       model, corpus, val_examples, ctx_topk)))
-                  if val_examples else None)
+                  if len(val_examples) else None)
     return {"train_loss": history["train_loss"],
             "val_mrr": [-v for v in history["val_score"]],
             "best_epoch": history["best_epoch"]}
@@ -189,16 +198,15 @@ def export_ranked_lists(path, model: NextItemModel, corpus: SplitCorpus,
     """Line-JSON dump: per test interaction, the top-N item ids and scores."""
     import json
 
-    examples = build_rank_examples(corpus, TEST)
     with open(path, "w") as fh:
-        for batch, probs in _batch_probs(model, corpus, examples, ctx_topk):
-            for ex, row in zip(batch, probs):
+        for batch, probs in _batch_probs(model, corpus, rank_rows(corpus, TEST), ctx_topk):
+            for (k, _, session, position, item), row in zip(batch.tolist(), probs):
                 order = np.lexsort((np.arange(len(row)), -row))[:top_n]
                 fh.write(json.dumps({
-                    "interaction_idx": ex.interaction_idx,
-                    "session_id": ex.session_id,
-                    "prefix_len": ex.position,
-                    "true_item": ex.target_item,
+                    "interaction_idx": k,
+                    "session_id": session,
+                    "prefix_len": position,
+                    "true_item": item,
                     "items": [int(i) for i in order],
                     "scores": [float(row[i]) for i in order],
                 }, sort_keys=True) + "\n")

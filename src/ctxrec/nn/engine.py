@@ -14,6 +14,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
+from scipy import sparse
 
 
 class Parameter:
@@ -50,9 +51,12 @@ def constant(value) -> Var:
     return Var(value)
 
 
-def _accum(var: Var, g: np.ndarray) -> None:
+def _accum(var: Var, g: np.ndarray, owned: bool = False) -> None:
+    """Add ``g`` to ``var.grad``. A first gradient is stored as a copy, since
+    ``g`` may be shared, unless ``owned`` says the caller made it and holds
+    no other reference to it."""
     if var.grad is None:
-        var.grad = np.array(g, dtype=np.float64)  # a copy: ``g`` may be shared
+        var.grad = g if owned else np.array(g, dtype=np.float64)
     else:
         var.grad += g
 
@@ -104,9 +108,41 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
     if np.isnan(logits).any():
         raise ValueError("softmax received NaN logits")
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+SPARSE_SUM_MIN = 2048  # row elements from which sum_rows builds a CSR matrix
+
+
+def sum_rows(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """The (n, d) array whose row i sums the ``rows[j]`` with ``ids[j] == i``,
+    added from 0.0 in increasing j: the sums ``np.add.at`` forms into zeros,
+    bit for bit. From ``SPARSE_SUM_MIN`` elements on they are one CSR
+    product, several times faster; below it, building the matrix costs more
+    than ``np.add.at``."""
+    if rows.size < SPARSE_SUM_MIN:
+        out = np.zeros((n,) + rows.shape[1:])
+        np.add.at(out, ids, rows)
+        return out
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(ids, minlength=n), out=indptr[1:])
+    return sparse.csr_array((np.ones(len(ids)), np.argsort(ids, kind="stable"), indptr),
+                            shape=(n, len(ids))) @ rows
+
+
+def scatter_add(target: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """``np.add.at(target, ids, rows)`` into a contiguous ``target``, bit for
+    bit. While ``target`` is all zero, as a table's gradient is at its one
+    lookup in a backward pass, the rows are summed by ``sum_rows``; a table
+    read twice in one graph takes ``np.add.at`` from its second scatter on."""
+    if target.any():
+        np.add.at(target, ids, rows)
+        return
+    flat = target.reshape(len(target), -1)  # a view
+    flat += sum_rows(ids.reshape(-1), rows.reshape(ids.size, flat.shape[1]), len(target))
 
 
 PROB_FLOOR = 1e-12
@@ -144,7 +180,7 @@ def lookup(table: Parameter, ids) -> Var:
     out = Var(table.value[ids])
 
     def bwd(g):
-        np.add.at(table.grad, ids, g)
+        scatter_add(table.grad, ids, g)
 
     out.bwd = bwd
     return out
@@ -158,7 +194,7 @@ def dense(weight: Parameter, bias: Parameter | None, x: Var) -> Var:
                          f"!= expected {din}")
     y = x.value @ weight.value.T
     if bias is not None:
-        y = y + bias.value
+        y += bias.value
 
     def bwd(g):
         gm = g.reshape(-1, weight.value.shape[0])
@@ -166,7 +202,7 @@ def dense(weight: Parameter, bias: Parameter | None, x: Var) -> Var:
         weight.grad += gm.T @ xm
         if bias is not None:
             bias.grad += gm.sum(axis=0)
-        _accum(x, (g @ weight.value).reshape(x.value.shape))
+        _accum(x, (g @ weight.value).reshape(x.value.shape), owned=True)
 
     return Var(y, (x,), bwd)
 
@@ -225,6 +261,7 @@ def softmax_cross_entropy(logits: Var, targets) -> tuple[Var, np.ndarray]:
     def bwd(g):
         d = rows.copy()
         d[picked] -= 1.0
-        _accum(logits, (g / n) * d.reshape(probs.shape))
+        d *= g / n
+        _accum(logits, d.reshape(probs.shape), owned=True)
 
     return Var(np.asarray(loss), (logits,), bwd), probs

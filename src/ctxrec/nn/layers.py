@@ -14,7 +14,6 @@ once per row over the row's reversed prefix.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from . import engine
 from .engine import Parameter, Var, _accum
@@ -42,13 +41,15 @@ class EmbeddingTable:
         return [self.weights]
 
 
-def window_sources(keys, seqs, stops, max_len: int):
+def window_sources(flat, offsets, stops, max_len: int):
     """Group rows that each read a window of a sequence into the shared
-    sources ``BiLstm.encode`` takes. Row b reads the last ``max_len`` ids of
-    ``seqs[b][:stops[b]]``; rows with one key (a non-negative int) read one
-    sequence. Rows whose windows start at the same place of one sequence read
-    one source, which runs to the furthest of their stops, and every empty
-    window reads one shared source of length one whose slot holds no id.
+    sources ``BiLstm.encode`` takes. The sequences lie end to end in the int
+    array ``flat``: row b reads the last ``max_len`` ids of
+    ``flat[offsets[b]:offsets[b] + stops[b]]``. Rows whose windows start at
+    the same place of ``flat`` read one source, which runs to the furthest of
+    their stops, and every empty window reads one shared source of length
+    one whose slot holds no id. Sources are ordered by where they start, the
+    empty one first.
 
     Returns ``(ids, valid, lengths, src, ends)``: source s holds the ids
     ``ids[s][valid[s]]`` over its ``lengths[s]`` steps, and row b is the
@@ -57,38 +58,36 @@ def window_sources(keys, seqs, stops, max_len: int):
         # one row is one source, built directly: a served request would
         # otherwise spend more on the grouping (np.unique alone takes ~10 us)
         # than on its lookup
-        stop = int(stops[0])
-        ids = np.asarray(seqs[0][max(stop - max_len, 0):stop] if stop > 0 else [0],
-                         dtype=np.intp)[None]
+        stop, offset = int(stops[0]), int(offsets[0])
+        ids = (flat[offset + max(stop - max_len, 0):offset + stop] if stop > 0
+               else np.zeros(1, dtype=np.intp))[None]
         lengths = np.array([ids.shape[1]], dtype=np.intp)
         return (ids, np.full(ids.shape, stop > 0), lengths, np.zeros(1, dtype=np.intp),
                 lengths)
     stops = np.asarray(stops, dtype=np.intp)
-    starts = np.maximum(stops - max_len, 0)
-    group = np.where(stops > 0, np.asarray(keys, dtype=np.intp), -1) \
-        * (int(starts.max()) + 1) + starts
-    _, first, src = np.unique(group, return_index=True, return_inverse=True)
-    ends = np.maximum(stops - starts, 1)
+    starts = np.asarray(offsets, dtype=np.intp) + np.maximum(stops - max_len, 0)
+    _, first, src = np.unique(np.where(stops > 0, starts, -1), return_index=True,
+                              return_inverse=True)
+    ends = np.minimum(stops, max_len)
+    ends[stops == 0] = 1
     lengths = np.zeros(len(first), dtype=np.intp)
     np.maximum.at(lengths, src, ends)
-    ids = np.zeros((len(first), int(lengths.max())), dtype=np.intp)
-    for s, b in enumerate(first.tolist()):
-        start = starts[b]
-        ids[s, :lengths[s]] = seqs[b][start:start + lengths[s]] if stops[b] else 0
-    valid = np.arange(ids.shape[1]) < lengths[:, None]
+    valid = np.arange(int(lengths.max())) < lengths[:, None]
     valid[stops[first] == 0, 0] = False
+    ids = np.zeros(valid.shape, dtype=np.intp)
+    ids[valid] = flat[(starts[first, None] + np.arange(valid.shape[1]))[valid]]
     return ids, valid, lengths, src, ends
 
 
-def prefix_sources(table: EmbeddingTable, aux: Parameter, keys, seqs, stops,
+def prefix_sources(table: EmbeddingTable, aux: Parameter, flat, offsets, stops,
                    max_len: int) -> tuple[Var, np.ndarray, np.ndarray, np.ndarray]:
     """``BiLstm.encode``'s arguments for the item prefixes
-    ``seqs[b][:stops[b]]`` (``window_sources`` grouped by ``keys``): the
-    padded (S, T, dim) node of source embedding rows, where the empty-prefix
-    source holds the learnable ``aux`` vector, then lengths, src and ends.
-    Padding slots hold id 0, so they read table row 0; ``encode`` never reads
-    a step past a source's length."""
-    ids, valid, lengths, src, ends = window_sources(keys, seqs, stops, max_len)
+    ``flat[offsets[b]:offsets[b] + stops[b]]`` (grouped by
+    ``window_sources``): the padded (S, T, dim) node of source embedding
+    rows, where the empty-prefix source holds the learnable ``aux`` vector,
+    then lengths, src and ends. Padding slots hold id 0, so they read table
+    row 0; ``encode`` never reads a step past a source's length."""
+    ids, valid, lengths, src, ends = window_sources(flat, offsets, stops, max_len)
     if ids.min() < 0 or ids.max() >= table.rows:
         raise IndexError(f"lookup index out of range for table "
                          f"{table.weights.name} with {table.rows} rows")
@@ -97,7 +96,7 @@ def prefix_sources(table: EmbeddingTable, aux: Parameter, keys, seqs, stops,
     x[empty, 0] = aux.value
 
     def bwd(g):
-        np.add.at(table.weights.grad, ids[valid], g[valid])
+        engine.scatter_add(table.weights.grad, ids[valid], g[valid])
         aux.grad += g[empty, 0].sum(axis=0)
 
     return Var(x, (), bwd), lengths, src, ends
@@ -351,16 +350,19 @@ class BiLstm:
                 return dx.transpose(1, 0, 2)
             dx = np.zeros(xs.shape)
             dx[rows_f, steps_f] = d_f
-            if np.bincount(src).max() == 1:  # each (source, step) has one reader
-                dx[src_b, t_b] += d_b
-                return dx
-            # rows that read one source: sum their backward-direction gradients
-            # per (source, step) as a sparse product, several times faster than
-            # np.add.at here. Building the matrix costs a few tenths of a ms,
-            # so sources with one reader take the plain scatter above.
-            n = len(d_b)
-            dx.reshape(S * T, -1)[...] += sparse.csr_matrix(
-                (np.ones(n), (src_b * T + t_b, np.arange(n))), shape=(S * T, n)) @ d_b
+            # a (source, step) cell read by one row takes its backward-direction
+            # gradient by a plain scatter; only the cells that several rows read
+            # sum theirs, in packed order (engine.sum_rows)
+            flat = dx.reshape(S * T, -1)
+            cells = src_b * T + t_b
+            shared = np.bincount(cells, minlength=S * T) > 1
+            several = shared[cells]
+            lone = ~several
+            flat[cells[lone]] += d_b[lone]
+            if several.any():
+                slot = np.cumsum(shared) - 1  # a shared cell's row in the sum
+                flat[shared] += engine.sum_rows(slot[cells[several]], d_b[several],
+                                                int(slot[-1]) + 1)
             return dx
 
         return out, grad_in

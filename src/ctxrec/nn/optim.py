@@ -21,6 +21,9 @@ class Adam:
         self.step_count = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
+        # per parameter: two work arrays and the finiteness mask of a gradient
+        self._work = [(np.empty_like(p.value), np.empty_like(p.value),
+                       np.empty(p.value.shape, dtype=bool)) for p in self.params]
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -28,27 +31,37 @@ class Adam:
 
     def step(self, grads: list[np.ndarray] | None = None) -> None:
         """Apply one bias-corrected update from ``grads`` or the accumulated
-        ``param.grad`` buffers. Raises on shape mismatch or non-finite grads."""
+        ``param.grad`` buffers. Raises on shape mismatch or non-finite grads.
+        The moments and parameters are updated in place."""
         if grads is None:
             grads = [p.grad for p in self.params]
         if len(grads) != len(self.params):
             raise ValueError(f"expected {len(self.params)} gradients, got {len(grads)}")
-        for p, g in zip(self.params, grads):
+        for p, g, (_, _, finite) in zip(self.params, grads, self._work):
             if g.shape != p.value.shape:
                 raise ValueError(f"gradient shape {g.shape} does not match "
                                  f"parameter {p.name} shape {p.value.shape}")
-            if not np.isfinite(g).all():
+            if not np.isfinite(g, out=finite).all():
                 raise FloatingPointError(f"non-finite gradient for {p.name}")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for k, (p, g) in enumerate(zip(self.params, grads)):
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[k] / bc1
-            v_hat = self.v[k] / bc2
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        for p, g, m, v, (a, b, _) in zip(self.params, grads, self.m, self.v, self._work):
+            # m = beta1 * m + (1 - beta1) * g
+            m *= self.beta1
+            m += np.multiply(1.0 - self.beta1, g, out=a)
+            # v = beta2 * v + (1 - beta2) * g * g
+            v *= self.beta2
+            np.multiply(1.0 - self.beta2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            # value -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(m, bc1, out=a)
+            a *= self.lr
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            p.value -= np.divide(a, b, out=a)
 
 
 def clip_global_norm(params: list[Parameter], max_norm: float) -> float:
@@ -82,38 +95,41 @@ def adam_stepper(params: list[Parameter], lr: float, clip_norm: float,
     return step
 
 
-def _batches(units: list[list], order: np.ndarray, batch_size: int):
-    """Whole units in ``order``, packed until a batch holds >= batch_size
-    examples; the last batch may be smaller."""
-    batch: list = []
-    count = 0
-    for k in order:
-        batch.append(units[k])
-        count += len(units[k])
-        if count >= batch_size:
-            yield batch
-            batch, count = [], 0
-    if batch:
-        yield batch
+def _batches(sizes: np.ndarray, order: np.ndarray, batch_size: int):
+    """Example indices per batch: whole units in ``order``, packed until a
+    batch holds >= batch_size examples; the last batch may be smaller. Unit u
+    is the ``sizes[u]`` consecutive examples after those of units 0..u-1."""
+    first = (np.cumsum(sizes) - sizes)[order]  # each unit's first example
+    sizes = sizes[order]
+    ends = np.cumsum(sizes)  # examples in the units up to each one, in order
+    examples = np.repeat(first - (ends - sizes), sizes) + np.arange(ends[-1])
+    cut = 0
+    while cut < len(examples):
+        k = np.searchsorted(ends, cut + batch_size)  # the unit that fills the batch
+        end = int(ends[min(k, len(ends) - 1)])
+        yield examples[cut:end]
+        cut = end
 
 
-def fit(params: list[Parameter], units: list[list],
-        batch_loss: Callable[[list], Var], rng: np.random.Generator,
+def fit(params: list[Parameter], sizes: np.ndarray,
+        batch_loss: Callable[[np.ndarray], Var], rng: np.random.Generator,
         *, lr: float, batch_size: int, max_epochs: int, patience: int,
         clip_norm: float, what: str,
         val_score: Callable[[], float] | None = None) -> dict:
     """Mini-batch Adam training with early stopping and best-epoch restore.
 
-    ``units`` are the shuffle units, each a list of examples that always
-    share a batch; ``batch_loss(examples)`` returns the mean loss node over
-    a batch's examples (its units' lists, concatenated). After each epoch
-    ``val_score()`` (lower is better; the epoch's mean train loss when None)
-    must beat the best so far by more than 1e-12, or the epoch counts toward
-    ``patience``.
+    The examples are numbered consecutively by shuffle unit: unit u is the
+    next ``sizes[u]`` >= 1 examples, and a unit's examples always share a
+    batch. ``batch_loss(idx)`` returns the mean loss node over the examples
+    ``idx`` of a batch (its units' examples in shuffled unit order). After
+    each epoch ``val_score()`` (lower is better; the epoch's mean train loss
+    when None) must beat the best so far by more than 1e-12, or the epoch
+    counts toward ``patience``.
     The best epoch's parameters are restored before returning the history:
     per-epoch ``train_loss`` and ``val_score``, and ``best_epoch``.
     """
-    if not units:
+    sizes = np.asarray(sizes, dtype=np.intp)
+    if not len(sizes):
         raise ValueError("no training examples")
     step = adam_stepper(params, lr, clip_norm, what)
     history = {"train_loss": [], "val_score": [], "best_epoch": -1}
@@ -123,10 +139,9 @@ def fit(params: list[Parameter], units: list[list],
     for epoch in range(max_epochs):
         epoch_loss = 0.0
         n_seen = 0
-        for batch in _batches(units, rng.permutation(len(units)), batch_size):
-            examples = [ex for unit in batch for ex in unit]
-            n = len(examples)
-            total = batch_loss(examples)
+        for idx in _batches(sizes, rng.permutation(len(sizes)), batch_size):
+            n = len(idx)
+            total = batch_loss(idx)
             step(total)
             epoch_loss += float(total.value) * n
             n_seen += n

@@ -347,12 +347,14 @@ def _train_next_once(cfg: StageConfig, corpus: SplitCorpus,
     return model, history
 
 
-def run_train_next(ws: Workspace, ablation: bool = False) -> Path:
+def run_train_next(ws: Workspace, ablation: bool = False,
+                   inputs: Callable[[], tuple[SplitCorpus, np.ndarray]] | None = None) -> Path:
+    """``inputs()`` returns ``_evaluate_inputs(ws)``; ablate passes one that
+    loads them once for every stage it builds."""
     mode = next_mod.ABLATION if ablation else next_mod.WITH_CONTEXT
 
     def body(path: Path, cfg: StageConfig) -> dict:
-        corpus = load_ingested(ws)
-        _, ctx_topk, _ = load_context_predictor(ws)
+        corpus, ctx_topk = inputs() if inputs else _evaluate_inputs(ws)
         model, history = _train_next_once(cfg, corpus, ctx_topk, mode, cfg.seed)
         save_checkpoint(path / "nextitem.ckpt",
                         {p.name: p.value for p in model.params()},
@@ -382,8 +384,8 @@ def _rep_metrics(ws: Workspace, cfg: StageConfig, corpus: SplitCorpus,
     """Test metrics per repetition seed; rep 0 is the arm's published
     train-next model, and every later rep trains its own."""
     mode = next_mod.ABLATION if ablation else next_mod.WITH_CONTEXT
-    examples = next_mod.build_rank_examples(corpus, TEST)
-    if not examples:
+    examples = next_mod.rank_rows(corpus, TEST)
+    if not len(examples):
         raise PipelineError("no test interactions to evaluate")
     seeds = [cfg.seed + r for r in range(cfg.repetitions)]
     mrrs: list[float] = []
@@ -409,8 +411,7 @@ def _evaluate_inputs(ws: Workspace) -> tuple[SplitCorpus, np.ndarray]:
 
 def run_evaluate(ws: Workspace, ablation: bool = False,
                  inputs: Callable[[], tuple[SplitCorpus, np.ndarray]] | None = None) -> Path:
-    """``inputs()`` returns ``_evaluate_inputs(ws)``; ablate passes one that
-    loads them once for both arms."""
+    """``inputs`` as in ``run_train_next``."""
     def body(path: Path, cfg: StageConfig) -> dict:
         corpus, ctx_topk = inputs() if inputs else _evaluate_inputs(ws)
         report = _rep_metrics(ws, cfg, corpus, ctx_topk, ablation)
@@ -432,7 +433,7 @@ def run_ablate(ws: Workspace) -> Path:
         inputs = functools.cache(lambda: _evaluate_inputs(ws))
         arms = []
         for ablation in (False, True):
-            run_train_next(ws, ablation)
+            run_train_next(ws, ablation, inputs)
             arms.append(json.loads(
                 (run_evaluate(ws, ablation, inputs) / "metrics.json").read_text()))
         with_arm, abl_arm = arms

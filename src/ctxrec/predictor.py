@@ -159,8 +159,8 @@ class ContextPredictor:
                                            [len(history)])
             # one row reading all of its one source: encode's default src/ends
             prefix, lengths, _, _ = prefix_sources(
-                self.item_emb, self.aux, [0], [prefix_items], [len(prefix_items)],
-                self.max_seq_len)
+                self.item_emb, self.aux, np.asarray(prefix_items, dtype=np.intp), [0],
+                [len(prefix_items)], self.max_seq_len)
             logits = self.head([user_id], self.short_lstm.encode(prefix, lengths), z_long)
         return engine.softmax(logits.value[0])
 
@@ -173,66 +173,55 @@ class ContextExample(NamedTuple):
     label: int
 
 
-def build_context_examples(corpus: SplitCorpus,
-                           labels: np.ndarray) -> dict[str, list[ContextExample]]:
+def context_rows(corpus: SplitCorpus, labels: np.ndarray) -> dict[str, np.ndarray]:
     """Per split, train and validation, one example per interaction in
-    corpus order: its in-session prefix, labeled with the session's context.
-    Unlabeled sessions are skipped."""
-    session_of = np.asarray(corpus.session_of, dtype=np.intp)
-    label = np.asarray(labels)[session_of]
+    corpus order, as the (N, 5) int array of ``ContextExample`` fields: its
+    in-session prefix, labeled with the session's context. Unlabeled
+    sessions are skipped."""
+    a = corpus.arrays
+    label = np.asarray(labels)[a.session_of]
     splits = np.asarray(corpus.splits)
-    # ContextExample's fields after interaction_idx, one entry per interaction
-    columns = (np.array([s.user_id for s in corpus.sessions], dtype=np.intp)[session_of],
-               session_of, np.asarray(corpus.position_of, dtype=np.intp), label)
-    out = {}
-    for tag in (TRAIN, VAL):
-        idx = np.flatnonzero((splits == tag) & (label != UNLABELED))
-        out[tag] = list(map(ContextExample, idx.tolist(),
-                            *(c[idx].tolist() for c in columns)))
-    return out
-
-
-def _group_by_session(examples: list[ContextExample]) -> list[list[ContextExample]]:
-    groups: dict[int, list[ContextExample]] = {}
-    for ex in examples:
-        groups.setdefault(ex.session_id, []).append(ex)
-    return [groups[sid] for sid in sorted(groups)]
+    rows = np.stack([np.arange(len(label)), a.user_of, a.session_of, a.position_of, label],
+                    axis=1)
+    return {tag: rows[(splits == tag) & (label != UNLABELED)] for tag in (TRAIN, VAL)}
 
 
 def _prefix_logits(model: ContextPredictor, corpus: SplitCorpus,
-                   features: SessionFeatureStore, session_ids: list[int],
-                   positions: list[int]) -> Var:
+                   features: SessionFeatureStore, session_ids: np.ndarray,
+                   positions: np.ndarray) -> Var:
     """(N, C) context logits for the prefix of length ``positions[j]`` of
     session ``session_ids[j]``: each distinct session's history is encoded
     once, all histories as one batch and all prefixes as another. A history
     is a window of its user's session-feature rows, so the histories of one
     user (and the prefixes of one session) share a source whose forward
     direction runs once."""
+    a = corpus.arrays
     sids, inverse = np.unique(session_ids, return_inverse=True)
-    users = [corpus.sessions[sid].user_id for sid in sids]
-    user_sids = [corpus.user_session_ids(u) for u in users]
     ids, valid, lengths, src, ends = window_sources(
-        users, user_sids, [seq.index(sid) for seq, sid in zip(user_sids, sids)],
+        a.user_sessions, a.user_start[a.session_user[sids]], a.session_rank[sids],
         model.max_seq_len)
     histories = np.zeros(ids.shape + (features.dim,))  # a first session reads a zero row
     histories[valid] = features.matrix[ids[valid]]
     z_long = model.long_lstm.encode(engine.constant(histories), lengths, src, ends)
     z_short = model.short_lstm.encode(*prefix_sources(
-        model.item_emb, model.aux, session_ids,
-        [corpus.sessions[sid].items for sid in session_ids], positions,
-        model.max_seq_len))
-    return model.head([corpus.sessions[sid].user_id for sid in session_ids],
-                      z_short, engine.index_rows(z_long, inverse))
+        model.item_emb, model.aux, a.session_items, a.session_start[session_ids],
+        positions, model.max_seq_len))
+    return model.head(a.session_user[session_ids], z_short,
+                      engine.index_rows(z_long, inverse))
+
+
+def _rows(examples) -> np.ndarray:
+    """``ContextExample`` rows, or already their (N, 5) int array of fields,
+    as that array."""
+    return np.array(examples, dtype=np.intp).reshape(-1, len(ContextExample._fields))
 
 
 def batch_loss(model: ContextPredictor, corpus: SplitCorpus,
-               features: SessionFeatureStore,
-               examples: list[ContextExample]) -> Var:
-    """Mean cross-entropy of ``examples`` as one batched graph."""
-    logits = _prefix_logits(model, corpus, features,
-                            [ex.session_id for ex in examples],
-                            [ex.position for ex in examples])
-    return engine.softmax_cross_entropy(logits, [ex.label for ex in examples])[0]
+               features: SessionFeatureStore, examples) -> Var:
+    """Mean cross-entropy of ``examples`` (see ``_rows``) as one batched graph."""
+    rows = _rows(examples)
+    logits = _prefix_logits(model, corpus, features, rows[:, 2], rows[:, 3])
+    return engine.softmax_cross_entropy(logits, rows[:, 4])[0]
 
 
 def train_context(model: ContextPredictor, corpus: SplitCorpus,
@@ -243,33 +232,36 @@ def train_context(model: ContextPredictor, corpus: SplitCorpus,
     """Cross-entropy training over per-prefix examples, Adam, early stopping
     on validation loss. A session's prefix family is one shuffle unit and
     shares one history encoding, so its BPTT runs once per batch."""
-    examples = build_context_examples(corpus, labels)
-    train_groups = _group_by_session(examples[TRAIN])
-    val_examples = examples[VAL]
+    rows = context_rows(corpus, labels)
+    # the shuffle units in session order, each session's examples in corpus order
+    train = rows[TRAIN][np.argsort(rows[TRAIN][:, 2], kind="stable")]
+    sizes = np.unique(train[:, 2], return_counts=True)[1]
+    val = rows[VAL]
 
     # no validation data (degenerate corpora): early-stop on train loss
-    history = fit(model.params(), train_groups,
-                  lambda examples: batch_loss(model, corpus, features, examples),
+    history = fit(model.params(), sizes,
+                  lambda idx: batch_loss(model, corpus, features, train[idx]),
                   rng, lr=lr, batch_size=batch_size, max_epochs=max_epochs,
                   patience=patience, clip_norm=clip_norm, what="context",
-                  val_score=(lambda: evaluate_context_loss(
-                      model, corpus, features, val_examples))
-                  if val_examples else None)
+                  val_score=(lambda: evaluate_context_loss(model, corpus, features, val))
+                  if len(val) else None)
     return {"train_loss": history["train_loss"], "val_loss": history["val_score"],
             "best_epoch": history["best_epoch"]}
 
 
 def evaluate_context_loss(model: ContextPredictor, corpus: SplitCorpus,
-                          features: SessionFeatureStore,
-                          examples: list[ContextExample]) -> float:
-    if not examples:
+                          features: SessionFeatureStore, examples) -> float:
+    """Mean cross-entropy of ``examples`` (see ``_rows``), in batches of at
+    most ``EVAL_BATCH``, without gradients; NaN for no examples."""
+    rows = _rows(examples)
+    if not len(rows):
         return float("nan")
     total = 0.0
     with engine.no_grad():
-        for start in range(0, len(examples), EVAL_BATCH):
-            chunk = examples[start:start + EVAL_BATCH]
+        for start in range(0, len(rows), EVAL_BATCH):
+            chunk = rows[start:start + EVAL_BATCH]
             total += float(batch_loss(model, corpus, features, chunk).value) * len(chunk)
-    return total / len(examples)
+    return total / len(rows)
 
 
 def predict_all_prefixes(model: ContextPredictor, corpus: SplitCorpus,
@@ -277,6 +269,7 @@ def predict_all_prefixes(model: ContextPredictor, corpus: SplitCorpus,
                          k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k context ids (ascending) and their probabilities for the prefix
     preceding every interaction in the corpus."""
+    a = corpus.arrays
     n = len(corpus.interactions)
     topk_ids = np.zeros((n, k), dtype=np.intp)
     topk_probs = np.zeros((n, k))
@@ -284,8 +277,7 @@ def predict_all_prefixes(model: ContextPredictor, corpus: SplitCorpus,
         for start in range(0, n, EVAL_BATCH):
             rows = slice(start, start + EVAL_BATCH)
             probs = engine.softmax(_prefix_logits(
-                model, corpus, features, corpus.session_of[rows],
-                corpus.position_of[rows]).value)
+                model, corpus, features, a.session_of[rows], a.position_of[rows]).value)
             topk_ids[rows] = top_k_rows(probs, k)
             topk_probs[rows] = np.take_along_axis(probs, topk_ids[rows], axis=1)
     return topk_ids, topk_probs

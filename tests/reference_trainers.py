@@ -9,6 +9,12 @@ left the package, are the functions of ``reference_models`` and
 are the removed optimizer helpers. ``build_context_examples`` is the
 per-interaction builder that the array-based
 ``predictor.build_context_examples`` replaced, and the oracle for it.
+
+``Adam`` (which allocated its moments and temporaries afresh on every
+step), ``batches`` (``optim._batches`` over lists of one-example lists) and
+``build_rank_examples`` (the ``RankExample`` list) are copied unchanged from
+before training moved onto preallocated buffers and index arrays; the
+trainers below use them.
 """
 
 import numpy as np
@@ -16,10 +22,10 @@ import numpy as np
 from ctxrec.cluster import UNLABELED
 from ctxrec.corpus import SplitCorpus, TRAIN, VAL
 from ctxrec.metrics import mrr, rank_of_truth
-from ctxrec.nextitem import ABLATION, NextItemModel, RankExample, build_rank_examples
+from ctxrec.nextitem import ABLATION, NextItemModel, RankExample
 from ctxrec.nn import engine
 from ctxrec.nn.engine import PROB_FLOOR, Parameter
-from ctxrec.nn.optim import Adam, clip_global_norm
+from ctxrec.nn.optim import clip_global_norm
 from ctxrec.predictor import (
     ContextExample,
     ContextPredictor,
@@ -28,6 +34,72 @@ from ctxrec.predictor import (
 )
 from reference_graph import add_n
 from reference_models import context_logits_var, encode_history, next_logits_var, next_probs
+
+
+class Adam:
+    def __init__(self, params: list[Parameter], lr: float = 0.001,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.params = list(params)
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.step_count = 0
+        self.m = [np.zeros_like(p.value) for p in self.params]
+        self.v = [np.zeros_like(p.value) for p in self.params]
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.zero_grad()
+
+    def step(self, grads: list[np.ndarray] | None = None) -> None:
+        """Apply one bias-corrected update from ``grads`` or the accumulated
+        ``param.grad`` buffers. Raises on shape mismatch or non-finite grads."""
+        if grads is None:
+            grads = [p.grad for p in self.params]
+        if len(grads) != len(self.params):
+            raise ValueError(f"expected {len(self.params)} gradients, got {len(grads)}")
+        for p, g in zip(self.params, grads):
+            if g.shape != p.value.shape:
+                raise ValueError(f"gradient shape {g.shape} does not match "
+                                 f"parameter {p.name} shape {p.value.shape}")
+            if not np.isfinite(g).all():
+                raise FloatingPointError(f"non-finite gradient for {p.name}")
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - self.beta1 ** t
+        bc2 = 1.0 - self.beta2 ** t
+        for k, (p, g) in enumerate(zip(self.params, grads)):
+            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
+            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
+            m_hat = self.m[k] / bc1
+            v_hat = self.v[k] / bc2
+            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def batches(units: list[list], order: np.ndarray, batch_size: int):
+    """Whole units in ``order``, packed until a batch holds >= batch_size
+    examples; the last batch may be smaller."""
+    batch: list = []
+    count = 0
+    for k in order:
+        batch.append(units[k])
+        count += len(units[k])
+        if count >= batch_size:
+            yield batch
+            batch, count = [], 0
+    if batch:
+        yield batch
+
+
+def build_rank_examples(corpus: SplitCorpus, split_tag: str) -> list[RankExample]:
+    """One example per interaction of the split: predict it from its in-session
+    prefix (which may be empty, and may include earlier interactions of any
+    split that happen to share the session)."""
+    return [RankExample(k, it.user_id, corpus.session_of[k],
+                        corpus.position_of[k], it.item_id)
+            for k, it in enumerate(corpus.interactions)
+            if corpus.splits[k] == split_tag]
 
 
 def cross_entropy(probabilities: np.ndarray, true_index: int) -> float:

@@ -105,7 +105,7 @@ class TestCriterion1Gradients:
         ctx_model = pred_mod.ContextPredictor(
             corpus.num_users, corpus.num_items, 3, features.dim,
             user_dim=6, item_dim=6, hidden=4, rng=rng)
-        ctx_examples = pred_mod.build_context_examples(corpus, labels)[TRAIN][:10]
+        ctx_examples = pred_mod.context_rows(corpus, labels)[TRAIN][:10]
 
         def build_ctx():
             return pred_mod.batch_loss(ctx_model, corpus, features, ctx_examples)
@@ -113,7 +113,7 @@ class TestCriterion1Gradients:
         next_model = next_mod.NextItemModel(
             corpus.num_users, corpus.num_items, 3, user_dim=6, item_dim=6,
             context_dim=4, hidden=4, top_k=2, rng=rng)
-        next_examples = next_mod.build_rank_examples(corpus, TRAIN)[:10]
+        next_examples = next_mod.rank_rows(corpus, TRAIN)[:10]
         ctx_ids = np.array([[0, 2], [1, 2]])[np.arange(len(corpus.interactions)) % 2]
 
         def build_next():

@@ -1,9 +1,11 @@
 """Differential test of the shared ``fit`` loop: driven with the
 per-example oracle batch losses (``reference_models``), it reproduces the
-loops it replaced (``reference_trainers``) at tolerance 0 on every parameter
-and every history entry. The public trainers feed ``fit`` the batched
-losses, which ``test_predictor`` and ``test_nextitem`` hold to the same
-oracle at 1e-10 per batch."""
+loops it replaced (``reference_trainers``, with the Adam, batching and rank
+examples of before) at tolerance 0 on every parameter and every history
+entry. The public trainers feed ``fit`` the batched losses, which
+``test_predictor`` and ``test_nextitem`` hold to the same oracle at 1e-10 per
+batch. The in-place ``Adam``, the index-array batches and the column rank
+examples are also held to their list-based oracles directly."""
 
 import copy
 
@@ -16,7 +18,8 @@ from ctxrec import nextitem as NX
 from ctxrec import predictor as P
 from ctxrec.corpus import TRAIN, VAL
 from ctxrec.metrics import mrr
-from ctxrec.nn.optim import fit
+from ctxrec.nn.engine import Parameter
+from ctxrec.nn.optim import Adam, _batches, fit
 
 
 def _all_train(corpus):
@@ -35,12 +38,12 @@ def _assert_identical(model_a, hist_a, model_b, hist_b):
 
 def _fit_context(model, corpus, features, labels, rng, **kw):
     """``train_context``'s use of ``fit``, with the per-example batch loss."""
-    examples = P.build_context_examples(corpus, labels)
-    groups = ref._group_by_session(examples[TRAIN])
-    val = examples[VAL]
-    history = fit(model.params(), groups,
-                  lambda exs: reference_models.context_batch_loss(
-                      model, corpus, features, exs),
+    groups = ref._group_by_session(ref.build_context_examples(corpus, labels, TRAIN))
+    train = [ex for group in groups for ex in group]
+    val = ref.build_context_examples(corpus, labels, VAL)
+    history = fit(model.params(), [len(group) for group in groups],
+                  lambda idx: reference_models.context_batch_loss(
+                      model, corpus, features, [train[i] for i in idx]),
                   rng, clip_norm=5.0, what="context",
                   val_score=(lambda: ref.evaluate_context_loss(
                       model, corpus, features, val)) if val else None, **kw)
@@ -80,11 +83,11 @@ def _ctx_topk(corpus):
 
 def _fit_next(model, corpus, ctx_topk, rng, **kw):
     """``train_next``'s use of ``fit``, with the per-example batch loss."""
-    train = NX.build_rank_examples(corpus, TRAIN)
-    val = NX.build_rank_examples(corpus, VAL)
-    history = fit(model.params(), [[ex] for ex in train],
-                  lambda exs: reference_models.next_batch_loss(
-                      model, corpus, ctx_topk, exs),
+    train = ref.build_rank_examples(corpus, TRAIN)
+    val = ref.build_rank_examples(corpus, VAL)
+    history = fit(model.params(), [1] * len(train),
+                  lambda idx: reference_models.next_batch_loss(
+                      model, corpus, ctx_topk, [train[i] for i in idx]),
                   rng, clip_norm=5.0, what="next-item",
                   val_score=(lambda: -mrr(ref.compute_ranks(
                       model, corpus, val, ctx_topk))) if val else None, **kw)
@@ -137,3 +140,59 @@ def test_public_trainers_track_the_oracle_run(small_stack):
     for mode in (NX.WITH_CONTEXT, NX.ABLATION):
         _assert_close(*_next_run(NX.train_next, corpus, mode, kw),
                       *_next_run(_fit_next, corpus, mode, kw))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batches_match_list_oracle(seed):
+    """Index-array batches hold the examples, in the order, of the list
+    batches they replaced: units of one to six examples, batch sizes from
+    below the smallest unit to above the whole set."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 7, int(rng.integers(1, 60)))
+    starts = np.cumsum(sizes) - sizes
+    units = [list(range(a, a + n)) for a, n in zip(starts.tolist(), sizes.tolist())]
+    order = rng.permutation(len(sizes))
+    for batch_size in (1, 4, 17, int(sizes.sum()) + 3):
+        got = [idx.tolist() for idx in _batches(sizes, order, batch_size)]
+        assert got == [[ex for unit in batch for ex in unit]
+                       for batch in ref.batches(units, order, batch_size)]
+
+
+def test_adam_in_place_matches_oracle():
+    """Sixty steps on parameters of three shapes, from the accumulated
+    gradients and from passed ones, bit for bit."""
+    rng = np.random.default_rng(7)
+    shapes = [(5, 3), (4,), (2, 2, 3)]
+    values = [rng.normal(size=shape) for shape in shapes]
+    new = [Parameter(f"p{k}", v) for k, v in enumerate(values)]
+    old = [Parameter(f"p{k}", v) for k, v in enumerate(values)]
+    opt, ref_opt = Adam(new, lr=0.01), ref.Adam(old, lr=0.01)
+    for step in range(60):
+        grads = [rng.normal(size=shape) * 10.0 ** rng.integers(-8, 3) for shape in shapes]
+        if step % 2:
+            opt.step(grads)
+            ref_opt.step(grads)
+        else:
+            for a, b, g in zip(new, old, grads):
+                a.grad[...] = g
+                b.grad[...] = g
+            opt.step()
+            ref_opt.step()
+    for a, b in zip(new, old):
+        assert np.array_equal(a.value, b.value)
+    for got, want in zip(opt.m + opt.v, ref_opt.m + ref_opt.v):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("all_train", [False, True], ids=["splits", "all-train"])
+def test_rank_examples_match_list_oracle(small_stack, all_train):
+    """The rank examples of every split, from the corpus's cached arrays,
+    against the per-interaction ``RankExample`` list they replaced, also
+    after the split tags change."""
+    corpus = small_stack["corpus"]
+    if all_train:
+        corpus = _all_train(corpus)
+    for tag in ("train", "val", "test"):
+        rows = NX.rank_rows(corpus, tag)
+        assert rows.dtype == np.intp
+        assert rows.tolist() == [list(ex) for ex in ref.build_rank_examples(corpus, tag)]

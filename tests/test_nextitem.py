@@ -3,6 +3,7 @@ import pytest
 
 import reference_graph
 import reference_models
+import reference_trainers
 from ctxrec import nextitem as NX
 from ctxrec import predictor as P
 from ctxrec.corpus import TEST
@@ -140,7 +141,7 @@ class TestTrainNext:
         model = NX.NextItemModel(corpus.num_users, corpus.num_items, 4,
                                  user_dim=4, item_dim=4, context_dim=2,
                                  hidden=3, top_k=2, rng=rng)
-        examples = NX.build_rank_examples(corpus, "train")[:8]
+        examples = reference_trainers.build_rank_examples(corpus, "train")[:8]
         ctx_topk = np.stack([np.array([0, 2]), np.array([1, 3])] * 4)
         prefixes = {s.session_id: s.items for s in corpus.sessions}
 
@@ -164,7 +165,7 @@ class TestTrainNext:
     def _covering_batch(corpus, max_seq_len):
         """Train examples covering an empty prefix and a prefix longer than
         ``max_seq_len``, with fixed ascending top-2 context ids."""
-        examples = NX.build_rank_examples(corpus, "train")
+        examples = reference_trainers.build_rank_examples(corpus, "train")
         batch = [ex for ex in examples if ex.position > max_seq_len][:8]
         batch += [ex for ex in examples if ex.position == 0][:8]
         assert len(batch) == 16
@@ -203,7 +204,8 @@ class TestTrainNext:
         model = NX.NextItemModel(corpus.num_users, corpus.num_items, 4,
                                  user_dim=4, item_dim=4, context_dim=2, hidden=3,
                                  top_k=2, max_seq_len=3, rng=np.random.default_rng(9))
-        batch = [ex for ex in NX.build_rank_examples(corpus, "train") if ex.user_id < 2]
+        batch = [ex for ex in reference_trainers.build_rank_examples(corpus, "train")
+                 if ex.user_id < 2]
         assert min(ex.position for ex in batch) == 0
         assert max(ex.position for ex in batch) > 3
         _, ctx_topk = self._covering_batch(corpus, 2)

@@ -180,7 +180,7 @@ class TestTrainContext:
         model = P.ContextPredictor(corpus.num_users, corpus.num_items, 4,
                                    feats.dim, user_dim=4, item_dim=4, hidden=3,
                                    rng=np.random.default_rng(1))
-        examples = P.build_context_examples(corpus, labels)[TRAIN][:8]
+        examples = reference_trainers.build_context_examples(corpus, labels, TRAIN)[:8]
 
         def build():
             losses = []
@@ -203,7 +203,7 @@ class TestTrainContext:
     def _covering_batch(self, corpus, labels, max_seq_len):
         """Train examples covering an empty prefix, a prefix longer than
         ``max_seq_len`` and a first session (history = one zero row)."""
-        examples = P.build_context_examples(corpus, labels)[TRAIN]
+        examples = reference_trainers.build_context_examples(corpus, labels, TRAIN)
         first = {corpus.user_session_ids(u)[0] for u in range(corpus.num_users)}
         batch = [ex for ex in examples if ex.position > max_seq_len][:6]
         batch += [ex for ex in examples if ex.session_id in first][:6]
@@ -240,8 +240,8 @@ class TestTrainContext:
         model = P.ContextPredictor(corpus.num_users, corpus.num_items, 4,
                                    feats.dim, user_dim=4, item_dim=4, hidden=3,
                                    max_seq_len=3, rng=np.random.default_rng(9))
-        batch = [ex for ex in P.build_context_examples(corpus, small_stack["labels"])[TRAIN]
-                 if ex.user_id < 3]
+        batch = [ex for ex in reference_trainers.build_context_examples(
+                     corpus, small_stack["labels"], TRAIN) if ex.user_id < 3]
         js = [corpus.user_session_ids(ex.user_id).index(ex.session_id) for ex in batch]
         assert min(js) == 0 and max(js) > 3
         assert min(ex.position for ex in batch) == 0
@@ -308,14 +308,13 @@ def test_context_examples_match_per_interaction_oracle(small_stack):
     corpus = small_stack["corpus"]
     labels = small_stack["labels"].copy()
     labels[::3] = UNLABELED  # skipped sessions, on top of any the stack left out
-    got = P.build_context_examples(corpus, labels)
+    got = P.context_rows(corpus, labels)
     assert sorted(got) == [TRAIN, VAL]
     for tag in (TRAIN, VAL):
         want = reference_trainers.build_context_examples(corpus, labels, tag)
         assert len(want) > 0
-        assert got[tag] == want
-        assert all(type(ex.label) is int and type(ex.session_id) is int
-                   for ex in got[tag])
+        assert got[tag].dtype == np.intp
+        assert got[tag].tolist() == [list(ex) for ex in want]
 
 
 def test_predict_all_prefixes_covers_every_interaction(small_stack):

@@ -330,6 +330,41 @@ class TestPrefixStateBiLstm:
         for p, got, ref in zip(lstm.params(), dparams, ref_dparams):
             assert _rel_err(got, ref) <= 1e-10, p.name
 
+    @pytest.mark.parametrize("case", ["shared", "one-reader", "mixed", "random"])
+    def test_input_gradient_equals_previous_kernel(self, case):
+        """Only cells with several readers go through the sparse sum: against
+        the kernel that summed every cell so (``prefix_state_run``), outputs,
+        input and parameter gradients are equal exactly. The random case's
+        shared cells hold more than ``SPARSE_SUM_MIN`` gradient elements."""
+        rng = np.random.default_rng(25)
+        dim = 3
+        if case == "shared":
+            lengths, src, ends = SHARED_LENGTHS, SHARED_SRC, SHARED_ENDS
+        elif case == "one-reader":
+            lengths, src, ends = np.array([6, 2, 4]), np.array([2, 0, 1]), np.array([3, 5, 2])
+        elif case == "mixed":  # source 1 has two readers, sources 0 and 2 one each
+            lengths, src, ends = (np.array([3, 5, 2]), np.array([1, 0, 1, 2]),
+                                  np.array([5, 3, 2, 2]))
+        else:
+            dim = 8
+            src, ends = rng.integers(0, 12, 120), rng.integers(1, 9, 120)
+            lengths = np.ones(12, dtype=int)
+            np.maximum.at(lengths, src, ends)
+        lstm = BiLstm("ig", dim, 4, rng)
+        xs = rng.normal(size=(len(lengths), lengths.max(), dim))
+        g = rng.normal(size=(len(src), 8))
+        batch = constant(xs)
+        out, dx, dparams = _bilstm_grads(
+            lstm, lambda: (lstm.encode(batch, lengths, src, ends), g), batch)
+        for p in lstm.params():
+            p.zero_grad()
+        ref_out, grad_in = reference_bilstm.prefix_state_run(lstm, xs, lengths, src, ends)
+        ref_dx = grad_in(g)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(dx, ref_dx)
+        for p, got in zip(lstm.params(), dparams):
+            assert np.array_equal(got, p.grad), p.name
+
     def test_no_grad_shared_rows_equal_grad_mode(self):
         rng = np.random.default_rng(22)
         lstm = BiLstm("ng", 3, 4, rng)
@@ -372,12 +407,14 @@ class TestPrefixStateBiLstm:
 
 
 def test_window_sources_groups_rows():
-    # key 5 reads (1, 2, 3, 4, 5, 6), key 7 reads (8, 9), key 9 reads (4,)
-    seqs = {5: (1, 2, 3, 4, 5, 6), 7: (8, 9), 9: (4,)}
+    # key 5 reads (1, 2, 3, 4, 5, 6), key 7 reads (8, 9), key 9 reads (4,),
+    # laid end to end in key order
+    flat = np.array([1, 2, 3, 4, 5, 6, 8, 9, 4])
+    offset = {5: 0, 7: 6, 9: 8}
     keys = [5, 5, 5, 7, 5, 9, 5, 7, 5]
     stops = [2, 3, 0, 0, 6, 1, 3, 2, 6]
     ids, valid, lengths, src, ends = window_sources(
-        keys, [seqs[k] for k in keys], stops, 3)
+        flat, [offset[k] for k in keys], stops, 3)
     spans = [tuple(row[ok]) for row, ok in zip(ids, valid)]
     # key 5 windows from 0 share a source up to its furthest stop; the
     # truncated window (4, 5, 6) is its own; both empty rows share one
@@ -393,13 +430,83 @@ def test_window_sources_one_row_matches_grouped_rows(stop):
     """A lone row (built directly) reads the source that grouping gives the
     same row among others: same ids, mask, dtypes and length."""
     seq = (1, 2, 3, 4, 5, 6)
-    one = window_sources([5], [seq], [stop], 3)
-    many = window_sources([5, 7], [seq, (8, 9)], [stop, 2], 3)
+    one = window_sources(np.array(seq), [0], [stop], 3)
+    many = window_sources(np.array(seq + (8, 9)), [0, 6], [stop, 2], 3)
     s = many[3][0]
     ids, valid = many[0][s, :many[2][s]], many[1][s, :many[2][s]]
     assert one[0].dtype == ids.dtype and one[1].dtype == valid.dtype
     assert np.array_equal(one[0], ids[None]) and np.array_equal(one[1], valid[None])
     assert [a.tolist() for a in one[2:]] == [[many[2][s]], [0], [many[4][0]]]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_window_sources_match_loop_oracle(seed):
+    """The flat-array grouping against the per-source loop it replaced
+    (``reference_bilstm.window_sources``), exactly: the same sources in the
+    same order, with the same ids, masks, lengths, src and ends."""
+    rng = np.random.default_rng(seed)
+    num_keys = int(rng.integers(1, 8))
+    seqs = [tuple(rng.integers(0, 50, int(rng.integers(1, 12))).tolist())
+            for _ in range(num_keys)]
+    keys = rng.integers(0, num_keys, int(rng.integers(2, 40)))
+    stops = [int(rng.integers(0, len(seqs[k]) + 1)) for k in keys]
+    offsets = np.cumsum([0] + [len(seq) for seq in seqs])[keys]
+    max_len = int(rng.integers(1, 6))
+    got = window_sources(np.array(sum(seqs, ())), offsets, stops, max_len)
+    ref = reference_bilstm.window_sources(keys, [seqs[k] for k in keys], stops, max_len)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestScatterAdd:
+    """``engine.scatter_add`` (the sparse sum into a zero gradient, else
+    ``np.add.at``) against ``np.add.at``, exactly."""
+
+    # 200 and 4,000 row elements: below and above SPARSE_SUM_MIN
+    @pytest.mark.parametrize("shape", [(40,), (10, 4), (800,), (200, 4)],
+                             ids=["ids-1d", "ids-2d", "sparse-ids-1d", "sparse-ids-2d"])
+    @pytest.mark.parametrize("start", ["zero", "nonzero"])
+    def test_matches_add_at(self, shape, start):
+        rng = np.random.default_rng(30)
+        ids = rng.integers(0, 7, shape)  # most rows repeat
+        rows = rng.normal(size=shape + (5,)) * 10.0 ** rng.integers(-6, 7, shape + (1,))
+        target = np.zeros((9, 5)) if start == "zero" else rng.normal(size=(9, 5))
+        expected = target.copy()
+        np.add.at(expected, ids, rows)
+        engine.scatter_add(target, ids, rows)
+        assert np.array_equal(target, expected)
+
+    @pytest.mark.parametrize("width", [1, engine.SPARSE_SUM_MIN])
+    def test_sum_rows_adds_in_index_order(self, width):
+        # 1e16 + 1 - 1e16 is 0 in this order and 1 in others
+        rows = np.repeat([[1e16], [1.0], [-1e16], [2.0]], width, axis=1)
+        assert np.array_equal(engine.sum_rows(np.array([0, 0, 0, 1]), rows, 3),
+                              np.repeat([[0.0], [2.0], [0.0]], width, axis=1))
+
+    @pytest.mark.parametrize("twice", [False, True], ids=["one-lookup", "two-lookups"])
+    def test_table_gradients_equal_add_at(self, monkeypatch, twice):
+        """A table read once in a graph, and one read twice (its first
+        scatter sums into zeros, the second falls back to ``np.add.at``): the
+        gradients equal those of ``np.add.at`` for every lookup."""
+        rng = np.random.default_rng(31)
+        table = EmbeddingTable("t", 6, 3, rng)
+        # 2,400 row elements each, so both sums could go through CSR
+        first, second = rng.integers(0, 6, 800), rng.integers(0, 6, (400, 2))
+        weights = [rng.normal(size=(800, 3)), rng.normal(size=(400, 2, 3))]
+
+        def grads():
+            table.weights.zero_grad()
+            parts = [reference_graph.vsum(reference_graph.dot_last(
+                table.lookup(first), constant(weights[0])))]
+            if twice:
+                parts.append(reference_graph.vsum(reference_graph.dot_last(
+                    table.lookup(second), constant(weights[1]))))
+            backward(reference_graph.add_n(parts))
+            return table.weights.grad.copy()
+
+        got = grads()
+        monkeypatch.setattr(engine, "scatter_add", np.add.at)
+        assert np.array_equal(got, grads())
 
 
 def _leaf(param: Parameter):

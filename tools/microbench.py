@@ -34,6 +34,13 @@ plus 3 metadata columns).
   Lloyd iteration costs the difference over 9.
 - ``test_ranking``: ``metrics.ranks_of_truth`` over a 1,024-row score
   matrix (one evaluation batch) at V = 200 and 10 V.
+- ``test_train_step``: one next-item training step on the ``pinned``
+  corpus at the acceptance dims (B = 256, V = 200, top-3 of 8 contexts):
+  batch loss, backward, gradient clipping and Adam, as ``fit`` runs it.
+- ``test_embedding_scatter``: a table gradient's scatter-add of 700 rows
+  of width 32 into 200 rows (about one next-item batch's prefix slots into
+  the item table), as ``engine.scatter_add`` sums it into a zero gradient
+  (``sparse``) and as ``np.add.at`` does (``add_at``).
 - ``test_serve_one_request``: one served request, as the benchmark's serving
   loop makes it: ``ContextPredictor.predict_probs`` on a 20-session history,
   its top-3 contexts, then ``NextItemModel.predict_probs`` at V = 200, for
@@ -56,7 +63,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import reference_graph  # noqa: E402
 from ctxrec import cluster, graph, metrics, nextitem, predictor  # noqa: E402
-from ctxrec.corpus import build_corpus, parse_log  # noqa: E402
+from ctxrec.corpus import TRAIN, build_corpus, parse_log  # noqa: E402
 from ctxrec.nn import engine  # noqa: E402
 from ctxrec.nn.layers import BiLstm, DenseLayer, window_sources  # noqa: E402
 from ctxrec.nn.optim import adam_stepper  # noqa: E402
@@ -96,12 +103,13 @@ def _history_inputs(layout: str):
     features = rng.normal(size=(USERS * SESSIONS, FEAT_DIM))
     users = np.repeat(np.arange(USERS), SESSIONS)
     stops = np.tile(np.arange(SESSIONS), USERS)
-    own = [range(u * SESSIONS, (u + 1) * SESSIONS) for u in users]
-    if layout == "shared":
-        ids, valid, lengths, src, ends = window_sources(users, own, stops, MAX_SEQ_LEN)
-    else:  # every session's history its own source
-        ids, valid, lengths, _, _ = window_sources(np.arange(len(users)), own, stops,
-                                                   MAX_SEQ_LEN)
+    if layout == "shared":  # each user's session ids once, end to end
+        ids, valid, lengths, src, ends = window_sources(
+            np.arange(USERS * SESSIONS), users * SESSIONS, stops, MAX_SEQ_LEN)
+    else:  # every session's history its own source: a copy of its user's ids each
+        flat = np.concatenate([np.arange(u * SESSIONS, (u + 1) * SESSIONS) for u in users])
+        ids, valid, lengths, _, _ = window_sources(
+            flat, np.arange(len(users)) * SESSIONS, stops, MAX_SEQ_LEN)
         src = ends = None
     x = np.zeros(ids.shape + (FEAT_DIM,))
     x[valid] = features[ids[valid]]
@@ -131,10 +139,44 @@ def test_fc2_softmax_xent(benchmark, vocab):
 
 
 @pytest.fixture(scope="module")
-def pinned_graph(tmp_path_factory):
+def pinned_corpus(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("pinned")
     generate(SynthSpec(num_users=USERS), tmp / "log.csv", tmp / "labels.json")
-    return graph.build_graph_from_corpus(build_corpus(parse_log(tmp / "log.csv")))
+    return build_corpus(parse_log(tmp / "log.csv"))
+
+
+@pytest.fixture(scope="module")
+def pinned_graph(pinned_corpus):
+    return graph.build_graph_from_corpus(pinned_corpus)
+
+
+def test_train_step(benchmark, pinned_corpus):
+    corpus = pinned_corpus
+    rng = np.random.default_rng(7)
+    model = nextitem.NextItemModel(corpus.num_users, corpus.num_items, 8, user_dim=32,
+                                   item_dim=ITEM_DIM, context_dim=16, hidden=HIDDEN,
+                                   top_k=3, max_seq_len=MAX_SEQ_LEN, rng=rng)
+    ctx_topk = np.sort(np.argsort(rng.random((len(corpus.interactions), 8)), axis=1)[:, :3],
+                       axis=1)
+    examples = nextitem.rank_rows(corpus, TRAIN)
+    batch = examples[rng.permutation(len(examples))[:256]]
+    step = adam_stepper(model.params(), 0.003, 5.0, "next-item")
+    benchmark(lambda: step(nextitem.batch_loss(model, corpus, ctx_topk, batch)))
+
+
+@pytest.mark.parametrize("impl", ["sparse", "add_at"])
+def test_embedding_scatter(benchmark, impl):
+    rng = np.random.default_rng(8)
+    ids = rng.integers(0, 200, size=700)
+    rows = rng.normal(size=(700, ITEM_DIM))
+    grad = np.zeros((200, ITEM_DIM))
+    scatter = engine.scatter_add if impl == "sparse" else np.add.at
+
+    def run():
+        grad[...] = 0.0
+        scatter(grad, ids, rows)
+
+    benchmark(run)
 
 
 def _encoder_step(g, loss_fn):

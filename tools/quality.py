@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Multi-seed quality report for changes that are not bitwise identical.
+"""Multi-seed quality report, and a byte-for-byte check of the artifacts.
 
     python3 tools/quality.py --seeds 7 1 2 3 4 --out quality.json
     python3 tools/quality.py --seeds 7 1 2 3 4 --compare HEAD~1 --out quality.json
@@ -10,10 +10,14 @@ contextualize, train-context, ablate) with the acceptance config
 pinned ``SynthSpec()`` corpus. It records the criterion 6/7 quantities:
 cluster purity, top-1 context accuracy, both arms' mean MRR and Recall@10,
 ``mrr_ratio`` and the one-tailed p of the MRR t-test, and which bars pass.
+It also records the sha256 of every file of every published stage, keyed
+``<stage>/<file>`` (the stage directory's name without its key).
 
 ``--compare REV`` exports REV's ``src/`` with ``git archive`` into a
 temporary directory, runs it on the same seeds and config, and adds paired
-per-seed deltas (this checkout minus REV).
+per-seed deltas (this checkout minus REV) and, per artifact file, whether
+its bytes are identical to REV's. So ``--seeds 7 --compare REV`` shows in
+one command whether a change keeps the acceptance chain byte-identical.
 
 This is a report. Never use it to choose the tier-1 seed, the corpus or a
 threshold. Each seed takes about a minute on one core.
@@ -28,6 +32,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import dataclasses
+import hashlib
 import io
 import json
 import subprocess
@@ -45,6 +50,28 @@ BARS = {"purity": lambda r: r["purity"] >= 0.9,
         "context_acc": lambda r: r["context_acc"] >= 0.375,
         "mrr_ratio": lambda r: r["mrr_ratio"] is not None and r["mrr_ratio"] >= 1.05,
         "p": lambda r: r["p"] < 0.05}
+
+
+def artifact_hashes(work: Path) -> dict[str, str]:
+    """sha256 of every file of every published stage (a directory with a
+    ``meta.json``) under ``work``, keyed ``<stage>/<file>``."""
+    hashes = {}
+    for meta in sorted(work.glob("*/meta.json")):
+        stage_dir = meta.parent
+        stage = stage_dir.name.rsplit("-", 1)[0]
+        for path in sorted(stage_dir.rglob("*")):
+            if path.is_file():
+                hashes[f"{stage}/{path.relative_to(stage_dir)}"] = \
+                    hashlib.sha256(path.read_bytes()).hexdigest()
+    return hashes
+
+
+def compare_bytes(here: dict[str, str], there: dict[str, str]) -> dict[str, str]:
+    """Per artifact file: identical, differs, or missing on one side."""
+    return {name: ("identical" if here.get(name) == there.get(name)
+                   else "differs" if name in here and name in there
+                   else "only here" if name in here else "only in REV")
+            for name in sorted(here.keys() | there.keys())}
 
 
 def measure(seed: int, tmp: Path) -> dict:
@@ -85,6 +112,7 @@ def measure(seed: int, tmp: Path) -> dict:
            "recall_ablation": abl["recall_at_10"],
            "mrr_ratio": ablation["mrr_ratio"], "p": ablation["t_test"]["mrr"]["p"]}
     row["passes"] = {name: bool(bar(row)) for name, bar in BARS.items()}
+    row["artifacts"] = artifact_hashes(tmp / "work")
     return row
 
 
@@ -93,7 +121,8 @@ def run_seeds(seeds: list[int]) -> dict:
     for seed in seeds:
         with tempfile.TemporaryDirectory(prefix=f"quality-{seed}-") as tmp:
             rows[str(seed)] = measure(seed, Path(tmp))
-        print(f"seed {seed}: {json.dumps(rows[str(seed)])}", file=sys.stderr)
+        quality = {k: v for k, v in rows[str(seed)].items() if k != "artifacts"}
+        print(f"seed {seed}: {json.dumps(quality)}", file=sys.stderr)
     return rows
 
 
@@ -151,10 +180,19 @@ def main() -> int:
             # a bar that REV passes and this checkout fails
             "regressed": {s: [k for k, ok in row["passes"].items()
                               if not ok and base[s]["passes"][k]]
-                          for s, row in report["seeds"].items()}}
+                          for s, row in report["seeds"].items()},
+            "bytes": {s: compare_bytes(row["artifacts"], base[s]["artifacts"])
+                      for s, row in report["seeds"].items()}}
     if args.out:
         args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(table(report["seeds"], base))
+    for seed, files in report.get("compare", {}).get("bytes", {}).items():
+        same = sum(v == "identical" for v in files.values())
+        print(f"seed {seed}: {same}/{len(files)} artifact files byte-identical to "
+              f"{args.compare}")
+        for name, verdict in files.items():
+            if verdict != "identical":
+                print(f"  {verdict}: {name}")
     regressed = any(report.get("compare", {}).get("regressed", {}).values())
     return 1 if regressed else 0
 
