@@ -229,6 +229,13 @@ class CorpusArrays(NamedTuple):
     session_rank: np.ndarray   # per session: its index among its user's sessions
 
 
+def example_rows(examples, width: int) -> np.ndarray:
+    """Examples as their (N, width) int array of fields: a sequence of
+    ``width``-field rows (``NamedTuple``s) is converted, and an ``intp``
+    array of that shape is returned as it is."""
+    return np.asarray(examples, dtype=np.intp).reshape(-1, width)
+
+
 @dataclass
 class SplitCorpus:
     """Interactions, sessions, and the per-user chronological split.

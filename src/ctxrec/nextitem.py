@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import SplitCorpus, TRAIN, VAL, TEST
+from .corpus import SplitCorpus, TRAIN, VAL, TEST, example_rows
 from .metrics import mrr, ranks_of_truth
 from .nn import engine
 from .nn.engine import Parameter, Var
@@ -108,12 +108,6 @@ class RankExample(NamedTuple):
     target_item: int
 
 
-def _rows(examples) -> np.ndarray:
-    """``RankExample`` rows, or already their (N, 5) int array of fields, as
-    that array."""
-    return np.array(examples, dtype=np.intp).reshape(-1, len(RankExample._fields))
-
-
 def rank_rows(corpus: SplitCorpus, split_tag: str) -> np.ndarray:
     """One example per interaction of the split, in corpus order, as the
     (N, 5) int array of ``RankExample`` fields: predict the interaction from
@@ -127,9 +121,10 @@ def rank_rows(corpus: SplitCorpus, split_tag: str) -> np.ndarray:
 
 def _batch_logits(model: NextItemModel, corpus: SplitCorpus, rows: np.ndarray,
                   ctx_topk: np.ndarray | None) -> Var:
-    """(N, V) next-item logits of the examples ``rows`` (see ``_rows``): the
-    prefixes through the item BiLSTM as one batch (the prefixes of one
-    session share a source), one context-row lookup and one ``fc2`` matmul."""
+    """(N, V) next-item logits of the examples ``rows`` (the (N, 5) int
+    array of ``RankExample`` fields): the prefixes through the item BiLSTM as
+    one batch (the prefixes of one session share a source), one context-row
+    lookup and one ``fc2`` matmul."""
     if model.mode == WITH_CONTEXT and ctx_topk is None:
         raise ValueError("with-context mode needs per-prefix context predictions")
     interactions, users, sessions, positions, _ = rows.T
@@ -154,19 +149,20 @@ def _batch_probs(model: NextItemModel, corpus: SplitCorpus, rows: np.ndarray,
 
 def batch_loss(model: NextItemModel, corpus: SplitCorpus,
                ctx_topk: np.ndarray | None, examples) -> Var:
-    """Mean next-item cross-entropy of ``examples`` (see ``_rows``) as one
-    batched graph."""
-    rows = _rows(examples)
+    """Mean next-item cross-entropy of ``examples`` (``RankExample`` rows or
+    their int array) as one batched graph."""
+    rows = example_rows(examples, len(RankExample._fields))
     logits = _batch_logits(model, corpus, rows, ctx_topk)
     return engine.softmax_cross_entropy(logits, rows[:, 4])[0]
 
 
 def compute_ranks(model: NextItemModel, corpus: SplitCorpus, examples,
                   ctx_topk: np.ndarray | None) -> np.ndarray:
-    """The rank of each example's target item (see ``_rows``) among the
-    model's next-item probabilities."""
+    """The rank of each example's target item (``RankExample`` rows or their
+    int array) among the model's next-item probabilities."""
+    rows = example_rows(examples, len(RankExample._fields))
     ranks = [ranks_of_truth(probs, batch[:, 4])
-             for batch, probs in _batch_probs(model, corpus, _rows(examples), ctx_topk)]
+             for batch, probs in _batch_probs(model, corpus, rows, ctx_topk)]
     return np.concatenate(ranks) if ranks else np.empty(0, dtype=np.int64)
 
 

@@ -114,19 +114,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-SPARSE_SUM_MIN = 2048  # row elements from which sum_rows builds a CSR matrix
-
-
 def sum_rows(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     """The (n, d) array whose row i sums the ``rows[j]`` with ``ids[j] == i``,
     added from 0.0 in increasing j: the sums ``np.add.at`` forms into zeros,
-    bit for bit. From ``SPARSE_SUM_MIN`` elements on they are one CSR
-    product, several times faster; below it, building the matrix costs more
-    than ``np.add.at``."""
-    if rows.size < SPARSE_SUM_MIN:
-        out = np.zeros((n,) + rows.shape[1:])
-        np.add.at(out, ids, rows)
-        return out
+    bit for bit, as one CSR product."""
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(ids, minlength=n), out=indptr[1:])
     return sparse.csr_array((np.ones(len(ids)), np.argsort(ids, kind="stable"), indptr),

@@ -21,9 +21,8 @@ class Adam:
         self.step_count = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
-        # per parameter: two work arrays and the finiteness mask of a gradient
-        self._work = [(np.empty_like(p.value), np.empty_like(p.value),
-                       np.empty(p.value.shape, dtype=bool)) for p in self.params]
+        # per parameter: the two work arrays of the in-place update
+        self._work = [(np.empty_like(p.value), np.empty_like(p.value)) for p in self.params]
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -37,17 +36,17 @@ class Adam:
             grads = [p.grad for p in self.params]
         if len(grads) != len(self.params):
             raise ValueError(f"expected {len(self.params)} gradients, got {len(grads)}")
-        for p, g, (_, _, finite) in zip(self.params, grads, self._work):
+        for p, g in zip(self.params, grads):
             if g.shape != p.value.shape:
                 raise ValueError(f"gradient shape {g.shape} does not match "
                                  f"parameter {p.name} shape {p.value.shape}")
-            if not np.isfinite(g, out=finite).all():
+            if not np.isfinite(g).all():
                 raise FloatingPointError(f"non-finite gradient for {p.name}")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for p, g, m, v, (a, b, _) in zip(self.params, grads, self.m, self.v, self._work):
+        for p, g, m, v, (a, b) in zip(self.params, grads, self.m, self.v, self._work):
             # m = beta1 * m + (1 - beta1) * g
             m *= self.beta1
             m += np.multiply(1.0 - self.beta1, g, out=a)

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import SplitCorpus, TRAIN, VAL
+from .corpus import SplitCorpus, TRAIN, VAL, example_rows
 from .cluster import UNLABELED
 from .nn import engine
 from .nn.engine import Parameter, Var
@@ -210,16 +210,11 @@ def _prefix_logits(model: ContextPredictor, corpus: SplitCorpus,
                       engine.index_rows(z_long, inverse))
 
 
-def _rows(examples) -> np.ndarray:
-    """``ContextExample`` rows, or already their (N, 5) int array of fields,
-    as that array."""
-    return np.array(examples, dtype=np.intp).reshape(-1, len(ContextExample._fields))
-
-
 def batch_loss(model: ContextPredictor, corpus: SplitCorpus,
                features: SessionFeatureStore, examples) -> Var:
-    """Mean cross-entropy of ``examples`` (see ``_rows``) as one batched graph."""
-    rows = _rows(examples)
+    """Mean cross-entropy of ``examples`` (``ContextExample`` rows or their
+    int array) as one batched graph."""
+    rows = example_rows(examples, len(ContextExample._fields))
     logits = _prefix_logits(model, corpus, features, rows[:, 2], rows[:, 3])
     return engine.softmax_cross_entropy(logits, rows[:, 4])[0]
 
@@ -251,9 +246,10 @@ def train_context(model: ContextPredictor, corpus: SplitCorpus,
 
 def evaluate_context_loss(model: ContextPredictor, corpus: SplitCorpus,
                           features: SessionFeatureStore, examples) -> float:
-    """Mean cross-entropy of ``examples`` (see ``_rows``), in batches of at
-    most ``EVAL_BATCH``, without gradients; NaN for no examples."""
-    rows = _rows(examples)
+    """Mean cross-entropy of ``examples`` (``ContextExample`` rows or their
+    int array), in batches of at most ``EVAL_BATCH``, without gradients; NaN
+    for no examples."""
+    rows = example_rows(examples, len(ContextExample._fields))
     if not len(rows):
         return float("nan")
     total = 0.0

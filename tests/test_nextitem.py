@@ -6,7 +6,7 @@ import reference_models
 import reference_trainers
 from ctxrec import nextitem as NX
 from ctxrec import predictor as P
-from ctxrec.corpus import TEST
+from ctxrec.corpus import TEST, example_rows
 from ctxrec.metrics import rank_of_truth
 from ctxrec.nn import engine, finite_diff_check
 from conftest import corpus_from_rows
@@ -257,6 +257,14 @@ class TestTrainNext:
         model = _tiny_model(mode=NX.ABLATION)
         with pytest.raises(ValueError, match="no training examples"):
             NX.train_next(model, corpus, None, np.random.default_rng(0))
+
+
+def test_example_rows_convert_lists_and_pass_arrays_through():
+    rows = np.arange(10, dtype=np.intp).reshape(2, 5)
+    assert np.shares_memory(example_rows(rows, 5), rows)
+    got = example_rows([NX.RankExample(*r) for r in rows.tolist()], 5)
+    assert got.dtype == np.intp and np.array_equal(got, rows)
+    assert example_rows([], 5).shape == (0, 5)
 
 
 def test_ranked_list_export(tmp_path):

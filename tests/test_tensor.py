@@ -334,8 +334,7 @@ class TestPrefixStateBiLstm:
     def test_input_gradient_equals_previous_kernel(self, case):
         """Only cells with several readers go through the sparse sum: against
         the kernel that summed every cell so (``prefix_state_run``), outputs,
-        input and parameter gradients are equal exactly. The random case's
-        shared cells hold more than ``SPARSE_SUM_MIN`` gradient elements."""
+        input and parameter gradients are equal exactly."""
         rng = np.random.default_rng(25)
         dim = 3
         if case == "shared":
@@ -462,9 +461,8 @@ class TestScatterAdd:
     """``engine.scatter_add`` (the sparse sum into a zero gradient, else
     ``np.add.at``) against ``np.add.at``, exactly."""
 
-    # 200 and 4,000 row elements: below and above SPARSE_SUM_MIN
     @pytest.mark.parametrize("shape", [(40,), (10, 4), (800,), (200, 4)],
-                             ids=["ids-1d", "ids-2d", "sparse-ids-1d", "sparse-ids-2d"])
+                             ids=["ids-1d", "ids-2d", "many-ids-1d", "many-ids-2d"])
     @pytest.mark.parametrize("start", ["zero", "nonzero"])
     def test_matches_add_at(self, shape, start):
         rng = np.random.default_rng(30)
@@ -476,7 +474,7 @@ class TestScatterAdd:
         engine.scatter_add(target, ids, rows)
         assert np.array_equal(target, expected)
 
-    @pytest.mark.parametrize("width", [1, engine.SPARSE_SUM_MIN])
+    @pytest.mark.parametrize("width", [1, 3])
     def test_sum_rows_adds_in_index_order(self, width):
         # 1e16 + 1 - 1e16 is 0 in this order and 1 in others
         rows = np.repeat([[1e16], [1.0], [-1e16], [2.0]], width, axis=1)
@@ -490,7 +488,6 @@ class TestScatterAdd:
         gradients equal those of ``np.add.at`` for every lookup."""
         rng = np.random.default_rng(31)
         table = EmbeddingTable("t", 6, 3, rng)
-        # 2,400 row elements each, so both sums could go through CSR
         first, second = rng.integers(0, 6, 800), rng.integers(0, 6, (400, 2))
         weights = [rng.normal(size=(800, 3)), rng.normal(size=(400, 2, 3))]
 
