@@ -15,10 +15,8 @@ from .corpus import (
     Session,
     SplitCorpus,
     build_corpus,
-    filter_users,
+    load_corpus,
     parse_log,
-    sessionize,
-    split,
 )
 
 __all__ = [
@@ -27,10 +25,8 @@ __all__ = [
     "Session",
     "SplitCorpus",
     "build_corpus",
-    "filter_users",
+    "load_corpus",
     "parse_log",
     "resolve_config",
-    "sessionize",
-    "split",
     "__version__",
 ]

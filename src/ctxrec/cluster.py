@@ -167,9 +167,9 @@ def export_clusters_csv(path, model: ContextModel, corpus: SplitCorpus,
     """CSV (session_id, context_id, distance_to_center) over labeled sessions."""
     with open(path, "w") as fh:
         fh.write("session_id,context_id,distance_to_center\n")
-        for s in corpus.sessions:
-            c = int(labels[s.session_id])
+        for sid in range(corpus.num_sessions):
+            c = int(labels[sid])
             if c == UNLABELED:
                 continue
-            dist = float(np.linalg.norm(embeddings[s.session_id] - model.centers[c]))
-            fh.write(f"{s.session_id},{c},{dist!r}\n")
+            dist = float(np.linalg.norm(embeddings[sid] - model.centers[c]))
+            fh.write(f"{sid},{c},{dist!r}\n")

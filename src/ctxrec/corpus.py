@@ -1,7 +1,11 @@
 """Interaction-log ingestion: parsing, user filtering, sessionization, splits.
 
-All functions are pure: they take immutable inputs and return new structures,
-so per-user work could be parallelized without changing any output.
+A corpus is a set of int columns (``CorpusArrays``). Interactions are
+stored in (user, time) order, so every session is a run of consecutive
+interactions and session ids are assigned user after user, each user's in
+time order. The per-row ``Interaction`` and ``Session`` lists and the other
+list-valued accessors of ``SplitCorpus`` are views built on first use; no
+stage reads them.
 """
 
 from __future__ import annotations
@@ -9,16 +13,18 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 CORPUS_FORMAT_VERSION = 1
 
 TRAIN, VAL, TEST = "train", "val", "test"
+TAGS = (TRAIN, VAL, TEST)  # a split code is its tag's index here
 
 
 class LogParseError(ValueError):
@@ -73,9 +79,18 @@ class ColumnSchema:
         return max(self.user_col, self.item_col, self.time_col) + 1
 
 
+def _interaction_list(user_of, item_of, timestamp) -> list[Interaction]:
+    return list(map(Interaction, user_of.tolist(), item_of.tolist(), timestamp.tolist()))
+
+
 @dataclass
 class ParsedLog:
-    interactions: list[Interaction]
+    """Interaction columns in (user, time) order, with the raw key of each
+    compact user and item id."""
+
+    user_of: np.ndarray
+    item_of: np.ndarray
+    timestamp: np.ndarray
     user_keys: list[str]  # compact id -> raw key, first-appearance order
     item_keys: list[str]
 
@@ -87,6 +102,10 @@ class ParsedLog:
     def num_items(self) -> int:
         return len(self.item_keys)
 
+    @functools.cached_property
+    def interactions(self) -> list[Interaction]:
+        return _interaction_list(self.user_of, self.item_of, self.timestamp)
+
 
 def _parse_timestamp(raw: str) -> int:
     # accepts integer or float epoch seconds; floats truncate toward zero
@@ -94,6 +113,13 @@ def _parse_timestamp(raw: str) -> int:
         return int(raw)
     except ValueError:
         return int(float(raw))
+
+
+def _timestamps(values) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("a timestamp is outside the 64-bit integer range") from None
 
 
 def parse_log(source: Iterable[str] | str | Path, schema: ColumnSchema | None = None,
@@ -115,7 +141,9 @@ def parse_log(source: Iterable[str] | str | Path, schema: ColumnSchema | None = 
 
     user_ids: dict[str, int] = {}
     item_ids: dict[str, int] = {}
-    rows: list[tuple[int, int, int, int]] = []  # (user, ts, seq, item)
+    users: list[int] = []
+    items: list[int] = []
+    stamps: list[int] = []
     for lineno, line in enumerate(lines, start=1):
         if schema.has_header and lineno == 1:
             continue
@@ -140,93 +168,92 @@ def parse_log(source: Iterable[str] | str | Path, schema: ColumnSchema | None = 
                 raise
             warnings.warn(f"skipping malformed row: {exc}")
             continue
-        uid = user_ids.setdefault(user_key, len(user_ids))
-        iid = item_ids.setdefault(item_key, len(item_ids))
-        rows.append((uid, ts, len(rows), iid))
+        users.append(user_ids.setdefault(user_key, len(user_ids)))
+        items.append(item_ids.setdefault(item_key, len(item_ids)))
+        stamps.append(ts)
 
-    rows.sort()  # (user, timestamp, input order) -> stable per-user time sort
-    interactions = [Interaction(u, i, ts) for u, ts, _, i in rows]
-    return ParsedLog(interactions, list(user_ids), list(item_ids))
+    user_of = np.array(users, dtype=np.intp)
+    timestamp = _timestamps(stamps)
+    # (user, timestamp, input order): a stable per-user time sort
+    order = np.lexsort((np.arange(len(users)), timestamp, user_of))
+    return ParsedLog(user_of[order], np.array(items, dtype=np.intp)[order],
+                     timestamp[order], list(user_ids), list(item_ids))
 
 
-def filter_users(interactions: Sequence[Interaction],
-                 min_count: int = 10) -> list[Interaction]:
+def _compact(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``ids`` renumbered 0, 1, ... in order of first appearance, and the
+    old id of each new one."""
+    old, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    new = np.empty(len(old), dtype=np.intp)
+    new[order] = np.arange(len(old))
+    return new[inverse], old[order]
+
+
+def filter_log(parsed: ParsedLog, min_count: int = 10) -> ParsedLog:
     """Drop users with fewer than ``min_count`` interactions; re-compact ids.
 
-    Single pass over users only; items are never filtered, but item ids are
-    re-compacted so both id spaces stay contiguous.
+    Items are never filtered, but item ids are re-compacted too, so both id
+    spaces stay contiguous, in first-appearance order of what is kept.
     """
-    counts: dict[int, int] = {}
-    for it in interactions:
-        counts[it.user_id] = counts.get(it.user_id, 0) + 1
-    keep = {u for u, c in counts.items() if c >= min_count}
-    user_map: dict[int, int] = {}
-    item_map: dict[int, int] = {}
-    out = []
-    for it in interactions:
-        if it.user_id not in keep:
-            continue
-        u = user_map.setdefault(it.user_id, len(user_map))
-        i = item_map.setdefault(it.item_id, len(item_map))
-        out.append(Interaction(u, i, it.timestamp))
-    return out
-
-
-def sessionize(interactions: Sequence[Interaction],
-               idle_threshold: int = 3600) -> list[Session]:
-    """Group per-user interaction runs into sessions.
-
-    A new session starts whenever the gap to the previous interaction is
-    strictly greater than ``idle_threshold``; a gap of exactly the threshold
-    stays in-session. Session ids are assigned globally, grouped by user and
-    then time.
-    """
-    per_user: dict[int, list[Interaction]] = {}
-    for it in interactions:
-        per_user.setdefault(it.user_id, []).append(it)
-
-    sessions: list[Session] = []
-    for user in sorted(per_user):
-        runs: list[list[Interaction]] = []
-        for it in per_user[user]:
-            if runs and it.timestamp - runs[-1][-1].timestamp <= idle_threshold:
-                runs[-1].append(it)
-            else:
-                runs.append([it])
-        user_sessions = []
-        for run in runs:
-            user_sessions.append(Session(
-                session_id=len(sessions) + len(user_sessions),
-                user_id=user,
-                items=tuple(it.item_id for it in run),
-                start=run[0].timestamp,
-                end=run[-1].timestamp,
-                gap_to_next=None,
-            ))
-        # fill gap_to_next = next session start - this session end
-        for k in range(len(user_sessions) - 1):
-            s = user_sessions[k]
-            user_sessions[k] = Session(
-                s.session_id, s.user_id, s.items, s.start, s.end,
-                user_sessions[k + 1].start - s.end)
-        sessions.extend(user_sessions)
-    return sessions
+    counts = np.bincount(parsed.user_of)
+    keep = counts[parsed.user_of] >= min_count
+    user_of, old_users = _compact(parsed.user_of[keep])
+    item_of, old_items = _compact(parsed.item_of[keep])
+    return ParsedLog(user_of, item_of, parsed.timestamp[keep],
+                     [parsed.user_keys[u] for u in old_users.tolist()],
+                     [parsed.item_keys[i] for i in old_items.tolist()])
 
 
 class CorpusArrays(NamedTuple):
-    """A corpus's interactions and sessions as int arrays, for building
-    examples and prefix windows without walking the corpus in Python."""
+    """A corpus's interactions and sessions as int arrays. Interactions are
+    in session order, so session s's items are
+    ``item_of[session_start[s]:session_start[s] + session_length[s]]``."""
 
-    user_of: np.ndarray        # per interaction
-    item_of: np.ndarray        # per interaction
-    session_of: np.ndarray     # per interaction
-    position_of: np.ndarray    # per interaction
-    session_user: np.ndarray   # per session
-    session_items: np.ndarray  # every session's items, sessions in id order
-    session_start: np.ndarray  # per session: where its items begin in session_items
-    user_sessions: np.ndarray  # every user's session ids in time order, users in id order
-    user_start: np.ndarray     # per user: where their ids begin in user_sessions
-    session_rank: np.ndarray   # per session: its index among its user's sessions
+    user_of: np.ndarray         # per interaction
+    item_of: np.ndarray         # per interaction
+    timestamp: np.ndarray       # per interaction
+    session_of: np.ndarray      # per interaction
+    position_of: np.ndarray     # per interaction: its index inside its session
+    session_user: np.ndarray    # per session
+    session_start: np.ndarray   # per session: its first interaction
+    session_length: np.ndarray  # per session
+    session_rank: np.ndarray    # per session: its index among its user's sessions
+
+
+def _runs(starts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per position 0..n-1, the index of the run (of those beginning at the
+    ascending ``starts``, 0 first) that holds it, and its offset in that run."""
+    length = np.diff(np.append(starts, n))
+    return np.repeat(np.arange(len(starts)), length), np.arange(n) - np.repeat(starts, length)
+
+
+def _corpus_arrays(user_of: np.ndarray, item_of: np.ndarray, timestamp: np.ndarray,
+                   session_start: np.ndarray) -> CorpusArrays:
+    """The columns of interactions in (user, time) order whose sessions
+    begin at the interaction indices ``session_start``. Sessions are then
+    numbered user after user, each user's in time order, so session s - r is
+    the first of its user's when r is its rank."""
+    n, num_sessions = len(user_of), len(session_start)
+    session_of, position_of = _runs(session_start, n)
+    session_user = user_of[session_start]
+    new_user = np.ones(num_sessions, dtype=bool)
+    new_user[1:] = session_user[1:] != session_user[:-1]
+    return CorpusArrays(
+        user_of=user_of, item_of=item_of, timestamp=timestamp, session_of=session_of,
+        position_of=position_of, session_user=session_user, session_start=session_start,
+        session_length=np.diff(np.append(session_start, n)),
+        session_rank=_runs(np.flatnonzero(new_user), num_sessions)[1])
+
+
+def _check(ok, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
+def _in_user_time_order(user_of: np.ndarray, timestamp: np.ndarray) -> bool:
+    step, tick = np.diff(user_of), np.diff(timestamp)
+    return bool(((step > 0) | ((step == 0) & (tick >= 0))).all())
 
 
 def example_rows(examples, width: int) -> np.ndarray:
@@ -236,30 +263,65 @@ def example_rows(examples, width: int) -> np.ndarray:
     return np.asarray(examples, dtype=np.intp).reshape(-1, width)
 
 
-@dataclass
+@dataclass(eq=False)
 class SplitCorpus:
     """Interactions, sessions, and the per-user chronological split.
 
-    Interactions are stored sorted by (user, time); ``splits[k]`` tags
-    interaction ``k`` as train/val/test, ``session_of[k]`` is its session id
-    and ``position_of[k]`` its 0-based position inside that session. Sessions
-    straddling a split cut keep one session id; the split tags say which
-    interactions are train-visible.
+    ``arrays`` holds the corpus; ``splits[k]`` tags interaction ``k`` as
+    train/val/test. Sessions straddling a split cut keep one session id;
+    the split tags say which interactions are train-visible. The tags are
+    a list that may be reassigned, so what is derived from them is read on
+    each call. ``interactions``, ``sessions``, ``session_of`` and
+    ``position_of`` are per-row views of ``arrays``, built on first use.
     """
 
     num_users: int
     num_items: int
-    interactions: list[Interaction]
+    arrays: CorpusArrays
     splits: list[str]
-    sessions: list[Session]
-    session_of: list[int]
-    position_of: list[int]
     user_keys: list[str] = field(default_factory=list)
     item_keys: list[str] = field(default_factory=list)
 
+    def __eq__(self, other):
+        if not isinstance(other, SplitCorpus):
+            return NotImplemented
+        fields = ("num_users", "num_items", "splits", "user_keys", "item_keys")
+        return (all(getattr(self, f) == getattr(other, f) for f in fields)
+                and all(map(np.array_equal, self.arrays, other.arrays)))
+
+    @property
+    def num_interactions(self) -> int:
+        return len(self.arrays.user_of)
+
     @property
     def num_sessions(self) -> int:
-        return len(self.sessions)
+        return len(self.arrays.session_start)
+
+    def split_codes(self) -> np.ndarray:
+        """Per interaction, the index of its tag in ``TAGS``."""
+        tags = np.asarray(self.splits, dtype=str)
+        return (tags == VAL) + 2 * (tags == TEST)
+
+    def session_split_codes(self) -> np.ndarray:
+        """Per session, the largest code among its interactions: a session
+        is test if it holds a test interaction, else val if it holds a
+        validation one, else train."""
+        if not self.num_sessions:
+            return np.zeros(0, dtype=np.intp)
+        return np.maximum.reduceat(self.split_codes(), self.arrays.session_start)
+
+    def session_times(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per session: its first and last timestamps, the idle time to its
+        user's next session, and whether there is one (the gap reads 0 where
+        there is not)."""
+        a = self.arrays
+        start = a.timestamp[a.session_start]
+        end = a.timestamp[a.session_start + a.session_length - 1]
+        has_next = np.zeros(len(start), dtype=bool)
+        has_next[:-1] = a.session_user[1:] == a.session_user[:-1]
+        gap = np.zeros_like(start)
+        gap[:-1] = start[1:] - end[:-1]
+        return start, end, np.where(has_next, gap, 0), has_next
 
     def session_split(self, session_id: int) -> str:
         """Tag for a whole session: test > val > train by containment."""
@@ -271,142 +333,91 @@ class SplitCorpus:
         return TRAIN
 
     def interaction_range(self, session_id: int) -> range:
-        first = self._session_first[session_id]
-        return range(first, first + self.sessions[session_id].length)
+        first = int(self.arrays.session_start[session_id])
+        return range(first, first + int(self.arrays.session_length[session_id]))
 
     def user_session_ids(self, user_id: int) -> list[int]:
-        return self._user_sessions[user_id]
+        return np.flatnonzero(self.arrays.session_user == user_id).tolist()
 
     @functools.cached_property
-    def arrays(self) -> CorpusArrays:
-        """Built on first use; a corpus's interactions and sessions do not
-        change after it is built (its split tags may, and are not cached)."""
-        def column(values) -> np.ndarray:
-            return np.fromiter(values, dtype=np.intp)
+    def interactions(self) -> list[Interaction]:
+        a = self.arrays
+        return _interaction_list(a.user_of, a.item_of, a.timestamp)
 
-        def starts(lengths: np.ndarray) -> np.ndarray:
-            return np.cumsum(lengths) - lengths
+    @functools.cached_property
+    def sessions(self) -> list[Session]:
+        a = self.arrays
+        start, end, gap, has_next = self.session_times()
+        items = a.item_of.tolist()
+        return [Session(sid, user, tuple(items[first:first + n]), s, e, g if h else None)
+                for sid, user, first, n, s, e, g, h in zip(
+                    itertools.count(), a.session_user.tolist(), a.session_start.tolist(),
+                    a.session_length.tolist(), start.tolist(), end.tolist(), gap.tolist(),
+                    has_next.tolist())]
 
-        user_sessions = [self._user_sessions[u] for u in range(self.num_users)]
-        session_rank = np.zeros(self.num_sessions, dtype=np.intp)
-        for sids in user_sessions:
-            session_rank[sids] = np.arange(len(sids))
-        return CorpusArrays(
-            user_of=column(it.user_id for it in self.interactions),
-            item_of=column(it.item_id for it in self.interactions),
-            session_of=column(self.session_of),
-            position_of=column(self.position_of),
-            session_user=column(s.user_id for s in self.sessions),
-            session_items=column(itertools.chain.from_iterable(
-                s.items for s in self.sessions)),
-            session_start=starts(column(s.length for s in self.sessions)),
-            user_sessions=column(itertools.chain.from_iterable(user_sessions)),
-            user_start=starts(column(map(len, user_sessions))),
-            session_rank=session_rank)
+    @functools.cached_property
+    def session_of(self) -> list[int]:
+        return self.arrays.session_of.tolist()
 
-    def __post_init__(self):
-        self._session_first = {}
-        for k, sid in enumerate(self.session_of):
-            if sid not in self._session_first:
-                self._session_first[sid] = k
-        self._user_sessions: dict[int, list[int]] = {u: [] for u in range(self.num_users)}
-        for s in self.sessions:
-            self._user_sessions[s.user_id].append(s.session_id)
+    @functools.cached_property
+    def position_of(self) -> list[int]:
+        return self.arrays.position_of.tolist()
 
 
-def split(interactions: Sequence[Interaction],
-          sessions: list[Session] | None = None,
-          train_frac: float = 0.9,
-          val_frac_of_train: float = 0.1,
-          idle_threshold: int = 3600,
-          num_users: int | None = None,
-          num_items: int | None = None,
-          user_keys: list[str] | None = None,
-          item_keys: list[str] | None = None) -> SplitCorpus:
-    """Chronological per-user split into train/val/test.
+def split_columns(user_of, item_of, timestamp, idle_threshold: int = 3600,
+                  train_frac: float = 0.9, val_frac_of_train: float = 0.1,
+                  num_users: int | None = None, num_items: int | None = None,
+                  user_keys: list[str] | None = None,
+                  item_keys: list[str] | None = None) -> SplitCorpus:
+    """Sessionize interactions given in (user, time) order and split them
+    chronologically per user into train/val/test.
 
-    Per user with n interactions: the first floor(train_frac * n) are the
-    train side, of which the last max(1, round(val_frac_of_train * count))
-    become validation; the remainder is test. Python's round (half-to-even)
-    is used for the validation carve-out.
+    A new session starts whenever the gap to the user's previous interaction
+    is strictly greater than ``idle_threshold``; a gap of exactly the
+    threshold stays in-session. Per user with n interactions: the first
+    floor(train_frac * n) are the train side, of which the last
+    max(1, round(val_frac_of_train * count)) become validation, rounding
+    half to even; the remainder is test. The user and item counts default
+    to the largest id plus one.
     """
-    interactions = list(interactions)
-    if sessions is None:
-        sessions = sessionize(interactions, idle_threshold)
+    user_of = np.asarray(user_of, dtype=np.intp)
+    item_of = np.asarray(item_of, dtype=np.intp)
+    timestamp = _timestamps(timestamp)
+    n = len(user_of)
+    _check(_in_user_time_order(user_of, timestamp), "interactions must be in (user, time) order")
+    new_user = np.ones(n, dtype=bool)
+    new_user[1:] = user_of[1:] != user_of[:-1]
+    new_session = new_user.copy()
+    new_session[1:] |= timestamp[1:] - timestamp[:-1] > idle_threshold
 
-    per_user_counts: dict[int, int] = {}
-    for it in interactions:
-        per_user_counts[it.user_id] = per_user_counts.get(it.user_id, 0) + 1
+    first = np.flatnonzero(new_user)
+    count = np.diff(np.append(first, n))
+    train_val = (train_frac * count).astype(np.intp)
+    val_count = np.where(train_val > 0, np.maximum(
+        1, np.rint(val_frac_of_train * train_val).astype(np.intp)), 0)
+    for user, c in zip(user_of[first[train_val == count]].tolist(),
+                       count[train_val == count].tolist()):
+        warnings.warn(f"user {user}: no test interactions (n={c})")
+    k = np.arange(n) - np.repeat(first, count)
+    code = ((k >= np.repeat(train_val - val_count, count)).astype(np.intp)
+            + (k >= np.repeat(train_val, count)))
 
-    n_users = num_users if num_users is not None else (
-        max(per_user_counts) + 1 if per_user_counts else 0)
-    n_items = num_items if num_items is not None else (
-        max((it.item_id for it in interactions), default=-1) + 1)
-
-    splits: list[str] = []
-    seen: dict[int, int] = {}
-    for it in interactions:
-        k = seen.get(it.user_id, 0)
-        seen[it.user_id] = k + 1
-        n = per_user_counts[it.user_id]
-        train_val = int(train_frac * n)
-        val_count = max(1, round(val_frac_of_train * train_val)) if train_val else 0
-        if n - train_val == 0:
-            warnings.warn(f"user {it.user_id}: no test interactions (n={n})")
-        if k < train_val - val_count:
-            splits.append(TRAIN)
-        elif k < train_val:
-            splits.append(VAL)
-        else:
-            splits.append(TEST)
-
-    session_of = []
-    position_of = []
-    by_user_time = {}
-    for s in sessions:
-        by_user_time.setdefault(s.user_id, []).append(s)
-    cursor: dict[int, tuple[int, int]] = {}  # user -> (session idx in user list, pos)
-    for it in interactions:
-        idx, pos = cursor.get(it.user_id, (0, 0))
-        s = by_user_time[it.user_id][idx]
-        if pos >= s.length:
-            idx, pos = idx + 1, 0
-            s = by_user_time[it.user_id][idx]
-        session_of.append(s.session_id)
-        position_of.append(pos)
-        cursor[it.user_id] = (idx, pos + 1)
-
+    n_users = num_users if num_users is not None else int(user_of.max(initial=-1)) + 1
+    n_items = num_items if num_items is not None else int(item_of.max(initial=-1)) + 1
     return SplitCorpus(
         num_users=n_users, num_items=n_items,
-        interactions=interactions, splits=splits, sessions=sessions,
-        session_of=session_of, position_of=position_of,
+        arrays=_corpus_arrays(user_of, item_of, timestamp, np.flatnonzero(new_session)),
+        splits=np.array(TAGS)[code].tolist(),
         user_keys=user_keys or [], item_keys=item_keys or [])
 
 
 def build_corpus(parsed: ParsedLog, idle_threshold: int = 3600,
                  min_count: int = 10) -> SplitCorpus:
     """Filter, sessionize and split a parsed log in one step."""
-    filtered = filter_users(parsed.interactions, min_count)
-    # replay filter_users' first-appearance re-compaction to carry remap tables
-    keep_counts: dict[int, int] = {}
-    for it in parsed.interactions:
-        keep_counts[it.user_id] = keep_counts.get(it.user_id, 0) + 1
-    user_keys: list[str] = []
-    item_keys: list[str] = []
-    seen_u: set[int] = set()
-    seen_i: set[int] = set()
-    for it in parsed.interactions:
-        if keep_counts[it.user_id] < min_count:
-            continue
-        if it.user_id not in seen_u:
-            seen_u.add(it.user_id)
-            user_keys.append(parsed.user_keys[it.user_id])
-        if it.item_id not in seen_i:
-            seen_i.add(it.item_id)
-            item_keys.append(parsed.item_keys[it.item_id])
-    return split(filtered, None, idle_threshold=idle_threshold,
-                 num_users=len(user_keys), num_items=len(item_keys),
-                 user_keys=user_keys, item_keys=item_keys)
+    kept = filter_log(parsed, min_count)
+    return split_columns(kept.user_of, kept.item_of, kept.timestamp, idle_threshold,
+                         num_users=kept.num_users, num_items=kept.num_items,
+                         user_keys=kept.user_keys, item_keys=kept.item_keys)
 
 
 def save_corpus(corpus: SplitCorpus, path: str | Path) -> None:
@@ -415,53 +426,107 @@ def save_corpus(corpus: SplitCorpus, path: str | Path) -> None:
     Line 1 is a header object (format version, counts, id-remapping tables);
     every following line is one typed row: ``["i", user, item, ts, split,
     session_id, position]`` per interaction, then ``["s", session_id, user,
-    start, end, gap_to_next, [items...]]`` per session.
+    start, end, gap_to_next, [items...]]`` per session. The rows hold ints
+    and tags only and are written as ``json.dumps`` with compact separators
+    would write them.
     """
+    a = corpus.arrays
+    header = json.dumps({
+        "format_version": CORPUS_FORMAT_VERSION,
+        "num_users": corpus.num_users,
+        "num_items": corpus.num_items,
+        "user_keys": corpus.user_keys,
+        "item_keys": corpus.item_keys,
+    }, sort_keys=True, separators=(",", ":"))
+    quoted = {tag: json.dumps(tag) for tag in set(corpus.splits)}
+    interactions = map('["i",{},{},{},{},{},{}]'.format,
+                       a.user_of.tolist(), a.item_of.tolist(), a.timestamp.tolist(),
+                       map(quoted.__getitem__, corpus.splits),
+                       a.session_of.tolist(), a.position_of.tolist())
+    start, end, gap, has_next = corpus.session_times()
+    item_text = list(map(str, a.item_of.tolist()))
+    ends = (a.session_start + a.session_length).tolist()
+    sessions = map('["s",{},{},{},{},{},[{}]]'.format,
+                   itertools.count(), a.session_user.tolist(), start.tolist(), end.tolist(),
+                   [g if h else "null" for g, h in zip(gap.tolist(), has_next.tolist())],
+                   [",".join(item_text[b:e]) for b, e in zip(a.session_start.tolist(), ends)])
     with open(path, "w") as fh:
-        fh.write(json.dumps({
-            "format_version": CORPUS_FORMAT_VERSION,
-            "num_users": corpus.num_users,
-            "num_items": corpus.num_items,
-            "user_keys": corpus.user_keys,
-            "item_keys": corpus.item_keys,
-        }, sort_keys=True, separators=(",", ":")) + "\n")
-        for k, it in enumerate(corpus.interactions):
-            fh.write(json.dumps(
-                ["i", it.user_id, it.item_id, it.timestamp, corpus.splits[k],
-                 corpus.session_of[k], corpus.position_of[k]],
-                separators=(",", ":")) + "\n")
-        for s in corpus.sessions:
-            fh.write(json.dumps(
-                ["s", s.session_id, s.user_id, s.start, s.end, s.gap_to_next,
-                 list(s.items)], separators=(",", ":")) + "\n")
+        fh.write("\n".join(itertools.chain([header], interactions, sessions)) + "\n")
+
+
+def _columns(rows: list, width: int, what: str) -> list[tuple]:
+    """The fields of equal-width rows, one tuple per field."""
+    _check(set(map(len, rows)) <= {width}, f"{what} row without {width} fields")
+    return list(zip(*rows)) if rows else [()] * width
+
+
+def _corpus_from_rows(header: dict, rows: list) -> SplitCorpus:
+    _check(isinstance(header, dict), "the first line is not a header object")
+    _check(header.get("format_version") == CORPUS_FORMAT_VERSION,
+           f"unsupported corpus format: {header.get('format_version')}")
+    kinds = list(map(operator.itemgetter(0), rows))
+    n = kinds.count("i")
+    if kinds != ["i"] * n + ["s"] * (len(rows) - n):
+        unknown = [kind for kind in kinds if kind not in ("i", "s")]
+        raise ValueError(f"unknown corpus row type {unknown[0]!r}" if unknown
+                         else "a session row before an interaction row")
+    _, users, items, stamps, tags, sids, positions = _columns(rows[:n], 7, "an interaction")
+    _, ids, s_users, s_starts, s_ends, gaps, s_items = _columns(rows[n:], 7, "a session")
+
+    num_users, num_items = header["num_users"], header["num_items"]
+    num_sessions = len(rows) - n
+    user_of = np.array(users, dtype=np.intp)
+    item_of = np.array(items, dtype=np.intp)
+    timestamp = _timestamps(stamps)
+    _check(n or not num_users, f"the header names {num_users} users but there are no "
+                               "interaction rows")
+    _check(not n or (0 <= user_of.min() and user_of.max() < num_users
+                     and 0 <= item_of.min() and item_of.max() < num_items),
+           "a user or item id is outside the header's counts")
+    _check(set(tags) <= set(TAGS), f"split tags other than {TAGS}")
+    _check(np.array_equal(np.array(ids, dtype=np.intp), np.arange(num_sessions)),
+           "session ids are not 0, 1, ... in row order")
+    length = np.fromiter(map(len, s_items), dtype=np.intp, count=num_sessions)
+    _check((length > 0).all() and length.sum() == n,
+           f"the {num_sessions} session rows hold {length.sum()} interactions, "
+           f"not the {n} interaction rows")
+    start = np.cumsum(length) - length
+    session_of = np.array(sids, dtype=np.intp)
+    position_of = np.array(positions, dtype=np.intp)
+    _check(((0 <= session_of) & (session_of < num_sessions)).all()
+           and np.array_equal(start[session_of] + position_of, np.arange(n)),
+           "interaction rows are not the consecutive items of their sessions")
+
+    corpus = SplitCorpus(num_users, num_items,
+                         _corpus_arrays(user_of, item_of, timestamp, start),
+                         list(tags), header["user_keys"], header["item_keys"])
+    _check(_in_user_time_order(user_of, timestamp), "interactions are not in (user, time) order")
+    a = corpus.arrays
+    begin, end, gap, has_next = corpus.session_times()
+    listed_gap = np.array([g is not None for g in gaps], dtype=bool)
+    _check(np.array_equal(np.array(s_users, dtype=np.intp), a.session_user)
+           and np.array_equal(_timestamps(s_starts), begin)
+           and np.array_equal(_timestamps(s_ends), end)
+           and np.array_equal(listed_gap, has_next)
+           and np.array_equal(_timestamps([g for g in gaps if g is not None]), gap[has_next])
+           and np.array_equal(np.fromiter(itertools.chain.from_iterable(s_items),
+                                          dtype=np.intp, count=n), item_of),
+           "session rows disagree with the interaction rows")
+    return corpus
 
 
 def load_corpus(path: str | Path) -> SplitCorpus:
+    """Read a ``save_corpus`` file. A file that is cut short or whose rows do
+    not make one consistent corpus raises ``ValueError`` naming the file."""
     with open(path) as fh:
-        header = json.loads(fh.readline())
-        if header.get("format_version") != CORPUS_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported corpus format: {header.get('format_version')}")
-        interactions: list[Interaction] = []
-        splits: list[str] = []
-        session_of: list[int] = []
-        position_of: list[int] = []
-        sessions: list[Session] = []
-        for line in fh:
-            row = json.loads(line)
-            if row[0] == "i":
-                _, user, item, ts, tag, sid, pos = row
-                interactions.append(Interaction(user, item, ts))
-                splits.append(tag)
-                session_of.append(sid)
-                position_of.append(pos)
-            elif row[0] == "s":
-                _, sid, user, start, end, gap, items = row
-                sessions.append(Session(sid, user, tuple(items), start, end, gap))
-            else:
-                raise ValueError(f"unknown corpus row type {row[0]!r}")
-    return SplitCorpus(
-        num_users=header["num_users"], num_items=header["num_items"],
-        interactions=interactions, splits=splits, sessions=sessions,
-        session_of=session_of, position_of=position_of,
-        user_keys=header["user_keys"], item_keys=header["item_keys"])
+        header_line = fh.readline()
+        body = fh.read()
+    try:
+        header = json.loads(header_line)
+        rows = json.loads("[" + ",".join(body.splitlines()) + "]")
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not a whole corpus file ({exc})") from None
+    try:
+        return _corpus_from_rows(header, rows)
+    except (ValueError, TypeError, KeyError, IndexError) as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -20,13 +20,14 @@ multiset embeds identically.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 
-from .corpus import SplitCorpus, TEST
+from .corpus import SplitCorpus, TAGS, TEST
 from .nn import engine
 from .nn.engine import Parameter
 from .nn.layers import DenseLayer
@@ -72,47 +73,39 @@ class BipartiteMultigraph:
     def item_degree(self, item: int) -> int:
         return int(self.item_off[item + 1] - self.item_off[item])
 
+    @functools.cached_property
+    def session_mean(self) -> sparse.csr_matrix:
+        """Averages each session node's full item neighbourhood."""
+        return _mean_matrix(self.session_adj, self.session_off, self.num_items)
 
-def build_graph(item_lists: list[list[int]], num_items: int,
-                session_ids: list[int] | None = None) -> BipartiteMultigraph:
-    """Build the multigraph from per-session item lists.
+    @functools.cached_property
+    def item_mean(self) -> sparse.csr_matrix:
+        """Averages each item node's full session neighbourhood."""
+        return _mean_matrix(self.item_adj, self.item_off, self.num_session_nodes)
 
-    Sessions with empty lists are dropped; every vocabulary item gets a node
-    whether or not it appears. One edge per occurrence, so a session that
-    repeats an item contributes parallel edges.
+
+def build_graph(session_of: np.ndarray, item_of: np.ndarray,
+                num_items: int) -> BipartiteMultigraph:
+    """The multigraph with one edge per (session_of[e], item_of[e]) pair, so
+    a session that repeats an item contributes parallel edges.
+
+    The session nodes are the distinct ids in ``session_of``, ascending;
+    every vocabulary item gets a node whether or not it appears.
     """
-    if session_ids is None:
-        session_ids = list(range(len(item_lists)))
-    kept_ids = []
-    edge_rows = []
-    for sid, items in zip(session_ids, item_lists):
-        if not items:
-            continue
-        node = len(kept_ids)
-        kept_ids.append(sid)
-        for item in items:
-            if not 0 <= item < num_items:
-                raise ValueError(f"item id {item} out of range [0, {num_items})")
-            edge_rows.append((node, item))
-    edges = (np.asarray(edge_rows, dtype=np.intp) if edge_rows
-             else np.zeros((0, 2), dtype=np.intp))
-    return BipartiteMultigraph(num_items=num_items,
-                               session_ids=np.asarray(kept_ids, dtype=np.intp),
-                               edges=edges)
+    item_of = np.asarray(item_of, dtype=np.intp)
+    bad = (item_of < 0) | (item_of >= num_items)
+    if bad.any():
+        raise ValueError(f"item id {item_of[bad][0]} out of range [0, {num_items})")
+    session_ids, node = np.unique(np.asarray(session_of, dtype=np.intp), return_inverse=True)
+    return BipartiteMultigraph(num_items=num_items, session_ids=session_ids,
+                               edges=np.stack([node, item_of], axis=1))
 
 
 def build_graph_from_corpus(corpus: SplitCorpus) -> BipartiteMultigraph:
     """Graph over train+val interactions only; test targets never become edges."""
-    item_lists: list[list[int]] = []
-    sids: list[int] = []
-    for s in corpus.sessions:
-        items = [corpus.interactions[k].item_id
-                 for k in corpus.interaction_range(s.session_id)
-                 if corpus.splits[k] != TEST]
-        if items:
-            sids.append(s.session_id)
-            item_lists.append(items)
-    return build_graph(item_lists, corpus.num_items, sids)
+    a = corpus.arrays
+    visible = corpus.split_codes() != TAGS.index(TEST)
+    return build_graph(a.session_of[visible], a.item_of[visible], corpus.num_items)
 
 
 def _sample_neighbors(adj: np.ndarray, off: np.ndarray, nodes: np.ndarray,
@@ -218,12 +211,13 @@ class SageEncoder:
         embeddable = np.zeros(corpus.num_sessions, dtype=bool)
         embeddings[graph.session_ids] = self.embed_all_sessions(graph)
         embeddable[graph.session_ids] = True
-        for s in corpus.sessions:
-            if embeddable[s.session_id]:
-                continue
+        a = corpus.arrays
+        for sid in np.flatnonzero(~embeddable).tolist():
+            first = a.session_start[sid]
             try:
-                embeddings[s.session_id] = self.embed_new_session(graph, list(s.items))
-                embeddable[s.session_id] = True
+                embeddings[sid] = self.embed_new_session(
+                    graph, a.item_of[first:first + a.session_length[sid]].tolist())
+                embeddable[sid] = True
             except ValueError:
                 pass
         return embeddings, embeddable
@@ -249,7 +243,7 @@ def _mean_matrix(cols: np.ndarray, off: np.ndarray, num_cols: int) -> sparse.csr
 # vocabulary instead of once per sampled row. An item node's is
 # F[i] W1a^T + (W1b s + b1), since every session shares the feature s.
 
-def _layer1_pre(encoder: SageEncoder, items: np.ndarray,
+def _layer1_pre(encoder: SageEncoder, items: np.ndarray | slice,
                 mean: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     """Layer-1 pre-activations of the item nodes ``items`` and of the
     session rows whose item means ``mean`` takes over the vocabulary."""
@@ -360,13 +354,11 @@ def _edge_loss_sampled(encoder: SageEncoder, graph: BipartiteMultigraph,
 def _edge_loss_det(encoder: SageEncoder, graph: BipartiteMultigraph,
                    edges: np.ndarray, negatives: np.ndarray) -> float:
     """Holdout loss, full neighborhoods and fixed negatives, pre-normalization."""
-    session_mean = _mean_matrix(graph.session_adj, graph.session_off, graph.num_items)
-    item_pre, sess_pre = _layer1_pre(encoder, np.arange(graph.num_items), session_mean)
+    item_pre, sess_pre = _layer1_pre(encoder, slice(None), graph.session_mean)
     item_h1, sess_h1 = _relu_l2n(item_pre)[0], _relu_l2n(sess_pre)[0]
-    z_s = encoder._phi2_raw(sess_h1, session_mean @ item_h1)
+    z_s = encoder._phi2_raw(sess_h1, graph.session_mean @ item_h1)
     # item-side second layer: neighbor sessions' full h1
-    item_mean = _mean_matrix(graph.item_adj, graph.item_off, graph.num_session_nodes)
-    z_i = encoder._phi2_raw(item_h1, item_mean @ sess_h1)
+    z_i = encoder._phi2_raw(item_h1, graph.item_mean @ sess_h1)
     score = _edge_scores(z_s, z_i, edges[:, 0],
                          np.concatenate([edges[:, 1], negatives.reshape(-1)]))[2]
     return float(np.logaddexp(0.0, -score).sum() / len(edges))
@@ -428,8 +420,9 @@ def train_encoder(graph: BipartiteMultigraph, base_dim: int = 64,
 def export_embeddings_csv(path, corpus: SplitCorpus, embeddings: np.ndarray) -> None:
     """CSV with header session_id,split,c0..c{d-1} covering every session."""
     dim = embeddings.shape[1]
+    tags = np.array(TAGS)[corpus.session_split_codes()].tolist()
     with open(path, "w") as fh:
         fh.write("session_id,split," + ",".join(f"c{k}" for k in range(dim)) + "\n")
-        for s in corpus.sessions:
-            row = ",".join(repr(float(v)) for v in embeddings[s.session_id])
-            fh.write(f"{s.session_id},{corpus.session_split(s.session_id)},{row}\n")
+        for sid, tag in enumerate(tags):
+            row = ",".join(repr(float(v)) for v in embeddings[sid])
+            fh.write(f"{sid},{tag},{row}\n")

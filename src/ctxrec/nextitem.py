@@ -130,7 +130,7 @@ def _batch_logits(model: NextItemModel, corpus: SplitCorpus, rows: np.ndarray,
     interactions, users, sessions, positions, _ = rows.T
     a = corpus.arrays
     z_item = model.item_lstm.encode(*prefix_sources(
-        model.item_emb, model.aux, a.session_items, a.session_start[sessions], positions,
+        model.item_emb, model.aux, a.item_of, a.session_start[sessions], positions,
         model.max_seq_len))
     return model.head(users, z_item,
                       None if model.mode == ABLATION else ctx_topk[interactions])

@@ -184,12 +184,12 @@ def run_ingest(ws: Workspace, input_path: str | Path, delimiter: str = ",",
                               min_count=cfg.min_user_interactions)
         save_corpus(corpus, path / "corpus.jsonl")
         n_sessions = corpus.num_sessions
-        avg_len = (len(corpus.interactions) / n_sessions) if n_sessions else 0.0
+        avg_len = (corpus.num_interactions / n_sessions) if n_sessions else 0.0
         return {
             "input_sha256": input_sha,
             "num_users": corpus.num_users,
             "num_items": corpus.num_items,
-            "num_interactions": len(corpus.interactions),
+            "num_interactions": corpus.num_interactions,
             "num_sessions": n_sessions,
             "avg_session_length": avg_len,
         }

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import SplitCorpus, TRAIN, VAL, example_rows
+from .corpus import SplitCorpus, TAGS, TRAIN, VAL, example_rows
 from .cluster import UNLABELED
 from .nn import engine
 from .nn.engine import Parameter, Var
@@ -60,13 +60,12 @@ class SessionFeatureStore:
 def build_session_features(corpus: SplitCorpus,
                            embeddings: np.ndarray) -> SessionFeatureStore:
     n = corpus.num_sessions
-    durations = np.array([s.duration for s in corpus.sessions], dtype=np.float64)
-    gaps = np.array([np.nan if s.gap_to_next is None else s.gap_to_next
-                     for s in corpus.sessions], dtype=np.float64)
-    lengths = np.array([s.length for s in corpus.sessions], dtype=np.float64)
+    start, end, gap, has_next = corpus.session_times()
+    durations = (end - start).astype(np.float64)
+    gaps = np.where(has_next, gap, np.nan)
+    lengths = corpus.arrays.session_length.astype(np.float64)
 
-    train_mask = np.array([corpus.session_split(s.session_id) == TRAIN
-                           for s in corpus.sessions])
+    train_mask = corpus.session_split_codes() == TAGS.index(TRAIN)
     d_log = np.log1p(durations)
     g_log = np.log1p(gaps)
 
@@ -95,12 +94,13 @@ def long_term_input(corpus: SplitCorpus, features: SessionFeatureStore,
     ``session_id``, oldest first; a lone all-zero row for a first session."""
     if not 0 <= user_id < corpus.num_users:
         raise ValueError(f"unknown user {user_id}")
-    sids = corpus.user_session_ids(user_id)
-    pos = sids.index(session_id)
-    history = sids[max(0, pos - max_len):pos]
-    if not history:
+    a = corpus.arrays
+    if not (0 <= session_id < corpus.num_sessions and a.session_user[session_id] == user_id):
+        raise ValueError(f"session {session_id} is not a session of user {user_id}")
+    pos = a.session_rank[session_id]
+    if not pos:
         return np.zeros((1, features.dim))
-    return features.matrix[history]
+    return features.matrix[session_id - min(pos, max_len):session_id].copy()
 
 
 def top_k_rows(probs: np.ndarray, k: int) -> np.ndarray:
@@ -198,13 +198,13 @@ def _prefix_logits(model: ContextPredictor, corpus: SplitCorpus,
     a = corpus.arrays
     sids, inverse = np.unique(session_ids, return_inverse=True)
     ids, valid, lengths, src, ends = window_sources(
-        a.user_sessions, a.user_start[a.session_user[sids]], a.session_rank[sids],
+        np.arange(corpus.num_sessions), sids - a.session_rank[sids], a.session_rank[sids],
         model.max_seq_len)
     histories = np.zeros(ids.shape + (features.dim,))  # a first session reads a zero row
     histories[valid] = features.matrix[ids[valid]]
     z_long = model.long_lstm.encode(engine.constant(histories), lengths, src, ends)
     z_short = model.short_lstm.encode(*prefix_sources(
-        model.item_emb, model.aux, a.session_items, a.session_start[session_ids],
+        model.item_emb, model.aux, a.item_of, a.session_start[session_ids],
         positions, model.max_seq_len))
     return model.head(a.session_user[session_ids], z_short,
                       engine.index_rows(z_long, inverse))
@@ -266,7 +266,7 @@ def predict_all_prefixes(model: ContextPredictor, corpus: SplitCorpus,
     """Top-k context ids (ascending) and their probabilities for the prefix
     preceding every interaction in the corpus."""
     a = corpus.arrays
-    n = len(corpus.interactions)
+    n = corpus.num_interactions
     topk_ids = np.zeros((n, k), dtype=np.intp)
     topk_probs = np.zeros((n, k))
     with engine.no_grad():
@@ -288,8 +288,9 @@ def export_predictions_csv(path, corpus: SplitCorpus, topk_ids: np.ndarray,
               + [f"prob_{j}" for j in range(k)])
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for idx in range(len(corpus.interactions)):
-            row = ([str(corpus.session_of[idx]), str(corpus.position_of[idx])]
+        a = corpus.arrays
+        for idx, (sid, pos) in enumerate(zip(a.session_of.tolist(), a.position_of.tolist())):
+            row = ([str(sid), str(pos)]
                    + [str(int(c)) for c in topk_ids[idx]]
                    + [repr(float(p)) for p in topk_probs[idx]])
             fh.write(",".join(row) + "\n")

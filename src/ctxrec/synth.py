@@ -48,6 +48,9 @@ def generate(spec: SynthSpec, log_path: str | Path,
     rng = np.random.default_rng(spec.seed)
     zipf = 1.0 / np.arange(1, spec.items_per_context + 1) ** spec.zipf_exponent
     zipf /= zipf.sum()
+    # what Generator.choice(p=zipf) draws from, without its per-call checks
+    cdf = zipf.cumsum()
+    cdf /= cdf[-1]
 
     rows: list[str] = []
     sessions: list[dict] = []
@@ -62,12 +65,12 @@ def generate(spec: SynthSpec, log_path: str | Path,
                     context = (context + shift) % spec.num_contexts
                 t += int(rng.integers(spec.between_gap_min, spec.between_gap_max))
             length = 1 + int(rng.poisson(max(spec.mean_session_len - 1.0, 0.0)))
-            items = context * spec.items_per_context + rng.choice(
-                spec.items_per_context, size=length, p=zipf)
-            for j, item in enumerate(items):
+            items = context * spec.items_per_context + cdf.searchsorted(
+                rng.random(length), side="right")
+            for j, item in enumerate(items.tolist()):
                 if j > 0:
                     t += int(rng.integers(1, spec.within_gap_max))
-                rows.append(f"{user},{int(item)},{t}")
+                rows.append(f"{user},{item},{t}")
             sessions.append({"user": user, "index": index,
                              "context": context, "length": int(length)})
 
@@ -86,12 +89,12 @@ def planted_labels(sidecar: dict, corpus) -> np.ndarray:
     exactly the generated sessions in (user, time) order and the k-th session
     of a user in the corpus is the k-th generated one.
     """
+    a = corpus.arrays
     by_key = {(s["user"], s["index"]): s["context"] for s in sidecar["sessions"]}
-    labels = np.full(corpus.num_sessions, -1, dtype=np.intp)
-    for user in range(corpus.num_users):
-        raw = int(corpus.user_keys[user]) if corpus.user_keys else user
-        for index, sid in enumerate(corpus.user_session_ids(user)):
-            labels[sid] = by_key[(raw, index)]
-    if (labels < 0).any():
-        raise ValueError("sidecar does not cover every corpus session")
-    return labels
+    raw = (np.array([int(key) for key in corpus.user_keys], dtype=np.intp)
+           if corpus.user_keys else np.arange(corpus.num_users))
+    try:
+        return np.array([by_key[key] for key in zip(raw[a.session_user].tolist(),
+                                                    a.session_rank.tolist())], dtype=np.intp)
+    except KeyError:
+        raise ValueError("sidecar does not cover every corpus session") from None

@@ -4,15 +4,30 @@ import pytest
 from ctxrec import cluster as cluster_mod
 from ctxrec import graph as graph_mod
 from ctxrec import predictor as pred_mod
-from ctxrec.corpus import Interaction, build_corpus, parse_log, split
+from ctxrec.corpus import build_corpus, parse_log, split_columns
 from ctxrec.synth import SynthSpec, generate
 
 
 def corpus_from_rows(rows, **split_kwargs):
-    """Build a SplitCorpus straight from (user, item, timestamp) tuples."""
-    inter = sorted((Interaction(u, i, t) for u, i, t in rows),
-                   key=lambda x: (x.user_id, x.timestamp))
-    return split(inter, **split_kwargs)
+    """Build a SplitCorpus straight from (user, item, timestamp) tuples,
+    sorted stably by (user, timestamp), with no filtering or id compaction."""
+    ordered = sorted(rows, key=lambda r: (r[0], r[2]))
+    return split_columns(*(list(zip(*ordered)) or [(), (), ()]), **split_kwargs)
+
+
+def graph_from_lists(item_lists, num_items):
+    """The graph with one session node per non-empty list, whose session id
+    is the list's index."""
+    session_of = [k for k, items in enumerate(item_lists) for _ in items]
+    item_of = [item for items in item_lists for item in items]
+    return graph_mod.build_graph(np.array(session_of, dtype=np.intp),
+                                 np.array(item_of, dtype=np.intp), num_items)
+
+
+def column_sessions(interactions, idle_threshold=3600):
+    """The sessions that the corpus columns give ``Interaction`` rows."""
+    return corpus_from_rows([(it.user_id, it.item_id, it.timestamp) for it in interactions],
+                            idle_threshold=idle_threshold).sessions
 
 
 def synth_corpus(tmp_path, **overrides):

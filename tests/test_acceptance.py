@@ -27,11 +27,11 @@ from ctxrec.corpus import (
     TRAIN,
     build_corpus,
     parse_log,
-    sessionize,
 )
 from ctxrec.metrics import mrr, rank_of_truth, recall_at_k
 from ctxrec.nn import finite_diff_check
 from ctxrec.synth import SynthSpec, generate, planted_labels
+from conftest import column_sessions, corpus_from_rows
 from reference_cluster import assign_many
 
 ACC_CFG = PipelineConfig(
@@ -83,10 +83,7 @@ class TestCriterion1Gradients:
                 for j in range(int(1 + gen.integers(3))):
                     rows.append((u, c * 4 + int(gen.integers(4)), t))
                     t += 30
-        inter = sorted((Interaction(u, i, t) for u, i, t in rows),
-                       key=lambda x: (x.user_id, x.timestamp))
-        from ctxrec.corpus import split as split_fn
-        corpus = split_fn(inter)
+        corpus = corpus_from_rows(rows)
         graph = graph_mod.build_graph_from_corpus(corpus)
         encoder, _ = graph_mod.train_encoder(graph, base_dim=8, out_dim=8,
                                              epochs=2, batch_size=64, seed=0)
@@ -170,10 +167,10 @@ class TestCriterion2SessionizeOracle:
                         run.append(x)
                 expected.append((u, run[0], run[-1], len(run)))
             got = [(s.user_id, s.start, s.end, s.length)
-                   for s in sessionize(inter, 3600)]
+                   for s in column_sessions(inter, 3600)]
             assert got == expected
             checked += 1
-        boundary = sessionize([Interaction(0, 0, 0), Interaction(0, 0, 3600)], 3600)
+        boundary = column_sessions([Interaction(0, 0, 0), Interaction(0, 0, 3600)], 3600)
         boundary_ok = len(boundary) == 1
         _report(2, checked == 1000 and boundary_ok,
                 f"{checked} random streams equal the gap-scan oracle; "

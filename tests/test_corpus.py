@@ -1,4 +1,6 @@
+import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -6,21 +8,35 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_corpus
+from ctxrec import pipeline
+from ctxrec.config import PipelineConfig
 from ctxrec.corpus import (
     ColumnSchema,
     Interaction,
+    ParsedLog,
+    Session,
     build_corpus,
+    filter_log,
     LogParseError,
     TEST,
     TRAIN,
     VAL,
-    filter_users,
     load_corpus,
     parse_log,
     save_corpus,
-    sessionize,
 )
-from conftest import corpus_from_rows
+from ctxrec.predictor import build_session_features
+from ctxrec.synth import SynthSpec, generate, planted_labels
+from conftest import column_sessions as sessionize, corpus_from_rows, synth_corpus
+
+
+def filter_users(interactions, min_count):
+    """``filter_log`` on ``Interaction`` rows, as rows."""
+    user, item, ts = (np.array(c, dtype=np.intp) for c in
+                      zip(*[(it.user_id, it.item_id, it.timestamp) for it in interactions]))
+    keys = [str(k) for k in range(max(user.max(), item.max()) + 1)]
+    return filter_log(ParsedLog(user, item, ts, keys, keys), min_count).interactions
 
 
 class TestParseLog:
@@ -284,3 +300,195 @@ def test_split_invariants_property(log):
         tags = [tag for _, tag in rows]
         assert tags.count(TRAIN) + tags.count(VAL) == train_val
         assert tags.count(VAL) == val
+
+
+# -- the column path against the object-level oracle (reference_corpus) -----
+
+_GAPS = {"tie": lambda thr, g: 0, "at-threshold": lambda thr, g: thr,
+         "over-threshold": lambda thr, g: thr + 1, "drawn": lambda thr, g: g}
+
+# (user, item, gap kind, drawn gap, float timestamp) rows of one log
+_raw_rows = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 12), st.sampled_from(list(_GAPS)),
+                               st.integers(0, 9000), st.booleans()), max_size=80)
+
+
+def _log_lines(rows, idle_threshold: int, header: bool) -> list[str]:
+    clock: dict[int, int] = {}
+    lines = ["user,item,time"] if header else []
+    for user, item, kind, gap, as_float in rows:
+        clock[user] = clock.get(user, 1_600_000_000) + _GAPS[kind](idle_threshold, gap)
+        lines.append(f"u{user},i{item},{clock[user]}" + (".75" if as_float else ""))
+    return lines
+
+
+def _parse_oracle(lines: list[str], header: bool) -> tuple[list[Interaction], list, list]:
+    """Interactions, user keys and item keys that a log parser must give."""
+    rows = [line.split(",") for line in lines[header:]]
+    user_keys = list(dict.fromkeys(u for u, _, _ in rows))
+    item_keys = list(dict.fromkeys(i for _, i, _ in rows))
+    inter = [Interaction(user_keys.index(u), item_keys.index(i), int(float(t)))
+             for u, i, t in rows]
+    return sorted(inter, key=lambda it: (it.user_id, it.timestamp)), user_keys, item_keys
+
+
+@settings(max_examples=60, deadline=None)
+@given(_raw_rows, st.sampled_from([0, 5, 3600]), st.integers(1, 8), st.booleans())
+def test_column_path_matches_object_oracle(rows, idle_threshold, min_count, header):
+    lines = _log_lines(rows, idle_threshold, header)
+    parsed = parse_log(lines, ColumnSchema(has_header=header))
+    assert (parsed.interactions, parsed.user_keys, parsed.item_keys) == _parse_oracle(
+        lines, header)
+    corpus = build_corpus(parsed, idle_threshold, min_count)
+    oracle = reference_corpus.build_corpus(parsed, idle_threshold, min_count)
+    reference_corpus.assert_same_corpus(corpus, oracle)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, oracle_path = Path(tmp) / "corpus.jsonl", Path(tmp) / "oracle.jsonl"
+        save_corpus(corpus, path)
+        reference_corpus.save_corpus(oracle, oracle_path)
+        assert path.read_bytes() == oracle_path.read_bytes()
+        loaded = load_corpus(path)
+        assert loaded == corpus
+        reference_corpus.assert_same_corpus(loaded, reference_corpus.load_corpus(path))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 9), st.integers(0, 8000)),
+                max_size=60),
+       st.sampled_from([(0.9, 0.1), (0.5, 0.25), (0.8, 0.5)]))
+def test_split_columns_matches_oracle(rows, fracs):
+    """Uncompacted ids: the counts are the largest id plus one."""
+    inter = sorted((Interaction(*row) for row in rows), key=lambda it: (it.user_id, it.timestamp))
+    train_frac, val_frac = fracs
+    corpus = corpus_from_rows(rows, train_frac=train_frac, val_frac_of_train=val_frac)
+    reference_corpus.assert_same_corpus(corpus, reference_corpus.split(
+        inter, train_frac=train_frac, val_frac_of_train=val_frac))
+
+
+# -- a cut or inconsistent corpus file gives an error that names it ---------
+
+@pytest.fixture(scope="module")
+def corpus_lines(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cut")
+    corpus, *_ = synth_corpus(tmp, num_users=4, sessions_per_user=6, seed=3)
+    save_corpus(corpus, tmp / "corpus.jsonl")
+    assert load_corpus(tmp / "corpus.jsonl") == corpus
+    return (tmp / "corpus.jsonl").read_text().splitlines(keepends=True)
+
+
+def _load_error(path: Path) -> str:
+    with pytest.raises(ValueError) as err:
+        load_corpus(path)
+    assert str(path) in str(err.value)
+    return str(err.value)
+
+
+def test_whole_file_loads(corpus_lines, tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(corpus_lines))
+    assert load_corpus(path).num_interactions == sum(
+        line.startswith('["i"') for line in corpus_lines)
+
+
+@pytest.mark.parametrize("keep", ["header", "some-interactions", "all-interactions",
+                                  "some-sessions", "all-but-one-line"])
+def test_cut_at_a_line_boundary_is_named(corpus_lines, tmp_path, keep):
+    n_inter = sum(line.startswith('["i"') for line in corpus_lines)
+    stop = {"header": 1, "some-interactions": 1 + n_inter // 2,
+            "all-interactions": 1 + n_inter,
+            "some-sessions": (1 + n_inter + len(corpus_lines)) // 2,
+            "all-but-one-line": len(corpus_lines) - 1}[keep]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(corpus_lines[:stop]))
+    assert ("no interaction rows" if keep == "header" else "session rows hold") in _load_error(path)
+
+
+@pytest.mark.parametrize("line", [0, 1, -1], ids=["header", "interaction", "last-session"])
+def test_cut_inside_a_line_is_named(corpus_lines, tmp_path, line):
+    cut = sum(map(len, corpus_lines[:line % len(corpus_lines)])) + len(corpus_lines[line]) // 2
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(corpus_lines)[:cut])
+    _load_error(path)
+
+
+@pytest.mark.parametrize("edit", ["session-items", "session-start", "gap", "position",
+                                  "item-count", "row-type", "extra-session"])
+def test_inconsistent_rows_are_named(corpus_lines, tmp_path, edit):
+    lines = list(corpus_lines)
+    first_session = next(k for k, line in enumerate(lines) if line.startswith('["s"'))
+    row = json.loads(lines[first_session])
+    if edit == "session-items":
+        row[6][0] += 1
+    elif edit == "session-start":
+        row[3] -= 1
+    elif edit == "gap":
+        row[5] = None
+    if edit.startswith("session") or edit == "gap":
+        lines[first_session] = json.dumps(row, separators=(",", ":")) + "\n"
+    elif edit == "position":
+        inter = json.loads(lines[1])
+        inter[6] += 1
+        lines[1] = json.dumps(inter, separators=(",", ":")) + "\n"
+    elif edit == "item-count":
+        header = json.loads(lines[0])
+        header["num_items"] = 1
+        lines[0] = json.dumps(header) + "\n"
+    elif edit == "row-type":
+        lines[1] = lines[1].replace('"i"', '"x"')
+    else:
+        last = json.loads(lines[-1])
+        last[1] += 1
+        lines.append(json.dumps(last, separators=(",", ":")) + "\n")
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(lines))
+    _load_error(path)
+
+
+# -- the generator ------------------------------------------------------------
+
+def _benchmark_spec(name: str, tmp: Path) -> SynthSpec:
+    """The generator spec that the benchmark's workload ``name`` uses at seed 1."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.pop(0)
+    return WORKLOADS[name].synth_spec(1, tmp)
+
+
+@pytest.mark.parametrize("spec", ["default", "pinned", "long-wide", "one-item-per-context"])
+def test_generate_writes_the_choice_oracle_bytes(tmp_path, spec):
+    spec = {"default": lambda: SynthSpec(),
+            "one-item-per-context": lambda: SynthSpec(items_per_context=1)}.get(
+        spec, lambda: _benchmark_spec(spec, tmp_path))()
+    sidecar = generate(spec, tmp_path / "log.csv", tmp_path / "labels.json")
+    expected = reference_corpus.generate(spec, tmp_path / "ref.csv", tmp_path / "ref.json")
+    assert sidecar == expected
+    assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "labels.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+# -- no stage builds a per-row object ---------------------------------------
+
+def test_stages_build_no_row_objects(tmp_path, monkeypatch):
+    spec = SynthSpec(num_users=8, num_contexts=3, items_per_context=6, sessions_per_user=8,
+                     seed=3)
+    sidecar = generate(spec, tmp_path / "log.csv")
+    cfg = PipelineConfig(num_contexts=3, top_k_contexts=2, user_dim=4, item_dim=4,
+                         context_dim=4, session_emb_dim=4, lstm_hidden=4, graph_base_dim=4,
+                         graph_epochs=1, graph_batch=64, batch=64, max_epochs=1, patience=1,
+                         repetitions=2, seed=1)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built")
+
+    monkeypatch.setattr(Interaction, "__init__", refuse)
+    monkeypatch.setattr(Session, "__init__", refuse)
+    ws = pipeline.Workspace(cfg, tmp_path / "work")
+    pipeline.run_ingest(ws, tmp_path / "log.csv")
+    for stage in ("embed", "contextualize", "train_context", "train_next", "ablate"):
+        getattr(pipeline, f"run_{stage}")(ws)
+    corpus, _, _, embeddings, _ = pipeline.load_encoder(ws)
+    build_session_features(corpus, embeddings)
+    planted_labels(sidecar, corpus)
+    with pytest.raises(AssertionError, match="Interaction built"):
+        corpus.interactions

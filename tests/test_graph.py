@@ -5,7 +5,7 @@ from ctxrec import graph as G
 from ctxrec.corpus import TEST
 from ctxrec.nn import DenseLayer, engine, finite_diff_check
 import reference_graph
-from conftest import corpus_from_rows, synth_corpus
+from conftest import corpus_from_rows, graph_from_lists, synth_corpus
 
 
 def _l2n(x):
@@ -15,25 +15,25 @@ def _l2n(x):
 class TestBuildGraph:
     def test_hand_counts(self):
         # sessions {A: [i1, i2], B: [i2]} over a 3-item vocabulary
-        g = G.build_graph([[1, 2], [2]], 3)
+        g = graph_from_lists([[1, 2], [2]], 3)
         assert g.num_session_nodes + g.num_items == 5
         assert g.num_edges == 3
         assert g.item_degree(2) == 2
 
     def test_repeat_creates_parallel_edges(self):
-        g = G.build_graph([[1, 1]], 2)
+        g = graph_from_lists([[1, 1]], 2)
         assert g.num_edges == 2
         assert g.item_degree(1) == 2
         assert g.session_off[1] - g.session_off[0] == 2
 
     def test_empty_corpus(self):
-        g = G.build_graph([], 0)
+        g = graph_from_lists([], 0)
         assert g.num_session_nodes + g.num_items == 0
         assert g.num_edges == 0
 
     def test_item_out_of_range(self):
         with pytest.raises(ValueError):
-            G.build_graph([[3]], 3)
+            graph_from_lists([[3]], 3)
 
     def test_corpus_graph_excludes_test_interactions(self):
         corpus = corpus_from_rows([(0, k % 3, k * 10) for k in range(20)])
@@ -46,7 +46,7 @@ class TestBuildGraph:
 class TestTrainEncoder:
     def test_two_block_graph_separates(self):
         lists = [[0, 1], [1, 0], [0], [2, 3], [3, 2], [3]]
-        g = G.build_graph(lists, 4)
+        g = graph_from_lists(lists, 4)
         enc, _ = G.train_encoder(g, base_dim=8, out_dim=8, epochs=40,
                                  batch_size=4, lr=0.02, seed=3)
         E = enc.embed_all_sessions(g)
@@ -59,24 +59,24 @@ class TestTrainEncoder:
         rng = np.random.default_rng(0)
         lists = [list(rng.integers(0, 10, size=rng.integers(1, 5)))
                  for _ in range(120)]
-        g = G.build_graph(lists, 10)
+        g = graph_from_lists(lists, 10)
         _, hist = G.train_encoder(g, base_dim=8, out_dim=8, epochs=5,
                                   batch_size=64, lr=0.01, seed=1)
         assert hist["holdout_loss"][-1] < hist["holdout_loss"][0]
 
     def test_single_edge_graph(self):
-        g = G.build_graph([[0]], 1)
+        g = graph_from_lists([[0]], 1)
         enc, _ = G.train_encoder(g, base_dim=4, out_dim=4, epochs=2, seed=0)
         assert np.isfinite(enc.embed_all_sessions(g)).all()
 
     def test_zero_edges_rejected(self):
-        g = G.build_graph([], 5)
+        g = graph_from_lists([], 5)
         with pytest.raises(ValueError, match="zero edges"):
             G.train_encoder(g)
 
     def test_seeded_determinism(self):
         lists = [[0, 1], [1, 2], [2, 0], [1]]
-        g = G.build_graph(lists, 3)
+        g = graph_from_lists(lists, 3)
         enc_a, _ = G.train_encoder(g, base_dim=6, out_dim=6, epochs=3, seed=9)
         enc_b, _ = G.train_encoder(g, base_dim=6, out_dim=6, epochs=3, seed=9)
         for pa, pb in zip(enc_a.params(), enc_b.params()):
@@ -87,7 +87,7 @@ class TestEmbedSession:
     def _tiny_encoder(self):
         # 3-node path graph: session0 - item0 - session1, dims small enough to
         # hand-evaluate the two aggregation layers
-        g = G.build_graph([[0], [0]], 1)
+        g = graph_from_lists([[0], [0]], 1)
         enc = G.SageEncoder(1, base_dim=2, out_dim=2,
                             rng=np.random.default_rng(0))
         enc.item_feat.value[...] = [[0.5, -1.0]]
@@ -112,24 +112,24 @@ class TestEmbedSession:
             assert np.allclose(row, expected, atol=1e-12)
 
     def test_unit_norm(self):
-        g = G.build_graph([[0, 1, 1], [1]], 2)
+        g = graph_from_lists([[0, 1, 1], [1]], 2)
         enc = G.SageEncoder(2, 4, 4, rng=np.random.default_rng(1))
         assert abs(np.linalg.norm(enc.embed_all_sessions(g)[0]) - 1.0) < 1e-9
 
     def test_identical_multisets_identical_embeddings(self):
-        g = G.build_graph([[0, 1], [1, 0], [1]], 2)
+        g = graph_from_lists([[0, 1], [1, 0], [1]], 2)
         enc = G.SageEncoder(2, 4, 4, rng=np.random.default_rng(2))
         full = enc.embed_all_sessions(g)
         assert np.array_equal(full[0], full[1])
 
     def test_unknown_session_rejected(self):
-        g = G.build_graph([[0]], 1)
+        g = graph_from_lists([[0]], 1)
         enc = G.SageEncoder(1, 2, 2, rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="no node"):
             reference_graph.embed_session(enc, g, 99)
 
     def test_embed_all_matches_single_calls(self):
-        g = G.build_graph([[0, 1], [1], [0, 0, 1]], 2)
+        g = graph_from_lists([[0, 1], [1], [0, 0, 1]], 2)
         enc = G.SageEncoder(2, 4, 4, rng=np.random.default_rng(3))
         matrix = enc.embed_all_sessions(g)
         for node, sid in enumerate(g.session_ids):
@@ -138,32 +138,32 @@ class TestEmbedSession:
 
 class TestEmbedNewSession:
     def test_inductive_consistency_exact(self):
-        g = G.build_graph([[0, 1, 1], [1, 2], [2]], 3)
+        g = graph_from_lists([[0, 1, 1], [1, 2], [2]], 3)
         enc = G.SageEncoder(3, 4, 4, rng=np.random.default_rng(4))
         assert np.array_equal(enc.embed_new_session(g, [1, 0, 1]),
                               enc.embed_all_sessions(g)[0])
 
     def test_unseen_items_dropped_with_warning(self):
-        g = G.build_graph([[0, 1], [1]], 3)  # item 2 exists but has no edges
+        g = graph_from_lists([[0, 1], [1]], 3)  # item 2 exists but has no edges
         enc = G.SageEncoder(3, 4, 4, rng=np.random.default_rng(5))
         with pytest.warns(UserWarning, match="dropping 1"):
             z = enc.embed_new_session(g, [0, 1, 2])
         assert np.array_equal(z, enc.embed_new_session(g, [0, 1]))
 
     def test_all_unseen_rejected(self):
-        g = G.build_graph([[0]], 2)
+        g = graph_from_lists([[0]], 2)
         enc = G.SageEncoder(2, 4, 4, rng=np.random.default_rng(6))
         with pytest.raises(ValueError, match="outside the training vocabulary"):
             enc.embed_new_session(g, [1])
 
     def test_empty_list_rejected(self):
-        g = G.build_graph([[0]], 1)
+        g = graph_from_lists([[0]], 1)
         enc = G.SageEncoder(1, 2, 2, rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="empty"):
             enc.embed_new_session(g, [])
 
     def test_permutation_invariance(self):
-        g = G.build_graph([[0, 1, 2, 2]], 3)
+        g = graph_from_lists([[0, 1, 2, 2]], 3)
         enc = G.SageEncoder(3, 4, 4, rng=np.random.default_rng(7))
         a = enc.embed_new_session(g, [0, 1, 2, 2])
         b = enc.embed_new_session(g, [2, 0, 2, 1])
@@ -176,7 +176,7 @@ def _frozen_loss(enc, g, batch, negs):
 
 
 def test_sampled_training_path_gradients():
-    g = G.build_graph([[0, 1], [1], [0, 1, 1]], 2)
+    g = graph_from_lists([[0, 1], [1], [0, 1, 1]], 2)
     enc = G.SageEncoder(2, base_dim=3, out_dim=3, fanout=(3, 3),
                         rng=np.random.default_rng(5))
     batch = g.edges
@@ -192,7 +192,7 @@ def test_fused_loss_gradients_through_a_dead_relu_row():
     # own items is item 2; item 2's feature makes that session's layer-1
     # pre-activation negative in every unit, and its normalized row is the
     # clamped zero row
-    g = G.build_graph([[0, 1, 1], [2, 2], [1, 0, 3]], 4)
+    g = graph_from_lists([[0, 1, 1], [2, 2], [1, 0, 3]], 4)
     enc = G.SageEncoder(4, base_dim=5, out_dim=4, fanout=(3, 2),
                         rng=np.random.default_rng(12))
     w_self, w_neigh = np.split(enc.layer1.weight.value, 2, axis=1)
@@ -267,7 +267,7 @@ class TestNodeSetMinibatchOracle:
     @staticmethod
     def _toy_graph(num_items=4):
         # repeats in sessions 0 and 2 make parallel edges; items past 3 have none
-        return G.build_graph([[0, 1, 1], [1], [0, 2, 2, 2, 1], [2, 3]], num_items)
+        return graph_from_lists([[0, 1, 1], [1], [0, 2, 2, 2, 1], [2, 3]], num_items)
 
     @staticmethod
     def _step(loss_fn, enc, g, batch, negs):
@@ -304,6 +304,28 @@ class TestNodeSetMinibatchOracle:
         negs = np.arange(toy.num_edges * 2).reshape(-1, 2) % toy.num_items
         assert _rel(G._edge_loss_det(enc, toy, toy.edges, negs),
                     reference_graph.edge_loss_det(enc, toy, toy.edges, negs)) < 1e-12
+
+    def test_holdout_loss_bitwise_equals_per_call_matrices(self, synth_graph):
+        """The graph's cached mean matrices give the holdout loss bit for bit
+        as building them and the item index range on every call did."""
+        g = synth_graph
+        enc = G.SageEncoder(g.num_items, 8, 6, rng=np.random.default_rng(8))
+        negs = np.random.default_rng(9).choice(g.num_items, size=(g.num_edges, 4))
+
+        def per_call():
+            session_mean = G._mean_matrix(g.session_adj, g.session_off, g.num_items)
+            item_pre, sess_pre = G._layer1_pre(enc, np.arange(g.num_items), session_mean)
+            item_h1, sess_h1 = G._relu_l2n(item_pre)[0], G._relu_l2n(sess_pre)[0]
+            z_s = enc._phi2_raw(sess_h1, session_mean @ item_h1)
+            item_mean = G._mean_matrix(g.item_adj, g.item_off, g.num_session_nodes)
+            z_i = enc._phi2_raw(item_h1, item_mean @ sess_h1)
+            score = G._edge_scores(z_s, z_i, g.edges[:, 0],
+                                   np.concatenate([g.edges[:, 1], negs.reshape(-1)]))[2]
+            return float(np.logaddexp(0.0, -score).sum() / len(g.edges))
+
+        for _ in range(3):  # the weights move between holdout evaluations
+            assert G._edge_loss_det(enc, g, g.edges, negs) == per_call()
+            enc.item_feat.value[...] += 0.01
 
     def test_two_epoch_training_matches_reference(self, synth_graph):
         kwargs = dict(base_dim=8, out_dim=8, epochs=2, batch_size=128,

@@ -80,6 +80,14 @@ class TestLongTermInput:
         with pytest.raises(ValueError, match="unknown user"):
             P.long_term_input(corpus, feats, 7, 0)
 
+    @pytest.mark.parametrize("session_id", [3, 4, -1], ids=["other-user", "past-end", "negative"])
+    def test_session_of_another_user_named(self, session_id):
+        corpus = corpus_from_rows([(u, 0, k * 10_000) for u in (0, 1) for k in range(2)])
+        feats = P.build_session_features(corpus, np.zeros((corpus.num_sessions, 4)))
+        assert corpus.user_session_ids(0) == [0, 1] and corpus.num_sessions == 4
+        with pytest.raises(ValueError, match=f"session {session_id} is not a session of user 0"):
+            P.long_term_input(corpus, feats, 0, session_id)
+
 
 class TestPredict:
     def test_zero_head_gives_uniform(self):

@@ -47,6 +47,15 @@ plus 3 metadata columns).
   an empty, a two-item and a 60-item prefix (longer than ``max_seq_len``
   = 50). Both are one-row calls of the batched path, so this tracks its
   per-call overhead.
+- ``test_generate``: ``synth.generate`` of the ``pinned`` log and label
+  sidecar (``SynthSpec()`` cut to 12 users: 480 sessions, about 1,200
+  interactions).
+- ``test_ingest``: the ingest stage's work on that log: ``parse_log``,
+  ``build_corpus`` (user filter, sessionization, split) and
+  ``save_corpus``.
+- ``test_load_corpus``: ``load_corpus`` of the ``corpus.jsonl`` that
+  ingest writes for it, which every later stage and the serving set-up
+  read.
 """
 
 from __future__ import annotations
@@ -63,7 +72,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import reference_graph  # noqa: E402
 from ctxrec import cluster, graph, metrics, nextitem, predictor  # noqa: E402
-from ctxrec.corpus import TRAIN, build_corpus, parse_log  # noqa: E402
+from ctxrec.corpus import TRAIN, build_corpus, load_corpus, parse_log, save_corpus  # noqa: E402
 from ctxrec.nn import engine  # noqa: E402
 from ctxrec.nn.layers import BiLstm, DenseLayer, window_sources  # noqa: E402
 from ctxrec.nn.optim import adam_stepper  # noqa: E402
@@ -139,10 +148,30 @@ def test_fc2_softmax_xent(benchmark, vocab):
 
 
 @pytest.fixture(scope="module")
-def pinned_corpus(tmp_path_factory):
+def pinned_log(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("pinned")
     generate(SynthSpec(num_users=USERS), tmp / "log.csv", tmp / "labels.json")
-    return build_corpus(parse_log(tmp / "log.csv"))
+    return tmp / "log.csv"
+
+
+@pytest.fixture(scope="module")
+def pinned_corpus(pinned_log):
+    return build_corpus(parse_log(pinned_log))
+
+
+def test_generate(benchmark, tmp_path):
+    benchmark(generate, SynthSpec(num_users=USERS), tmp_path / "log.csv",
+              tmp_path / "labels.json")
+
+
+def test_ingest(benchmark, pinned_log, tmp_path):
+    benchmark(lambda: save_corpus(build_corpus(parse_log(pinned_log)),
+                                  tmp_path / "corpus.jsonl"))
+
+
+def test_load_corpus(benchmark, pinned_corpus, tmp_path):
+    save_corpus(pinned_corpus, tmp_path / "corpus.jsonl")
+    assert benchmark(load_corpus, tmp_path / "corpus.jsonl") == pinned_corpus
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +185,7 @@ def test_train_step(benchmark, pinned_corpus):
     model = nextitem.NextItemModel(corpus.num_users, corpus.num_items, 8, user_dim=32,
                                    item_dim=ITEM_DIM, context_dim=16, hidden=HIDDEN,
                                    top_k=3, max_seq_len=MAX_SEQ_LEN, rng=rng)
-    ctx_topk = np.sort(np.argsort(rng.random((len(corpus.interactions), 8)), axis=1)[:, :3],
+    ctx_topk = np.sort(np.argsort(rng.random((corpus.num_interactions, 8)), axis=1)[:, :3],
                        axis=1)
     examples = nextitem.rank_rows(corpus, TRAIN)
     batch = examples[rng.permutation(len(examples))[:256]]

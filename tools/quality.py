@@ -74,16 +74,15 @@ def compare_bytes(here: dict[str, str], there: dict[str, str]) -> dict[str, str]
             for name in sorted(here.keys() | there.keys())}
 
 
-def measure(seed: int, tmp: Path) -> dict:
+def measure(cfg, seed: int, tmp: Path) -> dict:
     """Criterion 6/7 quantities of one pipeline seed on the pinned corpus."""
     import numpy as np
     from ctxrec import pipeline
     from ctxrec.corpus import TEST
     from ctxrec.synth import SynthSpec, generate, planted_labels
-    from test_acceptance import ACC_CFG
 
     sidecar = generate(SynthSpec(), tmp / "log.csv", tmp / "labels.json")
-    ws = pipeline.Workspace(dataclasses.replace(ACC_CFG, seed=seed), tmp / "work")
+    ws = pipeline.Workspace(dataclasses.replace(cfg, seed=seed), tmp / "work")
     pipeline.run_ingest(ws, tmp / "log.csv")
     pipeline.run_embed(ws)
     pipeline.run_contextualize(ws)
@@ -116,18 +115,19 @@ def measure(seed: int, tmp: Path) -> dict:
     return row
 
 
-def run_seeds(seeds: list[int]) -> dict:
+def run_seeds(cfg, seeds: list[int]) -> dict:
     rows = {}
     for seed in seeds:
         with tempfile.TemporaryDirectory(prefix=f"quality-{seed}-") as tmp:
-            rows[str(seed)] = measure(seed, Path(tmp))
+            rows[str(seed)] = measure(cfg, seed, Path(tmp))
         quality = {k: v for k, v in rows[str(seed)].items() if k != "artifacts"}
         print(f"seed {seed}: {json.dumps(quality)}", file=sys.stderr)
     return rows
 
 
-def run_rev(rev: str, seeds: list[int]) -> dict:
-    """This script on REV's src/, in a child process, on the same seeds."""
+def run_rev(rev: str, cfg, seeds: list[int]) -> dict:
+    """This script on REV's src/, in a child process, on the same config
+    and seeds."""
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
                          check=True, capture_output=True).stdout
     with tempfile.TemporaryDirectory(prefix="quality-rev-") as tmp:
@@ -135,6 +135,7 @@ def run_rev(rev: str, seeds: list[int]) -> dict:
             archive.extractall(tmp, filter="data")
         out = Path(tmp) / "rows.json"
         subprocess.run([sys.executable, __file__, "--src", str(Path(tmp) / "src"),
+                        "--config", json.dumps(dataclasses.asdict(cfg)),
                         "--seeds", *map(str, seeds), "--out", str(out)],
                        check=True, stdout=subprocess.DEVNULL)
         return json.loads(out.read_text())["seeds"]
@@ -162,16 +163,23 @@ def main() -> int:
     ap.add_argument("--compare", metavar="REV", help="git revision to pair against")
     ap.add_argument("--out", type=Path, help="write the JSON report here")
     ap.add_argument("--src", type=Path, default=ROOT / "src", help=argparse.SUPPRESS)
+    ap.add_argument("--config", help=argparse.SUPPRESS)  # the config as JSON
     args = ap.parse_args()
-    sys.path[:0] = [str(args.src), str(ROOT / "tests")]
+    sys.path.insert(0, str(args.src))
     import ctxrec
     if Path(ctxrec.__file__).resolve().parent != args.src.resolve() / "ctxrec":
         sys.exit(f"quality: imported ctxrec from {ctxrec.__file__}, not {args.src}")
+    if args.config:  # a REV's child process: it does not import this checkout's tests
+        from ctxrec.config import PipelineConfig
+        cfg = PipelineConfig(**json.loads(args.config))
+    else:
+        sys.path.insert(1, str(ROOT / "tests"))
+        from test_acceptance import ACC_CFG as cfg
 
-    report = {"src": str(args.src), "seeds": run_seeds(args.seeds)}
+    report = {"src": str(args.src), "seeds": run_seeds(cfg, args.seeds)}
     base = None
     if args.compare:
-        base = run_rev(args.compare, args.seeds)
+        base = run_rev(args.compare, cfg, args.seeds)
         report["compare"] = {
             "rev": args.compare, "seeds": base,
             "delta": {s: {f: (row[f] - base[s][f] if None not in (row[f], base[s][f])
