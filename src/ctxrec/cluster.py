@@ -133,14 +133,19 @@ def _lloyd(points: np.ndarray, num_contexts: int, max_iters: int,
     return centers, labels, history
 
 
+def _nearest(centers: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Per (N, dim) point row, the nearest center's id (ties to the lowest),
+    each row's distances summed as a one-row call sums them."""
+    return ((centers - points[:, None, :]) ** 2).sum(axis=2).argmin(axis=1)
+
+
 def assign(model: ContextModel, embedding: np.ndarray) -> int:
     """Nearest-center context id; distance ties break to the lowest id."""
     embedding = np.asarray(embedding, dtype=np.float64)
     if embedding.shape != (model.dim,):
         raise ValueError(f"expected embedding of dim {model.dim}, "
                          f"got shape {embedding.shape}")
-    d2 = ((model.centers - embedding) ** 2).sum(axis=1)
-    return int(d2.argmin())
+    return int(_nearest(model.centers, embedding[None])[0])
 
 
 def label_all(model: ContextModel, embeddings: np.ndarray,
@@ -149,16 +154,18 @@ def label_all(model: ContextModel, embeddings: np.ndarray,
 
     Sessions clustered at fit time keep their stored assignment; every other
     embeddable session (test-only, embedded inductively by the embed stage)
-    goes to the nearest center without refitting. A session the encoder could
-    not embed (no in-vocabulary item) gets ``UNLABELED`` and a warning.
+    goes to the nearest center without refitting. Sessions the encoder could
+    not embed (no in-vocabulary item) get ``UNLABELED`` and one warning.
     """
     labels = np.full(len(embeddings), UNLABELED, dtype=np.intp)
     labels[model.session_ids] = model.labels
-    for sid in np.flatnonzero(labels == UNLABELED):  # not clustered
-        if embeddable[sid]:
-            labels[sid] = assign(model, embeddings[sid])
-        else:
-            warnings.warn(f"session {sid}: no in-vocabulary items; left unlabeled")
+    rest = labels == UNLABELED  # not clustered
+    new = np.flatnonzero(rest & embeddable)
+    labels[new] = _nearest(model.centers, np.asarray(embeddings, dtype=np.float64)[new])
+    left = np.flatnonzero(rest & ~embeddable)
+    if len(left):
+        warnings.warn(f"{len(left)} session(s) with no in-vocabulary items left "
+                      f"unlabeled: {left[:10].tolist()}")
     return labels
 
 

@@ -79,10 +79,6 @@ class ColumnSchema:
         return max(self.user_col, self.item_col, self.time_col) + 1
 
 
-def _interaction_list(user_of, item_of, timestamp) -> list[Interaction]:
-    return list(map(Interaction, user_of.tolist(), item_of.tolist(), timestamp.tolist()))
-
-
 @dataclass
 class ParsedLog:
     """Interaction columns in (user, time) order, with the raw key of each
@@ -101,10 +97,6 @@ class ParsedLog:
     @property
     def num_items(self) -> int:
         return len(self.item_keys)
-
-    @functools.cached_property
-    def interactions(self) -> list[Interaction]:
-        return _interaction_list(self.user_of, self.item_of, self.timestamp)
 
 
 def _parse_timestamp(raw: str) -> int:
@@ -323,26 +315,11 @@ class SplitCorpus:
         gap[:-1] = start[1:] - end[:-1]
         return start, end, np.where(has_next, gap, 0), has_next
 
-    def session_split(self, session_id: int) -> str:
-        """Tag for a whole session: test > val > train by containment."""
-        tags = {self.splits[k] for k in self.interaction_range(session_id)}
-        if TEST in tags:
-            return TEST
-        if VAL in tags:
-            return VAL
-        return TRAIN
-
-    def interaction_range(self, session_id: int) -> range:
-        first = int(self.arrays.session_start[session_id])
-        return range(first, first + int(self.arrays.session_length[session_id]))
-
-    def user_session_ids(self, user_id: int) -> list[int]:
-        return np.flatnonzero(self.arrays.session_user == user_id).tolist()
-
     @functools.cached_property
     def interactions(self) -> list[Interaction]:
         a = self.arrays
-        return _interaction_list(a.user_of, a.item_of, a.timestamp)
+        return list(map(Interaction, a.user_of.tolist(), a.item_of.tolist(),
+                        a.timestamp.tolist()))
 
     @functools.cached_property
     def sessions(self) -> list[Session]:

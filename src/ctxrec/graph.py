@@ -44,11 +44,9 @@ class BipartiteMultigraph:
     session_off: np.ndarray = field(init=False)
     item_adj: np.ndarray = field(init=False)
     item_off: np.ndarray = field(init=False)
-    node_of_session: dict[int, int] = field(init=False)
 
     def __post_init__(self):
         s = self.num_session_nodes
-        self.node_of_session = {int(sid): k for k, sid in enumerate(self.session_ids)}
         s_counts = np.bincount(self.edges[:, 0], minlength=s)
         i_counts = np.bincount(self.edges[:, 1], minlength=self.num_items)
         self.session_off = np.concatenate([[0], np.cumsum(s_counts)]).astype(np.intp)
@@ -70,8 +68,13 @@ class BipartiteMultigraph:
         """Item neighbor multiset of a session node."""
         return self.session_adj[self.session_off[node]:self.session_off[node + 1]]
 
-    def item_degree(self, item: int) -> int:
-        return int(self.item_off[item + 1] - self.item_off[item])
+    def known(self, items: np.ndarray) -> np.ndarray:
+        """Per item id, whether it is a vocabulary item with an edge."""
+        items = np.asarray(items, dtype=np.intp)
+        inside = (items >= 0) & (items < self.num_items)
+        known = np.zeros(len(items), dtype=bool)
+        known[inside] = np.diff(self.item_off)[items[inside]] > 0
+        return known
 
     @functools.cached_property
     def session_mean(self) -> sparse.csr_matrix:
@@ -141,34 +144,35 @@ class SageEncoder:
 
     # -- deterministic full-neighborhood forward (plain numpy) ---------------
 
-    def _phi1(self, self_feat: np.ndarray, neigh_mean: np.ndarray) -> np.ndarray:
-        x = np.concatenate([self_feat, neigh_mean], axis=-1)
-        h = x @ self.layer1.weight.value.T + self.layer1.bias.value
-        h = np.maximum(h, 0.0)
-        return _l2n(h)
-
-    def _phi2_raw(self, h1_self: np.ndarray, h1_neigh_mean: np.ndarray) -> np.ndarray:
-        x = np.concatenate([h1_self, h1_neigh_mean], axis=-1)
-        return x @ self.layer2.weight.value.T + self.layer2.bias.value
-
-    def _phi2(self, h1_self: np.ndarray, h1_neigh_mean: np.ndarray) -> np.ndarray:
-        return _l2n(self._phi2_raw(h1_self, h1_neigh_mean))
-
     def _item_h1(self) -> np.ndarray:
         # every session node shares one base feature, so the neighbor mean of
         # any item is exactly that vector
         tiles = np.broadcast_to(self.session_feat.value,
                                 (self.num_items, self.base_dim))
-        return self._phi1(self.item_feat.value, tiles)
+        return _l2n(np.maximum(_dense(self.layer1, self.item_feat.value, tiles), 0.0))
 
-    def _embed_from_items(self, items: np.ndarray, item_h1: np.ndarray) -> np.ndarray:
-        # canonical (sorted) aggregation order so identical multisets embed
-        # bitwise identically regardless of how the caller ordered them
-        items = np.sort(np.asarray(items, dtype=np.intp))
-        feat_mean = self.item_feat.value[items].mean(axis=0)
-        h1_self = self._phi1(self.session_feat.value, feat_mean)
-        h1_neigh = item_h1[items].mean(axis=0)
-        return self._phi2(h1_self, h1_neigh)
+    def embed_rows(self, items: np.ndarray, off: np.ndarray) -> np.ndarray:
+        """(len(off) - 1, out_dim) embeddings of the sessions whose item
+        multisets are the runs ``items[off[r]:off[r + 1]]``; no run may be empty.
+
+        Each run is aggregated in ascending item order, so identical multisets
+        embed bitwise identically however they are ordered, and row r does
+        not depend on the other rows: every mean adds its items in the order
+        ``F[sorted].mean(axis=0)`` does, and every session-side layer is one
+        stacked one-row product.
+        """
+        items = np.asarray(items, dtype=np.intp)
+        off = np.asarray(off, dtype=np.intp)
+        counts = np.diff(off)[:, None]
+        row = np.repeat(np.arange(len(counts)), counts[:, 0])
+        items = items[np.lexsort((items, row))]
+        total = sparse.csr_matrix((np.ones(len(items)), items, off),
+                                  shape=(len(counts), self.num_items))
+        feat_mean = (total @ self.item_feat.value) / counts
+        h1_neigh = (total @ self._item_h1()) / counts
+        own = np.broadcast_to(self.session_feat.value, (len(counts), 1, self.base_dim))
+        h1_self = _l2n(np.maximum(_dense(self.layer1, own, feat_mean[:, None]), 0.0))
+        return _l2n(_dense(self.layer2, h1_self, h1_neigh[:, None]))[:, 0]
 
     def embed_new_session(self, graph: BipartiteMultigraph,
                           items: list[int]) -> np.ndarray:
@@ -179,53 +183,59 @@ class SageEncoder:
         """
         if len(items) == 0:
             raise ValueError("cannot embed an empty item list")
-        known = [i for i in items
-                 if 0 <= i < graph.num_items and graph.item_degree(i) > 0]
+        items = np.asarray(items, dtype=np.intp)
+        known = items[graph.known(items)]
         if len(known) < len(items):
             warnings.warn(f"dropping {len(items) - len(known)} item(s) outside "
                           "the training vocabulary")
-        if not known:
+        if not len(known):
             raise ValueError("all items are outside the training vocabulary")
-        return self._embed_from_items(np.asarray(known, dtype=np.intp),
-                                      self._item_h1())
+        return self.embed_rows(known, [0, len(known)])[0]
 
     def embed_all_sessions(self, graph: BipartiteMultigraph) -> np.ndarray:
         """(num_session_nodes, out_dim) deterministic embeddings.
 
-        Uses the same per-session aggregation path as ``embed_new_session``,
-        so a stored row matches an inductive call on its items bit for bit.
+        Runs ``embed_rows`` as ``embed_new_session`` does, so a stored row
+        matches an inductive call on its items bit for bit.
         """
-        item_h1 = self._item_h1()
-        out = np.empty((graph.num_session_nodes, self.out_dim))
-        for node in range(graph.num_session_nodes):
-            out[node] = self._embed_from_items(graph.session_items(node), item_h1)
-        return out
+        return self.embed_rows(graph.session_adj, graph.session_off)
 
     def embed_corpus(self, graph: BipartiteMultigraph,
                      corpus: SplitCorpus) -> tuple[np.ndarray, np.ndarray]:
         """Every corpus session's embedding row and whether it could be embedded.
 
-        Graph sessions embed in full, the rest (test-only) inductively from all
-        their items. A session with no in-vocabulary item keeps a zero row."""
-        embeddings = np.zeros((corpus.num_sessions, self.out_dim))
-        embeddable = np.zeros(corpus.num_sessions, dtype=bool)
-        embeddings[graph.session_ids] = self.embed_all_sessions(graph)
-        embeddable[graph.session_ids] = True
+        Graph sessions embed in full, the rest (test-only) inductively from
+        their items in the training vocabulary, all in one ``embed_rows``
+        call; one warning counts the items dropped. A session with no
+        in-vocabulary item keeps a zero row."""
         a = corpus.arrays
-        for sid in np.flatnonzero(~embeddable).tolist():
-            first = a.session_start[sid]
-            try:
-                embeddings[sid] = self.embed_new_session(
-                    graph, a.item_of[first:first + a.session_length[sid]].tolist())
-                embeddable[sid] = True
-            except ValueError:
-                pass
+        new = ~np.isin(a.session_of, graph.session_ids)
+        keep = graph.known(a.item_of[new])
+        if not keep.all():
+            warnings.warn(f"dropping {len(keep) - keep.sum()} item(s) of test-only "
+                          "sessions outside the training vocabulary")
+        session_of = np.concatenate([graph.session_ids[graph.edges[:, 0]],
+                                     a.session_of[new][keep]])
+        items = np.concatenate([graph.edges[:, 1], a.item_of[new][keep]])
+        counts = np.bincount(session_of, minlength=corpus.num_sessions)
+        embeddable = counts > 0
+        embeddings = np.zeros((corpus.num_sessions, self.out_dim))
+        embeddings[embeddable] = self.embed_rows(
+            items[np.argsort(session_of, kind="stable")],
+            np.concatenate([[0], np.cumsum(counts[embeddable])]))
         return embeddings, embeddable
 
 
 def _l2n(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     norms = np.maximum(np.linalg.norm(x, axis=-1, keepdims=True), eps)
     return x / norms
+
+
+def _dense(layer: DenseLayer, self_part: np.ndarray,
+           neigh_part: np.ndarray) -> np.ndarray:
+    """The layer's affine map of [self_part ; neigh_part] along the last axis."""
+    x = np.concatenate([self_part, neigh_part], axis=-1)
+    return x @ layer.weight.value.T + layer.bias.value
 
 
 def _mean_matrix(cols: np.ndarray, off: np.ndarray, num_cols: int) -> sparse.csr_matrix:
@@ -356,9 +366,9 @@ def _edge_loss_det(encoder: SageEncoder, graph: BipartiteMultigraph,
     """Holdout loss, full neighborhoods and fixed negatives, pre-normalization."""
     item_pre, sess_pre = _layer1_pre(encoder, slice(None), graph.session_mean)
     item_h1, sess_h1 = _relu_l2n(item_pre)[0], _relu_l2n(sess_pre)[0]
-    z_s = encoder._phi2_raw(sess_h1, graph.session_mean @ item_h1)
+    z_s = _dense(encoder.layer2, sess_h1, graph.session_mean @ item_h1)
     # item-side second layer: neighbor sessions' full h1
-    z_i = encoder._phi2_raw(item_h1, graph.item_mean @ sess_h1)
+    z_i = _dense(encoder.layer2, item_h1, graph.item_mean @ sess_h1)
     score = _edge_scores(z_s, z_i, edges[:, 0],
                          np.concatenate([edges[:, 1], negatives.reshape(-1)]))[2]
     return float(np.logaddexp(0.0, -score).sum() / len(edges))

@@ -6,6 +6,11 @@ that reads the embed stage's stored rows.
 left the package with it, so ``ReferenceContextModel`` carries that method,
 also unchanged. ``assign_many`` is the removed ``cluster.assign_many``,
 which only tests called.
+
+``assign_row`` and ``label_rows`` are ``cluster.assign`` and the stored-row
+``cluster.label_all`` as they stood before ``label_all`` labeled every
+unclustered session in one array pass, copied unchanged apart from their
+names.
 """
 
 import warnings
@@ -53,6 +58,35 @@ def label_all(model: ContextModel, encoder: SageEncoder,
             warnings.warn(f"session {sid}: no in-vocabulary items; left unlabeled")
             continue
         labels[sid] = assign(model, emb)
+    return labels
+
+
+def assign_row(model: ContextModel, embedding: np.ndarray) -> int:
+    """Nearest-center context id; distance ties break to the lowest id."""
+    embedding = np.asarray(embedding, dtype=np.float64)
+    if embedding.shape != (model.dim,):
+        raise ValueError(f"expected embedding of dim {model.dim}, "
+                         f"got shape {embedding.shape}")
+    d2 = ((model.centers - embedding) ** 2).sum(axis=1)
+    return int(d2.argmin())
+
+
+def label_rows(model: ContextModel, embeddings: np.ndarray,
+               embeddable: np.ndarray) -> np.ndarray:
+    """Context id for every session, from its stored embedding row.
+
+    Sessions clustered at fit time keep their stored assignment; every other
+    embeddable session (test-only, embedded inductively by the embed stage)
+    goes to the nearest center without refitting. A session the encoder could
+    not embed (no in-vocabulary item) gets ``UNLABELED`` and a warning.
+    """
+    labels = np.full(len(embeddings), UNLABELED, dtype=np.intp)
+    labels[model.session_ids] = model.labels
+    for sid in np.flatnonzero(labels == UNLABELED):  # not clustered
+        if embeddable[sid]:
+            labels[sid] = assign_row(model, embeddings[sid])
+        else:
+            warnings.warn(f"session {sid}: no in-vocabulary items; left unlabeled")
     return labels
 
 

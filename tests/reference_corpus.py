@@ -6,6 +6,11 @@ package did before its corpus became a set of columns: user filtering,
 sessionization, the chronological split, the line-at-a-time corpus writer
 and reader, and the generator that drew each session's items with
 ``Generator.choice(p=...)``.
+
+``parsed_interactions``, ``session_split``, ``interaction_range`` and
+``user_session_ids`` are the per-row accessors that ``ParsedLog`` and
+``SplitCorpus`` carried while only tests read them; ``session_split`` is
+the per-row copy of ``SplitCorpus.session_split_codes``'s rule.
 """
 
 from __future__ import annotations
@@ -21,6 +26,30 @@ import numpy as np
 from ctxrec.corpus import (CORPUS_FORMAT_VERSION, TEST, TRAIN, VAL, Interaction,
                            ParsedLog, Session, SplitCorpus)
 from ctxrec.synth import SynthSpec
+
+
+def parsed_interactions(parsed: ParsedLog) -> list[Interaction]:
+    return list(map(Interaction, parsed.user_of.tolist(), parsed.item_of.tolist(),
+                    parsed.timestamp.tolist()))
+
+
+def interaction_range(corpus: SplitCorpus, session_id: int) -> range:
+    first = int(corpus.arrays.session_start[session_id])
+    return range(first, first + int(corpus.arrays.session_length[session_id]))
+
+
+def session_split(corpus: SplitCorpus, session_id: int) -> str:
+    """Tag for a whole session: test > val > train by containment."""
+    tags = {corpus.splits[k] for k in interaction_range(corpus, session_id)}
+    if TEST in tags:
+        return TEST
+    if VAL in tags:
+        return VAL
+    return TRAIN
+
+
+def user_session_ids(corpus: SplitCorpus, user_id: int) -> list[int]:
+    return np.flatnonzero(corpus.arrays.session_user == user_id).tolist()
 
 
 @dataclass
@@ -161,15 +190,15 @@ def split(interactions: Sequence[Interaction], train_frac: float = 0.9,
 def build_corpus(parsed: ParsedLog, idle_threshold: int = 3600,
                  min_count: int = 10) -> ReferenceCorpus:
     """Filter, sessionize and split the parsed log's interactions."""
-    filtered = filter_users(parsed.interactions, min_count)
+    filtered = filter_users(parsed_interactions(parsed), min_count)
     keep_counts: dict[int, int] = {}
-    for it in parsed.interactions:
+    for it in parsed_interactions(parsed):
         keep_counts[it.user_id] = keep_counts.get(it.user_id, 0) + 1
     user_keys: list[str] = []
     item_keys: list[str] = []
     seen_u: set[int] = set()
     seen_i: set[int] = set()
-    for it in parsed.interactions:
+    for it in parsed_interactions(parsed):
         if keep_counts[it.user_id] < min_count:
             continue
         if it.user_id not in seen_u:

@@ -12,10 +12,20 @@ from. ``train_encoder`` is the trainer of that time; the batch loss it
 assembled inline is ``batch_loss``, moved out unchanged so one step can be
 compared. ``embed_session`` is the removed ``SageEncoder.embed_session``,
 the full-neighborhood embedding of one graph session.
+
+``phi1``, ``phi2_raw``, ``phi2``, ``item_h1``, ``embed_from_items``,
+``embed_new_session``, ``embed_all_sessions`` and ``embed_corpus`` are the
+per-session embedding path that ``SageEncoder.embed_rows`` replaced, copied
+unchanged apart from being module functions (``self`` became ``enc``) and
+reading an item's degree from ``graph.item_off``. They are the oracle for
+the batched path at tolerance 0.
 """
+
+import warnings
 
 import numpy as np
 
+from ctxrec.corpus import SplitCorpus
 from ctxrec.graph import (
     BipartiteMultigraph,
     SageEncoder,
@@ -127,13 +137,106 @@ def add_n(parts: list[Var], weights: list[float] | None = None) -> Var:
 def embed_session(enc: SageEncoder, graph: BipartiteMultigraph,
                   session_id: int) -> np.ndarray:
     """Deterministic full-neighborhood embedding of a training session."""
-    if session_id not in graph.node_of_session:
+    node = int(np.searchsorted(graph.session_ids, session_id))
+    if node == graph.num_session_nodes or graph.session_ids[node] != session_id:
         raise ValueError(f"session {session_id} has no node in the graph")
-    node = graph.node_of_session[session_id]
     items = graph.session_items(node)
     if len(items) == 0:
         raise ValueError(f"session {session_id} is isolated")
-    return enc._embed_from_items(items, enc._item_h1())
+    return embed_from_items(enc, items, item_h1(enc))
+
+
+def _l2n(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+    norms = np.maximum(np.linalg.norm(x, axis=-1, keepdims=True), eps)
+    return x / norms
+
+
+def phi1(enc: SageEncoder, self_feat: np.ndarray, neigh_mean: np.ndarray) -> np.ndarray:
+    x = np.concatenate([self_feat, neigh_mean], axis=-1)
+    h = x @ enc.layer1.weight.value.T + enc.layer1.bias.value
+    h = np.maximum(h, 0.0)
+    return _l2n(h)
+
+
+def phi2_raw(enc: SageEncoder, h1_self: np.ndarray, h1_neigh_mean: np.ndarray) -> np.ndarray:
+    x = np.concatenate([h1_self, h1_neigh_mean], axis=-1)
+    return x @ enc.layer2.weight.value.T + enc.layer2.bias.value
+
+
+def phi2(enc: SageEncoder, h1_self: np.ndarray, h1_neigh_mean: np.ndarray) -> np.ndarray:
+    return _l2n(phi2_raw(enc, h1_self, h1_neigh_mean))
+
+
+def item_h1(enc: SageEncoder) -> np.ndarray:
+    # every session node shares one base feature, so the neighbor mean of
+    # any item is exactly that vector
+    tiles = np.broadcast_to(enc.session_feat.value,
+                            (enc.num_items, enc.base_dim))
+    return phi1(enc, enc.item_feat.value, tiles)
+
+
+def embed_from_items(enc: SageEncoder, items: np.ndarray, item_h1: np.ndarray) -> np.ndarray:
+    # canonical (sorted) aggregation order so identical multisets embed
+    # bitwise identically regardless of how the caller ordered them
+    items = np.sort(np.asarray(items, dtype=np.intp))
+    feat_mean = enc.item_feat.value[items].mean(axis=0)
+    h1_self = phi1(enc, enc.session_feat.value, feat_mean)
+    h1_neigh = item_h1[items].mean(axis=0)
+    return phi2(enc, h1_self, h1_neigh)
+
+
+def embed_new_session(enc: SageEncoder, graph: BipartiteMultigraph,
+                      items: list[int]) -> np.ndarray:
+    """Inductive embedding for an unseen item list; the graph is unchanged.
+
+    Items outside the training vocabulary (unknown id or degree zero) are
+    dropped with a warning; an empty or fully-unseen list is an error.
+    """
+    if len(items) == 0:
+        raise ValueError("cannot embed an empty item list")
+    known = [i for i in items
+             if 0 <= i < graph.num_items and graph.item_off[i + 1] > graph.item_off[i]]
+    if len(known) < len(items):
+        warnings.warn(f"dropping {len(items) - len(known)} item(s) outside "
+                      "the training vocabulary")
+    if not known:
+        raise ValueError("all items are outside the training vocabulary")
+    return embed_from_items(enc, np.asarray(known, dtype=np.intp), item_h1(enc))
+
+
+def embed_all_sessions(enc: SageEncoder, graph: BipartiteMultigraph) -> np.ndarray:
+    """(num_session_nodes, out_dim) deterministic embeddings.
+
+    Uses the same per-session aggregation path as ``embed_new_session``,
+    so a stored row matches an inductive call on its items bit for bit.
+    """
+    h1 = item_h1(enc)
+    out = np.empty((graph.num_session_nodes, enc.out_dim))
+    for node in range(graph.num_session_nodes):
+        out[node] = embed_from_items(enc, graph.session_items(node), h1)
+    return out
+
+
+def embed_corpus(enc: SageEncoder, graph: BipartiteMultigraph,
+                 corpus: SplitCorpus) -> tuple[np.ndarray, np.ndarray]:
+    """Every corpus session's embedding row and whether it could be embedded.
+
+    Graph sessions embed in full, the rest (test-only) inductively from all
+    their items. A session with no in-vocabulary item keeps a zero row."""
+    embeddings = np.zeros((corpus.num_sessions, enc.out_dim))
+    embeddable = np.zeros(corpus.num_sessions, dtype=bool)
+    embeddings[graph.session_ids] = embed_all_sessions(enc, graph)
+    embeddable[graph.session_ids] = True
+    a = corpus.arrays
+    for sid in np.flatnonzero(~embeddable).tolist():
+        first = a.session_start[sid]
+        try:
+            embeddings[sid] = embed_new_session(
+                enc, graph, a.item_of[first:first + a.session_length[sid]].tolist())
+            embeddable[sid] = True
+        except ValueError:
+            pass
+    return embeddings, embeddable
 
 
 def session_z(enc: SageEncoder, graph: BipartiteMultigraph, nodes: np.ndarray,
@@ -182,22 +285,23 @@ def edge_loss_det(encoder: SageEncoder, graph: BipartiteMultigraph,
 
     Computed on the same pre-normalization outputs the training loss sees.
     """
-    item_h1 = encoder._item_h1()
+    h1_items = item_h1(encoder)
     n = graph.num_session_nodes
     feat_sum = np.zeros((n, encoder.base_dim))
     h1_sum = np.zeros((n, encoder.out_dim))
     np.add.at(feat_sum, graph.edges[:, 0], encoder.item_feat.value[graph.edges[:, 1]])
-    np.add.at(h1_sum, graph.edges[:, 0], item_h1[graph.edges[:, 1]])
+    np.add.at(h1_sum, graph.edges[:, 0], h1_items[graph.edges[:, 1]])
     deg_s = np.maximum((graph.session_off[1:] - graph.session_off[:-1]), 1)[:, None]
-    h1_sess = encoder._phi1(
+    h1_sess = phi1(
+        encoder,
         np.broadcast_to(encoder.session_feat.value, (n, encoder.base_dim)),
         feat_sum / deg_s)
-    z_s_all = encoder._phi2_raw(h1_sess, h1_sum / deg_s)
+    z_s_all = phi2_raw(encoder, h1_sess, h1_sum / deg_s)
     # item-side second layer: neighbor sessions' full h1
     h1_sess_sum = np.zeros((graph.num_items, encoder.out_dim))
     np.add.at(h1_sess_sum, graph.edges[:, 1], h1_sess[graph.edges[:, 0]])
     deg_i = np.maximum((graph.item_off[1:] - graph.item_off[:-1]), 1)[:, None]
-    z_i_all = encoder._phi2_raw(item_h1, h1_sess_sum / deg_i)
+    z_i_all = phi2_raw(encoder, h1_items, h1_sess_sum / deg_i)
 
     z_s = z_s_all[edges[:, 0]]
     pos = (z_s * z_i_all[edges[:, 1]]).sum(axis=1)

@@ -22,6 +22,7 @@ from ctxrec.nextitem import ABLATION
 from ctxrec.nn import engine
 from ctxrec.nn.engine import stable_sigmoid
 from ctxrec.predictor import long_term_input, top_k_contexts
+from reference_corpus import interaction_range
 from reference_graph import add_n, broadcast_param
 
 
@@ -185,7 +186,7 @@ def predict_all_prefixes(model, corpus, features, k):
     for s in corpus.sessions:
         history = long_term_input(corpus, features, s.user_id, s.session_id,
                                   model.max_seq_len)
-        for idx in corpus.interaction_range(s.session_id):
+        for idx in interaction_range(corpus, s.session_id):
             probs = context_probs(model, s.user_id, s.items[:corpus.position_of[idx]],
                                   history)
             ids = top_k_contexts(probs, k)

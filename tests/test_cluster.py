@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctxrec import cluster as C
 from ctxrec import graph as G
 from conftest import corpus_from_rows
-from reference_cluster import assign_many, reference_labels
+from reference_cluster import assign_many, assign_row, label_rows, reference_labels
 
 
 class TestKmeansFit:
@@ -159,7 +162,7 @@ class TestLabelAll:
         corpus, graph, enc, model = self._stack()
         labels = C.label_all(model, *enc.embed_corpus(graph, corpus))
         # session 9 is test-only and repeats session 0's item multiset {0, 1}
-        assert 9 not in graph.node_of_session
+        assert 9 not in graph.session_ids
         assert corpus.sessions[9].items in ((0, 1), (1, 0))
         assert labels[9] == labels[0]
 
@@ -185,6 +188,61 @@ class TestLabelAll:
         assert (expected == C.UNLABELED).sum() == 1
         assert labels.dtype == expected.dtype
         assert np.array_equal(labels, expected)
+
+
+class TestLabelAllOracle:
+    """The one-pass ``label_all`` and ``assign`` against the per-session
+    copies they replaced (``reference_cluster``), at tolerance 0."""
+
+    def test_small_stack(self, small_stack):
+        s = small_stack
+        labels = C.label_all(s["kmeans"], s["embeddings"], s["embeddable"])
+        expected = label_rows(s["kmeans"], s["embeddings"], s["embeddable"])
+        assert labels.tobytes() == expected.tobytes()
+        assert len(s["embeddings"]) > len(s["kmeans"].session_ids)
+
+    def test_unembeddable_sessions_warn_once(self):
+        centers = np.array([[0.0, 0.0], [1.0, 1.0]])
+        model = C.ContextModel(centers, np.array([0]), np.array([1]))
+        embeddings = np.array([[0.0, 0.0], [0.9, 1.0], [0.0, 0.0], [0.0, 0.0]])
+        embeddable = np.array([True, True, False, False])
+        with pytest.warns(UserWarning, match=r"2 session\(s\) .* unlabeled: \[2, 3\]"):
+            labels = C.label_all(model, embeddings, embeddable)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = label_rows(model, embeddings, embeddable)
+        assert labels.tobytes() == expected.tobytes()
+        assert labels.tolist() == [1, 1, C.UNLABELED, C.UNLABELED]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 12), st.integers(0, 2**16))
+    def test_grid_points_with_ties(self, k, dim, n, seed):
+        # points and centers on a coarse grid, so distance ties are common
+        rng = np.random.default_rng(seed)
+        model = C.ContextModel(rng.integers(-1, 2, size=(k, dim)) * 0.5,
+                               np.flatnonzero(rng.random(n) < 0.3),
+                               np.zeros(0, dtype=np.intp))
+        model.labels = rng.integers(0, k, size=len(model.session_ids))
+        embeddings = rng.integers(-2, 3, size=(n, dim)) * 0.25
+        embeddable = rng.random(n) < 0.8
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            labels = C.label_all(model, embeddings, embeddable)
+            expected = label_rows(model, embeddings, embeddable)
+        assert labels.tobytes() == expected.tobytes()
+        for row in embeddings:
+            assert C.assign(model, row) == assign_row(model, row)
+
+    def test_midpoints_between_centers(self):
+        # each point is equally far from two centers up to rounding, so the
+        # label depends on how every distance is summed
+        rng = np.random.default_rng(4)
+        centers = rng.normal(size=(6, 16))
+        pairs = rng.integers(0, 6, size=(500, 2))
+        embeddings = (centers[pairs[:, 0]] + centers[pairs[:, 1]]) / 2
+        model = C.ContextModel(centers, np.arange(0), np.zeros(0, dtype=np.intp))
+        labels = C.label_all(model, embeddings, np.ones(500, dtype=bool))
+        assert labels.tobytes() == label_rows(model, embeddings, np.ones(500, dtype=bool)).tobytes()
 
 
 def test_clusters_csv_export(tmp_path):

@@ -28,6 +28,7 @@ from ctxrec.corpus import (
 )
 from ctxrec.predictor import build_session_features
 from ctxrec.synth import SynthSpec, generate, planted_labels
+from reference_corpus import parsed_interactions, session_split
 from conftest import column_sessions as sessionize, corpus_from_rows, synth_corpus
 
 
@@ -36,14 +37,14 @@ def filter_users(interactions, min_count):
     user, item, ts = (np.array(c, dtype=np.intp) for c in
                       zip(*[(it.user_id, it.item_id, it.timestamp) for it in interactions]))
     keys = [str(k) for k in range(max(user.max(), item.max()) + 1)]
-    return filter_log(ParsedLog(user, item, ts, keys, keys), min_count).interactions
+    return parsed_interactions(filter_log(ParsedLog(user, item, ts, keys, keys), min_count))
 
 
 class TestParseLog:
     def test_id_compaction(self):
         parsed = parse_log(["9,100,5", "42,100,9", "9,101,7"])
-        assert len(parsed.interactions) == 3
-        assert {it.user_id for it in parsed.interactions} == {0, 1}
+        assert len(parsed_interactions(parsed)) == 3
+        assert {it.user_id for it in parsed_interactions(parsed)} == {0, 1}
         assert parsed.user_keys == ["9", "42"]
         assert parsed.item_keys == ["100", "101"]
 
@@ -58,25 +59,25 @@ class TestParseLog:
     def test_skip_mode_drops_bad_rows(self):
         with pytest.warns(UserWarning):
             parsed = parse_log(["1,2,3", "bad", "1,3,4"], on_error="skip")
-        assert len(parsed.interactions) == 2
+        assert len(parsed_interactions(parsed)) == 2
 
     def test_equal_timestamps_keep_input_order(self):
         parsed = parse_log(["1,10,5", "1,11,5", "1,12,5"])
-        assert [it.item_id for it in parsed.interactions] == [0, 1, 2]
+        assert [it.item_id for it in parsed_interactions(parsed)] == [0, 1, 2]
 
     def test_sorted_per_user_by_time(self):
         parsed = parse_log(["1,10,9", "1,11,5", "2,10,7", "1,12,6"])
-        times = [it.timestamp for it in parsed.interactions if it.user_id == 0]
+        times = [it.timestamp for it in parsed_interactions(parsed) if it.user_id == 0]
         assert times == sorted(times)
 
     def test_header_and_float_timestamps(self):
         schema = ColumnSchema(has_header=True)
         parsed = parse_log(["user,item,time", "1,2,3.7"], schema)
-        assert parsed.interactions[0].timestamp == 3
+        assert parsed_interactions(parsed)[0].timestamp == 3
 
     def test_custom_delimiter(self):
         parsed = parse_log(["1\t2\t3"], ColumnSchema(delimiter="\t"))
-        assert len(parsed.interactions) == 1
+        assert len(parsed_interactions(parsed)) == 1
 
 
 class TestFilterUsers:
@@ -204,7 +205,7 @@ class TestSplit:
         assert corpus.num_sessions == 1
         assert set(corpus.session_of) == {0}
         assert corpus.splits[-1] == TEST
-        assert corpus.session_split(0) == TEST
+        assert session_split(corpus, 0) == TEST
 
     def test_session_split_tags(self):
         # sessions of 2, gaps 10000: 20 interactions -> 10 sessions;
@@ -216,7 +217,7 @@ class TestSplit:
             rows.append((0, k % 3, t))
         corpus = corpus_from_rows(rows)
         assert corpus.num_sessions == 10
-        tags = [corpus.session_split(s) for s in range(10)]
+        tags = [session_split(corpus, s) for s in range(10)]
         assert tags == [TRAIN] * 8 + [VAL, TEST]
 
 
@@ -336,7 +337,7 @@ def _parse_oracle(lines: list[str], header: bool) -> tuple[list[Interaction], li
 def test_column_path_matches_object_oracle(rows, idle_threshold, min_count, header):
     lines = _log_lines(rows, idle_threshold, header)
     parsed = parse_log(lines, ColumnSchema(has_header=header))
-    assert (parsed.interactions, parsed.user_keys, parsed.item_keys) == _parse_oracle(
+    assert (parsed_interactions(parsed), parsed.user_keys, parsed.item_keys) == _parse_oracle(
         lines, header)
     corpus = build_corpus(parsed, idle_threshold, min_count)
     oracle = reference_corpus.build_corpus(parsed, idle_threshold, min_count)

@@ -1,9 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctxrec import graph as G
+from ctxrec import pipeline
+from ctxrec.config import PipelineConfig
 from ctxrec.corpus import TEST
 from ctxrec.nn import DenseLayer, engine, finite_diff_check
+from ctxrec.synth import SynthSpec, generate
 import reference_graph
 from conftest import corpus_from_rows, graph_from_lists, synth_corpus
 
@@ -18,12 +24,12 @@ class TestBuildGraph:
         g = graph_from_lists([[1, 2], [2]], 3)
         assert g.num_session_nodes + g.num_items == 5
         assert g.num_edges == 3
-        assert g.item_degree(2) == 2
+        assert np.diff(g.item_off)[2] == 2
 
     def test_repeat_creates_parallel_edges(self):
         g = graph_from_lists([[1, 1]], 2)
         assert g.num_edges == 2
-        assert g.item_degree(1) == 2
+        assert np.diff(g.item_off)[1] == 2
         assert g.session_off[1] - g.session_off[0] == 2
 
     def test_empty_corpus(self):
@@ -168,6 +174,128 @@ class TestEmbedNewSession:
         a = enc.embed_new_session(g, [0, 1, 2, 2])
         b = enc.embed_new_session(g, [2, 0, 2, 1])
         assert np.array_equal(a, b)
+
+
+def _bytes_equal(a, b):
+    """Equal bits: ``==`` would take -0.0 for 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _messages(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = call()
+    return out, [str(w.message) for w in caught]
+
+
+class TestBatchedEmbeddingOracle:
+    """``embed_rows`` and its callers against the per-session path they
+    replaced (``reference_graph``), at tolerance 0."""
+
+    # item 5 is in the vocabulary but has no edge
+    LISTS = [[0, 1, 1], [1, 2], [2], [3, 0, 2, 2, 1], [4], [1, 1, 1]]
+
+    @staticmethod
+    def _encoder(num_items, seed=3):
+        return G.SageEncoder(num_items, 6, 5, rng=np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("items", [
+        [1], [2, 2, 0], [4, 3, 2, 1, 0], [1, 1, 1], [0, 5], [-1, 7, 2], [5, 3, 5, 9]])
+    def test_new_session(self, items):
+        g, enc = graph_from_lists(self.LISTS, 6), self._encoder(6)
+        got, said = _messages(lambda: enc.embed_new_session(g, items))
+        ref, ref_said = _messages(lambda: reference_graph.embed_new_session(enc, g, items))
+        assert _bytes_equal(got, ref)
+        assert said == ref_said
+
+    @pytest.mark.parametrize("items", [[5], [-1, 6], [5, 5]])
+    def test_new_session_of_unknown_items_rejected(self, items):
+        g, enc = graph_from_lists(self.LISTS, 6), self._encoder(6)
+        for call in (enc.embed_new_session, lambda *a: reference_graph.embed_new_session(enc, *a)):
+            with pytest.warns(UserWarning, match=f"dropping {len(items)}"):
+                with pytest.raises(ValueError, match="outside the training vocabulary"):
+                    call(g, items)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=6),
+                    min_size=1, max_size=8),
+           st.integers(0, 2**16))
+    def test_rows(self, runs, seed):
+        enc = self._encoder(8, seed)
+        off = np.cumsum([0] + [len(r) for r in runs])
+        got = enc.embed_rows(np.concatenate(runs), off)
+        h1 = reference_graph.item_h1(enc)
+        ref = np.stack([reference_graph.embed_from_items(enc, r, h1) for r in runs])
+        assert _bytes_equal(got, ref)
+
+    def test_all_sessions(self, small_stack):
+        g, enc = small_stack["graph"], small_stack["encoder"]
+        assert _bytes_equal(enc.embed_all_sessions(g),
+                            reference_graph.embed_all_sessions(enc, g))
+
+    def test_corpus_with_unknown_items(self):
+        # per user, 20% of the interactions are test: the last two sessions
+        # of users 0 and 1, the last two of user 2's one-item sessions.
+        # Items 5, 6 and 7 appear only there, so they have no edge.
+        users = [[[0, 1], [1, 2], [2, 0], [0, 3]] * 2 + [[5, 5], [2, 0]],
+                 [[3, 4], [4, 0], [1, 3], [3, 3]] * 2 + [[6, 1], [3, 3]],
+                 [[k % 5] for k in range(8)] + [[4], [7]]]
+        rows, t = [], 0
+        for user, sessions in enumerate(users):
+            for items in sessions:
+                t += 10_000
+                rows += [(user, item, t + 10 * k) for k, item in enumerate(items)]
+        corpus = corpus_from_rows(rows, train_frac=0.8)
+        g = G.build_graph_from_corpus(corpus)
+        enc = self._encoder(corpus.num_items)
+        assert corpus.num_items == 8 and g.num_session_nodes == corpus.num_sessions - 6
+        (emb, ok), said = _messages(lambda: enc.embed_corpus(g, corpus))
+        ref_emb, ref_ok = reference_graph.embed_corpus(enc, g, corpus)
+        assert _bytes_equal(emb, ref_emb) and _bytes_equal(ok, ref_ok)
+        assert said == ["dropping 4 item(s) of test-only sessions outside the "
+                        "training vocabulary"]
+        assert (~ok).sum() == 2 and not emb[~ok].any()
+
+    @pytest.mark.parametrize("stack", ["small", "pinned-size"])
+    def test_corpus(self, stack, small_stack, tmp_path):
+        if stack == "small":
+            corpus, g, enc = (small_stack[k] for k in ("corpus", "graph", "encoder"))
+        else:
+            corpus, *_ = synth_corpus(tmp_path, num_users=12, seed=1000)
+            g = G.build_graph_from_corpus(corpus)
+            enc, _ = G.train_encoder(g, base_dim=32, out_dim=32, epochs=2, seed=7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            emb, ok = enc.embed_corpus(g, corpus)
+            ref_emb, ref_ok = reference_graph.embed_corpus(enc, g, corpus)
+        assert (~np.isin(np.arange(corpus.num_sessions), g.session_ids)).sum() > 0
+        assert _bytes_equal(emb, ref_emb) and _bytes_equal(ok, ref_ok)
+
+
+def test_run_embed_makes_one_batched_call(tmp_path, monkeypatch):
+    generate(SynthSpec(num_users=8, num_contexts=3, items_per_context=6,
+                       sessions_per_user=8, seed=3), tmp_path / "log.csv")
+    cfg = PipelineConfig(num_contexts=3, top_k_contexts=2, session_emb_dim=4,
+                         graph_base_dim=4, graph_epochs=1, graph_batch=64, seed=1)
+    calls = {"embed_rows": 0}
+    embed_rows = G.SageEncoder.embed_rows
+
+    def counted(self, *args):
+        calls["embed_rows"] += 1
+        return embed_rows(self, *args)
+
+    def refuse(self, *args):
+        raise AssertionError("embed_new_session called")
+
+    monkeypatch.setattr(G.SageEncoder, "embed_rows", counted)
+    monkeypatch.setattr(G.SageEncoder, "embed_new_session", refuse)
+    ws = pipeline.Workspace(cfg, tmp_path / "work")
+    pipeline.run_ingest(ws, tmp_path / "log.csv")
+    pipeline.run_embed(ws)
+    _, embeddable, graph_session_ids = pipeline.load_embeddings(ws)
+    assert calls == {"embed_rows": 1}
+    assert embeddable.sum() > len(graph_session_ids)  # test-only sessions embedded
 
 
 def _frozen_loss(enc, g, batch, negs):
@@ -316,9 +444,9 @@ class TestNodeSetMinibatchOracle:
             session_mean = G._mean_matrix(g.session_adj, g.session_off, g.num_items)
             item_pre, sess_pre = G._layer1_pre(enc, np.arange(g.num_items), session_mean)
             item_h1, sess_h1 = G._relu_l2n(item_pre)[0], G._relu_l2n(sess_pre)[0]
-            z_s = enc._phi2_raw(sess_h1, session_mean @ item_h1)
+            z_s = reference_graph.phi2_raw(enc, sess_h1, session_mean @ item_h1)
             item_mean = G._mean_matrix(g.item_adj, g.item_off, g.num_session_nodes)
-            z_i = enc._phi2_raw(item_h1, item_mean @ sess_h1)
+            z_i = reference_graph.phi2_raw(enc, item_h1, item_mean @ sess_h1)
             score = G._edge_scores(z_s, z_i, g.edges[:, 0],
                                    np.concatenate([g.edges[:, 1], negs.reshape(-1)]))[2]
             return float(np.logaddexp(0.0, -score).sum() / len(g.edges))

@@ -9,6 +9,7 @@ from ctxrec import predictor as P
 from ctxrec.cluster import UNLABELED
 from ctxrec.corpus import TRAIN, VAL
 from ctxrec.nn import engine, finite_diff_check
+from reference_corpus import session_split, user_session_ids
 from conftest import corpus_from_rows
 
 
@@ -27,7 +28,7 @@ class TestFeatures:
         assert feats.matrix.shape == (corpus.num_sessions, 6 + 3)
         assert np.allclose(feats.matrix[:, :6], emb)
         # last session of the user has no next session: gap slot is 0
-        last_sid = corpus.user_session_ids(0)[-1]
+        last_sid = user_session_ids(corpus, 0)[-1]
         assert feats.matrix[last_sid, -2] == 0.0
 
     def test_stats_come_from_train_sessions_only(self):
@@ -35,7 +36,7 @@ class TestFeatures:
         emb = np.zeros((corpus.num_sessions, 2))
         feats = P.build_session_features(corpus, emb)
         train_sids = [s.session_id for s in corpus.sessions
-                      if corpus.session_split(s.session_id) == TRAIN]
+                      if session_split(corpus, s.session_id) == TRAIN]
         durations = np.log1p([corpus.sessions[s].duration for s in train_sids])
         assert feats.duration_stats[0] == pytest.approx(durations.mean())
 
@@ -53,15 +54,15 @@ class TestLongTermInput:
         corpus = self._corpus(12)
         feats = P.build_session_features(
             corpus, np.random.default_rng(1).normal(size=(12, 4)))
-        out = P.long_term_input(corpus, feats, 0, corpus.user_session_ids(0)[2])
+        out = P.long_term_input(corpus, feats, 0, user_session_ids(corpus, 0)[2])
         assert out.shape == (2, feats.dim)
-        assert np.array_equal(out[0], feats.matrix[corpus.user_session_ids(0)[0]])
+        assert np.array_equal(out[0], feats.matrix[user_session_ids(corpus, 0)[0]])
 
     def test_first_session_single_zero_row(self):
         corpus = self._corpus(12)
         feats = P.build_session_features(
             corpus, np.random.default_rng(1).normal(size=(12, 4)))
-        out = P.long_term_input(corpus, feats, 0, corpus.user_session_ids(0)[0])
+        out = P.long_term_input(corpus, feats, 0, user_session_ids(corpus, 0)[0])
         assert out.shape == (1, feats.dim)
         assert np.all(out == 0.0)
 
@@ -69,7 +70,7 @@ class TestLongTermInput:
         corpus = self._corpus(60)
         feats = P.build_session_features(
             corpus, np.random.default_rng(2).normal(size=(60, 4)))
-        sids = corpus.user_session_ids(0)
+        sids = user_session_ids(corpus, 0)
         out = P.long_term_input(corpus, feats, 0, sids[59], max_len=50)
         assert out.shape == (50, feats.dim)
         assert np.array_equal(out, feats.matrix[sids[9:59]])
@@ -84,7 +85,7 @@ class TestLongTermInput:
     def test_session_of_another_user_named(self, session_id):
         corpus = corpus_from_rows([(u, 0, k * 10_000) for u in (0, 1) for k in range(2)])
         feats = P.build_session_features(corpus, np.zeros((corpus.num_sessions, 4)))
-        assert corpus.user_session_ids(0) == [0, 1] and corpus.num_sessions == 4
+        assert user_session_ids(corpus, 0) == [0, 1] and corpus.num_sessions == 4
         with pytest.raises(ValueError, match=f"session {session_id} is not a session of user 0"):
             P.long_term_input(corpus, feats, 0, session_id)
 
@@ -212,7 +213,7 @@ class TestTrainContext:
         """Train examples covering an empty prefix, a prefix longer than
         ``max_seq_len`` and a first session (history = one zero row)."""
         examples = reference_trainers.build_context_examples(corpus, labels, TRAIN)
-        first = {corpus.user_session_ids(u)[0] for u in range(corpus.num_users)}
+        first = {user_session_ids(corpus, u)[0] for u in range(corpus.num_users)}
         batch = [ex for ex in examples if ex.position > max_seq_len][:6]
         batch += [ex for ex in examples if ex.session_id in first][:6]
         batch += [ex for ex in examples if ex.position == 0][:6]
@@ -250,7 +251,7 @@ class TestTrainContext:
                                    max_seq_len=3, rng=np.random.default_rng(9))
         batch = [ex for ex in reference_trainers.build_context_examples(
                      corpus, small_stack["labels"], TRAIN) if ex.user_id < 3]
-        js = [corpus.user_session_ids(ex.user_id).index(ex.session_id) for ex in batch]
+        js = [user_session_ids(corpus, ex.user_id).index(ex.session_id) for ex in batch]
         assert min(js) == 0 and max(js) > 3
         assert min(ex.position for ex in batch) == 0
         assert max(ex.position for ex in batch) > 3

@@ -9,13 +9,14 @@ import pytest
 import reference_models
 from ctxrec import nextitem as NX
 from ctxrec import predictor as P
+from reference_corpus import user_session_ids
 
 MAX_SEQ_LEN = 2
 
 
 def _requests(corpus, features):
     """(user, prefix, history) of every interaction, and what they cover."""
-    first = {corpus.user_session_ids(u)[0] for u in range(corpus.num_users)}
+    first = {user_session_ids(corpus, u)[0] for u in range(corpus.num_users)}
     out = []
     for k in range(len(corpus.interactions)):
         s = corpus.sessions[corpus.session_of[k]]
@@ -27,7 +28,7 @@ def _requests(corpus, features):
                "prefix past max_seq_len": (positions > MAX_SEQ_LEN).any(),
                "first session": any(sid in first for sid in corpus.session_of),
                "history past max_seq_len": any(
-                   len(corpus.user_session_ids(u)) > MAX_SEQ_LEN + 1
+                   len(user_session_ids(corpus, u)) > MAX_SEQ_LEN + 1
                    for u in range(corpus.num_users))}
     assert all(covered.values()), covered
     return out

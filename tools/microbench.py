@@ -32,6 +32,13 @@ plus 3 metadata columns).
   ``pinned`` session count) with 8 contexts, for 1 and for 10 iterations.
   Both include the k-means++ seeding and the final assignment pass, so one
   Lloyd iteration costs the difference over 9.
+- ``test_embed_corpus``: ``SageEncoder.embed_corpus`` on the ``pinned``
+  corpus and graph (480 sessions, of which about 50 are test-only and
+  embed from their items) at output dim 32: the embed stage's one
+  ``embed_rows`` call.
+- ``test_label_all``: ``cluster.label_all`` of those 480 rows under an
+  8-context fit of the graph sessions: the contextualize stage's labeling
+  of every session outside the fit.
 - ``test_ranking``: ``metrics.ranks_of_truth`` over a 1,024-row score
   matrix (one evaluation batch) at V = 200 and 10 V.
 - ``test_train_step``: one next-item training step on the ``pinned``
@@ -62,6 +69,7 @@ from __future__ import annotations
 
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +256,28 @@ def test_lloyd(benchmark, iters):
     points = np.random.default_rng(3).normal(size=(USERS * SESSIONS, 32))
     _, _, history = benchmark(cluster._lloyd, points, 8, iters, np.random.default_rng(4))
     assert len(history) == iters  # no early convergence: every iteration ran
+
+
+@pytest.fixture(scope="module")
+def pinned_encoder(pinned_graph):
+    return graph.SageEncoder(pinned_graph.num_items, 32, 32, rng=np.random.default_rng(6))
+
+
+def test_embed_corpus(benchmark, pinned_corpus, pinned_graph, pinned_encoder):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # items of test-only sessions outside the graph
+        _, embeddable = benchmark(pinned_encoder.embed_corpus, pinned_graph, pinned_corpus)
+    assert embeddable.sum() > pinned_graph.num_session_nodes
+
+
+def test_label_all(benchmark, pinned_corpus, pinned_graph, pinned_encoder):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        embeddings, embeddable = pinned_encoder.embed_corpus(pinned_graph, pinned_corpus)
+        model = cluster.kmeans_fit(embeddings[pinned_graph.session_ids], 8, seed=7,
+                                   session_ids=pinned_graph.session_ids)
+        labels = benchmark(cluster.label_all, model, embeddings, embeddable)
+    assert (labels[embeddable] >= 0).all()
 
 
 @pytest.mark.parametrize("vocab", [200, 2000], ids=["V", "10V"])
