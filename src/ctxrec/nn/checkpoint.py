@@ -71,18 +71,26 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray],
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint; a file cut short is a ValueError naming it and,
+    past the header, the first tensor it cuts."""
     data = Path(path).read_bytes()
-    if data[:4] != MAGIC:
+    if len(data) < 16 or data[:4] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint container")
     version = struct.unpack("<I", data[4:8])[0]
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     header_len = struct.unpack("<Q", data[8:16])[0]
+    if 16 + header_len > len(data):
+        raise ValueError(f"{path}: file ends inside the {header_len}-byte header")
     header = json.loads(data[16:16 + header_len].decode("utf-8"))
     payload = data[16 + header_len:]
 
     tensors = {}
     for entry in header["tensors"]:
+        if entry["offset"] + entry["nbytes"] > len(payload):
+            raise ValueError(f"{path}: tensor {entry['name']!r} needs payload bytes "
+                             f"{entry['offset']}..{entry['offset'] + entry['nbytes']}, "
+                             f"but the file holds {len(payload)}")
         raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
         arr = np.frombuffer(raw, dtype=entry["dtype"]).astype(np.float64)
         tensors[entry["name"]] = arr.reshape(entry["shape"]).copy()

@@ -184,8 +184,8 @@ def _backward_direction(d: LstmDirection, cache, counts: list[int],
                         dH: np.ndarray) -> np.ndarray:
     """BPTT for one direction, batched over rows, from ``dH``, the loss
     gradient of the hidden state after every packed step (zero where no
-    output reads it); accumulates parameter grads and returns d(packed
-    inputs)."""
+    output reads it); accumulates parameter grads and returns d(gate
+    pre-activations), whose product with ``w_in`` is d(packed inputs)."""
     xs, H_prev, C_prev, ACT, TC = cache
     h = d.hidden_dim
     i, f, g, o = (ACT[:, k * h:(k + 1) * h] for k in range(4))
@@ -217,7 +217,7 @@ def _backward_direction(d: LstmDirection, cache, counts: list[int],
     d.w_in.grad += dZ.T @ xs
     d.w_rec.grad += dZ.T @ H_prev
     d.bias.grad += dZ.sum(axis=0)
-    return dZ @ d.w_in.value
+    return dZ
 
 
 def _packing(lengths: np.ndarray):
@@ -274,14 +274,17 @@ class BiLstm:
         out, grad_in = self._run(xs[None], np.array([xs.shape[0]]), None, None)
         return Var(out[0], (seq,), lambda g: _accum(seq, grad_in(g[None])[0]))
 
-    def encode(self, seqs: Var, lengths, src=None, ends=None) -> Var:
-        """Encode prefixes of a padded (S, T, input_dim) batch node of source
+    def encode(self, seqs: Var | np.ndarray, lengths, src=None, ends=None) -> Var:
+        """Encode prefixes of a padded (S, T, input_dim) batch of source
         sequences into (B, 2 * hidden): source s is its first ``lengths[s]``
         steps, 1 <= lengths[s] <= T, and what follows is padding with zero
         gradient. Output row b encodes the first ``ends[b]`` steps of source
         ``src[b]``, 1 <= ends[b] <= lengths[src[b]]; by default row s is all
-        of source s."""
-        xs = seqs.value
+        of source s. A batch node receives its gradient in the backward pass;
+        a plain array is data, so the pass fills only the parameter
+        gradients and skips the input gradient's products and scatters."""
+        data = not isinstance(seqs, Var)
+        xs = np.asarray(seqs, dtype=np.float64) if data else seqs.value
         lengths = np.asarray(lengths, dtype=np.intp)
         if xs.ndim != 3 or xs.shape[2] != self.input_dim:
             raise ValueError(f"expected (B, T, {self.input_dim}) batch, got {xs.shape}")
@@ -300,14 +303,18 @@ class BiLstm:
                                  f"[0, {len(lengths)}) with one end each")
             if ends.min() < 1 or (ends > lengths[src]).any():
                 raise ValueError("ends must lie in [1, lengths[src]]")
-        out, grad_in = self._run(xs, lengths, src, ends)
+        out, grad_in = self._run(xs, lengths, src, ends, input_grad=not data)
+        if data:
+            return Var(out, (), grad_in)
         return Var(out, (seqs,), lambda g: _accum(seqs, grad_in(g)))
 
     def _run(self, xs: np.ndarray, lengths: np.ndarray, src: np.ndarray | None,
-             ends: np.ndarray | None):
+             ends: np.ndarray | None, input_grad: bool = True):
         """(B, 2h) outputs, row b the first ``ends[b]`` steps of source
         ``src[b]`` (with ``src`` None, row s is all of source s), and the
-        function mapping their gradient to the gradient of ``xs``."""
+        function that accumulates the parameter gradients from their
+        gradient and returns the gradient of ``xs`` (None unless
+        ``input_grad``)."""
         S, T, _ = xs.shape
         transposed = src is None and (lengths == T).all()
         if transposed:
@@ -343,8 +350,12 @@ class BiLstm:
             np.add.at(dH_f, out_f, g[:, :h])  # rows may read one (source, end)
             dH_b = np.zeros_like(H_b)
             dH_b[out_b] = g[:, h:]
-            d_f = _backward_direction(self.fwd, cache_f, counts_f, dH_f)
-            d_b = _backward_direction(self.bwd, cache_b, counts_b, dH_b)
+            dZ_f = _backward_direction(self.fwd, cache_f, counts_f, dH_f)
+            dZ_b = _backward_direction(self.bwd, cache_b, counts_b, dH_b)
+            if not input_grad:
+                return None
+            d_f = dZ_f @ self.fwd.w_in.value
+            d_b = dZ_b @ self.bwd.w_in.value
             if transposed:
                 dx = d_f.reshape(T, S, -1) + d_b.reshape(T, S, -1)[::-1]
                 return dx.transpose(1, 0, 2)

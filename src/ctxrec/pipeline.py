@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import shutil
+import zipfile
 from pathlib import Path
 from typing import Callable
 
@@ -42,9 +43,11 @@ class MissingArtifactError(PipelineError):
         self.stage = stage
 
 
-_TRAIN = ("num_contexts", "top_k_contexts", "user_dim", "item_dim", "lstm_hidden",
-          "max_seq_len", "lr", "batch", "max_epochs", "patience", "clip_norm", "seed")
-_NEXT = _TRAIN + ("context_dim",)
+_TRAIN = ("num_contexts", "user_dim", "item_dim", "lstm_hidden", "max_seq_len", "lr",
+          "batch", "max_epochs", "patience", "clip_norm", "seed")
+# train-context stores every context's probability, so only the next-item
+# stages read how many of them a prefix keeps
+_NEXT = _TRAIN + ("top_k_contexts", "context_dim")
 # stage: (the PipelineConfig fields it reads, the stages whose artifacts it
 # loads), each stage after its upstream stages
 STAGES = {
@@ -114,7 +117,8 @@ class Workspace:
         ``body(build_dir, cfg)``, where ``cfg`` is the stage's config view and
         the return value holds the extras for ``meta.json``. The build runs in
         a ``.tmp-<pid>`` dir, which is published by a rename after
-        ``meta.json`` is written, and removed if ``body`` raises."""
+        ``meta.json`` is written, and removed if ``body`` raises. If another
+        process publishes the stage first, its dir is checked and reused."""
         ident = self._idents[stage] if inputs is None else self._identity(stage, inputs)
         for upstream in ident["upstream"]:
             self.require(upstream)
@@ -128,7 +132,13 @@ class Workspace:
         try:
             meta = {**body(tmp, StageConfig(stage, ident["fields"])), **ident}
             (tmp / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-            os.replace(tmp, path)
+            try:
+                os.replace(tmp, path)
+            except OSError:
+                # another process published this stage first: reuse its build
+                if not path.is_dir():
+                    raise
+                _verify_meta(path, ident)
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
         return path
@@ -301,12 +311,11 @@ def run_train_context(ws: Workspace) -> Path:
             model, corpus, features, labels, rng, lr=cfg.lr, batch_size=cfg.batch,
             max_epochs=cfg.max_epochs, patience=cfg.patience,
             clip_norm=cfg.clip_norm)
-        topk_ids, topk_probs = pred_mod.predict_all_prefixes(
-            model, corpus, features, cfg.top_k_contexts)
+        probs = pred_mod.predict_all_prefixes(model, corpus, features)
 
         save_checkpoint(path / "predictor.ckpt",
                         {p.name: p.value for p in model.params()}, config=dims)
-        np.savez(path / "predictions.npz", topk_ids=topk_ids, topk_probs=topk_probs)
+        np.savez(path / "predictions.npz", probs=probs)
         return {
             "epochs_run": len(history["train_loss"]),
             "best_epoch": history["best_epoch"],
@@ -316,12 +325,26 @@ def run_train_context(ws: Workspace) -> Path:
 
 
 def load_context_predictor(ws: Workspace):
+    """The context predictor and, per interaction, the ids (ascending) and
+    probabilities of the ``top_k_contexts`` most probable contexts of the
+    prefix preceding it. A cut or corrupt ``predictions.npz`` is a
+    ValueError naming it."""
     path = ws.require("train-context")
     ck = load_checkpoint(path / "predictor.ckpt")
     model = pred_mod.ContextPredictor(**ck.config)
     load_params(model.params(), ck)
-    preds = np.load(path / "predictions.npz")
-    return model, preds["topk_ids"], preds["topk_probs"]
+    file = path / "predictions.npz"
+    try:
+        with np.load(file) as preds:
+            probs = preds["probs"]
+    except (zipfile.BadZipFile, KeyError, ValueError, EOFError) as exc:
+        raise ValueError(f"{file}: unreadable context probabilities: {exc!r}") from exc
+    if probs.ndim != 2 or probs.shape[1] != model.num_contexts \
+            or not np.isfinite(probs).all():
+        raise ValueError(f"{file}: expected finite (interactions, {model.num_contexts}) "
+                         f"context probabilities, got shape {probs.shape}")
+    topk_ids = pred_mod.top_k_rows(probs, ws.cfg.top_k_contexts)
+    return model, topk_ids, np.take_along_axis(probs, topk_ids, axis=1)
 
 
 # ---------------------------------------------------------------------------

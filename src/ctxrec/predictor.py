@@ -155,8 +155,7 @@ class ContextPredictor:
         the batched path: ``history`` and the prefix are each one source."""
         history = np.asarray(history, dtype=np.float64)
         with engine.no_grad():
-            z_long = self.long_lstm.encode(engine.constant(history[None]),
-                                           [len(history)])
+            z_long = self.long_lstm.encode(history[None], [len(history)])
             # one row reading all of its one source: encode's default src/ends
             prefix, lengths, _, _ = prefix_sources(
                 self.item_emb, self.aux, np.asarray(prefix_items, dtype=np.intp), [0],
@@ -202,7 +201,8 @@ def _prefix_logits(model: ContextPredictor, corpus: SplitCorpus,
         model.max_seq_len)
     histories = np.zeros(ids.shape + (features.dim,))  # a first session reads a zero row
     histories[valid] = features.matrix[ids[valid]]
-    z_long = model.long_lstm.encode(engine.constant(histories), lengths, src, ends)
+    # session features are data: the backward pass skips their gradient
+    z_long = model.long_lstm.encode(histories, lengths, src, ends)
     z_short = model.short_lstm.encode(*prefix_sources(
         model.item_emb, model.aux, a.item_of, a.session_start[session_ids],
         positions, model.max_seq_len))
@@ -261,22 +261,17 @@ def evaluate_context_loss(model: ContextPredictor, corpus: SplitCorpus,
 
 
 def predict_all_prefixes(model: ContextPredictor, corpus: SplitCorpus,
-                         features: SessionFeatureStore,
-                         k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k context ids (ascending) and their probabilities for the prefix
-    preceding every interaction in the corpus."""
+                         features: SessionFeatureStore) -> np.ndarray:
+    """The (interactions, contexts) probabilities of the prefix preceding
+    every interaction in the corpus."""
     a = corpus.arrays
-    n = corpus.num_interactions
-    topk_ids = np.zeros((n, k), dtype=np.intp)
-    topk_probs = np.zeros((n, k))
+    probs = np.zeros((corpus.num_interactions, model.num_contexts))
     with engine.no_grad():
-        for start in range(0, n, EVAL_BATCH):
+        for start in range(0, corpus.num_interactions, EVAL_BATCH):
             rows = slice(start, start + EVAL_BATCH)
-            probs = engine.softmax(_prefix_logits(
+            probs[rows] = engine.softmax(_prefix_logits(
                 model, corpus, features, a.session_of[rows], a.position_of[rows]).value)
-            topk_ids[rows] = top_k_rows(probs, k)
-            topk_probs[rows] = np.take_along_axis(probs, topk_ids[rows], axis=1)
-    return topk_ids, topk_probs
+    return probs
 
 
 def export_predictions_csv(path, corpus: SplitCorpus, topk_ids: np.ndarray,

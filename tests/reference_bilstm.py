@@ -11,7 +11,9 @@ hidden state.
 flat-array ``layers.window_sources`` replaced, and ``prefix_state_run`` the
 ``BiLstm._run`` whose input gradient summed every (source, step) cell as
 one CSR product whenever a source had several readers; both are copied
-unchanged.
+unchanged, except that ``prefix_state_run`` multiplies the gate gradients
+``layers._backward_direction`` returns by ``w_in`` itself, the product that
+function used to return.
 """
 
 from __future__ import annotations
@@ -222,6 +224,7 @@ def prefix_state_run(self, xs: np.ndarray, lengths: np.ndarray, src: np.ndarray 
         dH_b[out_b] = g[:, h:]
         d_f = layers._backward_direction(self.fwd, cache_f, counts_f, dH_f)
         d_b = layers._backward_direction(self.bwd, cache_b, counts_b, dH_b)
+        d_f, d_b = d_f @ self.fwd.w_in.value, d_b @ self.bwd.w_in.value
         if transposed:
             dx = d_f.reshape(T, S, -1) + d_b.reshape(T, S, -1)[::-1]
             return dx.transpose(1, 0, 2)

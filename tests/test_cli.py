@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -11,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference_models
 from ctxrec import nextitem as next_mod
 from ctxrec import pipeline
+from ctxrec import predictor as pred_mod
 from ctxrec.cli import main
 from ctxrec.config import (
     ConfigError,
@@ -429,6 +432,80 @@ class TestPipelineMechanics:
         with pytest.raises(ValueError, match="next.fc2.weight"):
             pipeline.load_next_model(ws)
 
+    @pytest.mark.parametrize("cut, named", [(2 / 3, r"tensor 'ctx\.[^']*' needs"),
+                                            (0.01, "inside the .*header")],
+                             ids=["two-thirds", "in-header"])
+    def test_cut_checkpoint_named(self, tiny_pipeline, tmp_path, cut, named):
+        _, cfg, ws_full = tiny_pipeline
+        ws = _partial_workspace(ws_full, cfg, tmp_path / "cut")
+        path = ws.stage_dir("train-context") / "predictor.ckpt"
+        data = path.read_bytes()
+        path.write_bytes(data[:int(len(data) * cut)])
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*{named}"):
+            pipeline.load_context_predictor(ws)
+
+    @pytest.mark.parametrize("damage", ["cut", "no-probs", "one-dim", "columns", "nan"])
+    def test_damaged_predictions_named(self, tiny_pipeline, tmp_path, capsys, damage):
+        _, cfg, ws_full = tiny_pipeline
+        ws = _partial_workspace(ws_full, cfg, tmp_path / damage)
+        path = ws.stage_dir("train-context") / "predictions.npz"
+        probs = np.load(path)["probs"]
+        if damage == "cut":
+            path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+        else:
+            nan = probs.copy()
+            nan[3, 1] = np.nan
+            np.savez(path, **{"no-probs": {"topk_probs": probs},
+                              "one-dim": {"probs": probs[:, 0]},
+                              "columns": {"probs": probs[:, 1:]},
+                              "nan": {"probs": nan}}[damage])
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            pipeline.load_context_predictor(ws)
+        assert main(["export", "--workdir", str(ws.workdir), "--what", "context-predictions",
+                     "--out", str(tmp_path / "preds.csv")] + _tiny_cfg_flags()) == 1
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("winner", ["same-stage", "mismatched"])
+    def test_lost_publish_race_reuses_a_matching_winner(self, tiny_pipeline, tmp_path,
+                                                        winner):
+        _, cfg, ws_full = tiny_pipeline
+        ws = _partial_workspace(ws_full, cfg, tmp_path / "race", ("ingest", "embed"))
+        won = ws_full.stage_dir("contextualize")
+        published = ws.stage_dir("contextualize")
+
+        def body(path, stage_cfg):
+            # another process publishes the same stage while this one builds it
+            shutil.copytree(won, published)
+            if winner == "mismatched":
+                meta = json.loads((published / "meta.json").read_text())
+                meta["fields"]["seed"] += 1
+                (published / "meta.json").write_text(json.dumps(meta))
+            (path / "contexts.npz").write_bytes(b"the losing build")
+            return {}
+
+        if winner == "mismatched":
+            with pytest.raises(pipeline.PipelineError, match="mismatched"):
+                ws.run("contextualize", body)
+        else:
+            assert ws.run("contextualize", body) == published
+            assert pipeline.load_contexts(ws)[1].tobytes() == \
+                pipeline.load_contexts(ws_full)[1].tobytes()
+        assert (published / "contexts.npz").read_bytes() == (won / "contexts.npz").read_bytes()
+        assert not [p for p in ws.workdir.iterdir() if ".tmp-" in p.name]
+
+    def test_stored_probabilities_match_per_prefix_oracle(self, tiny_pipeline):
+        _, cfg, ws = tiny_pipeline
+        corpus = pipeline.load_ingested(ws)
+        features = pred_mod.build_session_features(corpus, pipeline.load_embeddings(ws)[0])
+        model, topk_ids, topk_probs = pipeline.load_context_predictor(ws)
+        probs = np.load(ws.stage_dir("train-context") / "predictions.npz")["probs"]
+        ref_ids, ref_probs = reference_models.predict_all_prefixes(
+            model, corpus, features, cfg.top_k_contexts)
+        assert pred_mod.top_k_rows(probs, cfg.top_k_contexts).tobytes() == ref_ids.tobytes()
+        assert topk_ids.tobytes() == ref_ids.tobytes()
+        assert topk_probs.tobytes() == np.take_along_axis(probs, ref_ids, axis=1).tobytes()
+        assert np.abs(topk_probs - ref_probs).max() < 1e-10
+
     def test_ablation_train_and_evaluate_stages(self, tiny_pipeline):
         _, _, ws = tiny_pipeline
         pipeline.run_train_next(ws, ablation=True)
@@ -443,6 +520,7 @@ class TestStageKeys:
         ("patience", 3, {"ingest", "embed", "contextualize"}),
         ("graph_epochs", 5, {"ingest"}),
         ("context_dim", 6, {"ingest", "embed", "contextualize", "train-context"}),
+        ("top_k_contexts", 1, {"ingest", "embed", "contextualize", "train-context"}),
     ])
     def test_changed_field_rekeys_only_stages_that_depend_on_it(
             self, tmp_path, field, value, kept):
@@ -451,6 +529,23 @@ class TestStageKeys:
         b = pipeline.Workspace(cfg.replace(**{field: value}), tmp_path)
         stages = [s for s in pipeline.STAGES if s != "sweep"]
         assert {s for s in stages if a.stage_dir(s) == b.stage_dir(s)} == kept
+
+    def test_top_k_sweep_trains_the_context_predictor_once(self, tmp_path, monkeypatch):
+        log = tmp_path / "log.csv"
+        generate(SynthSpec(**TINY), log)
+        ws = pipeline.Workspace(PipelineConfig(**TINY_CFG), tmp_path / "work")
+        real = pipeline.pred_mod.train_context
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline.pred_mod, "train_context", counting)
+        pipeline.run_sweep(ws, "top_k_contexts", [1, 2], log)
+        assert len(list(ws.workdir.glob("train-context-*"))) == 1
+        assert len(list(ws.workdir.glob("train-next-*"))) == 2
+        assert len(calls) == 1
 
     def test_evaluate_and_ablate_keys_cover_every_field(self):
         # their artifacts record the full config's hash, which must not go
@@ -500,7 +595,7 @@ class TestCli:
         corpus = pipeline.load_ingested(ws)
         embeddings = np.load(ws.stage_dir("embed") / "embeddings.npz")["embeddings"]
         contexts = np.load(ws.stage_dir("contextualize") / "contexts.npz")
-        preds = np.load(ws.stage_dir("train-context") / "predictions.npz")
+        probs = np.load(ws.stage_dir("train-context") / "predictions.npz")["probs"]
 
         def export(what):
             out = tmp_path / f"{what}.csv"
@@ -535,9 +630,10 @@ class TestCli:
                           "prob_0", "prob_1"]
         assert [(int(r[0]), int(r[1])) for r in rows] == list(
             zip(corpus.session_of, corpus.position_of))
-        for r, ids, probs in zip(rows, preds["topk_ids"], preds["topk_probs"], strict=True):
+        for r, p in zip(rows, probs, strict=True):
+            ids = np.sort(np.argsort(-p, kind="stable")[:2])
             assert [int(c) for c in r[2:4]] == ids.tolist()
-            assert all(exact(v, p) for v, p in zip(r[4:], probs, strict=True))
+            assert all(exact(v, p[c]) for v, c in zip(r[4:], ids, strict=True))
 
         assert not [p for p in ws.workdir.rglob("*.csv")]
 

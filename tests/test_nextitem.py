@@ -294,7 +294,7 @@ def test_served_predictions_equal_batched_artifacts(small_stack):
                                    max_seq_len=3, rng=rng)
     P.train_context(ctx_model, corpus, feats, small_stack["labels"], rng,
                     lr=0.01, batch_size=128, max_epochs=2, patience=2)
-    topk_ids, _ = P.predict_all_prefixes(ctx_model, corpus, feats, k=2)
+    topk_ids = P.top_k_rows(P.predict_all_prefixes(ctx_model, corpus, feats), 2)
     next_model = NX.NextItemModel(corpus.num_users, corpus.num_items, 4,
                                   user_dim=4, item_dim=4, context_dim=2, hidden=3,
                                   top_k=2, max_seq_len=3, rng=rng)

@@ -332,10 +332,11 @@ def test_predict_all_prefixes_covers_every_interaction(small_stack):
     model = P.ContextPredictor(corpus.num_users, corpus.num_items, 4,
                                feats.dim, user_dim=4, item_dim=4, hidden=3,
                                rng=np.random.default_rng(3))
-    ids, probs = P.predict_all_prefixes(model, corpus, feats, k=2)
-    assert ids.shape == (len(corpus.interactions), 2)
+    probs = P.predict_all_prefixes(model, corpus, feats)
+    assert probs.shape == (len(corpus.interactions), 4)
+    assert (probs >= 0).all() and np.abs(probs.sum(axis=1) - 1).max() < 1e-12
+    ids = P.top_k_rows(probs, 2)
     assert (np.diff(ids, axis=1) > 0).all()  # ascending ids
-    assert (probs >= 0).all() and (probs <= 1).all()
 
 
 def test_predict_all_prefixes_matches_per_prefix_oracle(small_stack):
@@ -344,10 +345,11 @@ def test_predict_all_prefixes_matches_per_prefix_oracle(small_stack):
     model = P.ContextPredictor(corpus.num_users, corpus.num_items, 4,
                                feats.dim, user_dim=4, item_dim=4, hidden=3,
                                max_seq_len=2, rng=np.random.default_rng(5))
-    ids, probs = P.predict_all_prefixes(model, corpus, feats, k=2)
+    probs = P.predict_all_prefixes(model, corpus, feats)
+    ids = P.top_k_rows(probs, 2)
     ref_ids, ref_probs = reference_models.predict_all_prefixes(model, corpus, feats, 2)
-    assert np.array_equal(ids, ref_ids)
-    assert np.abs(probs - ref_probs).max() < 1e-10
+    assert ids.tobytes() == ref_ids.tobytes()
+    assert np.abs(np.take_along_axis(probs, ids, axis=1) - ref_probs).max() < 1e-10
 
 
 def test_predictions_csv_export(tmp_path, small_stack):
@@ -356,9 +358,10 @@ def test_predictions_csv_export(tmp_path, small_stack):
     model = P.ContextPredictor(corpus.num_users, corpus.num_items, 4,
                                feats.dim, user_dim=4, item_dim=4, hidden=3,
                                rng=np.random.default_rng(4))
-    ids, probs = P.predict_all_prefixes(model, corpus, feats, k=2)
+    probs = P.predict_all_prefixes(model, corpus, feats)
+    ids = P.top_k_rows(probs, 2)
     path = tmp_path / "preds.csv"
-    P.export_predictions_csv(path, corpus, ids, probs)
+    P.export_predictions_csv(path, corpus, ids, np.take_along_axis(probs, ids, axis=1))
     lines = path.read_text().splitlines()
     assert lines[0] == "session_id,prefix_len,context_0,context_1,prob_0,prob_1"
     assert len(lines) == 1 + len(corpus.interactions)

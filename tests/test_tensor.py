@@ -364,6 +364,27 @@ class TestPrefixStateBiLstm:
         for p, got in zip(lstm.params(), dparams):
             assert np.array_equal(got, p.grad), p.name
 
+    @pytest.mark.parametrize("case", ["equal", "shared"])
+    def test_data_batch_gets_parameter_gradients_only(self, case):
+        """A plain-array batch is data: the node has no parent to pass an
+        input gradient to, and its output and every parameter gradient equal
+        those of the same batch as a constant node, bit for bit."""
+        rng = np.random.default_rng(26)
+        lstm = BiLstm("data", 3, 4, rng)
+        args = (([4, 4, 4],) if case == "equal"
+                else (SHARED_LENGTHS, SHARED_SRC, SHARED_ENDS))
+        xs = rng.normal(size=(len(args[0]), max(args[0]), 3))
+        g = rng.normal(size=(3 if case == "equal" else len(SHARED_SRC), 8))
+        grads = []
+        for batch in (constant(xs), xs):
+            for p in lstm.params():
+                p.zero_grad()
+            out = lstm.encode(batch, *args)
+            backward(reference_graph.vsum(reference_graph.dot_last(out, constant(g))))
+            grads.append([out.value.tobytes()] + [p.grad.tobytes() for p in lstm.params()])
+        assert out.parents == ()
+        assert grads[0] == grads[1]
+
     def test_no_grad_shared_rows_equal_grad_mode(self):
         rng = np.random.default_rng(22)
         lstm = BiLstm("ng", 3, 4, rng)

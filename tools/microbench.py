@@ -16,7 +16,9 @@ plus 3 metadata columns).
 - ``test_history_batch``: the ``pinned`` workload's history batch, 12 users
   with 40 sessions each. Every session's history is the window of its
   user's earlier session-feature rows (a zero row for a first session),
-  encoded as shared per-user sources or as one row per session.
+  encoded as shared per-user sources or as one row per session. The batch
+  is a plain array, as the context predictor passes it, so ``train``
+  computes the parameter gradients only.
 - ``test_fc2_softmax_xent``: the next-item output layer and its softmax
   cross-entropy over a 256-row batch, forward and backward, at the pinned
   vocabulary (V = 200) and at 10 V.
@@ -39,6 +41,10 @@ plus 3 metadata columns).
 - ``test_label_all``: ``cluster.label_all`` of those 480 rows under an
   8-context fit of the graph sessions: the contextualize stage's labeling
   of every session outside the fit.
+- ``test_context_topk``: the top-3 context ids and probabilities that
+  ``pipeline.load_context_predictor`` derives from the stored probability
+  matrix, at 1,200 interactions (about the ``pinned`` corpus) by 8 and by
+  20 contexts.
 - ``test_ranking``: ``metrics.ranks_of_truth`` over a 1,024-row score
   matrix (one evaluation batch) at V = 200 and 10 V.
 - ``test_train_step``: one next-item training step on the ``pinned``
@@ -130,7 +136,7 @@ def _history_inputs(layout: str):
         src = ends = None
     x = np.zeros(ids.shape + (FEAT_DIM,))
     x[valid] = features[ids[valid]]
-    return engine.constant(x), lengths, src, ends
+    return x, lengths, src, ends
 
 
 @pytest.mark.parametrize("mode", ["train", "infer"])
@@ -278,6 +284,18 @@ def test_label_all(benchmark, pinned_corpus, pinned_graph, pinned_encoder):
                                    session_ids=pinned_graph.session_ids)
         labels = benchmark(cluster.label_all, model, embeddings, embeddable)
     assert (labels[embeddable] >= 0).all()
+
+
+@pytest.mark.parametrize("contexts", [8, 20])
+def test_context_topk(benchmark, contexts):
+    probs = np.random.default_rng(7).dirichlet(np.ones(contexts), size=1200)
+
+    def topk():
+        ids = predictor.top_k_rows(probs, 3)
+        return ids, np.take_along_axis(probs, ids, axis=1)
+
+    ids, top = benchmark(topk)
+    assert ids.shape == top.shape == (1200, 3)
 
 
 @pytest.mark.parametrize("vocab", [200, 2000], ids=["V", "10V"])
