@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
-import operator
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +19,9 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-CORPUS_FORMAT_VERSION = 1
+from .nn.checkpoint import load_arrays
+
+CORPUS_FORMAT_VERSION = 2
 
 TRAIN, VAL, TEST = "train", "val", "test"
 TAGS = (TRAIN, VAL, TEST)  # a split code is its tag's index here
@@ -397,113 +397,61 @@ def build_corpus(parsed: ParsedLog, idle_threshold: int = 3600,
                          user_keys=kept.user_keys, item_keys=kept.item_keys)
 
 
+# the arrays of a corpus file: what save_corpus stores, in order
+_MEMBERS = ("format_version", "num_users", "num_items", "user_keys", "item_keys",
+            "user_of", "item_of", "timestamp", "split", "session_start")
+
+
 def save_corpus(corpus: SplitCorpus, path: str | Path) -> None:
-    """Line-JSON corpus file.
-
-    Line 1 is a header object (format version, counts, id-remapping tables);
-    every following line is one typed row: ``["i", user, item, ts, split,
-    session_id, position]`` per interaction, then ``["s", session_id, user,
-    start, end, gap_to_next, [items...]]`` per session. The rows hold ints
-    and tags only and are written as ``json.dumps`` with compact separators
-    would write them.
-    """
+    """The corpus as an ``.npz`` file of ``_MEMBERS``: the format version,
+    the counts and raw keys, the interaction columns, each interaction's
+    split code and the session starts. ``load_corpus`` rebuilds the rest."""
     a = corpus.arrays
-    header = json.dumps({
-        "format_version": CORPUS_FORMAT_VERSION,
-        "num_users": corpus.num_users,
-        "num_items": corpus.num_items,
-        "user_keys": corpus.user_keys,
-        "item_keys": corpus.item_keys,
-    }, sort_keys=True, separators=(",", ":"))
-    quoted = {tag: json.dumps(tag) for tag in set(corpus.splits)}
-    interactions = map('["i",{},{},{},{},{},{}]'.format,
-                       a.user_of.tolist(), a.item_of.tolist(), a.timestamp.tolist(),
-                       map(quoted.__getitem__, corpus.splits),
-                       a.session_of.tolist(), a.position_of.tolist())
-    start, end, gap, has_next = corpus.session_times()
-    item_text = list(map(str, a.item_of.tolist()))
-    ends = (a.session_start + a.session_length).tolist()
-    sessions = map('["s",{},{},{},{},{},[{}]]'.format,
-                   itertools.count(), a.session_user.tolist(), start.tolist(), end.tolist(),
-                   [g if h else "null" for g, h in zip(gap.tolist(), has_next.tolist())],
-                   [",".join(item_text[b:e]) for b, e in zip(a.session_start.tolist(), ends)])
-    with open(path, "w") as fh:
-        fh.write("\n".join(itertools.chain([header], interactions, sessions)) + "\n")
+    with open(path, "wb") as fh:  # a path np.savez would give an .npz suffix
+        np.savez(fh, format_version=CORPUS_FORMAT_VERSION, num_users=corpus.num_users,
+                 num_items=corpus.num_items, user_keys=np.array(corpus.user_keys, dtype=str),
+                 item_keys=np.array(corpus.item_keys, dtype=str), user_of=a.user_of,
+                 item_of=a.item_of, timestamp=a.timestamp, split=corpus.split_codes(),
+                 session_start=a.session_start)
 
 
-def _columns(rows: list, width: int, what: str) -> list[tuple]:
-    """The fields of equal-width rows, one tuple per field."""
-    _check(set(map(len, rows)) <= {width}, f"{what} row without {width} fields")
-    return list(zip(*rows)) if rows else [()] * width
-
-
-def _corpus_from_rows(header: dict, rows: list) -> SplitCorpus:
-    _check(isinstance(header, dict), "the first line is not a header object")
-    _check(header.get("format_version") == CORPUS_FORMAT_VERSION,
-           f"unsupported corpus format: {header.get('format_version')}")
-    kinds = list(map(operator.itemgetter(0), rows))
-    n = kinds.count("i")
-    if kinds != ["i"] * n + ["s"] * (len(rows) - n):
-        unknown = [kind for kind in kinds if kind not in ("i", "s")]
-        raise ValueError(f"unknown corpus row type {unknown[0]!r}" if unknown
-                         else "a session row before an interaction row")
-    _, users, items, stamps, tags, sids, positions = _columns(rows[:n], 7, "an interaction")
-    _, ids, s_users, s_starts, s_ends, gaps, s_items = _columns(rows[n:], 7, "a session")
-
-    num_users, num_items = header["num_users"], header["num_items"]
-    num_sessions = len(rows) - n
-    user_of = np.array(users, dtype=np.intp)
-    item_of = np.array(items, dtype=np.intp)
-    timestamp = _timestamps(stamps)
-    _check(n or not num_users, f"the header names {num_users} users but there are no "
-                               "interaction rows")
-    _check(not n or (0 <= user_of.min() and user_of.max() < num_users
-                     and 0 <= item_of.min() and item_of.max() < num_items),
-           "a user or item id is outside the header's counts")
-    _check(set(tags) <= set(TAGS), f"split tags other than {TAGS}")
-    _check(np.array_equal(np.array(ids, dtype=np.intp), np.arange(num_sessions)),
-           "session ids are not 0, 1, ... in row order")
-    length = np.fromiter(map(len, s_items), dtype=np.intp, count=num_sessions)
-    _check((length > 0).all() and length.sum() == n,
-           f"the {num_sessions} session rows hold {length.sum()} interactions, "
-           f"not the {n} interaction rows")
-    start = np.cumsum(length) - length
-    session_of = np.array(sids, dtype=np.intp)
-    position_of = np.array(positions, dtype=np.intp)
-    _check(((0 <= session_of) & (session_of < num_sessions)).all()
-           and np.array_equal(start[session_of] + position_of, np.arange(n)),
-           "interaction rows are not the consecutive items of their sessions")
-
-    corpus = SplitCorpus(num_users, num_items,
-                         _corpus_arrays(user_of, item_of, timestamp, start),
-                         list(tags), header["user_keys"], header["item_keys"])
-    _check(_in_user_time_order(user_of, timestamp), "interactions are not in (user, time) order")
-    a = corpus.arrays
-    begin, end, gap, has_next = corpus.session_times()
-    listed_gap = np.array([g is not None for g in gaps], dtype=bool)
-    _check(np.array_equal(np.array(s_users, dtype=np.intp), a.session_user)
-           and np.array_equal(_timestamps(s_starts), begin)
-           and np.array_equal(_timestamps(s_ends), end)
-           and np.array_equal(listed_gap, has_next)
-           and np.array_equal(_timestamps([g for g in gaps if g is not None]), gap[has_next])
-           and np.array_equal(np.fromiter(itertools.chain.from_iterable(s_items),
-                                          dtype=np.intp, count=n), item_of),
-           "session rows disagree with the interaction rows")
-    return corpus
+def _is_int(arr: np.ndarray, ndim: int) -> bool:
+    return arr.ndim == ndim and arr.dtype.kind == "i"
 
 
 def load_corpus(path: str | Path) -> SplitCorpus:
-    """Read a ``save_corpus`` file. A file that is cut short or whose rows do
-    not make one consistent corpus raises ``ValueError`` naming the file."""
-    with open(path) as fh:
-        header_line = fh.readline()
-        body = fh.read()
+    """Read a ``save_corpus`` file. A file that is missing, cut or corrupt,
+    or whose arrays do not make one consistent corpus, raises ``ValueError``
+    naming the file."""
+    (version, num_users, num_items, user_keys, item_keys, user_of, item_of, timestamp,
+     split, session_start) = load_arrays(path, *_MEMBERS)
+    columns = (user_of, item_of, timestamp, split)
     try:
-        header = json.loads(header_line)
-        rows = json.loads("[" + ",".join(body.splitlines()) + "]")
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not a whole corpus file ({exc})") from None
-    try:
-        return _corpus_from_rows(header, rows)
-    except (ValueError, TypeError, KeyError, IndexError) as exc:
+        _check(_is_int(version, 0) and version == CORPUS_FORMAT_VERSION,
+               f"unsupported corpus format {version}")
+        _check(all(_is_int(count, 0) and count >= 0 for count in (num_users, num_items)),
+               "the user and item counts are not two non-negative ints")
+        _check(all(keys.ndim == 1 and keys.dtype.kind == "U" and len(keys) in (0, count)
+                   for keys, count in ((user_keys, num_users), (item_keys, num_items))),
+               "the raw keys are not one string per user and item")
+        _check(all(_is_int(c, 1) for c in columns + (session_start,))
+               and len(set(map(len, columns))) == 1,
+               "the columns are not 1-D ints, one per interaction")
+        _check(((0 <= user_of) & (user_of < num_users)).all()
+               and ((0 <= item_of) & (item_of < num_items)).all(),
+               "a user or item id is outside the counts")
+        _check(((0 <= split) & (split < len(TAGS))).all(), f"a split code outside {TAGS}")
+        _check(_in_user_time_order(user_of, timestamp),
+               "interactions are not in (user, time) order")
+        n = len(user_of)
+        _check(session_start[:1].tolist() == [0] * (n > 0)
+               and (np.diff(np.append(session_start, n)) > 0).all(),
+               "sessions do not start at 0 and rise strictly below the interaction count")
+        _check(np.isin(np.flatnonzero(user_of[1:] != user_of[:-1]) + 1, session_start).all(),
+               "a session spans two users")
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    return SplitCorpus(int(num_users), int(num_items), _corpus_arrays(
+        *(c.astype(np.intp, copy=False) for c in (user_of, item_of)),
+        timestamp.astype(np.int64, copy=False), session_start.astype(np.intp, copy=False)),
+        np.array(TAGS)[split].tolist(), user_keys.tolist(), item_keys.tolist())

@@ -1,6 +1,7 @@
-"""Versioned binary checkpoint container.
+"""Versioned binary checkpoint container, and the checked reader of the
+``.npz`` array files that stages store.
 
-Layout (all integers little-endian):
+Checkpoint layout (all integers little-endian):
 
     bytes 0..3    magic b"NNCK"
     bytes 4..7    format version, uint32
@@ -19,6 +20,8 @@ from __future__ import annotations
 
 import json
 import struct
+import tokenize
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,7 +74,8 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray],
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint; a file cut short is a ValueError naming it and,
+    """Read a checkpoint. A file cut short, or whose header does not decode
+    to tensor entries that fit the payload, is a ValueError naming it and,
     past the header, the first tensor it cuts."""
     data = Path(path).read_bytes()
     if len(data) < 16 or data[:4] != MAGIC:
@@ -82,19 +86,39 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     header_len = struct.unpack("<Q", data[8:16])[0]
     if 16 + header_len > len(data):
         raise ValueError(f"{path}: file ends inside the {header_len}-byte header")
-    header = json.loads(data[16:16 + header_len].decode("utf-8"))
     payload = data[16 + header_len:]
+    try:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        header = json.loads(data[16:16 + header_len].decode("utf-8"))
+        tensors = {}
+        for entry in header["tensors"]:
+            name, offset, nbytes = entry["name"], entry["offset"], entry["nbytes"]
+            if offset + nbytes > len(payload):
+                raise ValueError(f"tensor {name!r} needs payload bytes {offset}.."
+                                 f"{offset + nbytes}, but the file holds {len(payload)}")
+            arr = np.frombuffer(payload[offset:offset + nbytes], dtype=entry["dtype"])
+            tensors[name] = arr.astype(np.float64).reshape(entry["shape"])
+        return Checkpoint(tensors=tensors, config=header["config"], version=version)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None
 
-    tensors = {}
-    for entry in header["tensors"]:
-        if entry["offset"] + entry["nbytes"] > len(payload):
-            raise ValueError(f"{path}: tensor {entry['name']!r} needs payload bytes "
-                             f"{entry['offset']}..{entry['offset'] + entry['nbytes']}, "
-                             f"but the file holds {len(payload)}")
-        raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
-        arr = np.frombuffer(raw, dtype=entry["dtype"]).astype(np.float64)
-        tensors[entry["name"]] = arr.reshape(entry["shape"]).copy()
-    return Checkpoint(tensors=tensors, config=header["config"], version=version)
+
+def load_arrays(path: str | Path, *names: str) -> list[np.ndarray]:
+    """The arrays ``names`` of the ``.npz`` file ``path``, read whole. Every
+    member's CRC-32 is checked first, so a flipped bit is refused rather
+    than read. A file that is missing, cut or corrupt, or lacks one of
+    ``names``, is a ValueError naming it."""
+    try:
+        with np.load(path) as data:
+            bad = data.zip.testzip()
+            if bad is not None:
+                raise ValueError(f"member {bad} fails its CRC-32")
+            return [data[name] for name in names]
+    # RuntimeError: an encrypted member, and its subclass NotImplementedError
+    # an unknown compression method; TokenError: a bad npy header; TypeError:
+    # a plain .npy file, which np.load returns as an array
+    except (OSError, EOFError, KeyError, ValueError, RuntimeError, TypeError,
+            zipfile.BadZipFile, tokenize.TokenError) as exc:
+        raise ValueError(f"{path}: unreadable arrays: {exc!r}") from None
 
 
 def load_params(params: list[Parameter], ck: Checkpoint) -> None:

@@ -17,7 +17,6 @@ import hashlib
 import json
 import os
 import shutil
-import zipfile
 from pathlib import Path
 from typing import Callable
 
@@ -30,7 +29,7 @@ from . import predictor as pred_mod
 from .config import PipelineConfig
 from .corpus import SplitCorpus, build_corpus, load_corpus, parse_log, save_corpus, ColumnSchema, TEST
 from .metrics import EvalReport, mrr, recall_at_k, t_test_one_tailed
-from .nn.checkpoint import load_checkpoint, load_params, save_checkpoint
+from .nn.checkpoint import load_arrays, load_checkpoint, load_params, save_checkpoint
 
 
 class PipelineError(RuntimeError):
@@ -45,9 +44,11 @@ class MissingArtifactError(PipelineError):
 
 _TRAIN = ("num_contexts", "user_dim", "item_dim", "lstm_hidden", "max_seq_len", "lr",
           "batch", "max_epochs", "patience", "clip_norm", "seed")
-# train-context stores every context's probability, so only the next-item
-# stages read how many of them a prefix keeps
-_NEXT = _TRAIN + ("top_k_contexts", "context_dim")
+# the ablation arm's model has context embeddings but reads no context
+# prediction; train-context stores every context's probability, so only the
+# with-context next-item stages read how many of them a prefix keeps
+_ABLATION = _TRAIN + ("context_dim",)
+_NEXT = _ABLATION + ("top_k_contexts",)
 # stage: (the PipelineConfig fields it reads, the stages whose artifacts it
 # loads), each stage after its upstream stages
 STAGES = {
@@ -59,10 +60,9 @@ STAGES = {
                       ("embed",)),
     "train-context": (_TRAIN, ("ingest", "embed", "contextualize")),
     "train-next": (_NEXT, ("ingest", "train-context")),
-    "train-next-ablation": (_NEXT, ("ingest", "train-context")),
+    "train-next-ablation": (_ABLATION, ("ingest",)),
     "evaluate": (_NEXT + ("repetitions",), ("ingest", "train-context", "train-next")),
-    "evaluate-ablation": (_NEXT + ("repetitions",),
-                          ("ingest", "train-context", "train-next-ablation")),
+    "evaluate-ablation": (_ABLATION + ("repetitions",), ("ingest", "train-next-ablation")),
     # builds or reuses both evaluate stages (and their train-next stages) itself
     "ablate": (_NEXT + ("repetitions",), ("ingest", "train-context")),
     # every sweep-<param>; it runs the full pipeline on the config per value
@@ -192,7 +192,7 @@ def run_ingest(ws: Workspace, input_path: str | Path, delimiter: str = ",",
         parsed = parse_log(Path(input_path), schema, on_error=on_error)
         corpus = build_corpus(parsed, idle_threshold=cfg.idle_threshold_s,
                               min_count=cfg.min_user_interactions)
-        save_corpus(corpus, path / "corpus.jsonl")
+        save_corpus(corpus, path / "corpus.npz")
         n_sessions = corpus.num_sessions
         avg_len = (corpus.num_interactions / n_sessions) if n_sessions else 0.0
         return {
@@ -207,11 +207,14 @@ def run_ingest(ws: Workspace, input_path: str | Path, delimiter: str = ",",
     if json.loads((path / "meta.json").read_text())["input_sha256"] != input_sha:
         raise PipelineError(f"{path} holds a corpus built from different input data; "
                             "artifacts are immutable - use a fresh workdir")
+    if not (path / "corpus.npz").is_file():
+        raise PipelineError(f"{path} holds no corpus.npz (an older corpus format); "
+                            "artifacts are immutable - use a fresh workdir")
     return path
 
 
 def load_ingested(ws: Workspace) -> SplitCorpus:
-    return load_corpus(ws.require("ingest") / "corpus.jsonl")
+    return load_corpus(ws.require("ingest") / "corpus.npz")
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +245,8 @@ def run_embed(ws: Workspace) -> Path:
 
 def load_embeddings(ws: Workspace):
     """(embeddings, embeddable, graph_session_ids) as the embed stage stored them."""
-    data = np.load(ws.require("embed") / "embeddings.npz")
-    return data["embeddings"], data["embeddable"], data["graph_session_ids"]
+    return load_arrays(ws.require("embed") / "embeddings.npz",
+                       "embeddings", "embeddable", "graph_session_ids")
 
 
 def load_encoder(ws: Workspace):
@@ -282,13 +285,12 @@ def run_contextualize(ws: Workspace) -> Path:
 
 
 def load_contexts(ws: Workspace):
-    path = ws.require("contextualize")
-    data = np.load(path / "contexts.npz")
-    model = cluster_mod.ContextModel(
-        centers=data["centers"], session_ids=data["train_session_ids"],
-        labels=data["train_labels"],
-        inertia_history=list(data["inertia_history"]))
-    return model, data["labels"]
+    centers, session_ids, train_labels, inertia, labels = load_arrays(
+        ws.require("contextualize") / "contexts.npz",
+        "centers", "train_session_ids", "train_labels", "inertia_history", "labels")
+    model = cluster_mod.ContextModel(centers=centers, session_ids=session_ids,
+                                     labels=train_labels, inertia_history=list(inertia))
+    return model, labels
 
 
 # ---------------------------------------------------------------------------
@@ -324,27 +326,27 @@ def run_train_context(ws: Workspace) -> Path:
     return ws.run("train-context", body)
 
 
-def load_context_predictor(ws: Workspace):
-    """The context predictor and, per interaction, the ids (ascending) and
-    probabilities of the ``top_k_contexts`` most probable contexts of the
-    prefix preceding it. A cut or corrupt ``predictions.npz`` is a
-    ValueError naming it."""
-    path = ws.require("train-context")
-    ck = load_checkpoint(path / "predictor.ckpt")
-    model = pred_mod.ContextPredictor(**ck.config)
-    load_params(model.params(), ck)
-    file = path / "predictions.npz"
-    try:
-        with np.load(file) as preds:
-            probs = preds["probs"]
-    except (zipfile.BadZipFile, KeyError, ValueError, EOFError) as exc:
-        raise ValueError(f"{file}: unreadable context probabilities: {exc!r}") from exc
-    if probs.ndim != 2 or probs.shape[1] != model.num_contexts \
-            or not np.isfinite(probs).all():
-        raise ValueError(f"{file}: expected finite (interactions, {model.num_contexts}) "
+def load_context_topk(ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """Per interaction, the ids (ascending) and probabilities of the
+    ``top_k_contexts`` most probable contexts of the prefix preceding it,
+    from ``predictions.npz`` alone. A cut or corrupt file is a ValueError
+    naming it."""
+    file = ws.require("train-context") / "predictions.npz"
+    probs, = load_arrays(file, "probs")
+    num_contexts = ws.cfg.num_contexts  # hashed by train-context's key
+    if probs.ndim != 2 or probs.shape[1] != num_contexts or not np.isfinite(probs).all():
+        raise ValueError(f"{file}: expected finite (interactions, {num_contexts}) "
                          f"context probabilities, got shape {probs.shape}")
     topk_ids = pred_mod.top_k_rows(probs, ws.cfg.top_k_contexts)
-    return model, topk_ids, np.take_along_axis(probs, topk_ids, axis=1)
+    return topk_ids, np.take_along_axis(probs, topk_ids, axis=1)
+
+
+def load_context_predictor(ws: Workspace):
+    """The context predictor and ``load_context_topk``'s two arrays."""
+    ck = load_checkpoint(ws.require("train-context") / "predictor.ckpt")
+    model = pred_mod.ContextPredictor(**ck.config)
+    load_params(model.params(), ck)
+    return (model, *load_context_topk(ws))
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +354,11 @@ def load_context_predictor(ws: Workspace):
 
 def _build_next_model(cfg: StageConfig, num_users: int, num_items: int, mode: str,
                       rng: np.random.Generator) -> next_mod.NextItemModel:
+    # the ablation arm's fc2 has no context block, so it reads no top-K
+    top_k = cfg.top_k_contexts if mode == next_mod.WITH_CONTEXT else 0
     return next_mod.NextItemModel(
         num_users, num_items, cfg.num_contexts, cfg.user_dim,
-        cfg.item_dim, cfg.context_dim, cfg.lstm_hidden, cfg.top_k_contexts,
+        cfg.item_dim, cfg.context_dim, cfg.lstm_hidden, top_k,
         cfg.max_seq_len, mode, rng)
 
 
@@ -377,7 +381,7 @@ def run_train_next(ws: Workspace, ablation: bool = False,
     mode = next_mod.ABLATION if ablation else next_mod.WITH_CONTEXT
 
     def body(path: Path, cfg: StageConfig) -> dict:
-        corpus, ctx_topk = inputs() if inputs else _evaluate_inputs(ws)
+        corpus, ctx_topk = inputs() if inputs else _evaluate_inputs(ws, ablation)
         model, history = _train_next_once(cfg, corpus, ctx_topk, mode, cfg.seed)
         save_checkpoint(path / "nextitem.ckpt",
                         {p.name: p.value for p in model.params()},
@@ -419,24 +423,26 @@ def _rep_metrics(ws: Workspace, cfg: StageConfig, corpus: SplitCorpus,
         ranks = next_mod.compute_ranks(model, corpus, examples, ctx_topk)
         mrrs.append(mrr(ranks))
         recalls.append(recall_at_k(ranks, 10))
-    # evaluate's and ablate's keys cover every config field (with their
-    # upstream keys), so the full config's hash is safe to record
+    # evaluate's key covers every config field (with its upstream keys), so
+    # the hash names the config exactly; evaluate-ablation's covers only what
+    # the ablation arm reads, so its report names the config that built it
     return EvalReport(mode=mode, seeds=seeds, mrr_values=mrrs,
                       recall_values=recalls, num_examples=len(examples),
                       config_hash=ws.config_hash)
 
 
-def _evaluate_inputs(ws: Workspace) -> tuple[SplitCorpus, np.ndarray]:
-    """The corpus and the per-prefix top-k context ids that evaluation reads."""
-    corpus = load_ingested(ws)
-    return corpus, load_context_predictor(ws)[1]
+def _evaluate_inputs(ws: Workspace,
+                     ablation: bool = False) -> tuple[SplitCorpus, np.ndarray | None]:
+    """The corpus and the per-prefix top-k context ids that evaluation
+    reads; the ablation arm reads no context ids."""
+    return load_ingested(ws), None if ablation else load_context_topk(ws)[0]
 
 
 def run_evaluate(ws: Workspace, ablation: bool = False,
                  inputs: Callable[[], tuple[SplitCorpus, np.ndarray]] | None = None) -> Path:
     """``inputs`` as in ``run_train_next``."""
     def body(path: Path, cfg: StageConfig) -> dict:
-        corpus, ctx_topk = inputs() if inputs else _evaluate_inputs(ws)
+        corpus, ctx_topk = inputs() if inputs else _evaluate_inputs(ws, ablation)
         report = _rep_metrics(ws, cfg, corpus, ctx_topk, ablation)
         (path / "metrics.json").write_text(report.to_json())
         return {"mean_mrr": report.mean_mrr, "mean_recall_at_10": report.mean_recall}

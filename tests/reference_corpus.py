@@ -3,9 +3,8 @@
 
 Everything here builds one ``Interaction`` or ``Session`` per row, as the
 package did before its corpus became a set of columns: user filtering,
-sessionization, the chronological split, the line-at-a-time corpus writer
-and reader, and the generator that drew each session's items with
-``Generator.choice(p=...)``.
+sessionization, the chronological split, and the generator that drew each
+session's items with ``Generator.choice(p=...)``.
 
 ``parsed_interactions``, ``session_split``, ``interaction_range`` and
 ``user_session_ids`` are the per-row accessors that ``ParsedLog`` and
@@ -23,8 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ctxrec.corpus import (CORPUS_FORMAT_VERSION, TEST, TRAIN, VAL, Interaction,
-                           ParsedLog, Session, SplitCorpus)
+from ctxrec.corpus import TEST, TRAIN, VAL, Interaction, ParsedLog, Session, SplitCorpus
 from ctxrec.synth import SynthSpec
 
 
@@ -210,52 +208,6 @@ def build_corpus(parsed: ParsedLog, idle_threshold: int = 3600,
     return split(filtered, idle_threshold=idle_threshold,
                  num_users=len(user_keys), num_items=len(item_keys),
                  user_keys=user_keys, item_keys=item_keys)
-
-
-def save_corpus(corpus: ReferenceCorpus, path: str | Path) -> None:
-    """One ``json.dumps`` per row."""
-    with open(path, "w") as fh:
-        fh.write(json.dumps({
-            "format_version": CORPUS_FORMAT_VERSION,
-            "num_users": corpus.num_users,
-            "num_items": corpus.num_items,
-            "user_keys": corpus.user_keys,
-            "item_keys": corpus.item_keys,
-        }, sort_keys=True, separators=(",", ":")) + "\n")
-        for k, it in enumerate(corpus.interactions):
-            fh.write(json.dumps(
-                ["i", it.user_id, it.item_id, it.timestamp, corpus.splits[k],
-                 corpus.session_of[k], corpus.position_of[k]],
-                separators=(",", ":")) + "\n")
-        for s in corpus.sessions:
-            fh.write(json.dumps(
-                ["s", s.session_id, s.user_id, s.start, s.end, s.gap_to_next,
-                 list(s.items)], separators=(",", ":")) + "\n")
-
-
-def load_corpus(path: str | Path) -> ReferenceCorpus:
-    """One ``json.loads`` per line."""
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        if header.get("format_version") != CORPUS_FORMAT_VERSION:
-            raise ValueError(f"unsupported corpus format: {header.get('format_version')}")
-        interactions, splits, session_of, position_of, sessions = [], [], [], [], []
-        for line in fh:
-            row = json.loads(line)
-            if row[0] == "i":
-                _, user, item, ts, tag, sid, pos = row
-                interactions.append(Interaction(user, item, ts))
-                splits.append(tag)
-                session_of.append(sid)
-                position_of.append(pos)
-            elif row[0] == "s":
-                _, sid, user, start, end, gap, items = row
-                sessions.append(Session(sid, user, tuple(items), start, end, gap))
-            else:
-                raise ValueError(f"unknown corpus row type {row[0]!r}")
-    return ReferenceCorpus(header["num_users"], header["num_items"], interactions, splits,
-                           sessions, session_of, position_of, header["user_keys"],
-                           header["item_keys"])
 
 
 def generate(spec: SynthSpec, log_path: str | Path,

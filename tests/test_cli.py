@@ -143,7 +143,7 @@ def _partial_workspace(ws_full, cfg, workdir,
 class TestPipelineMechanics:
     def test_all_stage_artifacts_exist(self, tiny_pipeline):
         _, _, ws = tiny_pipeline
-        for stage, filename in [("ingest", "corpus.jsonl"),
+        for stage, filename in [("ingest", "corpus.npz"),
                                 ("embed", "embeddings.npz"),
                                 ("contextualize", "contexts.npz"),
                                 ("train-context", "predictions.npz"),
@@ -506,6 +506,70 @@ class TestPipelineMechanics:
         assert topk_probs.tobytes() == np.take_along_axis(probs, ref_ids, axis=1).tobytes()
         assert np.abs(topk_probs - ref_probs).max() < 1e-10
 
+    def test_old_format_ingest_dir_refused(self, tiny_pipeline, tmp_path, capsys):
+        tmp, cfg, ws_full = tiny_pipeline
+        ws = _partial_workspace(ws_full, cfg, tmp_path / "old", ("ingest",))
+        ingest = ws.stage_dir("ingest")
+        (ingest / "corpus.npz").rename(ingest / "corpus.jsonl")
+        with pytest.raises(pipeline.PipelineError,
+                           match=f"{re.escape(str(ingest))} holds no corpus.npz"):
+            pipeline.run_ingest(ws, tmp / "log.csv")
+        with pytest.raises(ValueError, match=re.escape(str(ingest / "corpus.npz"))):
+            pipeline.load_ingested(ws)
+        assert main(["ingest", "--workdir", str(ws.workdir), "--input", str(tmp / "log.csv")]
+                    + _tiny_cfg_flags()) == 1
+        assert str(ingest) in capsys.readouterr().err
+        assert sorted(p.name for p in ws.workdir.iterdir()) == [ingest.name]
+        assert sorted(p.name for p in ingest.iterdir()) == ["corpus.jsonl", "meta.json"]
+
+    @pytest.mark.parametrize("stage, name, command", [
+        ("embed", "embeddings.npz", "contextualize"),
+        ("contextualize", "contexts.npz", "train-context"),
+    ])
+    def test_cut_stage_arrays_named(self, tiny_pipeline, tmp_path, capsys, stage, name,
+                                    command):
+        _, cfg, ws_full = tiny_pipeline
+        chain = ("ingest", "embed", "contextualize")
+        ws = _partial_workspace(ws_full, cfg, tmp_path / "cut",
+                                chain[:chain.index(stage) + 1])
+        path = ws.stage_dir(stage) / name
+        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+        loader = {"embed": pipeline.load_embeddings, "contextualize": pipeline.load_contexts}
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            loader[stage](ws)
+        assert main([command, "--workdir", str(ws.workdir)] + _tiny_cfg_flags()) == 1
+        assert str(path) in capsys.readouterr().err
+
+    def test_next_item_stages_build_no_context_predictor(self, tiny_pipeline, tmp_path,
+                                                         monkeypatch):
+        _, cfg, ws_full = tiny_pipeline
+        ws = _partial_workspace(ws_full, cfg, tmp_path / "no-predictor")
+        (ws.stage_dir("train-context") / "predictor.ckpt").unlink()
+
+        def no_predictor(*args, **kwargs):
+            raise AssertionError("a context predictor was built")
+
+        monkeypatch.setattr(pred_mod.ContextPredictor, "__init__", no_predictor)
+        for stage, run in [("train-next", pipeline.run_train_next),
+                           ("evaluate", pipeline.run_evaluate)]:
+            name = {"train-next": "nextitem.ckpt", "evaluate": "metrics.json"}[stage]
+            assert (run(ws) / name).read_bytes() == \
+                (ws_full.stage_dir(stage) / name).read_bytes()
+
+    def test_ablation_arm_builds_from_ingest_alone(self, tiny_pipeline, tmp_path):
+        _, cfg, ws_full = tiny_pipeline
+        pipeline.run_evaluate(ws_full, ablation=True)
+        ws = _partial_workspace(ws_full, cfg, tmp_path / "ingest-only", ("ingest",))
+        wd = ["--workdir", str(ws.workdir)] + _tiny_cfg_flags()
+        assert main(["train-next", "--ablation"] + wd) == 0
+        assert main(["evaluate", "--ablation"] + wd) == 0
+        for stage, name in [("train-next-ablation", "nextitem.ckpt"),
+                            ("evaluate-ablation", "metrics.json")]:
+            assert (ws.stage_dir(stage) / name).read_bytes() == \
+                (ws_full.stage_dir(stage) / name).read_bytes()
+        assert {p.name.rsplit("-", 1)[0] for p in ws.workdir.iterdir()} == {
+            "ingest", "train-next-ablation", "evaluate-ablation"}
+
     def test_ablation_train_and_evaluate_stages(self, tiny_pipeline):
         _, _, ws = tiny_pipeline
         pipeline.run_train_next(ws, ablation=True)
@@ -518,9 +582,10 @@ class TestPipelineMechanics:
 class TestStageKeys:
     @pytest.mark.parametrize("field, value, kept", [
         ("patience", 3, {"ingest", "embed", "contextualize"}),
-        ("graph_epochs", 5, {"ingest"}),
+        ("graph_epochs", 5, {"ingest", "train-next-ablation", "evaluate-ablation"}),
         ("context_dim", 6, {"ingest", "embed", "contextualize", "train-context"}),
-        ("top_k_contexts", 1, {"ingest", "embed", "contextualize", "train-context"}),
+        ("top_k_contexts", 1, {"ingest", "embed", "contextualize", "train-context",
+                               "train-next-ablation", "evaluate-ablation"}),
     ])
     def test_changed_field_rekeys_only_stages_that_depend_on_it(
             self, tmp_path, field, value, kept):
@@ -555,8 +620,14 @@ class TestStageKeys:
             return set(fields).union(*(read(u) for u in upstream))
 
         every = {f.name for f in dataclasses.fields(PipelineConfig)}
-        for stage in ("evaluate", "evaluate-ablation", "ablate"):
+        for stage in ("evaluate", "ablate"):
             assert read(stage) == every, stage
+        # the ablation arm reads no context prediction, so none of the fields
+        # that only the embeddings, the contexts or the top-K ids depend on
+        assert every - read("evaluate-ablation") == {
+            "session_emb_dim", "graph_base_dim", "graph_lr", "graph_epochs", "graph_batch",
+            "graph_fanout1", "graph_fanout2", "graph_negatives", "kmeans_max_iters",
+            "kmeans_n_init", "top_k_contexts"}
 
     def test_undeclared_field_read_fails(self, tiny_pipeline, tmp_path, monkeypatch):
         _, cfg, ws_full = tiny_pipeline

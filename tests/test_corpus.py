@@ -1,7 +1,9 @@
-import json
+import io
 import math
+import re
 import sys
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from ctxrec.corpus import (
     build_corpus,
     filter_log,
     LogParseError,
+    TAGS,
     TEST,
     TRAIN,
     VAL,
@@ -247,7 +250,7 @@ def test_sessionize_boundaries_property(gaps):
 def test_corpus_save_load_round_trip(tmp_path):
     corpus = corpus_from_rows([(0, k % 4, k * 1000) for k in range(12)]
                               + [(1, k % 3, k * 2500) for k in range(11)])
-    path = tmp_path / "corpus.jsonl"
+    path = tmp_path / "corpus.npz"
     save_corpus(corpus, path)
     loaded = load_corpus(path)
     assert loaded.interactions == corpus.interactions
@@ -276,7 +279,7 @@ def test_save_load_round_trip_property(log):
     lines = [f"u{u},i{i},{t}" for u, i, t in _timed_rows(log)]
     corpus = build_corpus(parse_log(lines), min_count=1)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "corpus.jsonl"
+        path = Path(tmp) / "corpus.npz"
         save_corpus(corpus, path)
         loaded = load_corpus(path)
     assert loaded == corpus
@@ -343,13 +346,11 @@ def test_column_path_matches_object_oracle(rows, idle_threshold, min_count, head
     oracle = reference_corpus.build_corpus(parsed, idle_threshold, min_count)
     reference_corpus.assert_same_corpus(corpus, oracle)
     with tempfile.TemporaryDirectory() as tmp:
-        path, oracle_path = Path(tmp) / "corpus.jsonl", Path(tmp) / "oracle.jsonl"
+        path = Path(tmp) / "corpus.npz"
         save_corpus(corpus, path)
-        reference_corpus.save_corpus(oracle, oracle_path)
-        assert path.read_bytes() == oracle_path.read_bytes()
         loaded = load_corpus(path)
-        assert loaded == corpus
-        reference_corpus.assert_same_corpus(loaded, reference_corpus.load_corpus(path))
+    assert loaded == corpus
+    reference_corpus.assert_same_corpus(loaded, oracle)
 
 
 @settings(max_examples=60, deadline=None)
@@ -365,15 +366,21 @@ def test_split_columns_matches_oracle(rows, fracs):
         inter, train_frac=train_frac, val_frac_of_train=val_frac))
 
 
-# -- a cut or inconsistent corpus file gives an error that names it ---------
+# -- a cut, corrupt or inconsistent corpus file gives an error that names it -
 
 @pytest.fixture(scope="module")
-def corpus_lines(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("cut")
+def corpus_file(tmp_path_factory):
+    """A small corpus and the bytes of its file."""
+    tmp = tmp_path_factory.mktemp("corpus_file")
     corpus, *_ = synth_corpus(tmp, num_users=4, sessions_per_user=6, seed=3)
-    save_corpus(corpus, tmp / "corpus.jsonl")
-    assert load_corpus(tmp / "corpus.jsonl") == corpus
-    return (tmp / "corpus.jsonl").read_text().splitlines(keepends=True)
+    save_corpus(corpus, tmp / "corpus.npz")
+    return corpus, (tmp / "corpus.npz").read_bytes()
+
+
+# the members of a corpus file in file order: the header members, then the
+# interaction columns, then the session column
+MEMBERS = ("format_version", "num_users", "num_items", "user_keys", "item_keys",
+           "user_of", "item_of", "timestamp", "split", "session_start")
 
 
 def _load_error(path: Path) -> str:
@@ -383,65 +390,142 @@ def _load_error(path: Path) -> str:
     return str(err.value)
 
 
-def test_whole_file_loads(corpus_lines, tmp_path):
-    path = tmp_path / "corpus.jsonl"
-    path.write_text("".join(corpus_lines))
-    assert load_corpus(path).num_interactions == sum(
-        line.startswith('["i"') for line in corpus_lines)
+def _record_spans(data: bytes) -> dict[str, tuple[int, int]]:
+    """The (start, stop) bytes of each record of a corpus file, in file
+    order: its members by array name, then ``directory`` (the zip central
+    directory) and ``end`` (the end-of-directory record)."""
+    with zipfile.ZipFile(io.BytesIO(data)) as zf:
+        starts = {info.filename.removesuffix(".npy"): info.header_offset
+                  for info in zf.infolist()}
+        starts["directory"] = zf.start_dir
+    starts["end"] = data.rfind(b"PK\x05\x06")
+    bounds = sorted(starts.values()) + [len(data)]
+    return {name: (start, bounds[bounds.index(start) + 1]) for name, start in starts.items()}
 
 
+def _members(data: bytes) -> dict[str, np.ndarray]:
+    with np.load(io.BytesIO(data)) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
+def _write_members(path: Path, members: dict) -> None:
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+
+
+def test_whole_file_loads(corpus_file, tmp_path):
+    corpus, data = corpus_file
+    path = tmp_path / "corpus.npz"
+    path.write_bytes(data)
+    assert load_corpus(path) == corpus
+    assert list(_record_spans(data)) == list(MEMBERS) + ["directory", "end"]
+
+
+# A "line" of the file is one of its records: the header members, the
+# interaction columns, the session column, the directory and the end record.
 @pytest.mark.parametrize("keep", ["header", "some-interactions", "all-interactions",
                                   "some-sessions", "all-but-one-line"])
-def test_cut_at_a_line_boundary_is_named(corpus_lines, tmp_path, keep):
-    n_inter = sum(line.startswith('["i"') for line in corpus_lines)
-    stop = {"header": 1, "some-interactions": 1 + n_inter // 2,
-            "all-interactions": 1 + n_inter,
-            "some-sessions": (1 + n_inter + len(corpus_lines)) // 2,
-            "all-but-one-line": len(corpus_lines) - 1}[keep]
-    path = tmp_path / "corpus.jsonl"
-    path.write_text("".join(corpus_lines[:stop]))
-    assert ("no interaction rows" if keep == "header" else "session rows hold") in _load_error(path)
-
-
-@pytest.mark.parametrize("line", [0, 1, -1], ids=["header", "interaction", "last-session"])
-def test_cut_inside_a_line_is_named(corpus_lines, tmp_path, line):
-    cut = sum(map(len, corpus_lines[:line % len(corpus_lines)])) + len(corpus_lines[line]) // 2
-    path = tmp_path / "corpus.jsonl"
-    path.write_text("".join(corpus_lines)[:cut])
+def test_cut_at_a_line_boundary_is_named(corpus_file, tmp_path, keep):
+    _, data = corpus_file
+    first_dropped = {"header": "user_of", "some-interactions": "timestamp",
+                     "all-interactions": "session_start", "some-sessions": "directory",
+                     "all-but-one-line": "end"}[keep]
+    path = tmp_path / "corpus.npz"
+    path.write_bytes(data[:_record_spans(data)[first_dropped][0]])
     _load_error(path)
 
 
-@pytest.mark.parametrize("edit", ["session-items", "session-start", "gap", "position",
-                                  "item-count", "row-type", "extra-session"])
-def test_inconsistent_rows_are_named(corpus_lines, tmp_path, edit):
-    lines = list(corpus_lines)
-    first_session = next(k for k, line in enumerate(lines) if line.startswith('["s"'))
-    row = json.loads(lines[first_session])
-    if edit == "session-items":
-        row[6][0] += 1
-    elif edit == "session-start":
-        row[3] -= 1
-    elif edit == "gap":
-        row[5] = None
-    if edit.startswith("session") or edit == "gap":
-        lines[first_session] = json.dumps(row, separators=(",", ":")) + "\n"
-    elif edit == "position":
-        inter = json.loads(lines[1])
-        inter[6] += 1
-        lines[1] = json.dumps(inter, separators=(",", ":")) + "\n"
-    elif edit == "item-count":
-        header = json.loads(lines[0])
-        header["num_items"] = 1
-        lines[0] = json.dumps(header) + "\n"
-    elif edit == "row-type":
-        lines[1] = lines[1].replace('"i"', '"x"')
-    else:
-        last = json.loads(lines[-1])
-        last[1] += 1
-        lines.append(json.dumps(last, separators=(",", ":")) + "\n")
-    path = tmp_path / "corpus.jsonl"
-    path.write_text("".join(lines))
+@pytest.mark.parametrize("line", ["format_version", "user_of", "session_start"],
+                         ids=["header", "interaction", "last-session"])
+def test_cut_inside_a_line_is_named(corpus_file, tmp_path, line):
+    _, data = corpus_file
+    start, stop = _record_spans(data)[line]
+    path = tmp_path / "corpus.npz"
+    path.write_bytes(data[:(start + stop) // 2])
     _load_error(path)
+
+
+def test_cut_anywhere_is_named(corpus_file, tmp_path):
+    _, data = corpus_file
+    path = tmp_path / "corpus.npz"
+    for cut in range(0, len(data), 37):
+        path.write_bytes(data[:cut])
+        _load_error(path)
+
+
+@pytest.mark.parametrize("member", MEMBERS)
+def test_dropped_member_is_named(corpus_file, tmp_path, member):
+    _, data = corpus_file
+    members = _members(data)
+    del members[member]
+    path = tmp_path / "corpus.npz"
+    _write_members(path, members)
+    assert member in _load_error(path).split(": ", 1)[1]
+
+
+def test_format_version_1_is_refused(corpus_file, tmp_path):
+    _, data = corpus_file
+    path = tmp_path / "corpus.npz"
+    _write_members(path, {**_members(data), "format_version": np.array(1)})
+    assert "unsupported corpus format 1" in _load_error(path)
+
+
+# edit id: (an in-place edit of the stored arrays, the failed check it
+# names); each breaks one load check
+_EDITS = {
+    "session-items": (lambda m: np.put(m["item_of"], 0, m["num_items"]), "outside the counts"),
+    "session-start": (lambda m: np.put(m["session_start"], 1, 0), "rise strictly"),
+    "gap": (lambda m: np.put(m["timestamp"], 1, m["timestamp"][0] - 1),
+            r"\(user, time\) order"),
+    "position": (lambda m: np.put(m["session_start"], 0, 1), "start at 0"),
+    "item-count": (lambda m: m.update(num_items=np.array(1), item_keys=m["item_keys"][:1]),
+                   "outside the counts"),
+    "row-type": (lambda m: m.update(timestamp=m["timestamp"].astype(float)), "1-D ints"),
+    "extra-session": (lambda m: m.update(session_start=np.append(
+        m["session_start"], len(m["user_of"]))), "below the interaction count"),
+    "no-sessions": (lambda m: m.update(session_start=m["session_start"][:0]), "start at 0"),
+    "short-column": (lambda m: m.update(split=m["split"][:-1]), "one per interaction"),
+    "two-dim": (lambda m: m.update(user_of=m["user_of"][:, None]), "1-D ints"),
+    "negative-user": (lambda m: np.put(m["user_of"], 0, -1), "outside the counts"),
+    "split-code": (lambda m: np.put(m["split"], 0, len(TAGS)), "split code"),
+    "user-order": (lambda m: np.put(m["user_of"], -1, 0), r"\(user, time\) order"),
+    "user-change": (lambda m: m.update(session_start=np.setdiff1d(
+        m["session_start"], np.flatnonzero(np.diff(m["user_of"])) + 1)), "spans two users"),
+    "count-type": (lambda m: m.update(num_users=m["num_users"].astype(float)), "counts"),
+    "negative-count": (lambda m: m.update(num_items=np.array(-1)), "counts"),
+    "keys": (lambda m: m.update(user_keys=m["user_keys"][:-1]), "raw keys"),
+}
+
+
+@pytest.mark.parametrize("edit", list(_EDITS))
+def test_inconsistent_rows_are_named(corpus_file, tmp_path, edit):
+    _, data = corpus_file
+    members = _members(data)
+    change, message = _EDITS[edit]
+    change(members)
+    path = tmp_path / "corpus.npz"
+    _write_members(path, members)
+    assert re.search(message, _load_error(path))
+
+
+def test_flipped_bit_is_refused_or_harmless(corpus_file, tmp_path):
+    """A one-bit flip anywhere in the file gives a named error (the member
+    CRC-32s, the zip structure and the load checks) or the same corpus."""
+    corpus, data = corpus_file
+    path = tmp_path / "corpus.npz"
+    refused = 0
+    for k in range(0, len(data), 3):
+        flipped = bytearray(data)
+        flipped[k] ^= 1 << (k % 8)
+        path.write_bytes(flipped)
+        try:
+            loaded = load_corpus(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+            refused += 1
+        else:
+            assert loaded == corpus, k
+    assert refused > len(data) // 3 // 2
 
 
 # -- the generator ------------------------------------------------------------

@@ -1,4 +1,7 @@
+import json
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ import reference_bilstm
 import reference_graph
 import reference_models
 from ctxrec.nn import engine
-from ctxrec.nn.checkpoint import load_params
+from ctxrec.nn.checkpoint import load_arrays, load_params
 from ctxrec.nn.layers import window_sources
 
 
@@ -716,8 +719,87 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
             load_checkpoint(path)
 
+    @staticmethod
+    def _rewrite_header(path, edit) -> None:
+        """Replace the header of the checkpoint at ``path`` by ``edit`` of its
+        bytes, keeping the payload."""
+        data = path.read_bytes()
+        end = 16 + struct.unpack("<Q", data[8:16])[0]
+        header = edit(data[16:end])
+        path.write_bytes(data[:8] + struct.pack("<Q", len(header)) + header + data[end:])
+
+    @pytest.mark.parametrize("damage, error", [
+        (lambda h: h.replace(b"{", b"[", 1), "JSONDecodeError"),
+        (lambda h: h[:5] + b"\xff" + h[6:], "UnicodeDecodeError"),
+        (lambda h: h.replace(b'"tensors"', b'"tensorz"'), "KeyError"),
+        (lambda h: json.dumps({**json.loads(h), "tensors": [{"name": "w", "offset": "0",
+                                                              "nbytes": 16, "dtype": "<f8",
+                                                              "shape": [2]}]}).encode(),
+         "TypeError"),
+    ], ids=["json", "utf-8", "key", "type"])
+    def test_damaged_header_named(self, tmp_path, damage, error):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, {"w": np.ones(2)}, config={"dim": 2})
+        self._rewrite_header(path, damage)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {error}"):
+            load_checkpoint(path)
+
+    def test_header_bit_flips_named_or_loaded(self, tmp_path):
+        """No flipped header bit raises anything but a ValueError naming the
+        file; a flip that still decodes loads."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, {"w": np.ones((3, 2)), "b": np.zeros(2)}, config={"dim": 2})
+        data = path.read_bytes()
+        end = 16 + struct.unpack("<Q", data[8:16])[0]
+        for k in range(16, end):
+            flipped = bytearray(data)
+            flipped[k] ^= 1 << (k % 8)
+            path.write_bytes(flipped)
+            try:
+                load_checkpoint(path)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}: "), k
+
     def test_load_params_names_missing_tensor(self, tmp_path):
         save_checkpoint(tmp_path / "m.ckpt", {"w": np.ones(4)})
         b = Parameter("b", np.zeros(4))
         with pytest.raises(ValueError, match="no tensor 'b'"):
             load_params([b], load_checkpoint(tmp_path / "m.ckpt"))
+
+
+class TestArrayFile:
+    """``load_arrays``: the checked reader of the stages' ``.npz`` files."""
+
+    @staticmethod
+    def _save(path, **arrays):
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        return path.read_bytes()
+
+    def test_reads_the_named_arrays(self, tmp_path):
+        a, b = np.arange(6.0).reshape(2, 3), np.arange(4)
+        self._save(tmp_path / "x.npz", a=a, b=b)
+        got_b, got_a = load_arrays(tmp_path / "x.npz", "b", "a")
+        assert got_a.tobytes() == a.tobytes() and got_b.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("damage", ["absent", "empty", "cut", "no-member", "not-npz",
+                                        "plain-npy", "shrunk-shape"])
+    def test_damage_named(self, tmp_path, damage):
+        path = tmp_path / "x.npz"
+        # a member larger than one zip read, so a shorter array reads a prefix
+        data = self._save(path, a=np.arange(12000.0).reshape(3000, 4))
+        if damage == "absent":
+            path.unlink()
+        elif damage == "no-member":
+            self._save(path, b=np.zeros(2))
+        elif damage == "plain-npy":
+            with open(path, "wb") as fh:
+                np.save(fh, np.zeros(2))
+        elif damage == "shrunk-shape":  # (3000, 4) -> (2000, 4): one bit
+            at = data.index(b"(3000, 4)") + 1
+            path.write_bytes(data[:at] + b"2" + data[at + 1:])
+        else:
+            path.write_bytes({"empty": b"", "cut": data[:len(data) // 2],
+                              "not-npz": b"\x93NUMPY not a zip"}[damage])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_arrays(path, "a")

@@ -66,7 +66,7 @@ plus 3 metadata columns).
 - ``test_ingest``: the ingest stage's work on that log: ``parse_log``,
   ``build_corpus`` (user filter, sessionization, split) and
   ``save_corpus``.
-- ``test_load_corpus``: ``load_corpus`` of the ``corpus.jsonl`` that
+- ``test_load_corpus``: ``load_corpus`` of the ``corpus.npz`` that
   ingest writes for it, which every later stage and the serving set-up
   read.
 """
@@ -180,12 +180,12 @@ def test_generate(benchmark, tmp_path):
 
 def test_ingest(benchmark, pinned_log, tmp_path):
     benchmark(lambda: save_corpus(build_corpus(parse_log(pinned_log)),
-                                  tmp_path / "corpus.jsonl"))
+                                  tmp_path / "corpus.npz"))
 
 
 def test_load_corpus(benchmark, pinned_corpus, tmp_path):
-    save_corpus(pinned_corpus, tmp_path / "corpus.jsonl")
-    assert benchmark(load_corpus, tmp_path / "corpus.jsonl") == pinned_corpus
+    save_corpus(pinned_corpus, tmp_path / "corpus.npz")
+    assert benchmark(load_corpus, tmp_path / "corpus.npz") == pinned_corpus
 
 
 @pytest.fixture(scope="module")
