@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .cluster import export_clusters_csv
-from .config import ConfigError, PipelineConfig, resolve_config
+from .config import ConfigError, PipelineConfig, _coerce, resolve_config
 from .graph import export_embeddings_csv
 from . import pipeline
 from .nextitem import export_ranked_lists
@@ -91,14 +91,13 @@ def _config_from_args(args) -> PipelineConfig:
     return resolve_config(args.config, overrides)
 
 
-def _parse_values(raw: str | None) -> list | None:
+def _parse_values(param: str, raw: str | None) -> list | None:
+    """The comma-separated sweep values, each coerced as a config value of
+    ``param`` is (``user_item_dim``'s as ``user_dim``'s)."""
     if raw is None:
         return None
-    out = []
-    for tok in raw.split(","):
-        tok = tok.strip()
-        out.append(float(tok) if "." in tok else int(tok))
-    return out
+    key = "user_dim" if param == "user_item_dim" else param
+    return [_coerce(key, tok.strip()) for tok in raw.split(",")]
 
 
 def _export(ws: pipeline.Workspace, what: str, out_path: str | Path) -> Path:
@@ -140,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
             path = pipeline.run_ingest(ws, args.input, args.delimiter,
                                        args.has_header, args.on_error)
         elif args.command == "sweep":
-            path = pipeline.run_sweep(ws, args.param, _parse_values(args.values),
+            path = pipeline.run_sweep(ws, args.param, _parse_values(args.param, args.values),
                                       args.input, args.delimiter, args.has_header)
         elif args.command == "export":
             path = _export(ws, args.what, args.out)

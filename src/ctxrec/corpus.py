@@ -69,14 +69,7 @@ class Session:
 @dataclass
 class ColumnSchema:
     delimiter: str = ","
-    user_col: int = 0
-    item_col: int = 1
-    time_col: int = 2
     has_header: bool = False
-
-    @property
-    def arity(self) -> int:
-        return max(self.user_col, self.item_col, self.time_col) + 1
 
 
 @dataclass
@@ -116,7 +109,8 @@ def _timestamps(values) -> np.ndarray:
 
 def parse_log(source: Iterable[str] | str | Path, schema: ColumnSchema | None = None,
               on_error: str = "abort") -> ParsedLog:
-    """Parse delimiter-separated (user, item, timestamp) rows.
+    """Parse delimiter-separated rows whose first three columns are the
+    user, the item and the timestamp; any further columns are ignored.
 
     Ids are compacted to contiguous integers in first-appearance order and
     interactions are sorted per user by timestamp, stable on ties so equal
@@ -143,16 +137,14 @@ def parse_log(source: Iterable[str] | str | Path, schema: ColumnSchema | None = 
             continue
         parts = line.rstrip("\n").split(schema.delimiter)
         try:
-            if len(parts) < schema.arity:
-                raise LogParseError(
-                    lineno, f"expected >= {schema.arity} columns, got {len(parts)}")
+            if len(parts) < 3:
+                raise LogParseError(lineno, f"expected >= 3 columns, got {len(parts)}")
             try:
-                ts = _parse_timestamp(parts[schema.time_col].strip())
+                ts = _parse_timestamp(parts[2].strip())
             except ValueError:
-                raise LogParseError(
-                    lineno, f"non-numeric timestamp {parts[schema.time_col]!r}")
-            user_key = parts[schema.user_col].strip()
-            item_key = parts[schema.item_col].strip()
+                raise LogParseError(lineno, f"non-numeric timestamp {parts[2]!r}")
+            user_key = parts[0].strip()
+            item_key = parts[1].strip()
             if not user_key or not item_key:
                 raise LogParseError(lineno, "empty user or item field")
         except LogParseError as exc:

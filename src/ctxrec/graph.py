@@ -374,9 +374,10 @@ def _edge_loss_det(encoder: SageEncoder, graph: BipartiteMultigraph,
     return float(np.logaddexp(0.0, -score).sum() / len(edges))
 
 
-def negative_sampling_weights(graph: BipartiteMultigraph, power: float = 0.75) -> np.ndarray:
+def negative_sampling_weights(graph: BipartiteMultigraph) -> np.ndarray:
+    """Each item's negative-sampling probability: its degree to the 3/4 power."""
     deg = (graph.item_off[1:] - graph.item_off[:-1]).astype(np.float64)
-    w = deg ** power
+    w = deg ** 0.75
     total = w.sum()
     if total <= 0:
         raise ValueError("graph has no edges to sample negatives from")
@@ -387,7 +388,6 @@ def train_encoder(graph: BipartiteMultigraph, base_dim: int = 64,
                   out_dim: int = 64, epochs: int = 10, batch_size: int = 512,
                   fanout: tuple[int, int] = (10, 10), num_negatives: int = 5,
                   lr: float = 0.001, clip_norm: float = 5.0,
-                  holdout_frac: float = 0.05,
                   seed: int = 0) -> tuple[SageEncoder, dict]:
     """Unsupervised encoder training; returns the encoder and loss history.
 
@@ -400,7 +400,7 @@ def train_encoder(graph: BipartiteMultigraph, base_dim: int = 64,
     encoder = SageEncoder(graph.num_items, base_dim, out_dim, fanout, rng)
     weights = negative_sampling_weights(graph)
 
-    n_hold = int(round(holdout_frac * graph.num_edges))
+    n_hold = int(round(0.05 * graph.num_edges))
     if graph.num_edges - n_hold < 1:
         n_hold = 0
     perm = rng.permutation(graph.num_edges)

@@ -6,9 +6,6 @@ ascending, so tied scores place lower ids first.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import stdtr
 
@@ -76,40 +73,3 @@ def t_test_one_tailed(samples_a, samples_b) -> tuple[float, float]:
     p = float(1.0 - stdtr(df, t))
     return t, p
 
-
-@dataclass
-class EvalReport:
-    """Per-repetition metrics plus their means for one evaluation protocol run."""
-
-    mode: str
-    seeds: list[int]
-    mrr_values: list[float]
-    recall_values: list[float]
-    recall_k: int = 10
-    num_examples: int = 0
-    config_hash: str = ""
-
-    @property
-    def mean_mrr(self) -> float:
-        return float(np.mean(self.mrr_values))
-
-    @property
-    def mean_recall(self) -> float:
-        return float(np.mean(self.recall_values))
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "config_hash": self.config_hash,
-            "seeds": self.seeds,
-            "repetitions": [
-                {"seed": s, "mrr": m, f"recall_at_{self.recall_k}": r}
-                for s, m, r in zip(self.seeds, self.mrr_values, self.recall_values)
-            ],
-            "mean": {"mrr": self.mean_mrr,
-                     f"recall_at_{self.recall_k}": self.mean_recall},
-            "num_eval_examples": self.num_examples,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

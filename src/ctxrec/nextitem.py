@@ -153,7 +153,7 @@ def batch_loss(model: NextItemModel, corpus: SplitCorpus,
     their int array) as one batched graph."""
     rows = example_rows(examples, len(RankExample._fields))
     logits = _batch_logits(model, corpus, rows, ctx_topk)
-    return engine.softmax_cross_entropy(logits, rows[:, 4])[0]
+    return engine.softmax_cross_entropy(logits, rows[:, 4])
 
 
 def compute_ranks(model: NextItemModel, corpus: SplitCorpus, examples,

@@ -38,7 +38,6 @@ _DTYPE = "<f8"
 class Checkpoint:
     tensors: dict[str, np.ndarray]
     config: dict
-    version: int = FORMAT_VERSION
 
 
 def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray],
@@ -97,7 +96,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                                  f"{offset + nbytes}, but the file holds {len(payload)}")
             arr = np.frombuffer(payload[offset:offset + nbytes], dtype=entry["dtype"])
             tensors[name] = arr.astype(np.float64).reshape(entry["shape"])
-        return Checkpoint(tensors=tensors, config=header["config"], version=version)
+        return Checkpoint(tensors=tensors, config=header["config"])
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None
 

@@ -61,7 +61,7 @@ def _accum(var: Var, g: np.ndarray, owned: bool = False) -> None:
         var.grad += g
 
 
-def backward(root: Var, seed: float = 1.0) -> None:
+def backward(root: Var) -> None:
     """Reverse-mode sweep from a scalar loss node.
 
     Visits each node once in reverse topological order, so shared subgraphs
@@ -85,7 +85,7 @@ def backward(root: Var, seed: float = 1.0) -> None:
         for p in node.parents:
             if id(p) not in seen:
                 stack.append((p, False))
-    root.grad = np.asarray(float(seed))
+    root.grad = np.asarray(1.0)
     for node in reversed(order):
         if node.bwd is not None and node.grad is not None:
             node.bwd(node.grad)
@@ -198,16 +198,15 @@ def dense(weight: Parameter, bias: Parameter | None, x: Var) -> Var:
     return Var(y, (x,), bwd)
 
 
-def concat(parts: list[Var], axis: int = -1) -> Var:
-    widths = [p.value.shape[axis] for p in parts]
-    out_val = np.concatenate([p.value for p in parts], axis=axis)
+def concat(parts: list[Var]) -> Var:
+    """Join nodes along the last axis."""
+    widths = [p.value.shape[-1] for p in parts]
+    out_val = np.concatenate([p.value for p in parts], axis=-1)
 
     def bwd(g):
         offset = 0
         for p, w in zip(parts, widths):
-            sl = [slice(None)] * g.ndim
-            sl[axis if axis >= 0 else g.ndim + axis] = slice(offset, offset + w)
-            _accum(p, g[tuple(sl)])
+            _accum(p, g[..., offset:offset + w])
             offset += w
 
     return Var(out_val, tuple(parts), bwd)
@@ -232,8 +231,8 @@ def reshape(x: Var, shape) -> Var:
     return Var(x.value.reshape(shape), (x,), bwd)
 
 
-def softmax_cross_entropy(logits: Var, targets) -> tuple[Var, np.ndarray]:
-    """Fused softmax + negative log-likelihood; returns (loss node, probs).
+def softmax_cross_entropy(logits: Var, targets) -> Var:
+    """Fused softmax + negative log-likelihood; returns the loss node.
 
     A (V,) logits node with an int target gives that example's loss; a
     (B, V) node with B targets gives the mean of the B row losses.
@@ -255,4 +254,4 @@ def softmax_cross_entropy(logits: Var, targets) -> tuple[Var, np.ndarray]:
         d *= g / n
         _accum(logits, d.reshape(probs.shape), owned=True)
 
-    return Var(np.asarray(loss), (logits,), bwd), probs
+    return Var(np.asarray(loss), (logits,), bwd)

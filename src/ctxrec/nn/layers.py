@@ -119,17 +119,18 @@ class DenseLayer:
 
 
 class LstmDirection:
-    """One direction's fused-gate parameters, gate row order [i, f, g, o]."""
+    """One direction's fused-gate parameters, gate row order [i, f, g, o];
+    the forget gate's bias starts at 1."""
 
     def __init__(self, name: str, input_dim: int, hidden_dim: int,
-                 rng: np.random.Generator, forget_bias: float = 1.0):
+                 rng: np.random.Generator):
         h = hidden_dim
         self.input_dim = input_dim
         self.hidden_dim = h
         self.w_in = Parameter(f"{name}.w_in", uniform_init(rng, (4 * h, input_dim), input_dim))
         self.w_rec = Parameter(f"{name}.w_rec", uniform_init(rng, (4 * h, h), h))
         bias = np.zeros(4 * h)
-        bias[h:2 * h] = forget_bias
+        bias[h:2 * h] = 1.0
         self.bias = Parameter(f"{name}.bias", bias)
         # tanh(z * scale) * scale + shift is sigmoid on i, f, o and tanh on g
         self.gate_scale = np.repeat([0.5, 0.5, 1.0, 0.5], h)

@@ -10,14 +10,13 @@ from . import engine
 from .engine import Parameter, Var
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
-    def __init__(self, params: list[Parameter], lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Parameter], lr: float = 0.001):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
@@ -28,38 +27,32 @@ class Adam:
         for p in self.params:
             p.zero_grad()
 
-    def step(self, grads: list[np.ndarray] | None = None) -> None:
-        """Apply one bias-corrected update from ``grads`` or the accumulated
-        ``param.grad`` buffers. Raises on shape mismatch or non-finite grads.
-        The moments and parameters are updated in place."""
-        if grads is None:
-            grads = [p.grad for p in self.params]
-        if len(grads) != len(self.params):
-            raise ValueError(f"expected {len(self.params)} gradients, got {len(grads)}")
-        for p, g in zip(self.params, grads):
-            if g.shape != p.value.shape:
-                raise ValueError(f"gradient shape {g.shape} does not match "
-                                 f"parameter {p.name} shape {p.value.shape}")
-            if not np.isfinite(g).all():
+    def step(self) -> None:
+        """Apply one bias-corrected update from the accumulated
+        ``param.grad`` buffers. Raises on non-finite grads. The moments and
+        parameters are updated in place."""
+        for p in self.params:
+            if not np.isfinite(p.grad).all():
                 raise FloatingPointError(f"non-finite gradient for {p.name}")
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
-        for p, g, m, v, (a, b) in zip(self.params, grads, self.m, self.v, self._work):
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
+        for p, m, v, (a, b) in zip(self.params, self.m, self.v, self._work):
+            g = p.grad
             # m = beta1 * m + (1 - beta1) * g
-            m *= self.beta1
-            m += np.multiply(1.0 - self.beta1, g, out=a)
+            m *= BETA1
+            m += np.multiply(1.0 - BETA1, g, out=a)
             # v = beta2 * v + (1 - beta2) * g * g
-            v *= self.beta2
-            np.multiply(1.0 - self.beta2, g, out=a)
+            v *= BETA2
+            np.multiply(1.0 - BETA2, g, out=a)
             v += np.multiply(a, g, out=a)
             # value -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
             np.divide(m, bc1, out=a)
             a *= self.lr
             np.divide(v, bc2, out=b)
             np.sqrt(b, out=b)
-            b += self.eps
+            b += EPS
             p.value -= np.divide(a, b, out=a)
 
 

@@ -28,7 +28,7 @@ from . import nextitem as next_mod
 from . import predictor as pred_mod
 from .config import PipelineConfig
 from .corpus import SplitCorpus, build_corpus, load_corpus, parse_log, save_corpus, ColumnSchema, TEST
-from .metrics import EvalReport, mrr, recall_at_k, t_test_one_tailed
+from .metrics import mrr, recall_at_k, t_test_one_tailed
 from .nn.checkpoint import load_arrays, load_checkpoint, load_params, save_checkpoint
 
 
@@ -305,7 +305,7 @@ def run_train_context(ws: Workspace) -> Path:
         rng = np.random.default_rng(cfg.seed)
         # ContextPredictor's arguments, as the checkpoint records them
         dims = {"num_users": corpus.num_users, "num_items": corpus.num_items,
-                "num_contexts": cfg.num_contexts, "feat_dim": features.dim,
+                "num_contexts": cfg.num_contexts, "feat_dim": features.shape[1],
                 "user_dim": cfg.user_dim, "item_dim": cfg.item_dim,
                 "hidden": cfg.lstm_hidden, "max_seq_len": cfg.max_seq_len}
         model = pred_mod.ContextPredictor(**dims, rng=rng)
@@ -407,8 +407,9 @@ def load_next_model(ws: Workspace, ablation: bool = False) -> next_mod.NextItemM
 
 
 def _rep_metrics(ws: Workspace, cfg: StageConfig, corpus: SplitCorpus,
-                 ctx_topk: np.ndarray | None, ablation: bool) -> EvalReport:
-    """Test metrics per repetition seed; rep 0 is the arm's published
+                 ctx_topk: np.ndarray | None, ablation: bool) -> dict:
+    """The report that ``metrics.json`` stores: test MRR and Recall@10 per
+    repetition seed, and their means. Rep 0 is the arm's published
     train-next model, and every later rep trains its own."""
     mode = next_mod.ABLATION if ablation else next_mod.WITH_CONTEXT
     examples = next_mod.rank_rows(corpus, TEST)
@@ -423,12 +424,14 @@ def _rep_metrics(ws: Workspace, cfg: StageConfig, corpus: SplitCorpus,
         ranks = next_mod.compute_ranks(model, corpus, examples, ctx_topk)
         mrrs.append(mrr(ranks))
         recalls.append(recall_at_k(ranks, 10))
-    # evaluate's key covers every config field (with its upstream keys), so
-    # the hash names the config exactly; evaluate-ablation's covers only what
-    # the ablation arm reads, so its report names the config that built it
-    return EvalReport(mode=mode, seeds=seeds, mrr_values=mrrs,
-                      recall_values=recalls, num_examples=len(examples),
-                      config_hash=ws.config_hash)
+    # no config hash: evaluate-ablation's key leaves out the fields the arm
+    # does not read, so a reused report would name another config; meta.json
+    # records what the key covers
+    return {"mode": mode, "seeds": seeds,
+            "repetitions": [{"seed": s, "mrr": m, "recall_at_10": r}
+                            for s, m, r in zip(seeds, mrrs, recalls)],
+            "mean": {"mrr": float(np.mean(mrrs)), "recall_at_10": float(np.mean(recalls))},
+            "num_eval_examples": len(examples)}
 
 
 def _evaluate_inputs(ws: Workspace,
@@ -444,8 +447,9 @@ def run_evaluate(ws: Workspace, ablation: bool = False,
     def body(path: Path, cfg: StageConfig) -> dict:
         corpus, ctx_topk = inputs() if inputs else _evaluate_inputs(ws, ablation)
         report = _rep_metrics(ws, cfg, corpus, ctx_topk, ablation)
-        (path / "metrics.json").write_text(report.to_json())
-        return {"mean_mrr": report.mean_mrr, "mean_recall_at_10": report.mean_recall}
+        (path / "metrics.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        return {"mean_mrr": report["mean"]["mrr"],
+                "mean_recall_at_10": report["mean"]["recall_at_10"]}
     return ws.run("evaluate-ablation" if ablation else "evaluate", body)
 
 

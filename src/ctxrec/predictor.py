@@ -23,7 +23,6 @@ head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -39,26 +38,14 @@ from .nn.optim import fit
 FEATURE_EXTRAS = 3  # duration, idle gap, item count
 
 
-@dataclass
-class SessionFeatureStore:
-    """Per-session feature vectors: embedding + normalized metadata.
+def build_session_features(corpus: SplitCorpus, embeddings: np.ndarray) -> np.ndarray:
+    """The (num_sessions, emb_dim + 3) per-session feature vectors: the
+    embedding, then normalized metadata.
 
     Duration and idle gap are log1p'd then z-scored with statistics from the
     train split only; item count is log1p'd. A session with no next session
     gets 0 in the gap slot (such sessions never appear as history anyway).
     """
-
-    matrix: np.ndarray  # (num_sessions, emb_dim + 3)
-    duration_stats: tuple[float, float]
-    gap_stats: tuple[float, float]
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-
-def build_session_features(corpus: SplitCorpus,
-                           embeddings: np.ndarray) -> SessionFeatureStore:
     n = corpus.num_sessions
     start, end, gap, has_next = corpus.session_times()
     durations = (end - start).astype(np.float64)
@@ -85,10 +72,10 @@ def build_session_features(corpus: SplitCorpus,
     g_norm = np.where(np.isfinite(g_log), (g_log - g_mu) / g_sd, 0.0)
     matrix[:, -2] = g_norm
     matrix[:, -1] = np.log1p(lengths)
-    return SessionFeatureStore(matrix, (d_mu, d_sd), (g_mu, g_sd))
+    return matrix
 
 
-def long_term_input(corpus: SplitCorpus, features: SessionFeatureStore,
+def long_term_input(corpus: SplitCorpus, features: np.ndarray,
                     user_id: int, session_id: int, max_len: int = 50) -> np.ndarray:
     """The user's up-to-``max_len`` session feature vectors preceding
     ``session_id``, oldest first; a lone all-zero row for a first session."""
@@ -99,8 +86,8 @@ def long_term_input(corpus: SplitCorpus, features: SessionFeatureStore,
         raise ValueError(f"session {session_id} is not a session of user {user_id}")
     pos = a.session_rank[session_id]
     if not pos:
-        return np.zeros((1, features.dim))
-    return features.matrix[session_id - min(pos, max_len):session_id].copy()
+        return np.zeros((1, features.shape[1]))
+    return features[session_id - min(pos, max_len):session_id].copy()
 
 
 def top_k_rows(probs: np.ndarray, k: int) -> np.ndarray:
@@ -186,7 +173,7 @@ def context_rows(corpus: SplitCorpus, labels: np.ndarray) -> dict[str, np.ndarra
 
 
 def _prefix_logits(model: ContextPredictor, corpus: SplitCorpus,
-                   features: SessionFeatureStore, session_ids: np.ndarray,
+                   features: np.ndarray, session_ids: np.ndarray,
                    positions: np.ndarray) -> Var:
     """(N, C) context logits for the prefix of length ``positions[j]`` of
     session ``session_ids[j]``: each distinct session's history is encoded
@@ -199,8 +186,8 @@ def _prefix_logits(model: ContextPredictor, corpus: SplitCorpus,
     ids, valid, lengths, src, ends = window_sources(
         np.arange(corpus.num_sessions), sids - a.session_rank[sids], a.session_rank[sids],
         model.max_seq_len)
-    histories = np.zeros(ids.shape + (features.dim,))  # a first session reads a zero row
-    histories[valid] = features.matrix[ids[valid]]
+    histories = np.zeros(ids.shape + (features.shape[1],))  # a first session reads a zero row
+    histories[valid] = features[ids[valid]]
     # session features are data: the backward pass skips their gradient
     z_long = model.long_lstm.encode(histories, lengths, src, ends)
     z_short = model.short_lstm.encode(*prefix_sources(
@@ -211,16 +198,16 @@ def _prefix_logits(model: ContextPredictor, corpus: SplitCorpus,
 
 
 def batch_loss(model: ContextPredictor, corpus: SplitCorpus,
-               features: SessionFeatureStore, examples) -> Var:
+               features: np.ndarray, examples) -> Var:
     """Mean cross-entropy of ``examples`` (``ContextExample`` rows or their
     int array) as one batched graph."""
     rows = example_rows(examples, len(ContextExample._fields))
     logits = _prefix_logits(model, corpus, features, rows[:, 2], rows[:, 3])
-    return engine.softmax_cross_entropy(logits, rows[:, 4])[0]
+    return engine.softmax_cross_entropy(logits, rows[:, 4])
 
 
 def train_context(model: ContextPredictor, corpus: SplitCorpus,
-                  features: SessionFeatureStore, labels: np.ndarray,
+                  features: np.ndarray, labels: np.ndarray,
                   rng: np.random.Generator, lr: float = 0.001,
                   batch_size: int = 1024, max_epochs: int = 200,
                   patience: int = 10, clip_norm: float = 5.0) -> dict:
@@ -245,7 +232,7 @@ def train_context(model: ContextPredictor, corpus: SplitCorpus,
 
 
 def evaluate_context_loss(model: ContextPredictor, corpus: SplitCorpus,
-                          features: SessionFeatureStore, examples) -> float:
+                          features: np.ndarray, examples) -> float:
     """Mean cross-entropy of ``examples`` (``ContextExample`` rows or their
     int array), in batches of at most ``EVAL_BATCH``, without gradients; NaN
     for no examples."""
@@ -261,7 +248,7 @@ def evaluate_context_loss(model: ContextPredictor, corpus: SplitCorpus,
 
 
 def predict_all_prefixes(model: ContextPredictor, corpus: SplitCorpus,
-                         features: SessionFeatureStore) -> np.ndarray:
+                         features: np.ndarray) -> np.ndarray:
     """The (interactions, contexts) probabilities of the prefix preceding
     every interaction in the corpus."""
     a = corpus.arrays

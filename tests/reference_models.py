@@ -160,7 +160,7 @@ def context_batch_loss(model, corpus, features, examples):
         items = corpus.sessions[ex.session_id].items
         logits = context_logits_var(model, ex.user_id, items[:ex.position],
                                     z_long[ex.session_id])
-        losses.append(engine.softmax_cross_entropy(logits, ex.label)[0])
+        losses.append(engine.softmax_cross_entropy(logits, ex.label))
     n = len(losses)
     return add_n(losses, [1.0 / n] * n)
 
@@ -173,7 +173,7 @@ def next_batch_loss(model, corpus, ctx_topk, examples):
         logits = next_logits_var(
             model, ex.user_id, corpus.sessions[ex.session_id].items[:ex.position],
             contexts)
-        losses.append(engine.softmax_cross_entropy(logits, ex.target_item)[0])
+        losses.append(engine.softmax_cross_entropy(logits, ex.target_item))
     n = len(losses)
     return add_n(losses, [1.0 / n] * n)
 

@@ -29,7 +29,6 @@ from ctxrec.nn.optim import clip_global_norm
 from ctxrec.predictor import (
     ContextExample,
     ContextPredictor,
-    SessionFeatureStore,
     long_term_input,
 )
 from reference_graph import add_n
@@ -144,7 +143,7 @@ def _group_by_session(examples: list[ContextExample]) -> list[list[ContextExampl
 
 
 def train_context(model: ContextPredictor, corpus: SplitCorpus,
-                  features: SessionFeatureStore, labels: np.ndarray,
+                  features: np.ndarray, labels: np.ndarray,
                   rng: np.random.Generator, lr: float = 0.001,
                   batch_size: int = 1024, max_epochs: int = 200,
                   patience: int = 10, clip_norm: float = 5.0,
@@ -193,7 +192,7 @@ def train_context(model: ContextPredictor, corpus: SplitCorpus,
                 for ex in group:
                     logits = context_logits_var(model, ex.user_id,
                                                 prefixes[sid][:ex.position], z_long)
-                    loss, _ = engine.softmax_cross_entropy(logits, ex.label)
+                    loss = engine.softmax_cross_entropy(logits, ex.label)
                     losses.append(loss)
             total = add_n(losses, [1.0 / n] * len(losses))
             if not np.isfinite(total.value):
@@ -225,7 +224,7 @@ def train_context(model: ContextPredictor, corpus: SplitCorpus,
 
 
 def evaluate_context_loss(model: ContextPredictor, corpus: SplitCorpus,
-                          features: SessionFeatureStore,
+                          features: np.ndarray,
                           examples: list[ContextExample],
                           max_seq_len: int = 50) -> float:
     if not examples:
@@ -293,7 +292,7 @@ def train_next(model: NextItemModel, corpus: SplitCorpus,
                 logits = next_logits_var(
                     model, ex.user_id, prefixes[ex.session_id][:ex.position],
                     _contexts_for(model, ctx_topk, ex.interaction_idx))
-                loss, _ = engine.softmax_cross_entropy(logits, ex.target_item)
+                loss = engine.softmax_cross_entropy(logits, ex.target_item)
                 losses.append(loss)
             total = add_n(losses, [1.0 / len(batch)] * len(batch))
             if not np.isfinite(total.value):

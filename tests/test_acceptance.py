@@ -100,7 +100,7 @@ class TestCriterion1Gradients:
         rng = np.random.default_rng(1)
 
         ctx_model = pred_mod.ContextPredictor(
-            corpus.num_users, corpus.num_items, 3, features.dim,
+            corpus.num_users, corpus.num_items, 3, features.shape[1],
             user_dim=6, item_dim=6, hidden=4, rng=rng)
         ctx_examples = pred_mod.context_rows(corpus, labels)[TRAIN][:10]
 

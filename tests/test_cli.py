@@ -155,11 +155,19 @@ class TestPipelineMechanics:
     def test_metrics_json_shape(self, tiny_pipeline):
         _, cfg, ws = tiny_pipeline
         metrics = json.loads((ws.stage_dir("evaluate") / "metrics.json").read_text())
-        assert metrics["config_hash"] == cfg.config_hash()
         assert len(metrics["repetitions"]) == cfg.repetitions
         assert metrics["seeds"] == [cfg.seed + r for r in range(cfg.repetitions)]
         assert 0.0 <= metrics["mean"]["mrr"] <= 1.0
         assert 0.0 <= metrics["mean"]["recall_at_10"] <= 1.0
+
+    def test_metrics_json_keys_and_means(self, tiny_pipeline):
+        _, _, ws = tiny_pipeline
+        metrics = json.loads((ws.stage_dir("evaluate") / "metrics.json").read_text())
+        assert set(metrics) == {"mode", "seeds", "repetitions", "mean", "num_eval_examples"}
+        assert [rep["seed"] for rep in metrics["repetitions"]] == metrics["seeds"]
+        for key in ("mrr", "recall_at_10"):
+            assert metrics["mean"][key] == float(np.mean(
+                [rep[key] for rep in metrics["repetitions"]]))
 
     def test_rerun_reuses_artifacts(self, tiny_pipeline):
         tmp, _, ws = tiny_pipeline
@@ -595,6 +603,21 @@ class TestStageKeys:
         stages = [s for s in pipeline.STAGES if s != "sweep"]
         assert {s for s in stages if a.stage_dir(s) == b.stage_dir(s)} == kept
 
+    def test_reused_ablation_arm_names_only_the_active_config(self, tiny_pipeline, tmp_path):
+        # graph_epochs rekeys the with-context arm but not the ablation arm,
+        # whose report the second ablate reuses
+        _, cfg, ws_full = tiny_pipeline
+        first = _partial_workspace(ws_full, cfg, tmp_path / "work")
+        pipeline.run_ablate(first)
+        second = pipeline.Workspace(cfg.replace(graph_epochs=cfg.graph_epochs + 1),
+                                    first.workdir)
+        pipeline.run_embed(second)
+        pipeline.run_contextualize(second)
+        pipeline.run_train_context(second)
+        assert second.stage_dir("evaluate-ablation") == first.stage_dir("evaluate-ablation")
+        text = (pipeline.run_ablate(second) / "ablation.json").read_text()
+        assert set(re.findall(r"[0-9a-f]{64}", text)) == {second.config_hash}
+
     def test_top_k_sweep_trains_the_context_predictor_once(self, tmp_path, monkeypatch):
         log = tmp_path / "log.csv"
         generate(SynthSpec(**TINY), log)
@@ -761,3 +784,30 @@ class TestCli:
         rows = json.loads((other / "sweep.json").read_text())["rows"]
         assert rows == [payload["rows"][1], payload["rows"][3]]
         assert len(calls) == 1
+
+    def _swept_values(self, tmp_path, monkeypatch, param, raw):
+        """The values ``ctxrec sweep --param param --values raw`` hands the
+        pipeline, or the exit code when it fails before any stage runs."""
+        swept = []
+
+        def run_sweep(ws, param, values, *rest):
+            swept.append(values)
+            return ws.workdir
+
+        monkeypatch.setattr(pipeline, "run_sweep", run_sweep)
+        rc = main(["sweep", "--workdir", str(tmp_path / "work"), "--input", "log.csv",
+                   "--param", param, "--values", raw])
+        return swept[0] if rc == 0 else rc
+
+    def test_sweep_values_parse_like_config_values(self, tmp_path, monkeypatch):
+        lr = self._swept_values(tmp_path, monkeypatch, "lr", "1e-3,0.01")
+        assert lr == [1e-3, 0.01] and all(type(v) is float for v in lr)
+        dims = self._swept_values(tmp_path, monkeypatch, "user_item_dim", "8,16")
+        assert dims == [8, 16] and all(type(v) is int for v in dims)
+
+    def test_float_sweep_value_of_an_int_field_fails_before_work(self, tmp_path,
+                                                                 monkeypatch, capsys):
+        assert self._swept_values(tmp_path, monkeypatch, "user_dim", "8.0") == 1
+        err = capsys.readouterr().err
+        assert "user_dim" in err and "'8.0'" in err
+        assert not any((tmp_path / "work").iterdir())

@@ -51,6 +51,12 @@ class TestParseLog:
         assert parsed.user_keys == ["9", "42"]
         assert parsed.item_keys == ["100", "101"]
 
+    def test_first_three_columns_read_and_later_ones_ignored(self):
+        parsed = parse_log(["9,100,5,x,y", "9,101,7,", "9,102,8,3,4,5"])
+        assert parsed.user_keys == ["9"]
+        assert parsed.item_keys == ["100", "101", "102"]
+        assert parsed.timestamp.tolist() == [5, 7, 8]
+
     def test_wrong_arity_reports_line(self):
         with pytest.raises(LogParseError, match="line 2"):
             parse_log(["1,2,3", "a,b"])

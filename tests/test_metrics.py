@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctxrec.metrics import (
-    EvalReport,
     mrr,
     rank_of_truth,
     recall_at_k,
@@ -143,13 +142,3 @@ class TestTTest:
         assert p_greater < 0.05
         assert p_less > 0.95
 
-
-def test_eval_report_serialization():
-    report = EvalReport(mode="with_context", seeds=[7, 8], mrr_values=[0.5, 0.6],
-                        recall_values=[0.7, 0.8], num_examples=100,
-                        config_hash="abc")
-    d = report.to_dict()
-    assert d["mean"]["mrr"] == pytest.approx(0.55)
-    assert d["mean"]["recall_at_10"] == pytest.approx(0.75)
-    assert d["repetitions"][0] == {"seed": 7, "mrr": 0.5, "recall_at_10": 0.7}
-    assert report.to_json().endswith("\n")

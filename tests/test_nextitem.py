@@ -151,7 +151,7 @@ class TestTrainNext:
                 logits = reference_models.next_logits_var(
                     model, ex.user_id, prefixes[ex.session_id][:ex.position],
                     ctx_topk[j % len(ctx_topk)])
-                loss, _ = engine.softmax_cross_entropy(logits, ex.target_item)
+                loss = engine.softmax_cross_entropy(logits, ex.target_item)
                 losses.append(loss)
             return reference_graph.add_n(losses, [1.0 / len(losses)] * len(losses))
 
@@ -290,7 +290,7 @@ def test_served_predictions_equal_batched_artifacts(small_stack):
     feats = small_stack["features"]
     rng = np.random.default_rng(10)
     ctx_model = P.ContextPredictor(corpus.num_users, corpus.num_items, 4,
-                                   feats.dim, user_dim=4, item_dim=4, hidden=3,
+                                   feats.shape[1], user_dim=4, item_dim=4, hidden=3,
                                    max_seq_len=3, rng=rng)
     P.train_context(ctx_model, corpus, feats, small_stack["labels"], rng,
                     lr=0.01, batch_size=128, max_epochs=2, patience=2)

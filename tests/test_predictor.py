@@ -25,20 +25,23 @@ class TestFeatures:
         corpus = corpus_from_rows([(0, k % 2, k * 10_000) for k in range(12)])
         emb = np.random.default_rng(0).normal(size=(corpus.num_sessions, 6))
         feats = P.build_session_features(corpus, emb)
-        assert feats.matrix.shape == (corpus.num_sessions, 6 + 3)
-        assert np.allclose(feats.matrix[:, :6], emb)
+        assert feats.shape == (corpus.num_sessions, 6 + 3)
+        assert np.allclose(feats[:, :6], emb)
         # last session of the user has no next session: gap slot is 0
         last_sid = user_session_ids(corpus, 0)[-1]
-        assert feats.matrix[last_sid, -2] == 0.0
+        assert feats[last_sid, -2] == 0.0
 
     def test_stats_come_from_train_sessions_only(self):
-        corpus = corpus_from_rows([(0, 0, k * 10_000) for k in range(20)])
+        # two-item sessions whose durations grow with time, so the later
+        # validation and test sessions are longer than the train ones
+        corpus = corpus_from_rows([(0, item, k * 100_000 + item * 60 * (k + 1))
+                                   for k in range(20) for item in (0, 1)])
         emb = np.zeros((corpus.num_sessions, 2))
-        feats = P.build_session_features(corpus, emb)
-        train_sids = [s.session_id for s in corpus.sessions
-                      if session_split(corpus, s.session_id) == TRAIN]
-        durations = np.log1p([corpus.sessions[s].duration for s in train_sids])
-        assert feats.duration_stats[0] == pytest.approx(durations.mean())
+        durations = P.build_session_features(corpus, emb)[:, -3]
+        train = [session_split(corpus, s) == TRAIN for s in range(corpus.num_sessions)]
+        assert 0 < sum(train) < corpus.num_sessions
+        assert abs(durations[train].mean()) < 1e-12
+        assert durations.mean() > 0.1
 
 
 class TestLongTermInput:
@@ -55,15 +58,15 @@ class TestLongTermInput:
         feats = P.build_session_features(
             corpus, np.random.default_rng(1).normal(size=(12, 4)))
         out = P.long_term_input(corpus, feats, 0, user_session_ids(corpus, 0)[2])
-        assert out.shape == (2, feats.dim)
-        assert np.array_equal(out[0], feats.matrix[user_session_ids(corpus, 0)[0]])
+        assert out.shape == (2, feats.shape[1])
+        assert np.array_equal(out[0], feats[user_session_ids(corpus, 0)[0]])
 
     def test_first_session_single_zero_row(self):
         corpus = self._corpus(12)
         feats = P.build_session_features(
             corpus, np.random.default_rng(1).normal(size=(12, 4)))
         out = P.long_term_input(corpus, feats, 0, user_session_ids(corpus, 0)[0])
-        assert out.shape == (1, feats.dim)
+        assert out.shape == (1, feats.shape[1])
         assert np.all(out == 0.0)
 
     def test_window_keeps_most_recent_fifty(self):
@@ -72,8 +75,8 @@ class TestLongTermInput:
             corpus, np.random.default_rng(2).normal(size=(60, 4)))
         sids = user_session_ids(corpus, 0)
         out = P.long_term_input(corpus, feats, 0, sids[59], max_len=50)
-        assert out.shape == (50, feats.dim)
-        assert np.array_equal(out, feats.matrix[sids[9:59]])
+        assert out.shape == (50, feats.shape[1])
+        assert np.array_equal(out, feats[sids[9:59]])
 
     def test_unknown_user_rejected(self):
         corpus = self._corpus(12)
@@ -176,7 +179,7 @@ class TestTrainContext:
         labels = small_stack["labels"]
         rng = np.random.default_rng(0)
         model = P.ContextPredictor(corpus.num_users, corpus.num_items, 4,
-                                   feats.dim, user_dim=8, item_dim=8, hidden=4,
+                                   feats.shape[1], user_dim=8, item_dim=8, hidden=4,
                                    rng=rng)
         history = P.train_context(model, corpus, feats, labels, rng, lr=0.01,
                                   batch_size=256, max_epochs=6, patience=3)
@@ -187,7 +190,7 @@ class TestTrainContext:
         feats = small_stack["features"]
         labels = small_stack["labels"]
         model = P.ContextPredictor(corpus.num_users, corpus.num_items, 4,
-                                   feats.dim, user_dim=4, item_dim=4, hidden=3,
+                                   feats.shape[1], user_dim=4, item_dim=4, hidden=3,
                                    rng=np.random.default_rng(1))
         examples = reference_trainers.build_context_examples(corpus, labels, TRAIN)[:8]
 
@@ -200,7 +203,7 @@ class TestTrainContext:
                 items = corpus.sessions[ex.session_id].items
                 logits = reference_models.context_logits_var(
                     model, ex.user_id, items[:ex.position], z_long)
-                loss, _ = engine.softmax_cross_entropy(logits, ex.label)
+                loss = engine.softmax_cross_entropy(logits, ex.label)
                 losses.append(loss)
             return reference_graph.add_n(losses, [1.0 / len(losses)] * len(losses))
 
@@ -224,7 +227,7 @@ class TestTrainContext:
         corpus = small_stack["corpus"]
         feats = small_stack["features"]
         model = P.ContextPredictor(corpus.num_users, corpus.num_items, 4,
-                                   feats.dim, user_dim=4, item_dim=4, hidden=3,
+                                   feats.shape[1], user_dim=4, item_dim=4, hidden=3,
                                    max_seq_len=2, rng=np.random.default_rng(7))
         batch = self._covering_batch(corpus, small_stack["labels"], 2)
         results = []
@@ -247,7 +250,7 @@ class TestTrainContext:
         corpus = small_stack["corpus"]
         feats = small_stack["features"]
         model = P.ContextPredictor(corpus.num_users, corpus.num_items, 4,
-                                   feats.dim, user_dim=4, item_dim=4, hidden=3,
+                                   feats.shape[1], user_dim=4, item_dim=4, hidden=3,
                                    max_seq_len=3, rng=np.random.default_rng(9))
         batch = [ex for ex in reference_trainers.build_context_examples(
                      corpus, small_stack["labels"], TRAIN) if ex.user_id < 3]
@@ -271,7 +274,7 @@ class TestTrainContext:
         corpus = small_stack["corpus"]
         feats = small_stack["features"]
         model = P.ContextPredictor(corpus.num_users, corpus.num_items, 4,
-                                   feats.dim, user_dim=4, item_dim=4, hidden=3,
+                                   feats.shape[1], user_dim=4, item_dim=4, hidden=3,
                                    max_seq_len=2, rng=np.random.default_rng(8))
         batch = self._covering_batch(corpus, small_stack["labels"], 2)
 
@@ -295,7 +298,7 @@ class TestTrainContext:
         for _ in range(2):
             rng = np.random.default_rng(42)
             model = P.ContextPredictor(corpus.num_users, corpus.num_items, 4,
-                                       feats.dim, user_dim=4, item_dim=4,
+                                       feats.shape[1], user_dim=4, item_dim=4,
                                        hidden=3, rng=rng)
             P.train_context(model, corpus, feats, labels, rng, lr=0.01,
                             batch_size=128, max_epochs=2, patience=2)
@@ -307,7 +310,7 @@ class TestTrainContext:
         corpus = small_stack["corpus"]
         feats = small_stack["features"]
         bad_labels = np.full(corpus.num_sessions, -1)
-        model = _tiny_model(feat_dim=feats.dim)
+        model = _tiny_model(feat_dim=feats.shape[1])
         with pytest.raises(ValueError, match="no training examples"):
             P.train_context(model, corpus, feats, bad_labels,
                             np.random.default_rng(0))
@@ -330,7 +333,7 @@ def test_predict_all_prefixes_covers_every_interaction(small_stack):
     corpus = small_stack["corpus"]
     feats = small_stack["features"]
     model = P.ContextPredictor(corpus.num_users, corpus.num_items, 4,
-                               feats.dim, user_dim=4, item_dim=4, hidden=3,
+                               feats.shape[1], user_dim=4, item_dim=4, hidden=3,
                                rng=np.random.default_rng(3))
     probs = P.predict_all_prefixes(model, corpus, feats)
     assert probs.shape == (len(corpus.interactions), 4)
@@ -343,7 +346,7 @@ def test_predict_all_prefixes_matches_per_prefix_oracle(small_stack):
     corpus = small_stack["corpus"]
     feats = small_stack["features"]
     model = P.ContextPredictor(corpus.num_users, corpus.num_items, 4,
-                               feats.dim, user_dim=4, item_dim=4, hidden=3,
+                               feats.shape[1], user_dim=4, item_dim=4, hidden=3,
                                max_seq_len=2, rng=np.random.default_rng(5))
     probs = P.predict_all_prefixes(model, corpus, feats)
     ids = P.top_k_rows(probs, 2)
@@ -356,7 +359,7 @@ def test_predictions_csv_export(tmp_path, small_stack):
     corpus = small_stack["corpus"]
     feats = small_stack["features"]
     model = P.ContextPredictor(corpus.num_users, corpus.num_items, 4,
-                               feats.dim, user_dim=4, item_dim=4, hidden=3,
+                               feats.shape[1], user_dim=4, item_dim=4, hidden=3,
                                rng=np.random.default_rng(4))
     probs = P.predict_all_prefixes(model, corpus, feats)
     ids = P.top_k_rows(probs, 2)

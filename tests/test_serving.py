@@ -35,7 +35,7 @@ def _requests(corpus, features):
 
 
 def _context_model(corpus, features):
-    return P.ContextPredictor(corpus.num_users, corpus.num_items, 4, features.dim,
+    return P.ContextPredictor(corpus.num_users, corpus.num_items, 4, features.shape[1],
                               user_dim=4, item_dim=4, hidden=3,
                               max_seq_len=MAX_SEQ_LEN, rng=np.random.default_rng(21))
 
@@ -81,7 +81,7 @@ def test_context_bad_requests_raise_as_before(small_stack, user, prefix):
     corpus, features = small_stack["corpus"], small_stack["features"]
     assert corpus.num_users == 16 and corpus.num_items < 99
     model = _context_model(corpus, features)
-    history = np.zeros((1, features.dim))
+    history = np.zeros((1, features.shape[1]))
     want = _error_type(reference_models.context_probs, model, user, prefix, history)
     assert want is not None
     assert _error_type(model.predict_probs, user, prefix, history) is want

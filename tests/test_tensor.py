@@ -62,8 +62,7 @@ class TestCrossEntropy:
     """The loss value of softmax_cross_entropy, from logits."""
 
     def _loss(self, logits, true_index):
-        loss, _ = softmax_cross_entropy(constant(np.array(logits)), true_index)
-        return float(loss.value)
+        return float(softmax_cross_entropy(constant(np.array(logits)), true_index).value)
 
     def test_perfect_prediction(self):
         # exp(-1000) underflows to 0, so the true class gets probability 1
@@ -581,17 +580,29 @@ class TestBackward:
         with pytest.raises(IndexError):
             table.lookup(np.array([-1]))
 
+    def test_concat_backward_slices_the_last_axis(self):
+        rng = np.random.default_rng(8)
+        parts = [constant(rng.normal(size=(2, 3, w))) for w in (1, 4, 2)]
+        out = engine.concat(parts)
+        assert np.array_equal(out.value, np.concatenate([p.value for p in parts], axis=2))
+        g = rng.normal(size=out.value.shape)
+        backward(reference_graph.vsum(reference_graph.dot_last(out, constant(g))))
+        assert np.array_equal(parts[0].grad, g[:, :, :1])
+        assert np.array_equal(parts[1].grad, g[:, :, 1:5])
+        assert np.array_equal(parts[2].grad, g[:, :, 5:])
+
     def test_row_wise_cross_entropy_is_mean_of_rows(self):
         logits = np.random.default_rng(6).normal(size=(4, 5))
         targets = [0, 3, 3, 1]
         batch = constant(logits)
-        loss, probs = softmax_cross_entropy(batch, targets)
+        loss = softmax_cross_entropy(batch, targets)
         backward(loss)
         rows = [constant(row) for row in logits]
-        parts = [softmax_cross_entropy(r, t)[0] for r, t in zip(rows, targets)]
+        parts = [softmax_cross_entropy(r, t) for r, t in zip(rows, targets)]
         backward(reference_graph.add_n(parts, [0.25] * 4))
         assert abs(float(loss.value) - np.mean([float(p.value) for p in parts])) < 1e-12
-        assert np.allclose(probs, softmax(logits), rtol=0, atol=1e-15)
+        picked = softmax(logits)[np.arange(4), targets]
+        assert abs(float(loss.value) + np.log(picked).mean()) < 1e-12
         assert np.abs(batch.grad - np.stack([r.grad for r in rows])).max() < 1e-15
         with pytest.raises(ValueError, match="targets"):
             softmax_cross_entropy(batch, [0, 1])
@@ -600,8 +611,8 @@ class TestBackward:
 
     def test_softmax_cross_entropy_matches_plain_ops(self):
         logits = constant(np.array([0.3, -1.2, 2.0]))
-        loss, probs = softmax_cross_entropy(logits, 1)
-        assert np.allclose(probs, softmax(logits.value))
+        loss = softmax_cross_entropy(logits, 1)
+        probs = softmax(logits.value)
         assert abs(float(loss.value) + math.log(probs[1])) < 1e-12
         backward(loss)
         expected = probs.copy()
@@ -634,12 +645,6 @@ class TestAdam:
             delta = abs(float(p.value[0] - prev[0]))
             assert abs(delta - 0.001) < 1e-9
             prev = p.value.copy()
-
-    def test_shape_mismatch_rejected(self):
-        p = Parameter("p", np.zeros(3))
-        opt = Adam([p])
-        with pytest.raises(ValueError):
-            opt.step([np.zeros(4)])
 
     def test_non_finite_gradient_rejected(self):
         p = Parameter("p", np.zeros(2))

@@ -3,6 +3,7 @@
 
     python3 tools/quality.py --seeds 7 1 2 3 4 --out quality.json
     python3 tools/quality.py --seeds 7 1 2 3 4 --compare HEAD~1 --out quality.json
+    python3 tools/quality.py --seeds 7 4 --null 4
 
 For each pipeline seed it runs the acceptance chain (ingest, embed,
 contextualize, train-context, ablate) with the acceptance config
@@ -19,6 +20,14 @@ per-seed deltas (this checkout minus REV) and, per artifact file, whether
 its bytes are identical to REV's. So ``--seeds 7 --compare REV`` shows in
 one command whether a change keeps the acceptance chain byte-identical.
 
+``--null K`` reruns each seed K more times. Run k permutes the examples
+inside every training batch with ``np.random.default_rng(1000 + k)``: the
+same loss in exact arithmetic, summed in another order. The spread (max -
+min) of ``mrr_ratio`` and p over the K + 1 runs is that seed's float-order
+noise, and each bar's margin (``mrr_ratio - 1.05``, ``0.05 - p``, of the
+unpermuted run) is reported in units of it. With ``--compare`` REV's child
+runs them too.
+
 This is a report. Never use it to choose the tier-1 seed, the corpus or a
 threshold. Each seed takes about a minute on one core.
 """
@@ -31,10 +40,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 import tarfile
@@ -50,6 +61,8 @@ BARS = {"purity": lambda r: r["purity"] >= 0.9,
         "context_acc": lambda r: r["context_acc"] >= 0.375,
         "mrr_ratio": lambda r: r["mrr_ratio"] is not None and r["mrr_ratio"] >= 1.05,
         "p": lambda r: r["p"] < 0.05}
+# criterion 7's bars as margins, positive when a value passes (--null)
+MARGINS = {"mrr_ratio": lambda v: v - 1.05, "p": lambda v: 0.05 - v}
 
 
 def artifact_hashes(work: Path) -> dict[str, str]:
@@ -115,19 +128,51 @@ def measure(cfg, seed: int, tmp: Path) -> dict:
     return row
 
 
-def run_seeds(cfg, seeds: list[int]) -> dict:
+@contextlib.contextmanager
+def permuted_batches(k: int):
+    """Within this block ``fit`` gets the examples of every training batch
+    in an order permuted by ``np.random.default_rng(1000 + k)``. ``fit``
+    looks ``_batches`` up at call time, so wrapping it here is enough."""
+    import numpy as np
+    from ctxrec.nn import optim
+    real, rng = optim._batches, np.random.default_rng(1000 + k)
+
+    def batches(*args):
+        for idx in real(*args):
+            yield rng.permutation(idx)
+
+    optim._batches = batches
+    try:
+        yield
+    finally:
+        optim._batches = real
+
+
+def run_seeds(cfg, seeds: list[int], null: int = 0) -> dict:
+    """``measure`` per seed; with ``null`` K, each row's ``null`` also holds
+    the ``mrr_ratio`` and p of the K permuted reruns."""
     rows = {}
     for seed in seeds:
         with tempfile.TemporaryDirectory(prefix=f"quality-{seed}-") as tmp:
-            rows[str(seed)] = measure(cfg, seed, Path(tmp))
-        quality = {k: v for k, v in rows[str(seed)].items() if k != "artifacts"}
+            row = rows[str(seed)] = measure(cfg, seed, Path(tmp))
+        quality = {k: v for k, v in row.items() if k != "artifacts"}
         print(f"seed {seed}: {json.dumps(quality)}", file=sys.stderr)
+        if null:
+            row["null"] = {name: [] for name in MARGINS}
+        for k in range(1, null + 1):
+            with tempfile.TemporaryDirectory(prefix=f"quality-{seed}-null{k}-") as tmp, \
+                    permuted_batches(k):
+                rerun = measure(cfg, seed, Path(tmp))
+            for name in MARGINS:
+                row["null"][name].append(rerun[name])
+            print(f"seed {seed} null {k}: mrr_ratio {rerun['mrr_ratio']} p {rerun['p']}",
+                  file=sys.stderr)
     return rows
 
 
-def run_rev(rev: str, cfg, seeds: list[int]) -> dict:
-    """This script on REV's src/, in a child process, on the same config
-    and seeds."""
+def run_rev(rev: str, cfg, seeds: list[int], null: int) -> dict:
+    """This script on REV's src/, in a child process, on the same config,
+    seeds and ``--null``."""
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
                          check=True, capture_output=True).stdout
     with tempfile.TemporaryDirectory(prefix="quality-rev-") as tmp:
@@ -136,7 +181,8 @@ def run_rev(rev: str, cfg, seeds: list[int]) -> dict:
         out = Path(tmp) / "rows.json"
         subprocess.run([sys.executable, __file__, "--src", str(Path(tmp) / "src"),
                         "--config", json.dumps(dataclasses.asdict(cfg)),
-                        "--seeds", *map(str, seeds), "--out", str(out)],
+                        "--seeds", *map(str, seeds), "--null", str(null),
+                        "--out", str(out)],
                        check=True, stdout=subprocess.DEVNULL)
         return json.loads(out.read_text())["seeds"]
 
@@ -157,10 +203,28 @@ def table(rows: dict, base: dict | None) -> str:
     return "\n".join(lines)
 
 
+def null_table(rows: dict) -> str:
+    """Per seed and bar: the K + 1 values (unpermuted first), their spread
+    and the unpermuted run's margin to the bar in units of that spread."""
+    lines = ["| seed | bar | values | spread | margin | margin / spread |",
+             "|---|---|---|---|---|---|"]
+    for seed, row in rows.items():
+        for name, margin_of in MARGINS.items():
+            values = [row[name]] + row["null"][name]
+            spread = max(values) - min(values)
+            margin = margin_of(row[name])
+            units = margin / spread if spread else math.copysign(math.inf, margin)
+            lines.append(f"| {seed} | {name} | " + ", ".join(f"{v:.4g}" for v in values)
+                         + f" | {spread:.3g} | {margin:+.3g} | {units:+.2f} |")
+    return "\n".join(lines)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[7, 1, 2, 3, 4])
     ap.add_argument("--compare", metavar="REV", help="git revision to pair against")
+    ap.add_argument("--null", type=int, default=0, metavar="K",
+                    help="rerun each seed K times with permuted batch orders")
     ap.add_argument("--out", type=Path, help="write the JSON report here")
     ap.add_argument("--src", type=Path, default=ROOT / "src", help=argparse.SUPPRESS)
     ap.add_argument("--config", help=argparse.SUPPRESS)  # the config as JSON
@@ -176,10 +240,10 @@ def main() -> int:
         sys.path.insert(1, str(ROOT / "tests"))
         from test_acceptance import ACC_CFG as cfg
 
-    report = {"src": str(args.src), "seeds": run_seeds(cfg, args.seeds)}
+    report = {"src": str(args.src), "seeds": run_seeds(cfg, args.seeds, args.null)}
     base = None
     if args.compare:
-        base = run_rev(args.compare, cfg, args.seeds)
+        base = run_rev(args.compare, cfg, args.seeds, args.null)
         report["compare"] = {
             "rev": args.compare, "seeds": base,
             "delta": {s: {f: (row[f] - base[s][f] if None not in (row[f], base[s][f])
@@ -194,6 +258,10 @@ def main() -> int:
     if args.out:
         args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(table(report["seeds"], base))
+    if args.null:
+        print(null_table(report["seeds"]))
+        if base is not None:
+            print(f"{args.compare}:\n{null_table(base)}")
     for seed, files in report.get("compare", {}).get("bytes", {}).items():
         same = sum(v == "identical" for v in files.values())
         print(f"seed {seed}: {same}/{len(files)} artifact files byte-identical to "
