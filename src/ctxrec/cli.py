@@ -148,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
             path = run(ws, ablation=args.ablation) if "ablation" in args else run(ws)
         print(f"{args.command}: {path}")
         return 0
-    except (ConfigError, pipeline.PipelineError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, pipeline.PipelineError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

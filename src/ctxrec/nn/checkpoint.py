@@ -1,25 +1,22 @@
-"""Versioned binary checkpoint container, and the checked reader of the
-``.npz`` array files that stages store.
+"""Checkpoints of model parameters, and the checked reader of the ``.npz``
+array files that every stage stores.
 
-Checkpoint layout (all integers little-endian):
+A checkpoint is an ``.npz`` file of two members, read through
+``load_arrays``, so every byte of it is under a CRC-32:
 
-    bytes 0..3    magic b"NNCK"
-    bytes 4..7    format version, uint32
-    bytes 8..15   header length in bytes, uint64
-    ...           header: UTF-8 JSON with sorted keys
-    ...           payload: tensor data, concatenated in header order
+    header    UTF-8 JSON with sorted keys, as uint8: the config snapshot
+              and one ``[name, shape]`` per tensor, in name order
+    values    float64: every tensor's values, C-order, end to end in
+              header order
 
-The header holds the config snapshot and one entry per tensor:
-{"name", "shape", "dtype", "offset", "nbytes"}. Tensors are stored C-order
-as little-endian float64 ("<f8"). Format version 2 holds model parameters
-only: no optimizer moments and no optimizer step counter (version 1 had
-both); a file of any other version is rejected on load.
+A file in any other format, such as the older NNCK container, is refused
+on load as unreadable arrays.
 """
 
 from __future__ import annotations
 
 import json
-import struct
+import math
 import tokenize
 import zipfile
 from dataclasses import dataclass
@@ -28,10 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .engine import Parameter
-
-MAGIC = b"NNCK"
-FORMAT_VERSION = 2
-_DTYPE = "<f8"
 
 
 @dataclass
@@ -42,60 +35,29 @@ class Checkpoint:
 
 def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray],
                     config: dict | None = None) -> None:
-    entries = []
-    offset = 0
-    blobs = []
-    for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name], dtype=np.float64)
-        blob = arr.astype(_DTYPE).tobytes()
-        entries.append({
-            "name": name,
-            "shape": list(arr.shape),
-            "dtype": _DTYPE,
-            "offset": offset,
-            "nbytes": len(blob),
-        })
-        blobs.append(blob)
-        offset += len(blob)
-
-    header = json.dumps({
-        "config": config or {},
-        "tensors": entries,
-    }, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    names = sorted(tensors)
+    arrays = [np.asarray(tensors[name], dtype=np.float64) for name in names]
+    header = json.dumps({"config": config or {},
+                         "tensors": [[name, list(a.shape)] for name, a in zip(names, arrays)]},
+                        sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as fh:  # a path np.savez would give an .npz suffix
+        np.savez(fh, header=np.frombuffer(header, dtype=np.uint8),
+                 values=np.concatenate([np.zeros(0), *(a.ravel() for a in arrays)]))
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint. A file cut short, or whose header does not decode
-    to tensor entries that fit the payload, is a ValueError naming it and,
-    past the header, the first tensor it cuts."""
-    data = Path(path).read_bytes()
-    if len(data) < 16 or data[:4] != MAGIC:
-        raise ValueError(f"{path}: not a checkpoint container")
-    version = struct.unpack("<I", data[4:8])[0]
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    header_len = struct.unpack("<Q", data[8:16])[0]
-    if 16 + header_len > len(data):
-        raise ValueError(f"{path}: file ends inside the {header_len}-byte header")
-    payload = data[16 + header_len:]
+    """Read a checkpoint. A file that ``load_arrays`` refuses, or whose
+    header does not decode to tensor shapes that hold exactly its values,
+    is a ValueError naming it."""
+    header, values = load_arrays(path, "header", "values")
     try:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
-        header = json.loads(data[16:16 + header_len].decode("utf-8"))
-        tensors = {}
-        for entry in header["tensors"]:
-            name, offset, nbytes = entry["name"], entry["offset"], entry["nbytes"]
-            if offset + nbytes > len(payload):
-                raise ValueError(f"tensor {name!r} needs payload bytes {offset}.."
-                                 f"{offset + nbytes}, but the file holds {len(payload)}")
-            arr = np.frombuffer(payload[offset:offset + nbytes], dtype=entry["dtype"])
-            tensors[name] = arr.astype(np.float64).reshape(entry["shape"])
+        header = json.loads(header.tobytes().decode("utf-8"))
+        tensors, end = {}, 0
+        for name, shape in header["tensors"]:
+            start, end = end, end + math.prod(shape)
+            tensors[name] = values[start:end].reshape(shape)
+        if end != values.size:
+            raise ValueError(f"the header's shapes hold {end} values, the file {values.size}")
         return Checkpoint(tensors=tensors, config=header["config"])
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None

@@ -166,9 +166,13 @@ def _verify_meta(path: Path, ident: dict) -> None:
 
 def _remove_dead_builds(path: Path) -> None:
     """Remove the ``.tmp-<pid>`` builds of ``path`` left by this process or
-    by one that is gone, such as a killed build."""
+    by one that is gone, such as a killed build. A sibling whose suffix is
+    not a pid is not a build and is left alone."""
     for tmp in path.parent.glob(f"{path.name}.tmp-*"):
-        pid = int(tmp.name.rsplit("-", 1)[1])
+        suffix = tmp.name.removeprefix(f"{path.name}.tmp-")
+        if not (suffix.isascii() and suffix.isdigit()):
+            continue
+        pid = int(suffix)
         try:
             if pid != os.getpid():
                 os.kill(pid, 0)  # signal 0 sends nothing: it checks the pid exists
@@ -178,6 +182,30 @@ def _remove_dead_builds(path: Path) -> None:
         except PermissionError:  # alive, under another user
             continue
         shutil.rmtree(tmp, ignore_errors=True)
+
+
+class _NoDraws:
+    """A generator stand-in for building a model whose every parameter
+    ``load_params`` then overwrites: its draws are left uninitialised."""
+
+    def normal(self, loc, scale, size):
+        return np.empty(size)
+
+    uniform = normal
+
+
+def _save_model(path: Path, model, config: dict) -> None:
+    """Store ``model``'s parameters and ``config``, its constructor's
+    arguments but the generator."""
+    save_checkpoint(path, {p.name: p.value for p in model.params()}, config)
+
+
+def _load_model(path: Path, cls):
+    """The ``cls`` model that ``_save_model`` stored at ``path``."""
+    ck = load_checkpoint(path)
+    model = cls(**ck.config, rng=_NoDraws())
+    load_params(model.params(), ck)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +259,10 @@ def run_embed(ws: Workspace) -> Path:
             num_negatives=cfg.graph_negatives, lr=cfg.graph_lr,
             clip_norm=cfg.clip_norm, seed=cfg.seed)
         embeddings, embeddable = encoder.embed_corpus(graph, corpus)
-        save_checkpoint(path / "encoder.ckpt",
-                        {p.name: p.value for p in encoder.params()},
-                        config={"num_items": graph.num_items,
-                                "base_dim": cfg.graph_base_dim,
-                                "out_dim": cfg.session_emb_dim,
-                                "fanout": [cfg.graph_fanout1, cfg.graph_fanout2]})
+        _save_model(path / "encoder.ckpt", encoder,
+                    {"num_items": graph.num_items, "base_dim": cfg.graph_base_dim,
+                     "out_dim": cfg.session_emb_dim,
+                     "fanout": [cfg.graph_fanout1, cfg.graph_fanout2]})
         np.savez(path / "embeddings.npz", embeddings=embeddings,
                  embeddable=embeddable, graph_session_ids=graph.session_ids)
         return {"holdout_loss": history["holdout_loss"]}
@@ -251,10 +277,8 @@ def load_embeddings(ws: Workspace):
 
 def load_encoder(ws: Workspace):
     corpus = load_ingested(ws)
-    ck = load_checkpoint(ws.require("embed") / "encoder.ckpt")
+    encoder = _load_model(ws.require("embed") / "encoder.ckpt", graph_mod.SageEncoder)
     graph = graph_mod.build_graph_from_corpus(corpus)
-    encoder = graph_mod.SageEncoder(**ck.config)
-    load_params(encoder.params(), ck)
     embeddings, embeddable, _ = load_embeddings(ws)
     return corpus, graph, encoder, embeddings, embeddable
 
@@ -315,8 +339,7 @@ def run_train_context(ws: Workspace) -> Path:
             clip_norm=cfg.clip_norm)
         probs = pred_mod.predict_all_prefixes(model, corpus, features)
 
-        save_checkpoint(path / "predictor.ckpt",
-                        {p.name: p.value for p in model.params()}, config=dims)
+        _save_model(path / "predictor.ckpt", model, dims)
         np.savez(path / "predictions.npz", probs=probs)
         return {
             "epochs_run": len(history["train_loss"]),
@@ -343,35 +366,32 @@ def load_context_topk(ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
 
 def load_context_predictor(ws: Workspace):
     """The context predictor and ``load_context_topk``'s two arrays."""
-    ck = load_checkpoint(ws.require("train-context") / "predictor.ckpt")
-    model = pred_mod.ContextPredictor(**ck.config)
-    load_params(model.params(), ck)
+    model = _load_model(ws.require("train-context") / "predictor.ckpt",
+                        pred_mod.ContextPredictor)
     return (model, *load_context_topk(ws))
 
 
 # ---------------------------------------------------------------------------
 # train-next / evaluate / ablate
 
-def _build_next_model(cfg: StageConfig, num_users: int, num_items: int, mode: str,
-                      rng: np.random.Generator) -> next_mod.NextItemModel:
-    # the ablation arm's fc2 has no context block, so it reads no top-K
-    top_k = cfg.top_k_contexts if mode == next_mod.WITH_CONTEXT else 0
-    return next_mod.NextItemModel(
-        num_users, num_items, cfg.num_contexts, cfg.user_dim,
-        cfg.item_dim, cfg.context_dim, cfg.lstm_hidden, top_k,
-        cfg.max_seq_len, mode, rng)
-
-
 def _train_next_once(cfg: StageConfig, corpus: SplitCorpus,
                      ctx_topk: np.ndarray | None, mode: str,
-                     seed: int) -> tuple[next_mod.NextItemModel, dict]:
+                     seed: int) -> tuple[next_mod.NextItemModel, dict, dict]:
+    """The trained model, its history and its constructor's arguments."""
     rng = np.random.default_rng(seed)
-    model = _build_next_model(cfg, corpus.num_users, corpus.num_items, mode, rng)
+    # the ablation arm's fc2 has no context block, so it reads no top-K
+    dims = {"num_users": corpus.num_users, "num_items": corpus.num_items,
+            "num_contexts": cfg.num_contexts, "user_dim": cfg.user_dim,
+            "item_dim": cfg.item_dim, "context_dim": cfg.context_dim,
+            "hidden": cfg.lstm_hidden,
+            "top_k": cfg.top_k_contexts if mode == next_mod.WITH_CONTEXT else 0,
+            "max_seq_len": cfg.max_seq_len, "mode": mode}
+    model = next_mod.NextItemModel(**dims, rng=rng)
     history = next_mod.train_next(
         model, corpus, ctx_topk if mode == next_mod.WITH_CONTEXT else None,
         rng, lr=cfg.lr, batch_size=cfg.batch, max_epochs=cfg.max_epochs,
         patience=cfg.patience, clip_norm=cfg.clip_norm)
-    return model, history
+    return model, history, dims
 
 
 def run_train_next(ws: Workspace, ablation: bool = False,
@@ -382,11 +402,8 @@ def run_train_next(ws: Workspace, ablation: bool = False,
 
     def body(path: Path, cfg: StageConfig) -> dict:
         corpus, ctx_topk = inputs() if inputs else _evaluate_inputs(ws, ablation)
-        model, history = _train_next_once(cfg, corpus, ctx_topk, mode, cfg.seed)
-        save_checkpoint(path / "nextitem.ckpt",
-                        {p.name: p.value for p in model.params()},
-                        config={"mode": mode, "num_users": corpus.num_users,
-                                "num_items": corpus.num_items})
+        model, history, dims = _train_next_once(cfg, corpus, ctx_topk, mode, cfg.seed)
+        _save_model(path / "nextitem.ckpt", model, dims)
         return {
             "mode": mode,
             "epochs_run": len(history["train_loss"]),
@@ -398,12 +415,7 @@ def run_train_next(ws: Workspace, ablation: bool = False,
 
 def load_next_model(ws: Workspace, ablation: bool = False) -> next_mod.NextItemModel:
     stage = "train-next-ablation" if ablation else "train-next"
-    cfg = StageConfig(stage, ws._idents[stage]["fields"])
-    ck = load_checkpoint(ws.require(stage) / "nextitem.ckpt")
-    model = _build_next_model(cfg, ck.config["num_users"], ck.config["num_items"],
-                              ck.config["mode"], np.random.default_rng(cfg.seed))
-    load_params(model.params(), ck)
-    return model
+    return _load_model(ws.require(stage) / "nextitem.ckpt", next_mod.NextItemModel)
 
 
 def _rep_metrics(ws: Workspace, cfg: StageConfig, corpus: SplitCorpus,

@@ -440,17 +440,63 @@ class TestPipelineMechanics:
         with pytest.raises(ValueError, match="next.fc2.weight"):
             pipeline.load_next_model(ws)
 
-    @pytest.mark.parametrize("cut, named", [(2 / 3, r"tensor 'ctx\.[^']*' needs"),
-                                            (0.01, "inside the .*header")],
-                             ids=["two-thirds", "in-header"])
-    def test_cut_checkpoint_named(self, tiny_pipeline, tmp_path, cut, named):
+    # each stored model: its stage and file, the stages its loader reads, and
+    # the loader, reduced to the model
+    MODELS = [("embed", "encoder.ckpt", ("ingest", "embed"),
+               lambda ws: pipeline.load_encoder(ws)[2]),
+              ("train-context", "predictor.ckpt",
+               ("ingest", "embed", "contextualize", "train-context"),
+               lambda ws: pipeline.load_context_predictor(ws)[0]),
+              ("train-next", "nextitem.ckpt", ("train-next",),
+               lambda ws: pipeline.load_next_model(ws))]
+
+    def _damage_checkpoints(self, tiny_pipeline, workdir, damage):
+        """Damage each stored model's checkpoint in its own copy of the
+        stages that its loader reads, and check the load names the file."""
         _, cfg, ws_full = tiny_pipeline
-        ws = _partial_workspace(ws_full, cfg, tmp_path / "cut")
-        path = ws.stage_dir("train-context") / "predictor.ckpt"
-        data = path.read_bytes()
-        path.write_bytes(data[:int(len(data) * cut)])
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*{named}"):
-            pipeline.load_context_predictor(ws)
+        for stage, name, stages, loader in self.MODELS:
+            ws = _partial_workspace(ws_full, cfg, workdir / stage, stages)
+            path = ws.stage_dir(stage) / name
+            damage(path)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+                loader(ws)
+
+    @pytest.mark.parametrize("cut", [2 / 3, 0.01], ids=["two-thirds", "in-header"])
+    def test_cut_checkpoint_named(self, tiny_pipeline, tmp_path, cut):
+        def truncate(path):
+            path.write_bytes(path.read_bytes()[:int(path.stat().st_size * cut)])
+        self._damage_checkpoints(tiny_pipeline, tmp_path, truncate)
+
+    @pytest.mark.parametrize("damage", ["deleted", "payload-bit"])
+    def test_lost_or_flipped_checkpoint_named(self, tiny_pipeline, tmp_path, damage):
+        def flip(path):  # a bit in the middle of the file, inside the values
+            data = bytearray(path.read_bytes())
+            data[len(data) // 2] ^= 1
+            path.write_bytes(data)
+        self._damage_checkpoints(tiny_pipeline, tmp_path,
+                                 Path.unlink if damage == "deleted" else flip)
+
+    def test_models_load_without_drawing_an_init(self, tiny_pipeline, monkeypatch):
+        _, _, ws = tiny_pipeline
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("a generator was made to load a model")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        for stage, name, _, loader in self.MODELS:
+            model = loader(ws)
+            ck = load_checkpoint(ws.stage_dir(stage) / name)
+            assert sorted(p.name for p in model.params()) == sorted(ck.tensors), stage
+            for p in model.params():
+                assert p.value.tobytes() == ck.tensors[p.name].tobytes(), p.name
+
+    def test_stray_tmp_sibling_left_alone(self, tiny_pipeline, tmp_path):
+        _, cfg, ws_full = tiny_pipeline
+        ws = _partial_workspace(ws_full, cfg, tmp_path / "stray", ("ingest", "embed"))
+        stray = ws.workdir / f"{ws.stage_dir('contextualize').name}.tmp-123.bak"
+        stray.mkdir()
+        assert pipeline.run_contextualize(ws) == ws.stage_dir("contextualize")
+        assert stray.is_dir()
 
     @pytest.mark.parametrize("damage", ["cut", "no-probs", "one-dim", "columns", "nan"])
     def test_damaged_predictions_named(self, tiny_pipeline, tmp_path, capsys, damage):
@@ -741,6 +787,19 @@ class TestCli:
             assert main([stage, "--workdir", wd] + extra + flags) == 0
         assert main(["evaluate", "--workdir", wd] + flags) == 1
         assert "train-next" in capsys.readouterr().err
+
+    def test_os_errors_fail_with_one_line(self, tmp_path, capsys):
+        """An input that is a directory, or a workdir under a regular file,
+        exits 1 with one ``error:`` line naming the path."""
+        regular = tmp_path / "file"
+        regular.write_text("")
+        for workdir, log, named in [(tmp_path / "work", tmp_path, tmp_path),
+                                    (regular / "work", regular, regular / "work")]:
+            assert main(["ingest", "--workdir", str(workdir), "--input", str(log)]
+                        + _tiny_cfg_flags()) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert f"'{named}'" in err, err
 
     def test_bad_config_fails_before_work(self, tmp_path, capsys):
         wd = tmp_path / "work"

@@ -710,38 +710,39 @@ class TestCheckpoint:
         assert ck.config == {"dim": 4}
 
     def test_bad_magic_rejected(self, tmp_path):
+        """A file that is not an ``.npz``, such as a checkpoint of the older
+        NNCK container, is a ValueError naming it."""
         path = tmp_path / "bad.ckpt"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(ValueError, match="not a checkpoint"):
-            load_checkpoint(path)
-
-    def test_version_one_rejected(self, tmp_path):
-        path = tmp_path / "v1.ckpt"
-        save_checkpoint(path, {"w": np.zeros(2)})
-        data = bytearray(path.read_bytes())
-        data[4:8] = (1).to_bytes(4, "little")
-        path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
-            load_checkpoint(path)
+        header = json.dumps({"config": {"dim": 2}, "tensors": [
+            {"dtype": "<f8", "name": "w", "nbytes": 16, "offset": 0, "shape": [2]}]},
+            sort_keys=True, separators=(",", ":")).encode()
+        nnck = b"NNCK" + struct.pack("<IQ", 2, len(header)) + header + np.ones(2).tobytes()
+        for data in (b"NOPE" + b"\x00" * 32, nnck):
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unreadable"):
+                load_checkpoint(path)
 
     @staticmethod
     def _rewrite_header(path, edit) -> None:
         """Replace the header of the checkpoint at ``path`` by ``edit`` of its
-        bytes, keeping the payload."""
-        data = path.read_bytes()
-        end = 16 + struct.unpack("<Q", data[8:16])[0]
-        header = edit(data[16:end])
-        path.write_bytes(data[:8] + struct.pack("<Q", len(header)) + header + data[end:])
+        bytes, keeping the values, in a file whose CRC-32s hold."""
+        header, values = load_arrays(path, "header", "values")
+        with open(path, "wb") as fh:
+            np.savez(fh, header=np.frombuffer(edit(header.tobytes()), dtype=np.uint8),
+                     values=values)
+
+    @staticmethod
+    def _tensors(h: bytes, tensors) -> bytes:
+        return json.dumps({**json.loads(h), "tensors": tensors}).encode()
 
     @pytest.mark.parametrize("damage, error", [
         (lambda h: h.replace(b"{", b"[", 1), "JSONDecodeError"),
         (lambda h: h[:5] + b"\xff" + h[6:], "UnicodeDecodeError"),
         (lambda h: h.replace(b'"tensors"', b'"tensorz"'), "KeyError"),
-        (lambda h: json.dumps({**json.loads(h), "tensors": [{"name": "w", "offset": "0",
-                                                              "nbytes": 16, "dtype": "<f8",
-                                                              "shape": [2]}]}).encode(),
-         "TypeError"),
-    ], ids=["json", "utf-8", "key", "type"])
+        (lambda h: TestCheckpoint._tensors(h, [["w", "2"]]), "TypeError"),
+        (lambda h: TestCheckpoint._tensors(h, [["w", [1]]]), "ValueError: the header's"),
+        (lambda h: TestCheckpoint._tensors(h, [["w", [3]]]), "ValueError: cannot reshape"),
+    ], ids=["json", "utf-8", "key", "type", "shapes-short", "shapes-long"])
     def test_damaged_header_named(self, tmp_path, damage, error):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, {"w": np.ones(2)}, config={"dim": 2})
@@ -750,20 +751,26 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_header_bit_flips_named_or_loaded(self, tmp_path):
-        """No flipped header bit raises anything but a ValueError naming the
-        file; a flip that still decodes loads."""
+        """A flipped bit in any byte of the file, header and values alike,
+        is a ValueError naming it, or loads the same tensors and config."""
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, {"w": np.ones((3, 2)), "b": np.zeros(2)}, config={"dim": 2})
+        tensors = {"b": np.zeros(2), "w": np.ones((3, 2))}
+        save_checkpoint(path, tensors, config={"dim": 2})
         data = path.read_bytes()
-        end = 16 + struct.unpack("<Q", data[8:16])[0]
-        for k in range(16, end):
+        for k in range(len(data)):
             flipped = bytearray(data)
             flipped[k] ^= 1 << (k % 8)
             path.write_bytes(flipped)
             try:
-                load_checkpoint(path)
+                ck = load_checkpoint(path)
             except ValueError as exc:
                 assert str(exc).startswith(f"{path}: "), k
+            else:
+                assert ck.config == {"dim": 2}, k
+                assert {n: t.shape for n, t in ck.tensors.items()} == \
+                    {n: t.shape for n, t in tensors.items()}, k
+                assert all(ck.tensors[n].tobytes() == t.tobytes()
+                           for n, t in tensors.items()), k
 
     def test_load_params_names_missing_tensor(self, tmp_path):
         save_checkpoint(tmp_path / "m.ckpt", {"w": np.ones(4)})

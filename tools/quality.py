@@ -12,12 +12,16 @@ pinned ``SynthSpec()`` corpus. It records the criterion 6/7 quantities:
 cluster purity, top-1 context accuracy, both arms' mean MRR and Recall@10,
 ``mrr_ratio`` and the one-tailed p of the MRR t-test, and which bars pass.
 It also records the sha256 of every file of every published stage, keyed
-``<stage>/<file>`` (the stage directory's name without its key).
+``<stage>/<file>`` (the stage directory's name without its key), and per
+``.ckpt`` file a digest of its tensors: the sha256 of each tensor's name,
+shape, dtype and bytes as that tree's ``load_checkpoint`` reads them, so
+the digest does not depend on the checkpoint's container format.
 
 ``--compare REV`` exports REV's ``src/`` with ``git archive`` into a
 temporary directory, runs it on the same seeds and config, and adds paired
 per-seed deltas (this checkout minus REV) and, per artifact file, whether
-its bytes are identical to REV's. So ``--seeds 7 --compare REV`` shows in
+its bytes are identical to REV's, or for a checkpoint whose bytes differ,
+whether its tensors are. So ``--seeds 7 --compare REV`` shows in
 one command whether a change keeps the acceptance chain byte-identical.
 
 ``--null K`` reruns each seed K more times. Run k permutes the examples
@@ -79,12 +83,40 @@ def artifact_hashes(work: Path) -> dict[str, str]:
     return hashes
 
 
-def compare_bytes(here: dict[str, str], there: dict[str, str]) -> dict[str, str]:
-    """Per artifact file: identical, differs, or missing on one side."""
-    return {name: ("identical" if here.get(name) == there.get(name)
-                   else "differs" if name in here and name in there
-                   else "only here" if name in here else "only in REV")
-            for name in sorted(here.keys() | there.keys())}
+def tensor_digests(work: Path) -> dict[str, str]:
+    """Per checkpoint of every published stage under ``work``, keyed as in
+    ``artifact_hashes``: the sha256 of each tensor's name, shape, dtype and
+    bytes, in name order, as the imported ``load_checkpoint`` reads them."""
+    from ctxrec.nn.checkpoint import load_checkpoint
+    digests = {}
+    for meta in sorted(work.glob("*/meta.json")):
+        stage = meta.parent.name.rsplit("-", 1)[0]
+        for path in sorted(meta.parent.glob("*.ckpt")):
+            tensors = load_checkpoint(path).tensors
+            h = hashlib.sha256()
+            for name in sorted(tensors):
+                t = tensors[name]
+                h.update(json.dumps([name, list(t.shape), t.dtype.str]).encode())
+                h.update(t.tobytes())
+            digests[f"{stage}/{path.name}"] = h.hexdigest()
+    return digests
+
+
+def compare_bytes(here: dict, there: dict) -> dict[str, str]:
+    """Per artifact file of two ``measure`` rows: identical, bytes differ
+    with identical tensor digests, differs, or missing on one side."""
+    files, other = here["artifacts"], there["artifacts"]
+
+    def verdict(name: str) -> str:
+        if files.get(name) == other.get(name):
+            return "identical"
+        if name not in files or name not in other:
+            return "only here" if name in files else "only in REV"
+        digest = here["tensors"].get(name)
+        if digest is not None and digest == there["tensors"].get(name):
+            return "bytes differ, tensors identical"
+        return "differs"
+    return {name: verdict(name) for name in sorted(files.keys() | other.keys())}
 
 
 def measure(cfg, seed: int, tmp: Path) -> dict:
@@ -125,6 +157,7 @@ def measure(cfg, seed: int, tmp: Path) -> dict:
            "mrr_ratio": ablation["mrr_ratio"], "p": ablation["t_test"]["mrr"]["p"]}
     row["passes"] = {name: bool(bar(row)) for name, bar in BARS.items()}
     row["artifacts"] = artifact_hashes(tmp / "work")
+    row["tensors"] = tensor_digests(tmp / "work")
     return row
 
 
@@ -155,7 +188,7 @@ def run_seeds(cfg, seeds: list[int], null: int = 0) -> dict:
     for seed in seeds:
         with tempfile.TemporaryDirectory(prefix=f"quality-{seed}-") as tmp:
             row = rows[str(seed)] = measure(cfg, seed, Path(tmp))
-        quality = {k: v for k, v in row.items() if k != "artifacts"}
+        quality = {k: v for k, v in row.items() if k not in ("artifacts", "tensors")}
         print(f"seed {seed}: {json.dumps(quality)}", file=sys.stderr)
         if null:
             row["null"] = {name: [] for name in MARGINS}
@@ -253,7 +286,7 @@ def main() -> int:
             "regressed": {s: [k for k, ok in row["passes"].items()
                               if not ok and base[s]["passes"][k]]
                           for s, row in report["seeds"].items()},
-            "bytes": {s: compare_bytes(row["artifacts"], base[s]["artifacts"])
+            "bytes": {s: compare_bytes(row, base[s])
                       for s, row in report["seeds"].items()}}
     if args.out:
         args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
