@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -92,12 +93,22 @@ class ParsedLog:
         return len(self.item_keys)
 
 
+_INT64 = np.iinfo(np.int64)
+# what decoding with errors="surrogateescape" makes of a byte that is not UTF-8
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
 def _parse_timestamp(raw: str) -> int:
-    # accepts integer or float epoch seconds; floats truncate toward zero
+    """Integer or float epoch seconds; floats truncate toward zero. Not a
+    number (NaN included) is a ValueError; infinite or outside int64 is an
+    OverflowError."""
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        return int(float(raw))
+        value = int(float(raw))
+    if not _INT64.min <= value <= _INT64.max:
+        raise OverflowError(value)
+    return value
 
 
 def _timestamps(values) -> np.ndarray:
@@ -116,12 +127,17 @@ def parse_log(source: Iterable[str] | str | Path, schema: ColumnSchema | None = 
     interactions are sorted per user by timestamp, stable on ties so equal
     timestamps keep their input order. ``on_error`` is ``abort`` (raise
     LogParseError) or ``skip`` (drop the row with a warning).
+
+    A file is read as UTF-8 and cut into lines as ``str.splitlines`` cuts
+    them. A line holding a byte that is not UTF-8 is that line's error, as
+    is a timestamp that is not a number or lies outside int64.
     """
     if on_error not in ("abort", "skip"):
         raise ValueError(f"on_error must be 'abort' or 'skip', got {on_error!r}")
     schema = schema or ColumnSchema()
     if isinstance(source, (str, Path)):
-        lines: Iterable[str] = Path(source).read_text().splitlines()
+        lines: Iterable[str] = Path(source).read_bytes().decode(
+            "utf-8", "surrogateescape").splitlines()
     else:
         lines = source
 
@@ -137,12 +153,19 @@ def parse_log(source: Iterable[str] | str | Path, schema: ColumnSchema | None = 
             continue
         parts = line.rstrip("\n").split(schema.delimiter)
         try:
+            undecoded = _UNDECODED.search(line)
+            if undecoded:
+                raise LogParseError(lineno, f"byte 0x{ord(undecoded.group()) - 0xdc00:02x} "
+                                            "is not UTF-8")
             if len(parts) < 3:
                 raise LogParseError(lineno, f"expected >= 3 columns, got {len(parts)}")
             try:
                 ts = _parse_timestamp(parts[2].strip())
             except ValueError:
                 raise LogParseError(lineno, f"non-numeric timestamp {parts[2]!r}")
+            except OverflowError:
+                raise LogParseError(lineno, f"timestamp {parts[2]!r} is outside "
+                                            "the 64-bit integer range")
             user_key = parts[0].strip()
             item_key = parts[1].strip()
             if not user_key or not item_key:

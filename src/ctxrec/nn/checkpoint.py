@@ -10,7 +10,7 @@ A checkpoint is an ``.npz`` file of two members, read through
               header order
 
 A file in any other format, such as the older NNCK container, is refused
-on load as unreadable arrays.
+on load as an unreadable older format.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .engine import Parameter
+
+# the leading bytes np.load reads a file by: a zip (an .npz) or an .npy
+_MAGICS = (b"PK\x03\x04", b"PK\x05\x06", b"\x93NUMPY")
 
 
 @dataclass
@@ -67,7 +70,8 @@ def load_arrays(path: str | Path, *names: str) -> list[np.ndarray]:
     """The arrays ``names`` of the ``.npz`` file ``path``, read whole. Every
     member's CRC-32 is checked first, so a flipped bit is refused rather
     than read. A file that is missing, cut or corrupt, or lacks one of
-    ``names``, is a ValueError naming it."""
+    ``names``, is a ValueError naming it; so is a file that begins neither
+    as a zip nor as an ``.npy``, which is named as an older format."""
     try:
         with np.load(path) as data:
             bad = data.zip.testzip()
@@ -79,7 +83,21 @@ def load_arrays(path: str | Path, *names: str) -> list[np.ndarray]:
     # a plain .npy file, which np.load returns as an array
     except (OSError, EOFError, KeyError, ValueError, RuntimeError, TypeError,
             zipfile.BadZipFile, tokenize.TokenError) as exc:
+        if _older_format(path):
+            raise ValueError(f"{path}: unreadable older format, neither an .npz nor an "
+                             ".npy file; artifacts are immutable - use a fresh workdir") from None
         raise ValueError(f"{path}: unreadable arrays: {exc!r}") from None
+
+
+def _older_format(path: str | Path) -> bool:
+    """Whether ``path`` opens with bytes that no cut of a zip or an
+    ``.npy`` file begins with."""
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(max(map(len, _MAGICS)))
+    except OSError:
+        return False
+    return not any(head.startswith(m) or m.startswith(head) for m in _MAGICS)
 
 
 def load_params(params: list[Parameter], ck: Checkpoint) -> None:

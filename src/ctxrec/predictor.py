@@ -4,9 +4,8 @@ The predictor combines three signals: a long-horizon encoding of the user's
 previous sessions' feature vectors, a short-horizon encoding of the items
 observed so far in the current session, and a learnable per-user embedding.
 A fully connected head (``ContextPredictor.head``) maps their concatenation
-to context logits. The prediction is recomputed from scratch for every new
-observed item; an empty prefix is encoded through the short-horizon LSTM as a
-single learnable auxiliary vector shared by all sessions.
+to context logits. An empty prefix is encoded through the short-horizon LSTM
+as a single learnable auxiliary vector shared by all sessions.
 
 Training builds one example per observed-prefix position of every training
 interaction, labeled with the session's clustered context id, and early-stops
@@ -18,7 +17,11 @@ most ``max_seq_len`` (later windows are their own sources), and the prefixes
 of one session share that session's items. Serving
 (``ContextPredictor.predict_probs``) is a one-row call of the same path: the
 request's history and its prefix are each one source, scored by the same
-head.
+head. Every request of a session reads the same history, so the predictor
+keeps the last history's encoding in a one-entry memo keyed on the exact
+bits of that history and of the long-horizon LSTM's parameters: a session's
+first request encodes its history, and each later request encodes only its
+prefix.
 """
 
 from __future__ import annotations
@@ -124,6 +127,7 @@ class ContextPredictor:
             user_dim + self.short_lstm.output_dim + self.long_lstm.output_dim,
             num_contexts, rng)
         self.aux = Parameter("ctx.aux", rng.normal(0.0, 0.1, size=item_dim))
+        self._history_memo: tuple[tuple, Var] | None = None  # see _encode_history
 
     def params(self) -> list[Parameter]:
         return (self.user_emb.params() + self.item_emb.params()
@@ -135,14 +139,32 @@ class ContextPredictor:
         rows' short- and long-horizon encodings through ``fc1``."""
         return self.fc1(engine.concat([self.user_emb.lookup(user_ids), z_short, z_long]))
 
+    def _encode_history(self, history: np.ndarray) -> Var:
+        """``long_lstm``'s encoding of one (T, feat_dim) float64 history,
+        from a one-entry memo. The entry is reused only while the history's
+        shape and bytes and every ``long_lstm`` parameter's bytes equal the
+        ones it was encoded from, so a weight that training, ``load_params``
+        or a direct write changed in place is never read stale, and ``-0.0``
+        differs from ``0.0``. The entry holds a copy of those bytes."""
+        key = (history.shape, history.tobytes(),
+               *(p.value.tobytes() for p in self.long_lstm.params()))
+        memo = self._history_memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        z_long = self.long_lstm.encode(history[None], [len(history)])
+        self._history_memo = (key, z_long)
+        return z_long
+
     def predict_probs(self, user_id: int, prefix_items,
                       history: np.ndarray) -> np.ndarray:
         """Context probability vector for the current prefix; sums to 1.
         ``history`` is ``long_term_input``'s (T, feat_dim) array. One row of
-        the batched path: ``history`` and the prefix are each one source."""
+        the batched path: ``history`` and the prefix are each one source.
+        Requests that repeat the previous request's history reuse its
+        encoding (``_encode_history``) and return the same bits."""
         history = np.asarray(history, dtype=np.float64)
         with engine.no_grad():
-            z_long = self.long_lstm.encode(history[None], [len(history)])
+            z_long = self._encode_history(history)
             # one row reading all of its one source: encode's default src/ends
             prefix, lengths, _, _ = prefix_sources(
                 self.item_emb, self.aux, np.asarray(prefix_items, dtype=np.intp), [0],

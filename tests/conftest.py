@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,15 @@ def column_sessions(interactions, idle_threshold=3600):
     """The sessions that the corpus columns give ``Interaction`` rows."""
     return corpus_from_rows([(it.user_id, it.item_id, it.timestamp) for it in interactions],
                             idle_threshold=idle_threshold).sessions
+
+
+def nnck_checkpoint_bytes() -> bytes:
+    """A checkpoint in the older NNCK container that ``.npz`` checkpoints
+    replaced: magic, version, header length, JSON header, raw float64s."""
+    header = json.dumps({"config": {"dim": 2}, "tensors": [
+        {"dtype": "<f8", "name": "w", "nbytes": 16, "offset": 0, "shape": [2]}]},
+        sort_keys=True, separators=(",", ":")).encode()
+    return b"NNCK" + struct.pack("<IQ", 2, len(header)) + header + np.ones(2).tobytes()
 
 
 def synth_corpus(tmp_path, **overrides):

@@ -26,6 +26,7 @@ from ctxrec.config import (
 from ctxrec.corpus import build_corpus, parse_log
 from ctxrec.nn.checkpoint import load_checkpoint, save_checkpoint
 from ctxrec.synth import SynthSpec, generate, planted_labels
+from conftest import nnck_checkpoint_bytes
 from reference_corpus import session_split
 
 TINY = dict(num_users=10, num_contexts=3, items_per_context=8,
@@ -450,15 +451,16 @@ class TestPipelineMechanics:
               ("train-next", "nextitem.ckpt", ("train-next",),
                lambda ws: pipeline.load_next_model(ws))]
 
-    def _damage_checkpoints(self, tiny_pipeline, workdir, damage):
+    def _damage_checkpoints(self, tiny_pipeline, workdir, damage, error=""):
         """Damage each stored model's checkpoint in its own copy of the
-        stages that its loader reads, and check the load names the file."""
+        stages that its loader reads, and check the load names the file,
+        then ``error``."""
         _, cfg, ws_full = tiny_pipeline
         for stage, name, stages, loader in self.MODELS:
             ws = _partial_workspace(ws_full, cfg, workdir / stage, stages)
             path = ws.stage_dir(stage) / name
             damage(path)
-            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {error}"):
                 loader(ws)
 
     @pytest.mark.parametrize("cut", [2 / 3, 0.01], ids=["two-thirds", "in-header"])
@@ -475,6 +477,13 @@ class TestPipelineMechanics:
             path.write_bytes(data)
         self._damage_checkpoints(tiny_pipeline, tmp_path,
                                  Path.unlink if damage == "deleted" else flip)
+
+    def test_older_format_checkpoint_named(self, tiny_pipeline, tmp_path):
+        """A checkpoint in the NNCK container of older workdirs is named as
+        an older format, with the advice to use a fresh workdir."""
+        self._damage_checkpoints(tiny_pipeline, tmp_path,
+                                 lambda path: path.write_bytes(nnck_checkpoint_bytes()),
+                                 "unreadable older format.*use a fresh workdir$")
 
     def test_models_load_without_drawing_an_init(self, tiny_pipeline, monkeypatch):
         _, _, ws = tiny_pipeline

@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import tempfile
+import warnings
 import zipfile
 from pathlib import Path
 
@@ -87,6 +88,81 @@ class TestParseLog:
     def test_custom_delimiter(self):
         parsed = parse_log(["1\t2\t3"], ColumnSchema(delimiter="\t"))
         assert len(parsed_interactions(parsed)) == 1
+
+    @pytest.mark.parametrize("stamp, error", [
+        ("1e400", "outside the 64-bit integer range"), ("inf", "outside the 64-bit"),
+        ("-inf", "outside the 64-bit"), ("9223372036854775808", "outside the 64-bit"),
+        ("nan", "non-numeric timestamp")])
+    def test_unrepresentable_timestamp_is_a_row_error(self, stamp, error):
+        rows = ["1,2,3", f"1,3,{stamp}", "1,4,5"]
+        with pytest.raises(LogParseError, match=f"^line 2: .*{error}"):
+            parse_log(rows)
+        with pytest.warns(UserWarning, match=f"line 2: .*{error}"):
+            parsed = parse_log(rows, on_error="skip")
+        assert [it.timestamp for it in parsed_interactions(parsed)] == [3, 5]
+
+    def test_int64_extremes_are_kept(self):
+        parsed = parse_log(["1,2,-9223372036854775808", "1,3,9223372036854775807"])
+        assert parsed.timestamp.tolist() == [-2 ** 63, 2 ** 63 - 1]
+
+    def test_undecodable_byte_is_a_row_error(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_bytes(b"1,2,3\n1,\xff9,4\n1,4,5\n")
+        with pytest.raises(LogParseError, match="^line 2: byte 0xff is not UTF-8"):
+            parse_log(path)
+        with pytest.warns(UserWarning, match="line 2: byte 0xff"):
+            parsed = parse_log(path, on_error="skip")
+        assert [it.timestamp for it in parsed_interactions(parsed)] == [3, 5]
+
+    def test_file_lines_are_cut_as_str_splitlines_cuts_them(self, tmp_path):
+        """A file's line boundaries, and so its line numbers, are those of
+        its decoded text's ``splitlines``, which also cuts at characters
+        that ``bytes.splitlines`` does not."""
+        seps = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                "\u2028", "\u2029"]
+        text = "".join(f"u{k},é{k},{k}{sep}" for k, sep in enumerate(seps)) + "bad"
+        path = tmp_path / "log.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(LogParseError, match=f"^line {len(seps) + 1}: expected >= 3"):
+            parse_log(path)
+        with pytest.warns(UserWarning):
+            got = parse_log(path, on_error="skip")
+        with pytest.warns(UserWarning):
+            want = parse_log(text.splitlines(), on_error="skip")
+        assert got.user_keys == want.user_keys and got.item_keys == want.item_keys
+        assert len(got.item_keys) == len(seps)
+        assert np.array_equal(got.timestamp, want.timestamp)
+
+
+_CELL = st.one_of(
+    st.integers(-2 ** 70, 2 ** 70).map(str), st.floats().map(str),
+    st.sampled_from(["1e400", "-1e400", "inf", "-inf", "nan", "1.5", "", " ", "u"]),
+).map(str.encode)
+_ROW = st.lists(st.one_of(_CELL, st.sampled_from([b"\xff", b"\xc3", b",", b"\t"])),
+                max_size=5).map(b",".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_ROW, max_size=8))
+def test_any_log_parses_or_names_its_line(rows):
+    """Rows of ints, floats, infinities, NaNs, huge values, non-UTF-8
+    bytes, short rows and stray delimiters: abort mode gives a log or one
+    row's LogParseError; skip mode keeps every row that abort mode accepts
+    and warns once for each row it drops."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.csv"
+        path.write_bytes(b"\n".join(rows))
+        lines = path.read_bytes().decode("utf-8", "surrogateescape").splitlines()
+        try:
+            parse_log(path)
+        except LogParseError as exc:
+            assert 1 <= exc.lineno <= len(lines)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            parsed = parse_log(path, on_error="skip")
+    kept = sum(1 for line in lines if line.strip())
+    assert len(parsed.user_of) + len(caught) == kept
+    assert all(re.match(r"skipping malformed row: line \d+: ", str(w.message)) for w in caught)
 
 
 class TestFilterUsers:

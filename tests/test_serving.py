@@ -1,7 +1,9 @@
 """Serving is a one-row call of the batched heads: both models'
 ``predict_probs``, with context and in ablation mode, against the
 per-example oracle in ``reference_models`` at tolerance 0, on every
-interaction of the small stack's corpus."""
+interaction of the small stack's corpus. The context predictor's one-entry
+history memo is checked against the same oracle: it is reused only for the
+same history bits under the same ``long_lstm`` parameter bits."""
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ import pytest
 import reference_models
 from ctxrec import nextitem as NX
 from ctxrec import predictor as P
+from ctxrec.nn.checkpoint import load_checkpoint, load_params, save_checkpoint
+from ctxrec.nn.optim import Adam
 from reference_corpus import user_session_ids
 
 MAX_SEQ_LEN = 2
@@ -51,9 +55,7 @@ def test_context_predict_probs_equals_oracle(small_stack):
     corpus, features = small_stack["corpus"], small_stack["features"]
     model = _context_model(corpus, features)
     for user, prefix, history in _requests(corpus, features):
-        got = model.predict_probs(user, prefix, history)
-        want = reference_models.context_probs(model, user, prefix, history)
-        assert got.shape == want.shape and np.array_equal(got, want)
+        _assert_oracle(model, user, prefix, history)
 
 
 @pytest.mark.parametrize("mode", [NX.WITH_CONTEXT, NX.ABLATION])
@@ -65,6 +67,109 @@ def test_next_predict_probs_equals_oracle(small_stack, mode):
         got = model.predict_probs(user, prefix, contexts)
         want = reference_models.next_probs(model, user, prefix, contexts)
         assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def _histories(corpus, features):
+    """Two distinct histories of several sessions each."""
+    longest = sorted(_requests(corpus, features), key=lambda r: -len(r[2]))
+    a = longest[0][2]
+    b = next(h for _, _, h in longest if h.shape == a.shape and not np.array_equal(h, a))
+    return a, b
+
+
+def _assert_oracle(model, user, prefix, history):
+    got = model.predict_probs(user, prefix, history)
+    want = reference_models.context_probs(model, user, prefix, history)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    return got
+
+
+def test_history_memo_alternating_histories(small_stack):
+    corpus, features = small_stack["corpus"], small_stack["features"]
+    model = _context_model(corpus, features)
+    a, b = _histories(corpus, features)
+    for history in (a, b, a, b.copy(), a.copy()):
+        for prefix in ((), (1,), (1, 2, 3)):
+            _assert_oracle(model, 0, prefix, history)
+
+
+def test_history_memo_same_bytes_other_shape(small_stack):
+    """Bytes equal to the memo's history in another shape are no hit: they
+    raise as the oracle does, and the memo's history still scores right."""
+    corpus, features = small_stack["corpus"], small_stack["features"]
+    model = _context_model(corpus, features)
+    a, _ = _histories(corpus, features)
+    _assert_oracle(model, 0, (1,), a)
+    for other in (a.reshape(1, -1), a.reshape(1, *a.shape), a.reshape(-1)):
+        assert other.tobytes() == a.tobytes()
+        want = _error_type(reference_models.context_probs, model, 0, (1,), other)
+        assert want is not None
+        assert _error_type(model.predict_probs, 0, (1,), other) is want
+    _assert_oracle(model, 0, (1,), a)
+
+
+def _adam_step(model, tmp_path):
+    for p in model.params():
+        p.grad[...] = np.random.default_rng(3).normal(size=p.value.shape)
+    Adam(model.params(), lr=0.01).step()
+
+
+def _poke_weight(model, tmp_path):
+    model.long_lstm.bwd.w_rec.value[1, 2] += 0.25
+
+
+def _load_other(model, tmp_path):
+    other = P.ContextPredictor(model.num_users, model.num_items, model.num_contexts,
+                               model.long_lstm.input_dim, user_dim=4, item_dim=4,
+                               hidden=3, max_seq_len=MAX_SEQ_LEN,
+                               rng=np.random.default_rng(99))
+    save_checkpoint(tmp_path / "other.ckpt", {p.name: p.value for p in other.params()})
+    load_params(model.params(), load_checkpoint(tmp_path / "other.ckpt"))
+
+
+@pytest.mark.parametrize("change", [_poke_weight, _adam_step, _load_other],
+                         ids=["weight-in-place", "adam-step", "load-params"])
+def test_history_memo_never_stale(small_stack, tmp_path, change):
+    """A model changed in place after a request scores the same history as
+    the oracle of the changed model."""
+    corpus, features = small_stack["corpus"], small_stack["features"]
+    model = _context_model(corpus, features)
+    a, _ = _histories(corpus, features)
+    before = _assert_oracle(model, 0, (1, 2), a)
+    long_before = [p.value.copy() for p in model.long_lstm.params()]
+    change(model, tmp_path)
+    assert any(not np.array_equal(p.value, v)
+               for p, v in zip(model.long_lstm.params(), long_before))
+    after = _assert_oracle(model, 0, (1, 2), a)
+    assert not np.array_equal(after, before)
+
+
+def test_history_memo_encode_counts(small_stack):
+    """A repeated history encodes once; one cell turned from 0.0 to -0.0
+    encodes again."""
+    corpus, features = small_stack["corpus"], small_stack["features"]
+    model = _context_model(corpus, features)
+    calls = []
+    encode = model.long_lstm.encode
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].copy())
+        return encode(*args, **kwargs)
+
+    model.long_lstm.encode = counting
+    a, _ = _histories(corpus, features)
+    a = a.copy()
+    a[0, 0] = 0.0
+    for prefix in ((), (1,), (1, 2)):
+        _assert_oracle(model, 0, prefix, a.copy())
+    assert len(calls) == 1
+    signed = a.copy()
+    signed[0, 0] = -0.0
+    assert np.array_equal(signed, a)  # equal values, different bits
+    _assert_oracle(model, 0, (1,), signed)
+    assert len(calls) == 2 and np.signbit(calls[1][0, 0, 0])
+    _assert_oracle(model, 0, (1,), signed)
+    assert len(calls) == 2
 
 
 def _error_type(fn, *args):

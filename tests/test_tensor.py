@@ -1,7 +1,6 @@
 import json
 import math
 import re
-import struct
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ import reference_models
 from ctxrec.nn import engine
 from ctxrec.nn.checkpoint import load_arrays, load_params
 from ctxrec.nn.layers import window_sources
+from conftest import nnck_checkpoint_bytes
 
 
 class TestSoftmax:
@@ -711,16 +711,23 @@ class TestCheckpoint:
 
     def test_bad_magic_rejected(self, tmp_path):
         """A file that is not an ``.npz``, such as a checkpoint of the older
-        NNCK container, is a ValueError naming it."""
+        NNCK container, is a ValueError that names it as an older format
+        and gives numpy's pickle advice no room."""
         path = tmp_path / "bad.ckpt"
-        header = json.dumps({"config": {"dim": 2}, "tensors": [
-            {"dtype": "<f8", "name": "w", "nbytes": 16, "offset": 0, "shape": [2]}]},
-            sort_keys=True, separators=(",", ":")).encode()
-        nnck = b"NNCK" + struct.pack("<IQ", 2, len(header)) + header + np.ones(2).tobytes()
-        for data in (b"NOPE" + b"\x00" * 32, nnck):
+        for data in (b"NOPE" + b"\x00" * 32, nnck_checkpoint_bytes()):
             path.write_bytes(data)
-            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unreadable"):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unreadable "
+                               "older format.*use a fresh workdir$") as err:
                 load_checkpoint(path)
+            assert "pickle" not in str(err.value)
+
+    @pytest.mark.parametrize("keep", [0, 1, 3, 5])
+    def test_cut_before_the_magic_is_not_an_older_format(self, tmp_path, keep):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": np.ones(2)})
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unreadable arrays"):
+            load_checkpoint(path)
 
     @staticmethod
     def _rewrite_header(path, edit) -> None:

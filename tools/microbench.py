@@ -59,7 +59,11 @@ plus 3 metadata columns).
   its top-3 contexts, then ``NextItemModel.predict_probs`` at V = 200, for
   an empty, a two-item and a 60-item prefix (longer than ``max_seq_len``
   = 50). Both are one-row calls of the batched path, so this tracks its
-  per-call overhead.
+  per-call overhead. ``first`` is a session's first request: the calls
+  alternate two histories, so each one misses the context predictor's
+  one-entry history memo and encodes its history. ``next`` is a later
+  request of the session: every call repeats the history and reuses its
+  encoding.
 - ``test_generate``: ``synth.generate`` of the ``pinned`` log and label
   sidecar (``SynthSpec()`` cut to 12 users: 480 sessions, about 1,200
   interactions).
@@ -73,6 +77,7 @@ plus 3 metadata columns).
 
 from __future__ import annotations
 
+import itertools
 import sys
 import time
 import warnings
@@ -306,7 +311,8 @@ def test_ranking(benchmark, vocab):
 
 
 @pytest.mark.parametrize("prefix", ["empty", "short", "long"])
-def test_serve_one_request(benchmark, prefix):
+@pytest.mark.parametrize("request_kind", ["first", "next"])
+def test_serve_one_request(benchmark, request_kind, prefix):
     rng = np.random.default_rng(6)
     ctx = predictor.ContextPredictor(USERS, 200, 8, FEAT_DIM, user_dim=32,
                                      item_dim=ITEM_DIM, hidden=HIDDEN,
@@ -316,10 +322,12 @@ def test_serve_one_request(benchmark, prefix):
                                  max_seq_len=MAX_SEQ_LEN, rng=rng)
     items = {"empty": [], "short": [3, 17],
              "long": rng.integers(0, 200, size=MAX_SEQ_LEN + 10).tolist()}[prefix]
-    history = rng.normal(size=(SESSIONS // 2, FEAT_DIM))
+    histories = [rng.normal(size=(SESSIONS // 2, FEAT_DIM))
+                 for _ in range(2 if request_kind == "first" else 1)]
+    turns = itertools.cycle(histories)
 
     def serve():
-        ids = predictor.top_k_contexts(ctx.predict_probs(0, items, history), 3)
+        ids = predictor.top_k_contexts(ctx.predict_probs(0, items, next(turns)), 3)
         return nxt.predict_probs(0, items, ids)
 
     probs = benchmark(serve)
