@@ -109,14 +109,13 @@ def _export(ws: pipeline.Workspace, what: str, out_path: str | Path) -> Path:
     if what == "embeddings":
         export_embeddings_csv(out_path, corpus, pipeline.load_embeddings(ws)[0])
     elif what == "clusters":
-        model, labels = pipeline.load_contexts(ws)
-        export_clusters_csv(out_path, model, corpus, labels,
+        centers, labels = pipeline.load_contexts(ws)
+        export_clusters_csv(out_path, centers, corpus, labels,
                             pipeline.load_embeddings(ws)[0])
     elif what == "context-predictions":
-        _, topk_ids, topk_probs = pipeline.load_context_predictor(ws)
-        export_predictions_csv(out_path, corpus, topk_ids, topk_probs)
+        export_predictions_csv(out_path, corpus, *pipeline.load_context_topk(ws))
     elif what == "ranked-lists":
-        _, ctx_topk, _ = pipeline.load_context_predictor(ws)
+        ctx_topk, _ = pipeline.load_context_topk(ws)
         export_ranked_lists(out_path, pipeline.load_next_model(ws), corpus, ctx_topk)
     else:
         raise pipeline.PipelineError(f"unknown export {what!r}")

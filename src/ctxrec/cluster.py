@@ -26,14 +26,6 @@ class ContextModel:
     labels: np.ndarray                  # context id per training session
     inertia_history: list[float] = field(default_factory=list)
 
-    @property
-    def num_contexts(self) -> int:
-        return self.centers.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.centers.shape[1]
-
 
 def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """(N, K) squared Euclidean distances."""
@@ -65,7 +57,8 @@ def kmeans_fit(embeddings: np.ndarray, num_contexts: int = 40,
 
     Runs ``n_init`` seeded k-means++ restarts and keeps the lowest-inertia
     solution (first on ties), which guards against a single unlucky seeding.
-    The stored assignment is always a fixed point of ``assign``: after the
+    The stored assignment is always a fixed point of nearest-center
+    assignment, the rule ``label_all`` applies outside the fit: after the
     last center update one final assignment pass runs, so every stored label
     is the nearest center (ties to the lowest id). ``inertia_history[t]`` is
     the within-cluster sum of squares after iteration t's center update and is
@@ -139,15 +132,6 @@ def _nearest(centers: np.ndarray, points: np.ndarray) -> np.ndarray:
     return ((centers - points[:, None, :]) ** 2).sum(axis=2).argmin(axis=1)
 
 
-def assign(model: ContextModel, embedding: np.ndarray) -> int:
-    """Nearest-center context id; distance ties break to the lowest id."""
-    embedding = np.asarray(embedding, dtype=np.float64)
-    if embedding.shape != (model.dim,):
-        raise ValueError(f"expected embedding of dim {model.dim}, "
-                         f"got shape {embedding.shape}")
-    return int(_nearest(model.centers, embedding[None])[0])
-
-
 def label_all(model: ContextModel, embeddings: np.ndarray,
               embeddable: np.ndarray) -> np.ndarray:
     """Context id for every session, from its stored embedding row.
@@ -169,14 +153,15 @@ def label_all(model: ContextModel, embeddings: np.ndarray,
     return labels
 
 
-def export_clusters_csv(path, model: ContextModel, corpus: SplitCorpus,
+def export_clusters_csv(path, centers: np.ndarray, corpus: SplitCorpus,
                         labels: np.ndarray, embeddings: np.ndarray) -> None:
-    """CSV (session_id, context_id, distance_to_center) over labeled sessions."""
+    """CSV (session_id, context_id, distance_to_center) over labeled
+    sessions, each distance to its context's row of ``centers``."""
     with open(path, "w") as fh:
         fh.write("session_id,context_id,distance_to_center\n")
         for sid in range(corpus.num_sessions):
             c = int(labels[sid])
             if c == UNLABELED:
                 continue
-            dist = float(np.linalg.norm(embeddings[sid] - model.centers[c]))
+            dist = float(np.linalg.norm(embeddings[sid] - centers[c]))
             fh.write(f"{sid},{c},{dist!r}\n")

@@ -1,11 +1,12 @@
 """Interaction-log ingestion: parsing, user filtering, sessionization, splits.
 
-A corpus is a set of int columns (``CorpusArrays``). Interactions are
-stored in (user, time) order, so every session is a run of consecutive
-interactions and session ids are assigned user after user, each user's in
-time order. The per-row ``Interaction`` and ``Session`` lists and the other
-list-valued accessors of ``SplitCorpus`` are views built on first use; no
-stage reads them.
+A corpus is a set of int columns (``CorpusArrays``), each interaction's
+split among them as its tag's index in ``TAGS``. Interactions are stored in
+(user, time) order, so every session is a run of consecutive interactions
+and session ids are assigned user after user, each user's in time order.
+The per-row ``Interaction`` and ``Session`` lists, the split tags and the
+other list-valued accessors of ``SplitCorpus`` are views built on first
+use; no stage reads them.
 """
 
 from __future__ import annotations
@@ -29,10 +30,12 @@ TAGS = (TRAIN, VAL, TEST)  # a split code is its tag's index here
 
 
 class LogParseError(ValueError):
-    """A malformed input row; carries the 1-based line number."""
+    """A malformed input row; carries the 1-based line number, and names
+    the file it was read from, if any."""
 
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
+    def __init__(self, lineno: int, message: str, path: Path | None = None):
+        super().__init__(f"line {lineno}: {message}" if path is None
+                         else f"{path}: line {lineno}: {message}")
         self.lineno = lineno
 
 
@@ -130,14 +133,15 @@ def parse_log(source: Iterable[str] | str | Path, schema: ColumnSchema | None = 
 
     A file is read as UTF-8 and cut into lines as ``str.splitlines`` cuts
     them. A line holding a byte that is not UTF-8 is that line's error, as
-    is a timestamp that is not a number or lies outside int64.
+    is a timestamp that is not a number or lies outside int64. The error
+    and the warning name the file beside the line.
     """
     if on_error not in ("abort", "skip"):
         raise ValueError(f"on_error must be 'abort' or 'skip', got {on_error!r}")
     schema = schema or ColumnSchema()
-    if isinstance(source, (str, Path)):
-        lines: Iterable[str] = Path(source).read_bytes().decode(
-            "utf-8", "surrogateescape").splitlines()
+    path = Path(source) if isinstance(source, (str, Path)) else None
+    if path is not None:
+        lines: Iterable[str] = path.read_bytes().decode("utf-8", "surrogateescape").splitlines()
     else:
         lines = source
 
@@ -152,28 +156,27 @@ def parse_log(source: Iterable[str] | str | Path, schema: ColumnSchema | None = 
         if not line.strip():
             continue
         parts = line.rstrip("\n").split(schema.delimiter)
-        try:
+        try:  # each ValueError here says what is wrong with the row
             undecoded = _UNDECODED.search(line)
             if undecoded:
-                raise LogParseError(lineno, f"byte 0x{ord(undecoded.group()) - 0xdc00:02x} "
-                                            "is not UTF-8")
+                raise ValueError(f"byte 0x{ord(undecoded.group()) - 0xdc00:02x} is not UTF-8")
             if len(parts) < 3:
-                raise LogParseError(lineno, f"expected >= 3 columns, got {len(parts)}")
+                raise ValueError(f"expected >= 3 columns, got {len(parts)}")
             try:
                 ts = _parse_timestamp(parts[2].strip())
             except ValueError:
-                raise LogParseError(lineno, f"non-numeric timestamp {parts[2]!r}")
+                raise ValueError(f"non-numeric timestamp {parts[2]!r}") from None
             except OverflowError:
-                raise LogParseError(lineno, f"timestamp {parts[2]!r} is outside "
-                                            "the 64-bit integer range")
-            user_key = parts[0].strip()
-            item_key = parts[1].strip()
+                raise ValueError(f"timestamp {parts[2]!r} is outside "
+                                 "the 64-bit integer range") from None
+            user_key, item_key = parts[0].strip(), parts[1].strip()
             if not user_key or not item_key:
-                raise LogParseError(lineno, "empty user or item field")
-        except LogParseError as exc:
+                raise ValueError("empty user or item field")
+        except ValueError as exc:
+            error = LogParseError(lineno, str(exc), path)
             if on_error == "abort":
-                raise
-            warnings.warn(f"skipping malformed row: {exc}")
+                raise error from None
+            warnings.warn(f"skipping malformed row: {error}")
             continue
         users.append(user_ids.setdefault(user_key, len(user_ids)))
         items.append(item_ids.setdefault(item_key, len(item_ids)))
@@ -220,6 +223,7 @@ class CorpusArrays(NamedTuple):
     user_of: np.ndarray         # per interaction
     item_of: np.ndarray         # per interaction
     timestamp: np.ndarray       # per interaction
+    split: np.ndarray           # per interaction: its tag's index in TAGS
     session_of: np.ndarray      # per interaction
     position_of: np.ndarray     # per interaction: its index inside its session
     session_user: np.ndarray    # per session
@@ -236,7 +240,7 @@ def _runs(starts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _corpus_arrays(user_of: np.ndarray, item_of: np.ndarray, timestamp: np.ndarray,
-                   session_start: np.ndarray) -> CorpusArrays:
+                   split: np.ndarray, session_start: np.ndarray) -> CorpusArrays:
     """The columns of interactions in (user, time) order whose sessions
     begin at the interaction indices ``session_start``. Sessions are then
     numbered user after user, each user's in time order, so session s - r is
@@ -247,9 +251,9 @@ def _corpus_arrays(user_of: np.ndarray, item_of: np.ndarray, timestamp: np.ndarr
     new_user = np.ones(num_sessions, dtype=bool)
     new_user[1:] = session_user[1:] != session_user[:-1]
     return CorpusArrays(
-        user_of=user_of, item_of=item_of, timestamp=timestamp, session_of=session_of,
-        position_of=position_of, session_user=session_user, session_start=session_start,
-        session_length=np.diff(np.append(session_start, n)),
+        user_of=user_of, item_of=item_of, timestamp=timestamp, split=split,
+        session_of=session_of, position_of=position_of, session_user=session_user,
+        session_start=session_start, session_length=np.diff(np.append(session_start, n)),
         session_rank=_runs(np.flatnonzero(new_user), num_sessions)[1])
 
 
@@ -274,25 +278,24 @@ def example_rows(examples, width: int) -> np.ndarray:
 class SplitCorpus:
     """Interactions, sessions, and the per-user chronological split.
 
-    ``arrays`` holds the corpus; ``splits[k]`` tags interaction ``k`` as
-    train/val/test. Sessions straddling a split cut keep one session id;
-    the split tags say which interactions are train-visible. The tags are
-    a list that may be reassigned, so what is derived from them is read on
-    each call. ``interactions``, ``sessions``, ``session_of`` and
-    ``position_of`` are per-row views of ``arrays``, built on first use.
+    ``arrays`` holds the corpus; ``arrays.split[k]`` is the index in
+    ``TAGS`` of interaction ``k``'s split. Sessions straddling a split cut
+    keep one session id; the split codes say which interactions are
+    train-visible. ``interactions``, ``sessions``, ``splits``,
+    ``session_of`` and ``position_of`` are per-row views of ``arrays``,
+    built on first use.
     """
 
     num_users: int
     num_items: int
     arrays: CorpusArrays
-    splits: list[str]
     user_keys: list[str] = field(default_factory=list)
     item_keys: list[str] = field(default_factory=list)
 
     def __eq__(self, other):
         if not isinstance(other, SplitCorpus):
             return NotImplemented
-        fields = ("num_users", "num_items", "splits", "user_keys", "item_keys")
+        fields = ("num_users", "num_items", "user_keys", "item_keys")
         return (all(getattr(self, f) == getattr(other, f) for f in fields)
                 and all(map(np.array_equal, self.arrays, other.arrays)))
 
@@ -304,18 +307,13 @@ class SplitCorpus:
     def num_sessions(self) -> int:
         return len(self.arrays.session_start)
 
-    def split_codes(self) -> np.ndarray:
-        """Per interaction, the index of its tag in ``TAGS``."""
-        tags = np.asarray(self.splits, dtype=str)
-        return (tags == VAL) + 2 * (tags == TEST)
-
     def session_split_codes(self) -> np.ndarray:
         """Per session, the largest code among its interactions: a session
         is test if it holds a test interaction, else val if it holds a
         validation one, else train."""
         if not self.num_sessions:
             return np.zeros(0, dtype=np.intp)
-        return np.maximum.reduceat(self.split_codes(), self.arrays.session_start)
+        return np.maximum.reduceat(self.arrays.split, self.arrays.session_start)
 
     def session_times(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per session: its first and last timestamps, the idle time to its
@@ -346,6 +344,10 @@ class SplitCorpus:
                     itertools.count(), a.session_user.tolist(), a.session_start.tolist(),
                     a.session_length.tolist(), start.tolist(), end.tolist(), gap.tolist(),
                     has_next.tolist())]
+
+    @functools.cached_property
+    def splits(self) -> list[str]:
+        return np.array(TAGS)[self.arrays.split].tolist()
 
     @functools.cached_property
     def session_of(self) -> list[int]:
@@ -398,8 +400,7 @@ def split_columns(user_of, item_of, timestamp, idle_threshold: int = 3600,
     n_items = num_items if num_items is not None else int(item_of.max(initial=-1)) + 1
     return SplitCorpus(
         num_users=n_users, num_items=n_items,
-        arrays=_corpus_arrays(user_of, item_of, timestamp, np.flatnonzero(new_session)),
-        splits=np.array(TAGS)[code].tolist(),
+        arrays=_corpus_arrays(user_of, item_of, timestamp, code, np.flatnonzero(new_session)),
         user_keys=user_keys or [], item_keys=item_keys or [])
 
 
@@ -419,14 +420,14 @@ _MEMBERS = ("format_version", "num_users", "num_items", "user_keys", "item_keys"
 
 def save_corpus(corpus: SplitCorpus, path: str | Path) -> None:
     """The corpus as an ``.npz`` file of ``_MEMBERS``: the format version,
-    the counts and raw keys, the interaction columns, each interaction's
-    split code and the session starts. ``load_corpus`` rebuilds the rest."""
+    the counts and raw keys, the interaction columns (the split codes among
+    them) and the session starts. ``load_corpus`` rebuilds the rest."""
     a = corpus.arrays
     with open(path, "wb") as fh:  # a path np.savez would give an .npz suffix
         np.savez(fh, format_version=CORPUS_FORMAT_VERSION, num_users=corpus.num_users,
                  num_items=corpus.num_items, user_keys=np.array(corpus.user_keys, dtype=str),
                  item_keys=np.array(corpus.item_keys, dtype=str), user_of=a.user_of,
-                 item_of=a.item_of, timestamp=a.timestamp, split=corpus.split_codes(),
+                 item_of=a.item_of, timestamp=a.timestamp, split=a.split,
                  session_start=a.session_start)
 
 
@@ -468,5 +469,6 @@ def load_corpus(path: str | Path) -> SplitCorpus:
         raise ValueError(f"{path}: {exc}") from None
     return SplitCorpus(int(num_users), int(num_items), _corpus_arrays(
         *(c.astype(np.intp, copy=False) for c in (user_of, item_of)),
-        timestamp.astype(np.int64, copy=False), session_start.astype(np.intp, copy=False)),
-        np.array(TAGS)[split].tolist(), user_keys.tolist(), item_keys.tolist())
+        timestamp.astype(np.int64, copy=False),
+        *(c.astype(np.intp, copy=False) for c in (split, session_start))),
+        user_keys.tolist(), item_keys.tolist())

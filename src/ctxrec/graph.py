@@ -107,7 +107,7 @@ def build_graph(session_of: np.ndarray, item_of: np.ndarray,
 def build_graph_from_corpus(corpus: SplitCorpus) -> BipartiteMultigraph:
     """Graph over train+val interactions only; test targets never become edges."""
     a = corpus.arrays
-    visible = corpus.split_codes() != TAGS.index(TEST)
+    visible = a.split != TAGS.index(TEST)
     return build_graph(a.session_of[visible], a.item_of[visible], corpus.num_items)
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import SplitCorpus, TRAIN, VAL, TEST, example_rows
+from .corpus import SplitCorpus, TAGS, TRAIN, VAL, TEST, example_rows
 from .metrics import mrr, ranks_of_truth
 from .nn import engine
 from .nn.engine import Parameter, Var
@@ -114,7 +114,7 @@ def rank_rows(corpus: SplitCorpus, split_tag: str) -> np.ndarray:
     its in-session prefix (which may be empty, and may include earlier
     interactions of any split that happen to share the session)."""
     a = corpus.arrays
-    idx = np.flatnonzero(np.asarray(corpus.splits) == split_tag)
+    idx = np.flatnonzero(a.split == TAGS.index(split_tag))
     return np.stack([idx, a.user_of[idx], a.session_of[idx], a.position_of[idx],
                      a.item_of[idx]], axis=1)
 

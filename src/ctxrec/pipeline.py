@@ -27,7 +27,8 @@ from . import graph as graph_mod
 from . import nextitem as next_mod
 from . import predictor as pred_mod
 from .config import PipelineConfig
-from .corpus import SplitCorpus, build_corpus, load_corpus, parse_log, save_corpus, ColumnSchema, TEST
+from .corpus import (TAGS, TEST, ColumnSchema, SplitCorpus, build_corpus, load_corpus,
+                     parse_log, save_corpus)
 from .metrics import mrr, recall_at_k, t_test_one_tailed
 from .nn.checkpoint import load_arrays, load_checkpoint, load_params, save_checkpoint
 
@@ -213,6 +214,9 @@ def _load_model(path: Path, cls):
 
 def run_ingest(ws: Workspace, input_path: str | Path, delimiter: str = ",",
                has_header: bool = False, on_error: str = "abort") -> Path:
+    """Parse, filter, sessionize and split the log. A corpus with no train
+    or no test interaction is refused before anything is published: no
+    later stage could train or evaluate on it."""
     input_sha = hashlib.sha256(Path(input_path).read_bytes()).hexdigest()
 
     def body(path: Path, cfg: StageConfig) -> dict:
@@ -220,6 +224,11 @@ def run_ingest(ws: Workspace, input_path: str | Path, delimiter: str = ",",
         parsed = parse_log(Path(input_path), schema, on_error=on_error)
         corpus = build_corpus(parsed, idle_threshold=cfg.idle_threshold_s,
                               min_count=cfg.min_user_interactions)
+        n_train, _, n_test = np.bincount(corpus.arrays.split, minlength=len(TAGS)).tolist()
+        if not (n_train and n_test):
+            raise PipelineError(f"{input_path}: the corpus has {n_train} train and {n_test} "
+                                "test interactions after filtering; training and "
+                                "evaluation need at least one of each")
         save_corpus(corpus, path / "corpus.npz")
         n_sessions = corpus.num_sessions
         avg_len = (corpus.num_interactions / n_sessions) if n_sessions else 0.0
@@ -308,13 +317,10 @@ def run_contextualize(ws: Workspace) -> Path:
     return ws.run("contextualize", body)
 
 
-def load_contexts(ws: Workspace):
-    centers, session_ids, train_labels, inertia, labels = load_arrays(
-        ws.require("contextualize") / "contexts.npz",
-        "centers", "train_session_ids", "train_labels", "inertia_history", "labels")
-    model = cluster_mod.ContextModel(centers=centers, session_ids=session_ids,
-                                     labels=train_labels, inertia_history=list(inertia))
-    return model, labels
+def load_contexts(ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """(centers, labels) as the contextualize stage stored them: the
+    (contexts, dim) centers and every session's context id."""
+    return tuple(load_arrays(ws.require("contextualize") / "contexts.npz", "centers", "labels"))
 
 
 # ---------------------------------------------------------------------------

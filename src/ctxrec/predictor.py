@@ -188,10 +188,10 @@ def context_rows(corpus: SplitCorpus, labels: np.ndarray) -> dict[str, np.ndarra
     sessions are skipped."""
     a = corpus.arrays
     label = np.asarray(labels)[a.session_of]
-    splits = np.asarray(corpus.splits)
     rows = np.stack([np.arange(len(label)), a.user_of, a.session_of, a.position_of, label],
                     axis=1)
-    return {tag: rows[(splits == tag) & (label != UNLABELED)] for tag in (TRAIN, VAL)}
+    return {tag: rows[(a.split == TAGS.index(tag)) & (label != UNLABELED)]
+            for tag in (TRAIN, VAL)}
 
 
 def _prefix_logits(model: ContextPredictor, corpus: SplitCorpus,
@@ -237,8 +237,9 @@ def train_context(model: ContextPredictor, corpus: SplitCorpus,
     on validation loss. A session's prefix family is one shuffle unit and
     shares one history encoding, so its BPTT runs once per batch."""
     rows = context_rows(corpus, labels)
-    # the shuffle units in session order, each session's examples in corpus order
-    train = rows[TRAIN][np.argsort(rows[TRAIN][:, 2], kind="stable")]
+    # the shuffle units: rows are in corpus order, so each session's examples
+    # are one run, and the runs are in session order
+    train = rows[TRAIN]
     sizes = np.unique(train[:, 2], return_counts=True)[1]
     val = rows[VAL]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -7,7 +8,7 @@ import pytest
 from ctxrec import cluster as cluster_mod
 from ctxrec import graph as graph_mod
 from ctxrec import predictor as pred_mod
-from ctxrec.corpus import build_corpus, parse_log, split_columns
+from ctxrec.corpus import TAGS, build_corpus, parse_log, split_columns
 from ctxrec.synth import SynthSpec, generate
 
 
@@ -16,6 +17,12 @@ def corpus_from_rows(rows, **split_kwargs):
     sorted stably by (user, timestamp), with no filtering or id compaction."""
     ordered = sorted(rows, key=lambda r: (r[0], r[2]))
     return split_columns(*(list(zip(*ordered)) or [(), (), ()]), **split_kwargs)
+
+
+def all_in_split(corpus, tag):
+    """A copy of ``corpus`` whose every interaction is in split ``tag``."""
+    split = np.full(corpus.num_interactions, TAGS.index(tag), dtype=np.intp)
+    return dataclasses.replace(corpus, arrays=corpus.arrays._replace(split=split))
 
 
 def graph_from_lists(item_lists, num_items):

@@ -2,15 +2,16 @@
 the fit through the encoder, kept as the differential oracle for the version
 that reads the embed stage's stored rows.
 
-``label_all`` is copied unchanged. It calls ``ContextModel.label_of``, which
-left the package with it, so ``ReferenceContextModel`` carries that method,
-also unchanged. ``assign_many`` is the removed ``cluster.assign_many``,
-which only tests called.
+``label_all`` is copied unchanged but for its nearest-center call, which
+now goes to ``assign_row``. It calls ``ContextModel.label_of``, which left
+the package with it, so ``ReferenceContextModel`` carries that method, also
+unchanged. ``assign_many`` is the removed ``cluster.assign_many``, which
+only tests called.
 
-``assign_row`` and ``label_rows`` are ``cluster.assign`` and the stored-row
-``cluster.label_all`` as they stood before ``label_all`` labeled every
-unclustered session in one array pass, copied unchanged apart from their
-names.
+``assign_row`` and ``label_rows`` are the removed ``cluster.assign`` and the
+stored-row ``cluster.label_all`` as they stood before ``label_all`` labeled
+every unclustered session in one array pass, copied unchanged apart from
+their names and ``assign_row`` reading the dimension off the centers.
 """
 
 import warnings
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ctxrec.cluster import UNLABELED, ContextModel, _squared_distances, assign
+from ctxrec.cluster import UNLABELED, ContextModel, _squared_distances
 from ctxrec.corpus import SplitCorpus
 from ctxrec.graph import BipartiteMultigraph, SageEncoder
 
@@ -57,15 +58,16 @@ def label_all(model: ContextModel, encoder: SageEncoder,
                 raise
             warnings.warn(f"session {sid}: no in-vocabulary items; left unlabeled")
             continue
-        labels[sid] = assign(model, emb)
+        labels[sid] = assign_row(model, emb)
     return labels
 
 
 def assign_row(model: ContextModel, embedding: np.ndarray) -> int:
     """Nearest-center context id; distance ties break to the lowest id."""
     embedding = np.asarray(embedding, dtype=np.float64)
-    if embedding.shape != (model.dim,):
-        raise ValueError(f"expected embedding of dim {model.dim}, "
+    dim = model.centers.shape[1]
+    if embedding.shape != (dim,):
+        raise ValueError(f"expected embedding of dim {dim}, "
                          f"got shape {embedding.shape}")
     d2 = ((model.centers - embedding) ** 2).sum(axis=1)
     return int(d2.argmin())

@@ -618,6 +618,13 @@ class TestPipelineMechanics:
             name = {"train-next": "nextitem.ckpt", "evaluate": "metrics.json"}[stage]
             assert (run(ws) / name).read_bytes() == \
                 (ws_full.stage_dir(stage) / name).read_bytes()
+        # the exports of predictions.npz read no predictor.ckpt either
+        for what in ("context-predictions", "ranked-lists"):
+            outs = [tmp_path / f"{what}-{side}.out" for side in ("partial", "full")]
+            for workspace, out in zip((ws, ws_full), outs):
+                assert main(["export", "--workdir", str(workspace.workdir), "--what", what,
+                             "--out", str(out)] + _tiny_cfg_flags()) == 0
+            assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_ablation_arm_builds_from_ingest_alone(self, tiny_pipeline, tmp_path):
         _, cfg, ws_full = tiny_pipeline
@@ -809,6 +816,41 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert f"'{named}'" in err, err
+
+    def test_malformed_row_names_its_file(self, tmp_path, capsys):
+        """A bad row's error, and its warning under ``--on-error skip``,
+        name the log beside the line."""
+        generate(SynthSpec(**TINY), tmp_path / "log.csv")
+        first, *rest = (tmp_path / "log.csv").read_bytes().splitlines(keepends=True)
+        log = tmp_path / "bad.csv"
+        log.write_bytes(b"".join([first, b"1,\xff9,4\n", *rest]))
+        wd = tmp_path / "work"
+        args = ["ingest", "--workdir", str(wd), "--input", str(log)] + _tiny_cfg_flags()
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {log}: line 2: byte 0xff is not UTF-8\n"
+        assert not any(wd.iterdir())
+        with pytest.warns(UserWarning, match=re.escape(
+                f"skipping malformed row: {log}: line 2: byte 0xff is not UTF-8")):
+            assert main(args + ["--on-error", "skip"]) == 0
+        assert [p.name.rsplit("-", 1)[0] for p in wd.iterdir()] == ["ingest"]
+
+    @pytest.mark.parametrize("rows, train, test", [
+        ([], 0, 0),
+        (["u,i,1"], 0, 1),
+        # a user's second of two interactions is test and the first val
+        (["a,x,1", "a,y,2", "b,x,1", "b,y,2", "c,x,5"], 0, 3),
+    ], ids=["empty", "one-interaction", "no-train"])
+    def test_ingest_refuses_a_corpus_with_no_train_or_test(self, tmp_path, capsys, rows,
+                                                           train, test):
+        log = tmp_path / "log.csv"
+        log.write_text("".join(row + "\n" for row in rows))
+        wd = tmp_path / "work"
+        assert main(["ingest", "--workdir", str(wd), "--input", str(log),
+                     "--min-user-interactions", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {log}: ") and err.count("\n") == 1, err
+        assert f"{train} train and {test} test interactions" in err, err
+        assert not any(wd.iterdir())
 
     def test_bad_config_fails_before_work(self, tmp_path, capsys):
         wd = tmp_path / "work"

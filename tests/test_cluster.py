@@ -69,50 +69,42 @@ class TestKmeansFit:
         assert np.isfinite(model.centers).all()
 
 
+def _nearest_id(centers, point):
+    """The nearest center's id for one point, by ``cluster._nearest``."""
+    return int(C._nearest(centers, np.asarray(point, dtype=np.float64)[None])[0])
+
+
 class TestAssign:
-    def _model(self):
-        centers = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0],
-                            [3.0, 0.0], [4.0, 0.0], [6.0, 0.0]])
-        return C.ContextModel(centers=centers,
-                              session_ids=np.arange(0),
-                              labels=np.arange(0))
+    """Nearest-center assignment (``cluster._nearest``), which ``label_all``
+    applies to every session outside the fit."""
+
+    CENTERS = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0],
+                        [3.0, 0.0], [4.0, 0.0], [6.0, 0.0]])
 
     def test_exact_center_match(self):
-        model = self._model()
-        assert C.assign(model, np.array([4.0, 0.0])) == 4
+        assert _nearest_id(self.CENTERS, [4.0, 0.0]) == 4
 
     def test_equidistant_tie_takes_lower_id(self):
-        model = self._model()
-        # halfway between centers 2 and 5: distance 2 from center 2... build an
-        # exactly equidistant point between centers id 2 (at x=2) and 5 (at x=6)
-        assert C.assign(model, np.array([4.0, 0.0])) == 4  # sanity: 4 is closest
-        model2 = C.ContextModel(
-            centers=np.array([[9.0, 9.0], [9.0, -9.0], [2.0, 0.0],
-                              [9.0, 9.0], [9.0, -9.0], [6.0, 0.0]]),
-            session_ids=np.arange(0), labels=np.arange(0))
-        assert C.assign(model2, np.array([4.0, 0.0])) == 2
-
-    def test_dimension_mismatch(self):
-        model = self._model()
-        with pytest.raises(ValueError, match="dim"):
-            C.assign(model, np.array([1.0, 2.0, 3.0]))
+        assert _nearest_id(self.CENTERS, [4.0, 0.0]) == 4  # sanity: 4 is closest
+        # exactly equidistant between centers id 2 (at x=2) and 5 (at x=6)
+        centers = np.array([[9.0, 9.0], [9.0, -9.0], [2.0, 0.0],
+                            [9.0, 9.0], [9.0, -9.0], [6.0, 0.0]])
+        assert _nearest_id(centers, [4.0, 0.0]) == 2
 
     def test_training_points_reproduce_assignments(self):
         pts = np.random.default_rng(6).normal(size=(60, 3))
         model = C.kmeans_fit(pts, 5, seed=7)
         for k in range(60):
-            assert C.assign(model, pts[k]) == model.labels[k]
+            assert _nearest_id(model.centers, pts[k]) == model.labels[k]
 
     def test_relabeling_invariance_under_center_permutation(self):
         pts = np.random.default_rng(8).normal(size=(50, 3))
         model = C.kmeans_fit(pts, 4, seed=0)
         perm = np.array([2, 0, 3, 1])
-        permuted = C.ContextModel(centers=model.centers[perm],
-                                  session_ids=model.session_ids,
-                                  labels=model.labels)
         inverse = np.argsort(perm)
         for k in range(50):
-            assert C.assign(permuted, pts[k]) == inverse[C.assign(model, pts[k])]
+            assert (_nearest_id(model.centers[perm], pts[k])
+                    == inverse[_nearest_id(model.centers, pts[k])])
 
 
 class TestLabelAll:
@@ -191,7 +183,7 @@ class TestLabelAll:
 
 
 class TestLabelAllOracle:
-    """The one-pass ``label_all`` and ``assign`` against the per-session
+    """The one-pass ``label_all`` and ``_nearest`` against the per-session
     copies they replaced (``reference_cluster``), at tolerance 0."""
 
     def test_small_stack(self, small_stack):
@@ -231,7 +223,7 @@ class TestLabelAllOracle:
             expected = label_rows(model, embeddings, embeddable)
         assert labels.tobytes() == expected.tobytes()
         for row in embeddings:
-            assert C.assign(model, row) == assign_row(model, row)
+            assert _nearest_id(model.centers, row) == assign_row(model, row)
 
     def test_midpoints_between_centers(self):
         # each point is equally far from two centers up to rounding, so the
@@ -249,10 +241,9 @@ def test_clusters_csv_export(tmp_path):
     pts = np.random.default_rng(1).normal(size=(30, 3))
     model = C.kmeans_fit(pts, 3, seed=0)
     corpus = corpus_from_rows([(0, k % 2, k * 10_000) for k in range(30)])
-    labels = np.array([C.assign(model, pts[s.session_id])
-                       for s in corpus.sessions])
+    labels = C.label_all(model, pts, np.ones(len(pts), dtype=bool))
     path = tmp_path / "clusters.csv"
-    C.export_clusters_csv(path, model, corpus, labels, pts)
+    C.export_clusters_csv(path, model.centers, corpus, labels, pts)
     lines = path.read_text().splitlines()
     assert lines[0] == "session_id,context_id,distance_to_center"
     assert len(lines) == 31

@@ -108,9 +108,11 @@ class TestParseLog:
     def test_undecodable_byte_is_a_row_error(self, tmp_path):
         path = tmp_path / "log.csv"
         path.write_bytes(b"1,2,3\n1,\xff9,4\n1,4,5\n")
-        with pytest.raises(LogParseError, match="^line 2: byte 0xff is not UTF-8"):
+        with pytest.raises(LogParseError, match=f"^{re.escape(str(path))}: line 2: "
+                                                "byte 0xff is not UTF-8") as raised:
             parse_log(path)
-        with pytest.warns(UserWarning, match="line 2: byte 0xff"):
+        assert raised.value.lineno == 2
+        with pytest.warns(UserWarning, match=f"{re.escape(str(path))}: line 2: byte 0xff"):
             parsed = parse_log(path, on_error="skip")
         assert [it.timestamp for it in parsed_interactions(parsed)] == [3, 5]
 
@@ -123,7 +125,8 @@ class TestParseLog:
         text = "".join(f"u{k},é{k},{k}{sep}" for k, sep in enumerate(seps)) + "bad"
         path = tmp_path / "log.csv"
         path.write_bytes(text.encode("utf-8"))
-        with pytest.raises(LogParseError, match=f"^line {len(seps) + 1}: expected >= 3"):
+        with pytest.raises(LogParseError,
+                           match=f"^{re.escape(str(path))}: line {len(seps) + 1}: expected >= 3"):
             parse_log(path)
         with pytest.warns(UserWarning):
             got = parse_log(path, on_error="skip")
@@ -162,7 +165,8 @@ def test_any_log_parses_or_names_its_line(rows):
             parsed = parse_log(path, on_error="skip")
     kept = sum(1 for line in lines if line.strip())
     assert len(parsed.user_of) + len(caught) == kept
-    assert all(re.match(r"skipping malformed row: line \d+: ", str(w.message)) for w in caught)
+    assert all(re.match(rf"skipping malformed row: {re.escape(str(path))}: line \d+: ",
+                        str(w.message)) for w in caught)
 
 
 class TestFilterUsers:

@@ -7,8 +7,6 @@ entry. The public trainers feed ``fit`` the batched losses, which
 batch. The in-place ``Adam``, the index-array batches and the column rank
 examples are also held to their list-based oracles directly."""
 
-import copy
-
 import numpy as np
 import pytest
 
@@ -20,13 +18,7 @@ from ctxrec.corpus import TRAIN, VAL
 from ctxrec.metrics import mrr
 from ctxrec.nn.engine import Parameter
 from ctxrec.nn.optim import Adam, _batches, fit
-
-
-def _all_train(corpus):
-    """A copy of ``corpus`` with no validation or test interactions."""
-    corpus = copy.deepcopy(corpus)
-    corpus.splits[:] = [TRAIN] * len(corpus.splits)
-    return corpus
+from conftest import all_in_split
 
 
 def _assert_identical(model_a, hist_a, model_b, hist_b):
@@ -65,7 +57,7 @@ def _context_run(train, corpus, stack, train_kw):
 def test_train_context_matches_reference(small_stack, all_train):
     corpus = small_stack["corpus"]
     if all_train:
-        corpus = _all_train(corpus)
+        corpus = all_in_split(corpus, TRAIN)
     kw = dict(lr=0.05, batch_size=64, max_epochs=8, patience=1)
     new = _context_run(_fit_context, corpus, small_stack, kw)
     old = _context_run(ref.train_context, corpus, small_stack, kw)
@@ -111,7 +103,7 @@ def _next_run(train, corpus, mode, train_kw):
 def test_train_next_matches_reference(small_stack, mode, all_train):
     corpus = small_stack["corpus"]
     if all_train:
-        corpus = _all_train(corpus)
+        corpus = all_in_split(corpus, TRAIN)
     kw = dict(lr=0.05, batch_size=50, max_epochs=8, patience=1)
     new = _next_run(_fit_next, corpus, mode, kw)
     old = _next_run(ref.train_next, corpus, mode, kw)
@@ -191,7 +183,7 @@ def test_rank_examples_match_list_oracle(small_stack, all_train):
     after the split tags change."""
     corpus = small_stack["corpus"]
     if all_train:
-        corpus = _all_train(corpus)
+        corpus = all_in_split(corpus, TRAIN)
     for tag in ("train", "val", "test"):
         rows = NX.rank_rows(corpus, tag)
         assert rows.dtype == np.intp

@@ -6,10 +6,10 @@ import reference_models
 import reference_trainers
 from ctxrec import nextitem as NX
 from ctxrec import predictor as P
-from ctxrec.corpus import TEST, example_rows
+from ctxrec.corpus import TEST, TRAIN, example_rows
 from ctxrec.metrics import rank_of_truth
 from ctxrec.nn import engine, finite_diff_check
-from conftest import corpus_from_rows
+from conftest import all_in_split, corpus_from_rows
 
 
 def _tiny_model(mode=NX.WITH_CONTEXT, num_contexts=6, top_k=3, seed=0, **kw):
@@ -110,10 +110,9 @@ class TestTrainNext:
         return corpus_from_rows(rows)
 
     def test_learns_alternating_pattern(self):
-        corpus = self._alternating_corpus()
         # all-train corpus: with 2 items validation MRR saturates immediately,
         # which would freeze the best-checkpoint restore at an early epoch
-        corpus.splits[:] = ["train"] * len(corpus.splits)
+        corpus = all_in_split(self._alternating_corpus(), TRAIN)
         rng = np.random.default_rng(0)
         model = NX.NextItemModel(corpus.num_users, corpus.num_items, 2,
                                  user_dim=4, item_dim=8, context_dim=2,
@@ -252,8 +251,7 @@ class TestTrainNext:
             NX.train_next(model, corpus, None, rng, max_epochs=1)
 
     def test_empty_training_set_rejected(self):
-        corpus = corpus_from_rows([(0, k % 3, k * 10) for k in range(12)])
-        corpus.splits[:] = [TEST] * len(corpus.splits)
+        corpus = all_in_split(corpus_from_rows([(0, k % 3, k * 10) for k in range(12)]), TEST)
         model = _tiny_model(mode=NX.ABLATION)
         with pytest.raises(ValueError, match="no training examples"):
             NX.train_next(model, corpus, None, np.random.default_rng(0))
