@@ -7,6 +7,9 @@ passes; intermediate nodes are ``Var`` objects forming a DAG. Recurrent
 encoders register as single fused nodes (see ``layers.BiLstm``) so a pass
 over a whole batch of sequences costs one node instead of one per gate, and
 so does the graph encoder's batch loss (``graph._edge_loss_sampled``).
+Every gradient that adds rows sharing an index (a table's lookups, a
+gather's repeated ids, the BiLSTM's shared prefix cells) adds them through
+``sum_rows``, so one summation order fixes the bits of every checkpoint.
 """
 
 from __future__ import annotations
@@ -125,13 +128,10 @@ def sum_rows(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def scatter_add(target: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
-    """``np.add.at(target, ids, rows)`` into a contiguous ``target``, bit for
-    bit. While ``target`` is all zero, as a table's gradient is at its one
-    lookup in a backward pass, the rows are summed by ``sum_rows``; a table
-    read twice in one graph takes ``np.add.at`` from its second scatter on."""
-    if target.any():
-        np.add.at(target, ids, rows)
-        return
+    """Add ``rows`` into a contiguous ``target`` by ``ids`` (any shape,
+    indexing axis 0): ``target += sum_rows(ids, rows, len(target))``. Into
+    an all-zero ``target``, as a table's gradient is at its one lookup in a
+    backward pass, that is ``np.add.at(target, ids, rows)`` bit for bit."""
     flat = target.reshape(len(target), -1)  # a view
     flat += sum_rows(ids.reshape(-1), rows.reshape(ids.size, flat.shape[1]), len(target))
 
@@ -213,13 +213,12 @@ def concat(parts: list[Var]) -> Var:
 
 
 def index_rows(x: Var, ids) -> Var:
-    """Gather along axis 0 of an intermediate node (e.g. deduped embeddings)."""
+    """Gather rows of a 2-D intermediate node (e.g. deduped embeddings) by
+    the 1-D ``ids``; the gradient of repeated ids sums by ``sum_rows``."""
     ids = np.asarray(ids, dtype=np.intp)
 
     def bwd(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.value)
-        np.add.at(x.grad, ids, g)
+        _accum(x, sum_rows(ids, g, len(x.value)), owned=True)
 
     return Var(x.value[ids], (x,), bwd)
 

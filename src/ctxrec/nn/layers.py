@@ -8,7 +8,10 @@ Output rows read prefixes of shared source sequences (``window_sources``
 groups them): the forward direction runs once per source and keeps its
 state after every step, so a row reads the state after its own last step
 and BPTT seeds a gradient at each such step; the backward direction runs
-once per row over the row's reversed prefix.
+once per row over the row's reversed prefix. The gradients of rows that
+share a forward state, an input cell or a table row add up through
+``engine.sum_rows``. Under ``engine.no_grad()``, rows that each run all of
+their own source take a transposed packing with no gather.
 """
 
 from __future__ import annotations
@@ -317,12 +320,12 @@ class BiLstm:
         gradient and returns the gradient of ``xs`` (None unless
         ``input_grad``)."""
         S, T, _ = xs.shape
-        transposed = src is None and (lengths == T).all()
-        if transposed:
-            # every row runs every step of its own source: the packing is
-            # the (T, S) transpose and needs no gather. The general packing
-            # lays such rows out in the same order, so it gives the same bits
-            # when a caller spells them out with src and ends.
+        keep = engine.grad_enabled()
+        if not keep and src is None and (lengths == T).all():
+            # inference over rows that each run every step of their own
+            # source: the packing is the (T, S) transpose and needs no
+            # gather. The general packing lays such rows out in the same
+            # order, so it gives the same bits; it alone has a backward pass.
             counts_f = counts_b = [S] * T
             x_f = xs.transpose(1, 0, 2).reshape(T * S, -1)
             x_b = xs[:, ::-1].transpose(1, 0, 2).reshape(T * S, -1)
@@ -337,7 +340,6 @@ class BiLstm:
             src_b = src[rows_b]
             t_b = ends[rows_b] - 1 - steps_b  # the backward direction reads reversed
             x_f, x_b = xs[rows_f, steps_f], xs[src_b, t_b]
-        keep = engine.grad_enabled()
         H_f, cache_f = _run_direction(self.fwd, x_f, counts_f, keep)
         H_b, cache_b = _run_direction(self.bwd, x_b, counts_b, keep)
         out = np.concatenate([H_f[out_f], H_b[out_b]], axis=1)
@@ -347,34 +349,20 @@ class BiLstm:
                 raise RuntimeError("this BiLstm node was built under no_grad "
                                    "and kept no backward cache")
             h = self.hidden_dim
-            dH_f = np.zeros_like(H_f)
-            np.add.at(dH_f, out_f, g[:, :h])  # rows may read one (source, end)
+            # rows may read one (source, end) state
+            dH_f = engine.sum_rows(out_f, g[:, :h], len(H_f))
             dH_b = np.zeros_like(H_b)
             dH_b[out_b] = g[:, h:]
             dZ_f = _backward_direction(self.fwd, cache_f, counts_f, dH_f)
             dZ_b = _backward_direction(self.bwd, cache_b, counts_b, dH_b)
             if not input_grad:
                 return None
-            d_f = dZ_f @ self.fwd.w_in.value
-            d_b = dZ_b @ self.bwd.w_in.value
-            if transposed:
-                dx = d_f.reshape(T, S, -1) + d_b.reshape(T, S, -1)[::-1]
-                return dx.transpose(1, 0, 2)
             dx = np.zeros(xs.shape)
-            dx[rows_f, steps_f] = d_f
-            # a (source, step) cell read by one row takes its backward-direction
-            # gradient by a plain scatter; only the cells that several rows read
-            # sum theirs, in packed order (engine.sum_rows)
-            flat = dx.reshape(S * T, -1)
-            cells = src_b * T + t_b
-            shared = np.bincount(cells, minlength=S * T) > 1
-            several = shared[cells]
-            lone = ~several
-            flat[cells[lone]] += d_b[lone]
-            if several.any():
-                slot = np.cumsum(shared) - 1  # a shared cell's row in the sum
-                flat[shared] += engine.sum_rows(slot[cells[several]], d_b[several],
-                                                int(slot[-1]) + 1)
+            dx[rows_f, steps_f] = dZ_f @ self.fwd.w_in.value
+            # every row runs its own backward direction, so the rows that
+            # read one (source, step) cell sum theirs, in packed order
+            dx.reshape(S * T, -1)[...] += engine.sum_rows(
+                src_b * T + t_b, dZ_b @ self.bwd.w_in.value, S * T)
             return dx
 
         return out, grad_in

@@ -852,6 +852,49 @@ class TestCli:
         assert f"{train} train and {test} test interactions" in err, err
         assert not any(wd.iterdir())
 
+    @pytest.mark.parametrize("sessions, failure", [
+        ([("a", [f"i{(s * 3 + k) % 8}" for k in range(4)]) for s in range(6)], None),
+        ([(u, [f"i{(s + j) % 6}"]) for j, u in enumerate("abcd") for s in range(8)], None),
+        ([(u, ["x"] * 3) for u in "abcd" for _ in range(4)], None),
+        ([(u, ["x", "y", "x"]) for u in "abcd" for _ in range(4)], None),
+        # 2 sessions for TINY_CFG's 3 contexts
+        ([(u, [f"i{k}" for k in range(6)]) for u in "ab"],
+         ("contextualize", "cannot fit 3 contexts to 2 points")),
+    ], ids=["one-user", "sessions-of-one", "one-item", "two-items", "one-session-per-user"])
+    def test_degenerate_corpus_through_every_stage(self, tmp_path, capsys, sessions, failure):
+        """Every stage from ingest to ablate and every export either builds
+        or exits 1 with one ``error:`` line, and a stage that fails
+        publishes nothing. Sessions are an hour and more apart."""
+        rows, clock = [], {}
+        for user, items in sessions:
+            t = clock.get(user, 0) + 10_000
+            rows += [(user, t + 60 * k, item) for k, item in enumerate(items)]
+            clock[user] = t + 60 * len(items)
+        log = tmp_path / "log.csv"
+        log.write_text("".join(f"{u},{i},{t}\n" for u, t, i in sorted(rows)))
+        wd = tmp_path / "work"
+        flags = ["--workdir", str(wd)] + _tiny_cfg_flags() + ["--min-user-interactions", "1"]
+        runs = [["ingest", "--input", str(log)], ["embed"], ["contextualize"],
+                ["train-context"], ["train-next"], ["evaluate"], ["train-next", "--ablation"],
+                ["evaluate", "--ablation"], ["ablate"]]
+        runs += [["export", "--what", what, "--out", str(tmp_path / f"{what}.out")]
+                 for what in ["embeddings", "clusters", "context-predictions", "ranked-lists"]]
+        first_error = None
+        for args in runs:
+            before = sorted(p.name for p in wd.iterdir()) if wd.exists() else []
+            rc = main(args + flags)
+            err = capsys.readouterr().err
+            if rc == 0:
+                continue
+            assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1, (args, err)
+            assert sorted(p.name for p in wd.iterdir()) == before, args
+            assert not (args[0] == "export" and Path(args[-1]).exists()), args
+            first_error = first_error or (args[0], err)
+        if failure is None:
+            assert first_error is None, first_error
+        else:
+            assert first_error[0] == failure[0] and failure[1] in first_error[1], first_error
+
     def test_bad_config_fails_before_work(self, tmp_path, capsys):
         wd = tmp_path / "work"
         rc = main(["ingest", "--workdir", str(wd), "--input", "missing.csv",

@@ -1,5 +1,6 @@
-"""The package imports only the standard library, numpy and scipy, and
-still has every name the benchmark harness imports or patches."""
+"""The package imports only the standard library, numpy and scipy, still
+has every name the benchmark harness imports or patches, and adds gradient
+rows by index through ``engine.sum_rows`` alone."""
 
 import ast
 import os
@@ -29,6 +30,19 @@ def test_only_numpy_scipy_and_stdlib_imports():
            for lineno, root in _imported_roots(ast.parse(path.read_text()))
            if root not in ALLOWED]
     assert not bad, "imports outside numpy + scipy + stdlib: " + ", ".join(bad)
+
+
+def test_no_add_at_calls():
+    """``np.add.at`` sums repeated rows in its own order; ``engine.sum_rows``
+    is the one summation the package's gradients use, so the bits of every
+    checkpoint follow from one rule."""
+    bad = [f"{path.relative_to(SRC)}:{node.lineno}"
+           for path in sorted(SRC.rglob("*.py"))
+           for node in ast.walk(ast.parse(path.read_text()))
+           if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+           and node.func.attr == "at" and isinstance(node.func.value, ast.Attribute)
+           and node.func.value.attr == "add"]
+    assert not bad, "np.add.at calls: " + ", ".join(bad)
 
 
 def test_bench_harness_imports_and_instruments():

@@ -334,9 +334,11 @@ class TestPrefixStateBiLstm:
 
     @pytest.mark.parametrize("case", ["shared", "one-reader", "mixed", "random"])
     def test_input_gradient_equals_previous_kernel(self, case):
-        """Only cells with several readers go through the sparse sum: against
-        the kernel that summed every cell so (``prefix_state_run``), outputs,
-        input and parameter gradients are equal exactly."""
+        """Every (source, step) cell sums its backward-direction gradients
+        through the one ``engine.sum_rows``: against the kernel that summed
+        every cell as one sparse product whenever a source had several
+        readers, and scattered them otherwise (``prefix_state_run``),
+        outputs, input and parameter gradients are equal exactly."""
         rng = np.random.default_rng(25)
         dim = 3
         if case == "shared":
@@ -395,6 +397,19 @@ class TestPrefixStateBiLstm:
             out = lstm.encode(constant(xs), SHARED_LENGTHS, SHARED_SRC, SHARED_ENDS)
         assert np.array_equal(out.value, lstm.encode(
             constant(xs), SHARED_LENGTHS, SHARED_SRC, SHARED_ENDS).value)
+
+    @pytest.mark.parametrize("S, T", [(1, 1), (1, 6), (4, 1), (5, 7)])
+    def test_no_grad_equal_own_rows_equal_grad_mode(self, S, T):
+        """Rows that each run all of their own source take the transposed
+        packing under ``no_grad`` and the general one under gradients: the
+        outputs are equal bit for bit."""
+        rng = np.random.default_rng(24)
+        lstm = BiLstm("tr", 3, 4, rng)
+        xs = rng.normal(size=(S, T, 3))
+        lengths = np.full(S, T)
+        with engine.no_grad():
+            inferred = lstm.encode(xs, lengths).value
+        assert np.array_equal(inferred, lstm.encode(constant(xs), lengths).value)
 
     def test_gradient_check_on_shared_sources(self):
         rng = np.random.default_rng(23)
@@ -481,8 +496,9 @@ def test_window_sources_match_loop_oracle(seed):
 
 
 class TestScatterAdd:
-    """``engine.scatter_add`` (the sparse sum into a zero gradient, else
-    ``np.add.at``) against ``np.add.at``, exactly."""
+    """``engine.scatter_add`` is ``target += sum_rows(...)``, exactly: into
+    a zero target that equals ``np.add.at``, into any other it adds the one
+    sum of the rows."""
 
     @pytest.mark.parametrize("shape", [(40,), (10, 4), (800,), (200, 4)],
                              ids=["ids-1d", "ids-2d", "many-ids-1d", "many-ids-2d"])
@@ -492,8 +508,11 @@ class TestScatterAdd:
         ids = rng.integers(0, 7, shape)  # most rows repeat
         rows = rng.normal(size=shape + (5,)) * 10.0 ** rng.integers(-6, 7, shape + (1,))
         target = np.zeros((9, 5)) if start == "zero" else rng.normal(size=(9, 5))
-        expected = target.copy()
-        np.add.at(expected, ids, rows)
+        if start == "zero":
+            expected = target.copy()
+            np.add.at(expected, ids, rows)
+        else:
+            expected = target + engine.sum_rows(ids.reshape(-1), rows.reshape(-1, 5), 9)
         engine.scatter_add(target, ids, rows)
         assert np.array_equal(target, expected)
 
@@ -504,11 +523,24 @@ class TestScatterAdd:
         assert np.array_equal(engine.sum_rows(np.array([0, 0, 0, 1]), rows, 3),
                               np.repeat([[0.0], [2.0], [0.0]], width, axis=1))
 
+    def test_index_rows_gradient_equals_add_at(self):
+        """The gradient of a gather with repeated ids (and rows no id reads)
+        is ``np.add.at`` into zeros, bit for bit."""
+        rng = np.random.default_rng(32)
+        x = constant(rng.normal(size=(9, 5)))
+        ids = rng.integers(0, 7, 600)
+        w = rng.normal(size=(600, 5)) * 10.0 ** rng.integers(-6, 7, (600, 1))
+        backward(reference_graph.vsum(reference_graph.dot_last(
+            engine.index_rows(x, ids), constant(w))))
+        expected = np.zeros((9, 5))
+        np.add.at(expected, ids, w)
+        assert np.array_equal(x.grad, expected)
+
     @pytest.mark.parametrize("twice", [False, True], ids=["one-lookup", "two-lookups"])
     def test_table_gradients_equal_add_at(self, monkeypatch, twice):
-        """A table read once in a graph, and one read twice (its first
-        scatter sums into zeros, the second falls back to ``np.add.at``): the
-        gradients equal those of ``np.add.at`` for every lookup."""
+        """A table read once in a graph gets the gradient ``np.add.at`` gives;
+        one read twice gets one ``sum_rows`` per lookup, the two sums added
+        (which ``np.add.at``'s row-by-row sums differ from here)."""
         rng = np.random.default_rng(31)
         table = EmbeddingTable("t", 6, 3, rng)
         first, second = rng.integers(0, 6, 800), rng.integers(0, 6, (400, 2))
@@ -525,8 +557,15 @@ class TestScatterAdd:
             return table.weights.grad.copy()
 
         got = grads()
-        monkeypatch.setattr(engine, "scatter_add", np.add.at)
-        assert np.array_equal(got, grads())
+        if twice:
+            # the gradient reaching each lookup is its weights, exactly
+            expected = np.zeros((6, 3))
+            expected += engine.sum_rows(first, weights[0], 6)
+            expected += engine.sum_rows(second.reshape(-1), weights[1].reshape(-1, 3), 6)
+            assert np.array_equal(got, expected)
+        else:
+            monkeypatch.setattr(engine, "scatter_add", np.add.at)
+            assert np.array_equal(got, grads())
 
 
 def _leaf(param: Parameter):

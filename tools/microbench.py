@@ -42,7 +42,7 @@ plus 3 metadata columns).
   8-context fit of the graph sessions: the contextualize stage's labeling
   of every session outside the fit.
 - ``test_context_topk``: the top-3 context ids and probabilities that
-  ``pipeline.load_context_predictor`` derives from the stored probability
+  ``pipeline.load_context_topk`` derives from the stored probability
   matrix, at 1,200 interactions (about the ``pinned`` corpus) by 8 and by
   20 contexts.
 - ``test_ranking``: ``metrics.ranks_of_truth`` over a 1,024-row score
@@ -50,6 +50,14 @@ plus 3 metadata columns).
 - ``test_train_step``: one next-item training step on the ``pinned``
   corpus at the acceptance dims (B = 256, V = 200, top-3 of 8 contexts):
   batch loss, backward, gradient clipping and Adam, as ``fit`` runs it.
+- ``test_prefix_family``: the item BiLSTM over one next-item batch's
+  prefixes (256 training examples), built by ``prefix_sources`` as
+  ``nextitem`` builds them, so the prefixes of one session share a source,
+  forward and backward: the forward-state and input-gradient sums and the
+  item table's scatter. ``pinned`` is that corpus; ``long`` is the
+  benchmark's ``long-wide`` spec (6 users, 20 sessions of ~10 items over
+  2,000 items). Several rows read about half of the (row, step) input
+  cells on ``pinned`` and three quarters on ``long``.
 - ``test_embedding_scatter``: a table gradient's scatter-add of 700 rows
   of width 32 into 200 rows (about one next-item batch's prefix slots into
   the item table), as ``engine.scatter_add`` sums it into a zero gradient
@@ -93,7 +101,8 @@ import reference_graph  # noqa: E402
 from ctxrec import cluster, graph, metrics, nextitem, predictor  # noqa: E402
 from ctxrec.corpus import TRAIN, build_corpus, load_corpus, parse_log, save_corpus  # noqa: E402
 from ctxrec.nn import engine  # noqa: E402
-from ctxrec.nn.layers import BiLstm, DenseLayer, window_sources  # noqa: E402
+from ctxrec.nn.layers import (BiLstm, DenseLayer, EmbeddingTable, prefix_sources,  # noqa: E402
+                              window_sources)
 from ctxrec.nn.optim import adam_stepper  # noqa: E402
 from ctxrec.synth import SynthSpec, generate  # noqa: E402
 
@@ -210,6 +219,35 @@ def test_train_step(benchmark, pinned_corpus):
     batch = examples[rng.permutation(len(examples))[:256]]
     step = adam_stepper(model.params(), 0.003, 5.0, "next-item")
     benchmark(lambda: step(nextitem.batch_loss(model, corpus, ctx_topk, batch)))
+
+
+@pytest.fixture(scope="module")
+def long_corpus(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("long")
+    generate(SynthSpec(num_users=6, num_contexts=20, items_per_context=100,
+                       sessions_per_user=20, mean_session_len=10), tmp / "log.csv")
+    return build_corpus(parse_log(tmp / "log.csv"))
+
+
+@pytest.mark.parametrize("corpus_name", ["pinned", "long"])
+def test_prefix_family(benchmark, request, corpus_name):
+    corpus = request.getfixturevalue(f"{corpus_name}_corpus")
+    rng = np.random.default_rng(9)
+    table = EmbeddingTable("mb.item_emb", corpus.num_items, ITEM_DIM, rng)
+    aux = engine.Parameter("mb.aux", rng.normal(size=ITEM_DIM))
+    lstm = BiLstm("mb.item_lstm", ITEM_DIM, HIDDEN, rng)
+    examples = nextitem.rank_rows(corpus, TRAIN)
+    _, _, sessions, positions, _ = examples[rng.permutation(len(examples))[:256]].T
+    a = corpus.arrays
+    params = [table.weights, aux] + lstm.params()
+
+    def step():
+        for p in params:
+            p.zero_grad()
+        engine.backward(reference_graph.vsum(lstm.encode(*prefix_sources(
+            table, aux, a.item_of, a.session_start[sessions], positions, MAX_SEQ_LEN))))
+
+    benchmark(step)
 
 
 @pytest.mark.parametrize("impl", ["sparse", "add_at"])

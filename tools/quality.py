@@ -139,7 +139,7 @@ def measure(cfg, seed: int, tmp: Path) -> dict:
     purity = sum(Counter(planted[(labels == c) & mask]).most_common(1)[0][1]
                  for c in set(labels[mask])) / mask.sum()
 
-    _, topk_ids, topk_probs = pipeline.load_context_predictor(ws)
+    topk_ids, topk_probs = pipeline.load_context_topk(ws)
     hits = total = 0
     for k in range(len(corpus.interactions)):
         sid = corpus.session_of[k]
